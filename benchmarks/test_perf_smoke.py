@@ -85,7 +85,7 @@ def test_perf_smoke():
     _, mesh_s = _timed(lambda: simulate(trace, ds_cfg, network=mesh))
 
     # Co-simulation throughput: every processor of a 4-node tiny LU
-    # stepping against one shared mesh (the ThreadStepper fast path),
+    # stepping against one shared mesh (the fast engines' steppers),
     # in co-simulated cycles per second of wall time.
     from repro.cosim import run_cosim
     from repro.experiments.runner import TraceStore

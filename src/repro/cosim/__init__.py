@@ -11,8 +11,9 @@ timing.
 
 The moving parts:
 
-* :mod:`repro.cpu.requests` — every CPU model restructured as a
-  resumable stepper that suspends at each miss and acquire;
+* :mod:`repro.cpu.requests` — every CPU model, scalar oracle and fast
+  engine alike, is a resumable stepper that suspends at each miss (the
+  scalar ones at each acquire too);
 * :class:`CosimEngine` — the global scheduler interleaving all
   steppers' requests on the shared network in timestamp order, with
   cross-processor sync wait edges (live mode) resolved from the
@@ -22,14 +23,7 @@ The moving parts:
   experiment, and the ``cosim`` batch job kind.
 """
 
-from .engine import (
-    CosimEngine,
-    CosimNode,
-    CosimResult,
-    GenStepper,
-    ImmediateStepper,
-    ThreadStepper,
-)
+from .engine import CosimEngine, CosimNode, CosimResult
 from .report import CosimAppResult, format_cosim_report, run_cosim_app
 from .run import build_node, replay_solo, run_cosim
 
@@ -38,9 +32,6 @@ __all__ = [
     "CosimEngine",
     "CosimNode",
     "CosimResult",
-    "GenStepper",
-    "ImmediateStepper",
-    "ThreadStepper",
     "build_node",
     "format_cosim_report",
     "replay_solo",

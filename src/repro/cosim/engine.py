@@ -1,17 +1,18 @@
 """The co-simulation engine: one event wheel over all processors.
 
-Every processor model is wrapped in a *stepper handle* exposing
-``start() -> request | None`` and ``send(answer) -> request | None``
-(``None`` means the model ran to completion; its breakdown is then in
-``.result``).  The :class:`CosimEngine` keeps at most one outstanding
-request per processor on a min-heap keyed by request time and serves
-them in global timestamp order:
+Every processor model is a *stepper* (:mod:`repro.cpu.requests`): a
+generator that yields a request wherever the outside world owes it an
+answer and returns its breakdown when the trace is exhausted.  The
+:class:`CosimEngine` keeps at most one outstanding request per
+processor on a min-heap keyed by request time and serves them in global
+timestamp order:
 
 * :class:`~repro.cpu.requests.MemRequest` — served on the **shared**
   :class:`repro.net.ContentionNetwork`, so this miss queues behind every
   earlier miss from *any* processor on the same links and directory
   controllers; the resulting latency is fed back into the issuing
-  model's clock via ``send()``.
+  model's clock via ``send()``.  On the ideal fabric the answer is the
+  request's baked stall.
 * :class:`~repro.cpu.requests.SyncRequest` — in ``replay`` mode,
   answered with the trace's baked wait (the host's timing).  In ``live``
   mode, resolved against the recorded
@@ -22,162 +23,46 @@ them in global timestamp order:
 * :class:`~repro.cpu.requests.ReleaseNotify` — records the release's
   co-simulated perform time and resumes any parked acquirers.
 
-Three stepper handles cover the engine choices:
-
-* :class:`GenStepper` — a reference-model generator (the scalar timing
-  loops of :mod:`repro.cpu`), advanced with ``send()`` directly.
-* :class:`ThreadStepper` — a *fast* engine (vectorized static models,
-  event-driven DS) running in a worker thread against a proxy network
-  whose ``replay_miss`` blocks on a rendezvous channel.  Exactly one
-  thread runs at any moment (the coordinator blocks while the worker
-  runs and vice versa), and the fast engines guarantee the same
-  ``replay_miss`` call sequence as the reference models, so results are
-  byte-identical to :class:`GenStepper` co-simulation — just faster.
-* :class:`ImmediateStepper` — a completed standalone run (used when the
-  network is ideal and sync is replayed, where co-simulation is
-  definitionally equivalent to per-processor simulation).
+The engine neither knows nor cares which implementation is behind a
+generator: the scalar oracles and the fast engines (vectorized static
+models, event-driven DS) speak the same protocol and issue the same
+:class:`MemRequest` sequence, so ``--engine fast`` and ``--engine
+reference`` co-simulate to byte-identical results.  The fast engines
+answer their own sync operations from the trace, which is why live sync
+runs on the scalar steppers.
 
 Request timestamps are only approximately causal across processors — a
 model may reveal its next request after the engine has served a
 slightly-later one from another processor (the same conservatism the
 post-hoc ``contention`` replay has).  Service order is deterministic:
 the heap breaks timestamp ties by processor index, and nothing depends
-on wall-clock or thread scheduling.
+on wall-clock time.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
-import threading
 from dataclasses import dataclass, field
 
 from ..cpu.requests import MemRequest, ReleaseNotify, SyncRequest
 
 #: Engine answer to a live SyncRequest whose enabling release has not
-#: yet performed: "keep cycling and ask again" (only sent to handles
+#: yet performed: "keep cycling and ask again" (only sent to nodes
 #: with ``parkable=False``; parkable models are suspended instead).
 PENDING = -1
-
-
-class GenStepper:
-    """Handle over a reference-model stepper generator."""
-
-    __slots__ = ("_gen", "result")
-
-    def __init__(self, gen) -> None:
-        self._gen = gen
-        self.result = None
-
-    def start(self):
-        try:
-            return next(self._gen)
-        except StopIteration as stop:
-            self.result = stop.value
-            return None
-
-    def send(self, answer):
-        try:
-            return self._gen.send(answer)
-        except StopIteration as stop:
-            self.result = stop.value
-            return None
-
-
-class ImmediateStepper:
-    """Handle over an already-finished standalone run (no requests)."""
-
-    __slots__ = ("result",)
-
-    def __init__(self, result) -> None:
-        self.result = result
-
-    def start(self):
-        return None
-
-    def send(self, answer):  # pragma: no cover - never reached
-        raise RuntimeError("ImmediateStepper issues no requests")
-
-
-class _ChannelNetwork:
-    """Network facade handed to a fast engine inside a ThreadStepper.
-
-    Every ``replay_miss`` becomes a :class:`MemRequest` posted to the
-    coordinator; the worker thread blocks until the co-simulation engine
-    answers with the shared fabric's actual latency.
-    """
-
-    __slots__ = ("_stepper",)
-
-    def __init__(self, stepper: "ThreadStepper") -> None:
-        self._stepper = stepper
-
-    def replay_miss(self, cpu: int, addr: int, is_write: bool,
-                    now: int) -> int:
-        return self._stepper._rpc(MemRequest(addr, is_write, now, 0))
-
-
-class ThreadStepper:
-    """Handle running a fast engine in a worker thread.
-
-    ``fn`` is called with the proxy network and must return the model's
-    breakdown; its stateful ``network.replay_miss`` calls rendezvous
-    with the coordinator one at a time, so the handle presents the same
-    start/send protocol as a generator.  Only meaningful with a real
-    shared network — the proxy cannot answer from baked stalls.
-    """
-
-    __slots__ = ("_req_q", "_ans_q", "_thread", "result")
-
-    def __init__(self, fn) -> None:
-        self._req_q: queue.Queue = queue.Queue(1)
-        self._ans_q: queue.Queue = queue.Queue(1)
-        self.result = None
-        self._thread = threading.Thread(
-            target=self._main, args=(fn,), daemon=True
-        )
-
-    def _main(self, fn) -> None:
-        try:
-            result = fn(_ChannelNetwork(self))
-        except BaseException as exc:  # surfaced in the coordinator
-            self._req_q.put(("error", exc))
-            return
-        self._req_q.put(("done", result))
-
-    def _rpc(self, request: MemRequest) -> int:
-        self._req_q.put(("request", request))
-        return self._ans_q.get()
-
-    def _pump(self):
-        kind, payload = self._req_q.get()
-        if kind == "request":
-            return payload
-        self._thread.join()
-        if kind == "error":
-            raise payload
-        self.result = payload
-        return None
-
-    def start(self):
-        self._thread.start()
-        return self._pump()
-
-    def send(self, answer):
-        self._ans_q.put(answer)
-        return self._pump()
 
 
 @dataclass
 class CosimNode:
     """One processor (or multicontext processor) on the fabric."""
 
+    #: The model's stepper generator (:func:`repro.cpu.make_stepper`).
     handle: object
     label: str = ""
     #: Source node id on the fabric (the trace's cpu for single-context
     #: nodes, the physical node index for multicontext groups).
     net_cpu: int = 0
-    #: Whether the handle may be suspended indefinitely at a live sync
+    #: Whether the stepper may be suspended indefinitely at a live sync
     #: request.  False for the DS models: their store buffer must keep
     #: draining while an acquire waits (a parked DS stepper could hold
     #: back the very release another parked stepper waits on), so they
@@ -262,6 +147,8 @@ class CosimEngine:
         self.schedule = schedule
         self.sync_mode = sync_mode
         self.probe = probe
+        #: Per-node breakdown, filled in as each stepper returns.
+        self.breakdowns: list = [None] * len(nodes)
         self.miss_latencies: list[list[int]] = [[] for _ in nodes]
         self.sync_waits: list[list[int]] = [[] for _ in nodes]
         # -- live-sync state ------------------------------------------
@@ -274,21 +161,28 @@ class CosimEngine:
         self._episodes: dict[int, _Episode] = {}
         #: Nodes currently parked at a live sync request.
         self._parked = 0
-        #: Nodes started but not yet run to completion.
-        self._unfinished = 0
+        #: Nodes not yet run to completion.
+        self._unfinished = len(nodes)
 
     # -- scheduling ---------------------------------------------------
+
+    def _advance(self, idx: int, answer, heap, pending) -> None:
+        """Resume node ``idx`` with ``answer`` (None also starts it) and
+        queue the request it stops at, or keep its breakdown."""
+        try:
+            request = self.nodes[idx].handle.send(answer)
+        except StopIteration as stop:
+            self.breakdowns[idx] = stop.value
+            self._unfinished -= 1
+            return
+        pending[idx] = request
+        heapq.heappush(heap, (request.time, idx))
 
     def run(self) -> CosimResult:
         heap: list[tuple[int, int]] = []
         pending: list = [None] * len(self.nodes)
-        for idx, node in enumerate(self.nodes):
-            request = node.handle.start()
-            if request is None:
-                continue
-            self._unfinished += 1
-            pending[idx] = request
-            heapq.heappush(heap, (request.time, idx))
+        for idx in range(len(self.nodes)):
+            self._advance(idx, None, heap, pending)
 
         while heap:
             _, idx = heapq.heappop(heap)
@@ -312,12 +206,7 @@ class CosimEngine:
                 if self.sync_mode == "live":
                     self._serve_release(request, heap, pending)
                 answer = None
-            request = self.nodes[idx].handle.send(answer)
-            if request is None:
-                self._unfinished -= 1
-            else:
-                pending[idx] = request
-                heapq.heappush(heap, (request.time, idx))
+            self._advance(idx, answer, heap, pending)
 
         if self._unfinished or self._parked:
             raise RuntimeError(
@@ -358,12 +247,7 @@ class CosimEngine:
         """Un-park a node with the final sync wait."""
         self._parked -= 1
         self.sync_waits[idx].append(answer)
-        request = self.nodes[idx].handle.send(answer)
-        if request is None:
-            self._unfinished -= 1
-            return
-        pending[idx] = request
-        heapq.heappush(heap, (request.time, idx))
+        self._advance(idx, answer, heap, pending)
 
     def _serve_sync(self, idx: int, request: SyncRequest, heap, pending):
         """Resolve a live acquire/barrier.
@@ -443,7 +327,7 @@ class CosimEngine:
     def _result(self) -> CosimResult:
         network = self.network
         result = CosimResult(
-            breakdowns=[n.handle.result for n in self.nodes],
+            breakdowns=self.breakdowns,
             miss_latencies=self.miss_latencies,
             sync_waits=self.sync_waits,
             sync_mode=self.sync_mode,

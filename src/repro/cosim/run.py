@@ -1,37 +1,24 @@
 """High-level co-simulation entry points.
 
-:func:`build_node` maps one (trace, processor-config) pair onto the
-cheapest stepper handle that preserves exact timing for the requested
-mode; :func:`run_cosim` co-simulates a whole :class:`CosimRun` (every
-processor of the application on one shared fabric); :func:`replay_solo`
-routes a *single* processor through the same engine and a fresh fabric —
-the ``contention`` experiment's replay mode, now sharing the cosim code
-path instead of duplicating it.
+:func:`build_node` wraps one (trace, processor-config) pair's stepper —
+:func:`repro.cpu.make_stepper` picks the implementation — as a node of
+the fabric; :func:`run_cosim` co-simulates a whole :class:`CosimRun`
+(every processor of the application on one shared fabric);
+:func:`replay_solo` puts a *single* processor alone on a fresh fabric —
+the ``contention`` experiment's replay mode.
 """
 
 from __future__ import annotations
 
-from ..consistency import get_model
 from ..cpu import (
-    DSConfig,
-    DSProcessor,
     MultiContextConfig,
     MultiContextProcessor,
     ProcessorConfig,
-    base_stepper,
+    make_stepper,
     simulate,
-    ss_stepper,
-    ssbr_stepper,
 )
 from ..net import build_network
-from .engine import (
-    CosimEngine,
-    CosimNode,
-    CosimResult,
-    GenStepper,
-    ImmediateStepper,
-    ThreadStepper,
-)
+from .engine import CosimEngine, CosimNode, CosimResult
 
 
 def build_node(
@@ -43,71 +30,26 @@ def build_node(
 ) -> CosimNode:
     """Wrap one processor model around ``trace`` as a cosim node.
 
-    Engine selection preserves byte-identical timing in every mode:
-
-    * ``reference`` (or live sync, which only the scalar steppers
-      support) — the model's generator behind a :class:`GenStepper`;
-    * ``fast`` with a shared network — the vectorized/event-driven
-      engine in a :class:`ThreadStepper`, whose ``replay_miss`` call
-      sequence is guaranteed identical to the reference stepper's;
-    * ``fast`` without a network (ideal fabric, replayed sync) — the
-      standalone result via :class:`ImmediateStepper`, since nothing
-      couples the processors.
+    Fast or reference, the stepper issues the same requests, so timing
+    is byte-identical across engines in every mode; live sync runs on
+    the scalar steppers, the only ones that suspend at a sync operation.
     """
-    kind = config.kind.lower()
-    label = config.label()
-    fast = config.engine.lower() == "fast"
-    # Live sync needs the scalar steppers: the vectorized/event-driven
-    # fast engines cannot suspend at a sync operation.
-    if fast and not live_sync:
-        if not has_network:
-            return CosimNode(
-                ImmediateStepper(simulate(trace, config, probe=probe)),
-                label=label, net_cpu=trace.cpu,
-            )
-        return CosimNode(
-            ThreadStepper(
-                lambda network: simulate(
-                    trace, config, network=network, probe=probe
-                )
-            ),
-            label=label, net_cpu=trace.cpu,
-        )
-    clamp = has_network
-    if kind == "base":
-        gen = base_stepper(trace, label=label, clamp_time=clamp)
-    elif kind == "ssbr":
-        gen = ssbr_stepper(
-            trace, get_model(config.model), label=label,
-            clamp_time=clamp, probe=probe,
-        )
-    elif kind == "ss":
-        gen = ss_stepper(
-            trace, get_model(config.model), label=label,
-            clamp_time=clamp, probe=probe,
-        )
-    elif kind == "ds":
-        ds_kwargs = dict(config.ds)
-        ds_kwargs.pop("network", None)  # the engine serves the fabric
-        ds_config = DSConfig(
-            window=config.window,
-            issue_width=config.issue_width,
-            perfect_branch_prediction=config.perfect_bp,
-            ignore_data_dependences=config.ignore_deps,
-            **ds_kwargs,
-        )
-        gen = DSProcessor(
-            trace, get_model(config.model), ds_config, probe=probe
-        ).steps(label=label, live_sync=live_sync)
-        # A parked DS stepper cannot drain its store buffer, so the
-        # engine must answer PENDING instead of suspending it.
-        return CosimNode(
-            GenStepper(gen), label=label, net_cpu=trace.cpu,
-            parkable=not live_sync,
-        )
-    else:
-        raise ValueError(f"unknown processor kind {config.kind!r}")
-    return CosimNode(GenStepper(gen), label=label, net_cpu=trace.cpu)
+    is_ds = config.kind.lower() == "ds"
+    stepper = make_stepper(
+        trace, config,
+        # The static models clamp their clock only under a stateful
+        # fabric (on the ideal one cosim must equal standalone, negative
+        # waits included); the DS engine shares the probe's span budget
+        # with this engine's per-miss spans on any fabric.
+        coupled=has_network or is_ds,
+        live_sync=live_sync, probe=probe,
+    )
+    # A parked DS stepper cannot drain its store buffer, so the engine
+    # must answer PENDING instead of suspending it.
+    return CosimNode(
+        stepper, label=config.label(), net_cpu=trace.cpu,
+        parkable=not (is_ds and live_sync),
+    )
 
 
 def _build_mc_nodes(traces, contexts: int, switch_penalty: int):
@@ -121,7 +63,7 @@ def _build_mc_nodes(traces, contexts: int, switch_penalty: int):
         label = f"MC-k{contexts}"
         gen = MultiContextProcessor(group, mc_config).steps(label=label)
         nodes.append(
-            CosimNode(GenStepper(gen), label=label, net_cpu=node_idx)
+            CosimNode(gen, label=label, net_cpu=node_idx)
         )
     return nodes
 
@@ -179,6 +121,7 @@ def _publish(probe, result: CosimResult, network) -> None:
     """Push per-processor and fabric statistics into the probe."""
     metrics = probe.metrics
     for idx, breakdown in enumerate(result.breakdowns):
+        probe.publish_breakdown(breakdown)
         prefix = f"cosim.cpu{idx}"
         metrics.counter(f"{prefix}.cycles").inc(breakdown.total)
         miss = result.node_miss_summary(idx)
@@ -198,18 +141,13 @@ def replay_solo(
     net_config=None,
     probe=None,
 ):
-    """One processor alone on a fresh fabric, via the cosim engine.
+    """One processor alone on a fresh fabric.
 
     This is the ``contention`` experiment's replay mode: the same
-    engine/network path as :func:`run_cosim`, but with a single node, so
+    stepper and network as :func:`run_cosim`, but with a single node, so
     queueing reflects only this processor's own overlapped misses.
     Returns ``(breakdown, network)`` — ``network`` is None under
     ``"ideal"``.
     """
     network = build_network(network_kind, n_nodes, line_size, net_config)
-    node = build_node(
-        trace, config, has_network=network is not None, probe=probe
-    )
-    engine = CosimEngine([node], network=network, probe=probe)
-    result = engine.run()
-    return result.breakdowns[0], network
+    return simulate(trace, config, network=network, probe=probe), network

@@ -8,8 +8,11 @@ traces produced by :mod:`repro.tango`:
 * ``SS`` — statically scheduled, non-blocking reads (stall at first use);
 * ``DS`` — dynamically scheduled with a reorder-buffer window of 16-256.
 
-Use :func:`simulate` with a :class:`ProcessorConfig` for a uniform entry
-point, or call the per-model functions directly.
+Every model, scalar oracle or fast engine, is a resumable stepper
+(:mod:`repro.cpu.requests`); :func:`make_stepper` is the one place that
+maps a :class:`ProcessorConfig` onto an implementation.  Use
+:func:`simulate` for a uniform standalone entry point, or call the
+per-model functions directly.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .ds import (
     BranchTargetBuffer,
     DSConfig,
     DSProcessor,
+    ds_fast_stepper,
     simulate_ds,
     simulate_ds_fast,
 )
@@ -42,9 +46,12 @@ from .static import (
     ssbr_stepper,
 )
 from .static_fast import (
+    base_fast_stepper,
     simulate_base_fast,
     simulate_ss_fast,
     simulate_ssbr_fast,
+    ss_fast_stepper,
+    ssbr_fast_stepper,
 )
 
 
@@ -99,6 +106,66 @@ class ProcessorConfig:
         return name
 
 
+def make_stepper(
+    trace: Trace,
+    config: ProcessorConfig,
+    coupled: bool = False,
+    live_sync: bool = False,
+    probe=None,
+):
+    """The configured processor model over ``trace`` as a stepper.
+
+    The only kind x engine dispatch: :func:`simulate` drives the result
+    standalone, :mod:`repro.cosim` steps it against the shared fabric.
+    ``coupled`` is each stepper's one coupling flag.  For the static
+    models it is ``clamp_time``: a stateful network consumes the request
+    times, so the clock must not run backwards on a negative sync wait.
+    For the DS fast engine it says somebody else (a network, the
+    co-simulation engine) emits spans from ``probe`` while the stepper
+    is suspended, which rules out its deferred retire-span pass.
+    ``live_sync`` selects the scalar steppers whatever the engine —
+    only they can suspend at a sync operation.
+    """
+    kind = config.kind.lower()
+    engine = config.engine.lower()
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {config.engine!r}")
+    fast = engine == "fast" and not live_sync
+    label = config.label()
+    if kind == "base":
+        stepper = base_fast_stepper if fast else base_stepper
+        return stepper(trace, label=label, clamp_time=coupled)
+    if kind == "ssbr" or kind == "ss":
+        if kind == "ssbr":
+            stepper = ssbr_fast_stepper if fast else ssbr_stepper
+        else:
+            stepper = ss_fast_stepper if fast else ss_stepper
+        return stepper(
+            trace, get_model(config.model), label=label,
+            clamp_time=coupled, probe=probe,
+        )
+    if kind != "ds":
+        raise ValueError(f"unknown processor kind {config.kind!r}")
+    ds_kwargs = dict(config.ds)
+    ds_kwargs.pop("network", None)  # the stepper's driver serves misses
+    ds_config = DSConfig(
+        window=config.window,
+        issue_width=config.issue_width,
+        perfect_branch_prediction=config.perfect_bp,
+        ignore_data_dependences=config.ignore_deps,
+        **ds_kwargs,
+    )
+    model = get_model(config.model)
+    if fast:
+        return ds_fast_stepper(
+            trace, model, ds_config, label=label, probe=probe,
+            coupled=coupled,
+        )
+    return DSProcessor(trace, model, ds_config, probe=probe).steps(
+        label=label, live_sync=live_sync
+    )
+
+
 def simulate(
     trace: Trace, config: ProcessorConfig, network=None, probe=None
 ) -> ExecutionBreakdown:
@@ -111,45 +178,10 @@ def simulate(
     spans (DS), and the resulting breakdown; results are byte-identical
     with or without one.
     """
-    kind = config.kind.lower()
-    engine = config.engine.lower()
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {config.engine!r}")
-    fast = engine == "fast"
-    if kind == "base":
-        run_base = simulate_base_fast if fast else simulate_base
-        breakdown = run_base(trace, label=config.label(), network=network)
-    else:
-        model = get_model(config.model)
-        if kind == "ssbr":
-            run_ssbr = simulate_ssbr_fast if fast else simulate_ssbr
-            breakdown = run_ssbr(
-                trace, model, label=config.label(), network=network,
-                probe=probe,
-            )
-        elif kind == "ss":
-            run_ss = simulate_ss_fast if fast else simulate_ss
-            breakdown = run_ss(
-                trace, model, label=config.label(), network=network,
-                probe=probe,
-            )
-        elif kind == "ds":
-            ds_kwargs = dict(config.ds)
-            if network is not None:
-                ds_kwargs["network"] = network
-            ds_config = DSConfig(
-                window=config.window,
-                issue_width=config.issue_width,
-                perfect_branch_prediction=config.perfect_bp,
-                ignore_data_dependences=config.ignore_deps,
-                **ds_kwargs,
-            )
-            run_ds = simulate_ds_fast if fast else simulate_ds
-            breakdown = run_ds(
-                trace, model, ds_config, label=config.label(), probe=probe
-            )
-        else:
-            raise ValueError(f"unknown processor kind {config.kind!r}")
+    stepper = make_stepper(
+        trace, config, coupled=network is not None, probe=probe
+    )
+    breakdown = drive(stepper, network=network, cpu=trace.cpu)
     if probe is not None and probe.enabled:
         probe.publish_breakdown(breakdown)
     return breakdown
@@ -170,6 +202,7 @@ __all__ = [
     "SyncRequest",
     "base_stepper",
     "drive",
+    "make_stepper",
     "schedule_reads_early",
     "simulate_multicontext",
     "ss_stepper",

@@ -33,13 +33,16 @@ objects.
 
 Everything observable is preserved cycle for cycle: the breakdown
 (busy/sync/read/write/other and the cycle count in ``extras``), the
-order and arguments of stateful ``network.replay_miss`` calls, probe
+order and fields of the :class:`~repro.cpu.requests.MemRequest` the
+engine yields at each miss the memory port issues (it is a resumable
+stepper like the reference, driven standalone by :func:`~repro.cpu.
+requests.drive` or stepped by the co-simulation engine), probe
 histograms and retire spans (with lane handles cached instead of
 re-looked-up per retirement).  The reference engine remains the
 differential oracle — see ``tests/test_fastpath.py``.
 
-Runs that collect per-miss statistics delegate to the reference engine,
-which exposes them on the processor object.
+Runs that collect per-miss statistics delegate to the reference
+stepper, which exposes them on the processor object.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import numpy as np
 from ...consistency import ConsistencyModel
 from ...tango import Trace
 from ..kernels import control_mispredicts, producer_rows
+from ..requests import MemRequest, drive
 from ..results import ExecutionBreakdown
 from ..static_fast import _trace_index
 from .btb import BranchTargetBuffer
@@ -66,7 +70,7 @@ from .engine import (
     _OP_MEMBER,
     _STORE_LIKE,
     DSConfig,
-    simulate_ds,
+    DSProcessor,
 )
 
 _MC_READ = 1
@@ -146,12 +150,40 @@ def simulate_ds_fast(
     label: str | None = None,
     probe=None,
 ) -> ExecutionBreakdown:
-    """Drop-in fast replacement for :func:`repro.cpu.ds.simulate_ds`."""
+    """Drop-in fast replacement for :func:`repro.cpu.ds.simulate_ds`:
+    drives :func:`ds_fast_stepper` against ``config.network``."""
+    network = config.network if config is not None else None
+    stepper = ds_fast_stepper(
+        trace, model, config, label=label, probe=probe,
+        coupled=network is not None,
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)
+
+
+def ds_fast_stepper(
+    trace: Trace,
+    model: ConsistencyModel,
+    config: DSConfig | None = None,
+    label: str | None = None,
+    probe=None,
+    coupled: bool = False,
+):
+    """The event-driven DS engine as a resumable stepper (drop-in for
+    :meth:`DSProcessor.steps` under replayed sync: it suspends at the
+    same misses, at the same cycles).
+
+    ``coupled`` says somebody else — a network with the probe attached,
+    the co-simulation engine — emits spans from the same probe while
+    this stepper is suspended, so retire spans must be emitted as rows
+    retire rather than in one pass at the end.
+    """
     cfg = config or DSConfig()
     if cfg.collect_miss_stats:
         # Miss statistics live on the DSProcessor object; callers that
         # want them construct the reference engine directly anyway.
-        return simulate_ds(trace, model, cfg, label=label, probe=probe)
+        return (yield from DSProcessor(
+            trace, model, cfg, probe=probe
+        ).steps(label=label))
 
     idx = _ds_index(trace)
     n = idx.n
@@ -161,7 +193,6 @@ def simulate_ds_fast(
     ignore_deps = cfg.ignore_data_dependences
     speculative = cfg.speculative_loads
     prefetch = cfg.prefetch
-    network = cfg.network
     net_cpu = trace.cpu
 
     op_l = idx.op_l
@@ -216,13 +247,14 @@ def simulate_ds_fast(
             proc_name = f"ds-cpu{net_cpu}"
             track = tracer.track
             events_append = tracer.events.append
-            # With no network sharing the tracer, retire spans are the
+            # With nobody else sharing the tracer, retire spans are the
             # only events and the only span-budget consumers, and every
             # row retires in program order — so the hot loop just stores
             # each row's retire cycle and the span dicts are built in
-            # one pass at the end.  A network interleaves miss spans and
-            # budget consumption mid-run, so spans stay inline then.
-            if network is None:
+            # one pass at the end.  A network or the co-simulation
+            # engine interleaves miss spans and budget consumption
+            # mid-run, so spans stay inline then.
+            if not coupled:
                 retire_t = [0] * n
     spans_dropped = 0
 
@@ -583,14 +615,8 @@ def simulate_ds_fast(
                 if forwarded:
                     latency = 1
                 else:
-                    if (
-                        network is not None
-                        and stall > 0
-                        and cls_l[i] == _MC_READ
-                    ):
-                        stall = network.replay_miss(
-                            net_cpu, addr_l[i], False, t
-                        )
+                    if stall > 0 and cls_l[i] == _MC_READ:
+                        stall = yield MemRequest(addr_l[i], False, t, stall)
                     if prefetch and stall > 0 and ready_t[i] >= 0:
                         stall = max(0, stall - max(0, t - ready_t[i]))
                     latency = 1 + stall
@@ -608,12 +634,8 @@ def simulate_ds_fast(
                 issued[i] = 1
                 store_scan += 1
                 stall = stall_l[i]
-                if (
-                    network is not None
-                    and stall > 0
-                    and cls_l[i] == _MC_WRITE
-                ):
-                    stall = network.replay_miss(net_cpu, addr_l[i], True, t)
+                if stall > 0 and cls_l[i] == _MC_WRITE:
+                    stall = yield MemRequest(addr_l[i], True, t, stall)
                 if prefetch and stall > 0 and ready_t[i] >= 0:
                     stall = max(0, stall - max(0, t - ready_t[i]))
                 if stall:

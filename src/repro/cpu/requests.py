@@ -1,9 +1,11 @@
 """The resumable-stepper protocol shared by every processor model.
 
-Each CPU model exposes its timing loop as a *stepper*: a generator that
-runs the model forward and suspends at every point where the outside
-world owes it an answer, yielding a request object and receiving the
-answer via ``send()``:
+Each CPU model — the scalar oracles and the fast engines of
+:mod:`repro.cpu.static_fast` and :mod:`repro.cpu.ds.event_engine`
+alike — exposes its timing loop as a *stepper*: a generator that runs
+the model forward and suspends at every point where the outside world
+owes it an answer, yielding a request object and receiving the answer
+via ``send()``:
 
 * :class:`MemRequest` — a cache miss is about to access memory at a
   known cycle.  The answer is the miss latency in cycles.  Standalone
@@ -21,10 +23,15 @@ answer via ``send()``:
   ``None``; the co-simulation engine uses it to resolve cross-processor
   wait edges.
 
+The fast engines issue exactly the :class:`MemRequest` sequence of
+their oracle (``tests/test_fastpath.py`` pins it) and answer their own
+synchronization operations with the trace's baked waits, so only the
+scalar steppers serve live sync.
+
 A stepper terminates by returning its
 :class:`~repro.cpu.results.ExecutionBreakdown` (surfaced as
 ``StopIteration.value``).  :func:`drive` replays a stepper to completion
-standalone — it is the engine behind the scalar reference simulators, so
+standalone — it is the engine behind every ``simulate_*`` function, so
 the stepper *is* the timing model, not a copy of it.
 """
 
@@ -91,9 +98,7 @@ def drive(stepper, network=None, cpu: int = 0):
 
     Memory requests are answered by ``network.replay_miss`` at the cycle
     the model issued them (the trace's baked stall when ``network`` is
-    None); sync requests are answered with the trace's baked wait.  This
-    is exactly the pre-stepper behaviour of the scalar simulators, which
-    now delegate here.
+    None); sync requests are answered with the trace's baked wait.
     """
     try:
         req = next(stepper)

@@ -38,8 +38,15 @@ write/read scans) depend only on the trace contents, so they are built
 once and memoised on ``trace.fastpath_cache`` — a consistency-model
 sweep over one trace pays for them once.
 
+Each model is a resumable stepper (:mod:`repro.cpu.requests`): it
+yields every miss as a :class:`~repro.cpu.requests.MemRequest` at the
+cycle the scalar model would, so standalone replay (:func:`~repro.cpu.
+requests.drive`, behind the ``simulate_*_fast`` names) and the
+co-simulation engine resume it the same way.  Synchronization is
+answered from the trace, not yielded.
+
 Probed runs (buffer-depth histograms observe *every* push) delegate to
-the scalar implementations so the histograms stay exact; results are
+the scalar steppers so the histograms stay exact; results are
 byte-identical either way.  The scalar implementations remain the
 differential oracle — see ``tests/test_fastpath.py``.
 """
@@ -56,14 +63,15 @@ from ..consistency import ConsistencyModel
 from ..isa import MemClass
 from ..tango import Trace
 from .kernels import mem_event_rows, reg_use_rows
+from .requests import MemRequest, drive
 from .results import ExecutionBreakdown
 from .static import (
     READ_BUFFER_DEPTH,
     WRITE_BUFFER_DEPTH,
     WriteBuffer,
     _buffer_histogram,
-    simulate_ss,
-    simulate_ssbr,
+    ss_stepper,
+    ssbr_stepper,
 )
 
 _MC_NONE = int(MemClass.NONE)
@@ -145,15 +153,60 @@ def _trace_index(trace: Trace) -> _TraceIndex:
     return idx
 
 
+def base_fast_stepper(
+    trace: Trace, label: str = "BASE", clamp_time: bool = False
+):
+    """BASE over its sparse events only, as a resumable stepper (drop-in
+    for :func:`repro.cpu.base.base_stepper` under replayed sync).
+
+    Each miss is still requested serially at the exact cycle the scalar
+    model reaches it (whoever answers may be stateful); every other row,
+    hits included, only advances the clock by one.
+    """
+    n = len(trace)
+    sync = read = write = 0
+    if n:
+        idx = _trace_index(trace)
+        ev_l, cls_l = idx.ev_l, idx.cls_l
+        stall_l, wait_l, addr_l = idx.stall_l, idx.wait_l, idx.addr_l
+        t = 0
+        prev = -1
+        for p in idx.sp_l:
+            i = ev_l[p]
+            t += i - prev
+            prev = i
+            cls = cls_l[p]
+            stall = stall_l[p]
+            if cls == _MC_READ:  # sparse reads and writes are misses
+                lat = yield MemRequest(addr_l[p], False, t, stall)
+                read += lat
+                t += lat
+            elif cls == _MC_WRITE:
+                lat = yield MemRequest(addr_l[p], True, t, stall)
+                write += lat
+                t += lat
+            elif cls == _MC_RELEASE:
+                write += stall
+                t += stall
+            else:  # acquire or barrier
+                wait = wait_l[p]
+                sync += wait + stall
+                if not clamp_time or wait + stall > 0:
+                    t += wait + stall
+    return ExecutionBreakdown(
+        label=label, busy=n, sync=sync, read=read, write=write,
+        instructions=n,
+    )
+
+
 def simulate_base_fast(
     trace: Trace, label: str = "BASE", network=None
 ) -> ExecutionBreakdown:
     """BASE as pure column arithmetic (drop-in for ``simulate_base``).
 
-    Without a network the breakdown is three masked sums.  With one, the
-    replay calls must still happen serially at the exact cycles the
-    scalar model issues them (the network is stateful), so only the
-    non-memory rows are skipped.
+    Without a network nothing listens to the misses and the breakdown
+    is three masked sums; with one, :func:`base_fast_stepper` is driven
+    against it.
     """
     n = len(trace)
     if n and network is None:
@@ -170,43 +223,10 @@ def simulate_base_fast(
             label=label, busy=n, sync=sync, read=read, write=write,
             instructions=n,
         )
-    sync = read = write = 0
-    if n:
-        cpu = trace.cpu
-        replay = network.replay_miss
-        idx = _trace_index(trace)
-        ev_l, cls_l = idx.ev_l, idx.cls_l
-        stall_l, wait_l, addr_l = idx.stall_l, idx.wait_l, idx.addr_l
-        t = 0
-        prev = -1
-        for p in range(idx.n_ev):
-            i = ev_l[p]
-            t += i - prev
-            prev = i
-            cls = cls_l[p]
-            stall = stall_l[p]
-            if cls == _MC_READ:
-                if stall:
-                    lat = replay(cpu, addr_l[p], False, t)
-                    read += lat
-                    t += lat
-            elif cls == _MC_WRITE:
-                if stall:
-                    lat = replay(cpu, addr_l[p], True, t)
-                    write += lat
-                    t += lat
-            elif cls == _MC_RELEASE:
-                write += stall
-                t += stall
-            else:  # acquire or barrier
-                wait = wait_l[p]
-                sync += wait + stall
-                if wait + stall > 0:
-                    t += wait + stall
-    return ExecutionBreakdown(
-        label=label, busy=n, sync=sync, read=read, write=write,
-        instructions=n,
+    stepper = base_fast_stepper(
+        trace, label=label, clamp_time=network is not None
     )
+    return drive(stepper, network=network, cpu=trace.cpu)
 
 
 def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
@@ -221,25 +241,27 @@ def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
         buf._pending_addrs[addr] = buf._pending_addrs.get(addr, 0) + 1
 
 
-def simulate_ssbr_fast(
+def ssbr_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
     write_buffer_depth: int = WRITE_BUFFER_DEPTH,
-    network=None,
+    clamp_time: bool = False,
     probe=None,
-) -> ExecutionBreakdown:
-    """SSBR over sparse events only (drop-in for ``simulate_ssbr``)."""
+):
+    """SSBR over sparse events only, as a resumable stepper (drop-in for
+    :func:`repro.cpu.static.ssbr_stepper` under replayed sync: it
+    suspends at the same misses, at the same cycles, and answers its own
+    sync operations with the trace's baked waits)."""
     if _buffer_histogram(
         probe, "static.write_buffer_depth", write_buffer_depth
     ) is not None:
         # Depth histograms observe every push; keep them exact.
-        return simulate_ssbr(
+        return (yield from ssbr_stepper(
             trace, model, label=label,
             write_buffer_depth=write_buffer_depth,
-            network=network, probe=probe,
-        )
-    cpu = trace.cpu
+            clamp_time=clamp_time, probe=probe,
+        ))
     buf = WriteBuffer(model, write_buffer_depth)
     n = len(trace)
     t = 0
@@ -292,16 +314,15 @@ def simulate_ssbr_fast(
                         write += drained - t
                         t = drained
                 if stall and not buf.holds_addr(addr_l[p], t):
-                    if network is not None:
-                        stall = network.replay_miss(cpu, addr_l[p], False, t)
+                    stall = yield MemRequest(addr_l[p], False, t, stall)
                     read += stall
                     t += stall
             elif cls == _MC_WRITE or cls == _MC_RELEASE:
                 floor = 0
                 if cls == _MC_RELEASE and wo_rc:
                     floor = buf.last_perform
-                if network is not None and stall and cls == _MC_WRITE:
-                    stall = network.replay_miss(cpu, addr_l[p], True, t)
+                if stall and cls == _MC_WRITE:
+                    stall = yield MemRequest(addr_l[p], True, t, stall)
                 t, full_stall = buf.push(
                     t, stall, addr_l[p], perform_floor=floor
                 )
@@ -321,7 +342,7 @@ def simulate_ssbr_fast(
                     write += last_release_perform - t
                     t = last_release_perform
                 sync += wait + stall
-                if network is None or wait + stall > 0:
+                if not clamp_time or wait + stall > 0:
                     t += wait + stall
         # Rows after the last processed event advance time one cycle
         # each; trailing clean hit-writes free before the end of trace,
@@ -338,17 +359,35 @@ def simulate_ssbr_fast(
     )
 
 
-def simulate_ss_fast(
+def simulate_ssbr_fast(
+    trace: Trace,
+    model: ConsistencyModel,
+    label: str | None = None,
+    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
+    network=None,
+    probe=None,
+) -> ExecutionBreakdown:
+    """Drop-in for ``simulate_ssbr``: drives :func:`ssbr_fast_stepper`."""
+    stepper = ssbr_fast_stepper(
+        trace, model, label=label,
+        write_buffer_depth=write_buffer_depth,
+        clamp_time=network is not None, probe=probe,
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)
+
+
+def ss_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
     write_buffer_depth: int = WRITE_BUFFER_DEPTH,
     read_buffer_depth: int = READ_BUFFER_DEPTH,
-    network=None,
+    clamp_time: bool = False,
     probe=None,
-) -> ExecutionBreakdown:
-    """SS over sparse + dynamically discovered events (drop-in for
-    ``simulate_ss``)."""
+):
+    """SS over sparse + dynamically discovered events, as a resumable
+    stepper (see :func:`ssbr_fast_stepper`; drop-in for
+    :func:`repro.cpu.static.ss_stepper` under replayed sync)."""
     if (
         _buffer_histogram(
             probe, "static.write_buffer_depth", write_buffer_depth
@@ -357,13 +396,12 @@ def simulate_ss_fast(
             probe, "static.read_buffer_depth", read_buffer_depth
         ) is not None
     ):
-        return simulate_ss(
+        return (yield from ss_stepper(
             trace, model, label=label,
             write_buffer_depth=write_buffer_depth,
             read_buffer_depth=read_buffer_depth,
-            network=network, probe=probe,
-        )
-    cpu = trace.cpu
+            clamp_time=clamp_time, probe=probe,
+        ))
     buf = WriteBuffer(model, write_buffer_depth)
     n = len(trace)
     reg_ready: dict[int, int] = {}
@@ -550,10 +588,7 @@ def simulate_ss_fast(
                 if serialize_reads and last_read_perform > start:
                     start = last_read_perform
                 if stall and not buf.holds_addr(addr_l[p], t):
-                    if network is not None:
-                        stall = network.replay_miss(
-                            cpu, addr_l[p], False, start
-                        )
+                    stall = yield MemRequest(addr_l[p], False, start, stall)
                     perform = start + stall
                 else:
                     perform = start
@@ -651,8 +686,8 @@ def simulate_ss_fast(
                         buf.last_perform,
                         max(outstanding) if outstanding else 0,
                     )
-                if network is not None and stall and cls == _MC_WRITE:
-                    stall = network.replay_miss(cpu, addr_l[p], True, t)
+                if stall and cls == _MC_WRITE:
+                    stall = yield MemRequest(addr_l[p], True, t, stall)
                 t, full_stall = buf.push(
                     t, stall, addr_l[p], perform_floor=floor
                 )
@@ -679,7 +714,7 @@ def simulate_ss_fast(
                     read += last_read_perform - t
                     t = last_read_perform
                 sync += wait + stall
-                if network is None or wait + stall > 0:
+                if not clamp_time or wait + stall > 0:
                     t += wait + stall
                     if wait + stall < 0:
                         # Time jumped backwards: monotone-t windows no
@@ -711,3 +746,22 @@ def simulate_ss_fast(
         busy=busy, sync=sync, read=read, write=write,
         instructions=n,
     )
+
+
+def simulate_ss_fast(
+    trace: Trace,
+    model: ConsistencyModel,
+    label: str | None = None,
+    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
+    read_buffer_depth: int = READ_BUFFER_DEPTH,
+    network=None,
+    probe=None,
+) -> ExecutionBreakdown:
+    """Drop-in for ``simulate_ss``: drives :func:`ss_fast_stepper`."""
+    stepper = ss_fast_stepper(
+        trace, model, label=label,
+        write_buffer_depth=write_buffer_depth,
+        read_buffer_depth=read_buffer_depth,
+        clamp_time=network is not None, probe=probe,
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)

@@ -19,18 +19,19 @@ Covers the acceptance criteria of the co-simulation engine:
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
 from repro.cosim import (
     CosimEngine,
     CosimNode,
-    GenStepper,
     replay_solo,
     run_cosim,
 )
 from repro.cpu import ProcessorConfig, simulate
 from repro.experiments.runner import TraceStore
+from repro.obs import ChromeTracer, MetricsRegistry, Probe
 
 N_PROCS = 4
 
@@ -113,21 +114,106 @@ class TestIdealDifferential:
 
 class TestSharedFabric:
     @pytest.mark.parametrize(
-        "kind_config", KIND_CONFIGS, ids=lambda c: c.kind
+        "kind_config,network_kind",
+        [
+            # The mesh cases keep the ids they had before the ideal
+            # fabric became a second value of the same parameter.
+            pytest.param(
+                c, net, id=c.kind if net == "mesh" else f"{c.kind}-{net}"
+            )
+            for net in ("mesh", "ideal") for c in KIND_CONFIGS
+        ],
     )
     def test_fast_and_reference_engines_agree_on_mesh(
-        self, cosim_store, lu_cosim, kind_config
+        self, cosim_store, lu_cosim, kind_config, network_kind
     ):
         fast = run_cosim(
             lu_cosim, _config(kind_config, "fast"),
-            network_kind="mesh", line_size=cosim_store.line_size,
+            network_kind=network_kind, line_size=cosim_store.line_size,
         )
         ref = run_cosim(
             lu_cosim, _config(kind_config, "reference"),
-            network_kind="mesh", line_size=cosim_store.line_size,
+            network_kind=network_kind, line_size=cosim_store.line_size,
         )
         assert fast.cycles() == ref.cycles()
         assert fast.miss_latencies == ref.miss_latencies
+        # Every engine reports the misses it was served, on any fabric.
+        assert all(len(lats) > 0 for lats in fast.miss_latencies)
+
+    @pytest.mark.parametrize("network_kind", ("ideal", "mesh"))
+    @pytest.mark.parametrize(
+        "kind_config", KIND_CONFIGS, ids=lambda c: c.kind
+    )
+    def test_fast_and_reference_engines_publish_the_same(
+        self, cosim_store, lu_cosim, kind_config, network_kind
+    ):
+        """The metrics an instrumented run leaves behind — keys and
+        values, the per-node ``breakdown.*`` counters and the count of
+        spans dropped past a (here deliberately small) budget included
+        — are engine-blind."""
+        def observe(engine):
+            probe = Probe(
+                metrics=MetricsRegistry(), tracer=ChromeTracer(),
+                span_limit=2_000,
+            )
+            run_cosim(
+                lu_cosim, _config(kind_config, engine),
+                network_kind=network_kind,
+                line_size=cosim_store.line_size, probe=probe,
+            )
+            return probe
+
+        fast, ref = observe("fast"), observe("reference")
+        metrics = fast.metrics.snapshot()
+        assert metrics == ref.metrics.snapshot()
+        prefix = f"breakdown.{kind_config.label()}."
+        published = {k for k in metrics["counters"] if k.startswith(prefix)}
+        assert published == {
+            prefix + name for name in
+            ("busy", "sync", "read", "write", "other", "instructions")
+        }
+        assert fast.span_budget == ref.span_budget
+
+    def test_fast_engines_need_no_threads(
+        self, monkeypatch, cosim_store, lu_cosim
+    ):
+        def no_threads(self):
+            raise AssertionError("co-simulation started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        cfg = ProcessorConfig(kind="ds", model="RC", window=64)
+        result = run_cosim(
+            lu_cosim, cfg, network_kind="mesh",
+            line_size=cosim_store.line_size,
+        )
+        assert all(c > 0 for c in result.cycles())
+
+    def test_stepper_exception_keeps_its_type(
+        self, monkeypatch, cosim_store, lu_cosim
+    ):
+        """A failure inside one node's model, mid-run, surfaces from
+        run_cosim as itself — not wrapped or swallowed by the engine."""
+        from repro.cpu.static import WriteBuffer
+
+        class ModelBug(Exception):
+            pass
+
+        real_push = WriteBuffer.push
+        pushes = 0
+
+        def push(self, *args, **kwargs):
+            nonlocal pushes
+            pushes += 1
+            if pushes == 50:
+                raise ModelBug("write buffer")
+            return real_push(self, *args, **kwargs)
+
+        monkeypatch.setattr(WriteBuffer, "push", push)
+        with pytest.raises(ModelBug, match="write buffer"):
+            run_cosim(
+                lu_cosim, ProcessorConfig(kind="ss", model="RC"),
+                network_kind="mesh", line_size=cosim_store.line_size,
+            )
 
     def test_deterministic_across_runs(self, cosim_store, lu_cosim):
         cfg = ProcessorConfig(kind="ds", model="RC", window=64)
@@ -211,7 +297,7 @@ class TestLiveSync:
         assert live.cycles() != replay.cycles()
 
     def test_live_requires_schedule(self):
-        node = CosimNode(GenStepper(iter(())))
+        node = CosimNode(iter(()))
         with pytest.raises(ValueError):
             CosimEngine([node], sync_mode="live")
 

@@ -7,6 +7,7 @@ results exactly — trace for trace, counter for counter, byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
 from repro.cli import main
 from repro.consistency import get_model
+from repro.cosim import build_node
 from repro.experiments import (
     TraceStore,
     figure3_configs,
@@ -26,7 +28,10 @@ from repro.experiments import (
     simulate_app_models,
 )
 from repro.cpu import (
+    MemRequest,
     ProcessorConfig,
+    SyncRequest,
+    make_stepper,
     simulate,
     simulate_base,
     simulate_base_fast,
@@ -277,9 +282,13 @@ class TestEngineSelection:
         assert simulate(lu_trace, fast) == simulate(lu_trace, ref)
 
     def test_unknown_engine_rejected(self, lu_trace):
-        config = ProcessorConfig(engine="warp")
-        with pytest.raises(ValueError, match="engine"):
-            simulate(lu_trace, config)
+        # Standalone and co-simulated runs share one dispatch: neither
+        # may fall back to some engine or kind the caller did not name.
+        for run in (simulate, build_node):
+            with pytest.raises(ValueError, match="engine"):
+                run(lu_trace, ProcessorConfig(engine="warp"))
+            with pytest.raises(ValueError, match="kind"):
+                run(lu_trace, ProcessorConfig(kind="vliw"))
 
     def test_default_engine_switch_retargets_new_configs(self, monkeypatch):
         from repro import cpu
@@ -324,6 +333,71 @@ def small_traces(draw):
             tb.barrier(addr=draw(addrs), stall=draw(stalls),
                        wait=draw(st.sampled_from((0, 0, 4))))
     return tb.build()
+
+
+def _record(stepper):
+    """Drive ``stepper`` to completion, answering every miss with a
+    state-free function of (addr, time) and every sync operation from
+    the trace; returns the miss requests seen and the breakdown."""
+    requests = []
+    try:
+        req = next(stepper)
+        while True:
+            if type(req) is MemRequest:
+                requests.append(
+                    (req.addr, req.is_write, req.time, req.stall)
+                )
+                answer = 1 + (7 * req.addr + 13 * req.time) % 97
+            elif type(req) is SyncRequest:
+                answer = req.wait
+            else:  # ReleaseNotify
+                answer = None
+            req = stepper.send(answer)
+    except StopIteration as stop:
+        return requests, stop.value
+
+
+def _stepper_configs():
+    yield ProcessorConfig(kind="base")
+    for name in MODELS:
+        for kind in ("ssbr", "ss", "ds"):
+            yield ProcessorConfig(kind=kind, model=name, window=16)
+
+
+class TestStepperContract:
+    """What co-simulation rests on: whatever answers it is given, a
+    fast stepper issues exactly the miss requests of its scalar oracle
+    — same address, kind, cycle and baked stall, in the same order —
+    and returns the same breakdown."""
+
+    @staticmethod
+    def check(trace, config, coupled):
+        fast, ref = (
+            _record(make_stepper(
+                trace, dataclasses.replace(config, engine=engine),
+                coupled=coupled,
+            ))
+            for engine in ("fast", "reference")
+        )
+        assert fast == ref, (config.label(), coupled)
+        return fast
+
+    @pytest.mark.parametrize("coupled", (False, True))
+    @pytest.mark.parametrize(
+        "config", _stepper_configs(), ids=ProcessorConfig.label
+    )
+    def test_same_requests_as_scalar_stepper(
+        self, lu_trace, config, coupled
+    ):
+        requests, _ = self.check(lu_trace, config, coupled)
+        assert requests  # the tiny LU trace does miss
+
+    @given(trace=small_traces())
+    @settings(max_examples=40, deadline=None)
+    def test_same_requests_on_arbitrary_traces(self, trace):
+        for config in _stepper_configs():
+            for coupled in (False, True):
+                self.check(trace, config, coupled)
 
 
 class TestFastpathFuzz:
