@@ -90,13 +90,30 @@ def test_perf_smoke():
     from repro.cosim import run_cosim
     from repro.experiments.runner import TraceStore
 
+    cosim_cfg = ProcessorConfig(kind="ds", model="RC", window=64)
     cosim_store = TraceStore(n_procs=4, preset="tiny")
     crun = cosim_store.get_cosim("lu")
     cosim_result, cosim_s = _timed(lambda: run_cosim(
-        crun, ProcessorConfig(kind="ds", model="RC", window=64),
+        crun, cosim_cfg,
         network_kind="mesh", line_size=cosim_store.line_size,
     ))
     cosim_cycles = sum(cosim_result.cycles())
+
+    # What sharing one contended fabric costs on top of the DS engine's
+    # own work: co-simulated mesh seconds over the same traces' solo
+    # ideal-fabric seconds.  16 nodes, because 4 leave the mesh nearly
+    # idle; with real queueing a miss waits hundreds of cycles, and
+    # fabric timing that ticks through that wait instead of jumping it
+    # doubles this ratio.
+    coupling_store = TraceStore(n_procs=16, preset="tiny")
+    coupling_run = coupling_store.get_cosim("lu")
+    coupled_s, solo_s = _race(
+        lambda: run_cosim(
+            coupling_run, cosim_cfg,
+            network_kind="mesh", line_size=coupling_store.line_size,
+        ),
+        lambda: [simulate(t, cosim_cfg) for t in coupling_run.traces],
+    )
 
     # Vectorized engines vs. their scalar oracles, on the same trace.
     # SS is the static model with the most per-row work; DS pairs the
@@ -236,6 +253,7 @@ def test_perf_smoke():
         "cosim_procs": len(cosim_result.breakdowns),
         "cosim_seconds": round(cosim_s, 4),
         "cosim_cycles_per_s": round(cosim_cycles / cosim_s),
+        "cosim_coupling_ratio": round(coupled_s / solo_s, 2),
         "static_instr_per_s": round(n / static_fast_s),
         "static_scalar_instr_per_s": round(n / static_scalar_s),
         "static_speedup": round(static_scalar_s / static_fast_s, 2),

@@ -1,4 +1,4 @@
-"""The co-simulation engine: one event wheel over all processors.
+"""The co-simulation engine: one request heap over all processors.
 
 Every processor model is a *stepper* (:mod:`repro.cpu.requests`): a
 generator that yields a request wherever the outside world owes it an

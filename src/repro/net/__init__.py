@@ -16,14 +16,12 @@ from .model import (
     build_network,
 )
 from .topology import Crossbar, Mesh, Topology
-from .wheel import EventWheel
 
 __all__ = [
     "NETWORK_KINDS",
     "ContentionNetwork",
     "Crossbar",
     "DirectoryModel",
-    "EventWheel",
     "Mesh",
     "NetworkConfig",
     "Topology",

@@ -23,27 +23,31 @@ the line's :class:`~repro.net.directory.DirectoryModel` home node:
       (an upgrade skips the data transfer — the requester already holds
       the line)
 
-Each message walks its route's links through the event wheel: a link is
-busy for ``link_occupancy`` cycles per message (finite bandwidth), so a
-burst of overlapped misses from a dynamically scheduled processor queues
-at its injection port and at hot directory nodes — the contention the
-paper's fixed-latency assumption explicitly sets aside.
+Each message walks its route's links: a link is busy for
+``link_occupancy`` cycles per message (finite bandwidth), so a burst of
+overlapped misses from a dynamically scheduled processor queues at its
+injection port and at hot directory nodes — the contention the paper's
+fixed-latency assumption explicitly sets aside.
 
 The model is *queried* synchronously: `read_miss`/`write_miss` return
 the full miss latency immediately, mutating link/directory free-times so
-later misses observe the congestion earlier ones created.  Message
-timestamps come from per-CPU virtual clocks, which are only near-sorted
-globally; the wheel clamps stragglers to the present, keeping the model
-deterministic for a fixed arrival order.
+later misses observe the congestion earlier ones created.  A message
+sent on its own (every leg of a read or replayed miss, the request leg
+of a write miss) is timed in closed form, link by link; only a write
+miss's racing data reply, invalidations and acks are ordered, on a
+per-transaction ``(time, seq)`` heap that jumps from event to event.
+Message timestamps come from per-CPU virtual clocks, which are only
+near-sorted globally; the heap clamps stragglers to the present,
+keeping the model deterministic for a fixed arrival order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 
 from .directory import DirectoryModel
 from .topology import Crossbar, Mesh, Topology
-from .wheel import EventWheel
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,6 @@ class NetworkConfig:
     memory_latency: int = 30  # DRAM access at the home node
     remote_cache_latency: int = 6  # remote cache lookup (intervention)
     mesh_width: int | None = None  # mesh columns; None = near-square
-    wheel_size: int = 1024
-
-    def key(self) -> str:
-        """Short stable string for cache keys / bench labels."""
-        return (
-            f"h{self.hop_latency}o{self.link_occupancy}"
-            f"d{self.dir_occupancy}m{self.memory_latency}"
-            f"r{self.remote_cache_latency}"
-        )
 
 
 class ContentionNetwork:
@@ -95,8 +90,12 @@ class ContentionNetwork:
             self._data_occ = self.config.link_occupancy * max(
                 1, line_size // 4
             )
-        self.wheel = EventWheel(self.config.wheel_size)
         self._link_free = [0] * topology.n_links
+        # Fan-out scheduler: pending hops as (time, seq, route, index,
+        # occupancy, on_arrive), and the time of the hop fired last.
+        self._events: list[tuple] = []
+        self._seq = 0
+        self._now = 0
         #: observed miss latencies, in query order
         self.latencies: list[int] = []
         # Per-link queue-depth samples: every hop observes how many
@@ -121,9 +120,9 @@ class ContentionNetwork:
 
     def reset(self) -> None:
         """Fresh timing state and stats (used between per-model runs)."""
-        self.wheel = EventWheel(self.config.wheel_size)
         n_links = self.topology.n_links
         self._link_free = [0] * n_links
+        self._now = 0
         self._link_samples = [0] * n_links
         self._link_depth_sum = [0] * n_links
         self._link_depth_max = [0] * n_links
@@ -132,76 +131,113 @@ class ContentionNetwork:
 
     # -- message timing ------------------------------------------------
 
+    def _hop(self, link: int, t: int, occupancy: int) -> int:
+        """Put a message that reached ``link`` at ``t`` across it;
+        returns its arrival at the far end.
+
+        The message departs when both it has arrived and the link is
+        free, occupies the link for ``occupancy`` cycles and arrives
+        ``hop_latency`` later.
+        """
+        free = self._link_free[link]
+        if t >= free:
+            depart = t
+            depth = 0
+        else:
+            depart = free
+            # Queue depth in messages: how many occupancy slots are
+            # already committed ahead of this hop on the link.
+            depth = (free - t + occupancy - 1) // occupancy
+            self._link_depth_sum[link] += depth
+            if depth > self._link_depth_max[link]:
+                self._link_depth_max[link] = depth
+        self._link_samples[link] += 1
+        self._link_free[link] = depart + occupancy
+        probe = self._probe
+        if probe is not None and probe.hop_budget > 0:
+            probe.hop_budget -= 1
+            pid, tid = probe.tracer.track("network", f"link{link}")
+            probe.tracer.instant(
+                "hop", "net", pid, tid, depart,
+                args={"link": link, "queue_depth": depth},
+            )
+        return depart + self.config.hop_latency
+
+    def _send(
+        self, src: int, dst: int, start: int, data: bool = False
+    ) -> int:
+        """Deliver one message synchronously; returns its arrival.
+
+        With nothing else in flight there is nothing to order, so the
+        message just walks its route — control messages hold each link
+        for ``link_occupancy``, data replies for the line-sized
+        ``data_occupancy``.  Exactly what `_chain` + `_run` do with a
+        single message, the present they leave behind included.
+        """
+        route = self.topology.route(src, dst)
+        if not route:
+            return start
+        occupancy = self._data_occ if data else self.config.link_occupancy
+        hop = self._hop
+        t = start
+        for link in route:
+            now = t
+            t = hop(link, t, occupancy)
+        self._now = now
+        return t
+
     def _chain(
         self, src: int, dst: int, start: int, on_arrive, data: bool = False
     ) -> None:
-        """Schedule one message's hop chain on the wheel (no run).
+        """Queue one message's walk for `_run`; ``on_arrive(time)``
+        fires at the destination.
 
-        Each hop is an event: the message departs a link when both it
-        has arrived and the link is free, occupies the link for its
-        occupancy — ``link_occupancy`` for control messages, the
-        line-sized ``data_occupancy`` for data replies — and arrives
-        ``hop_latency`` later.  ``on_arrive(time)`` fires at the
-        destination.  Scheduling several chains before running lets
-        concurrent messages (data reply racing invalidation/ack
-        fan-out) acquire shared links in timestamp order, not call
-        order.
+        Queueing several messages before running lets concurrent ones
+        (data reply racing invalidation/ack fan-out) acquire shared
+        links in timestamp order, not call order.  A start in the past
+        clamps to the present while anything is in flight; an idle
+        fabric rewinds instead — every transaction is resolved to
+        quiescence, so a later query carrying an earlier per-CPU
+        timestamp starts a fresh, correctly-timed run.  (The public
+        transactions never reach the clamp: each starts idle and fans
+        out at or after its directory time.  It is the contract of the
+        event wheel this seam replaced.)
         """
         route = self.topology.route(src, dst)
         if not route:
             on_arrive(start)
             return
-        cfg = self.config
-        link_free = self._link_free
-        samples = self._link_samples
-        depth_sum = self._link_depth_sum
-        depth_max = self._link_depth_max
-        occupancy = self._data_occ if data else cfg.link_occupancy
-
-        def hop(i: int, t: int) -> None:
-            link = route[i]
-            free = link_free[link]
-            if t >= free:
-                depart = t
-                depth = 0
+        if start < self._now:
+            if self._events:
+                start = self._now
             else:
-                depart = free
-                # Queue depth in messages: how many occupancy slots are
-                # already committed ahead of this hop on the link.
-                depth = (free - t + occupancy - 1) // occupancy
-                depth_sum[link] += depth
-                if depth > depth_max[link]:
-                    depth_max[link] = depth
-            samples[link] += 1
-            link_free[link] = depart + occupancy
-            arrive = depart + cfg.hop_latency
-            probe = self._probe
-            if probe is not None and probe.hop_budget > 0:
-                probe.hop_budget -= 1
-                pid, tid = probe.tracer.track("network", f"link{link}")
-                probe.tracer.instant(
-                    "hop", "net", pid, tid, depart,
-                    args={"link": link, "queue_depth": depth},
+                self._now = start
+        occupancy = self._data_occ if data else self.config.link_occupancy
+        self._seq += 1
+        heappush(
+            self._events, (start, self._seq, route, 0, occupancy, on_arrive)
+        )
+
+    def _run(self) -> None:
+        """Fire every queued hop in time order, ties in queueing order."""
+        events = self._events
+        while events:
+            # The hop stays queued while it fires, so whatever its
+            # callback sends clamps to the present rather than rewinds;
+            # nothing queued meanwhile can sort ahead of it.
+            t, _, route, i, occupancy, on_arrive = events[0]
+            self._now = t
+            arrive = self._hop(route[i], t, occupancy)
+            i += 1
+            if i < len(route):
+                self._seq += 1
+                heapreplace(
+                    events,
+                    (arrive, self._seq, route, i, occupancy, on_arrive),
                 )
-            if i + 1 < len(route):
-                self.wheel.schedule(arrive, lambda now: hop(i + 1, now))
             else:
                 on_arrive(arrive)
-
-        self.wheel.schedule(start, lambda now: hop(0, now))
-
-    def _send(
-        self, src: int, dst: int, start: int, data: bool = False
-    ) -> int:
-        """Deliver one message synchronously; returns its arrival."""
-        arrival = [start]
-
-        def landed(t: int) -> None:
-            arrival[0] = t
-
-        self._chain(src, dst, start, landed, data)
-        self.wheel.run()
-        return arrival[0]
+                heappop(events)
 
     def _record(
         self, start: int, done: int, cpu: int = -1, kind: str = "miss"
@@ -286,7 +322,7 @@ class ContentionNetwork:
                 self._chain(s, cpu, ack_start, extend)
 
             self._chain(home, sharer, t, invalidated)
-        self.wheel.run()
+        self._run()
         return self._record(now, done[0], cpu, "write_miss")
 
     def replay_miss(
@@ -353,7 +389,7 @@ class ContentionNetwork:
         """Push miss-latency and link-queue stats into a metrics registry.
 
         This is the surfacing path for the per-link queue-depth samples
-        accumulated in :meth:`_chain` — the registry (and the
+        accumulated in :meth:`_hop` — the registry (and the
         ``contention`` report) are the only consumers.
         """
         if not metrics.enabled:

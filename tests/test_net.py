@@ -1,8 +1,11 @@
 """Tests for the interconnect/directory timing subsystem (repro.net).
 
-Covers the event wheel (ordering, FIFO ties, overflow heap, idle clock
-rewind), the topologies (crossbar port serialization, mesh X-Y routes),
-the directory's request serialization, transaction-level latencies, the
+Covers the fan-out scheduler (ordering, FIFO ties, jumps over idle
+time, idle clock rewind, busy clamp), the topologies (crossbar port
+serialization, mesh X-Y routes), the directory's request serialization,
+transaction-level latencies, fabric timing pinned against the event-wheel
+model this one replaced (seeded random streams, the carried clock, the
+single-message walk against the scheduler), the
 ideal-backend equivalence of the executor on every application, the
 compiled-vs-reference differential under a real network, the faulting-PC
 annotation on misaligned accesses, and the contention experiment's
@@ -10,7 +13,12 @@ headline effect (overlapped DS misses see a more loaded network than
 BASE's serial ones).
 """
 
+import hashlib
+import json
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
@@ -21,71 +29,84 @@ from repro.net import (
     ContentionNetwork,
     Crossbar,
     DirectoryModel,
-    EventWheel,
     Mesh,
     NetworkConfig,
     build_network,
 )
 
 
-class TestEventWheel:
-    def test_events_fire_in_time_order(self):
-        wheel = EventWheel()
-        fired = []
-        wheel.schedule(5, lambda t: fired.append(("a", t)))
-        wheel.schedule(3, lambda t: fired.append(("b", t)))
-        wheel.schedule(9, lambda t: fired.append(("c", t)))
-        wheel.run()
-        assert fired == [("b", 3), ("a", 5), ("c", 9)]
+def _crossbar(n_nodes=8):
+    # Defaults: 2-cycle hops, 2-cycle control occupancy; every crossbar
+    # route is inject + eject, so an uncontended message lands at +4.
+    return ContentionNetwork(Crossbar(n_nodes), line_size=16)
 
-    def test_same_cycle_events_fire_fifo(self):
-        wheel = EventWheel()
-        fired = []
+
+class TestFanOutScheduler:
+    """The `_chain`/`_run` seam that orders a write miss's racing
+    messages: what used to be stated against the event wheel."""
+
+    def test_messages_land_in_time_order(self):
+        net = _crossbar()
+        landed = []
+        net._chain(0, 1, 5, lambda t: landed.append(("a", t)))
+        net._chain(2, 3, 3, lambda t: landed.append(("b", t)))
+        net._chain(4, 5, 9, lambda t: landed.append(("c", t)))
+        net._run()
+        assert landed == [("b", 7), ("a", 9), ("c", 13)]
+
+    def test_same_cycle_messages_take_a_link_fifo(self):
+        net = _crossbar()
+        landed = []
         for name in "abc":
-            wheel.schedule(7, lambda t, n=name: fired.append(n))
-        wheel.run()
-        assert fired == ["a", "b", "c"]
+            net._chain(0, 1, 7, lambda t, n=name: landed.append((n, t)))
+        net._run()
+        assert landed == [("a", 11), ("b", 13), ("c", 15)]
 
-    def test_overflow_beyond_wheel_size_still_fires(self):
-        wheel = EventWheel(size=8)
-        fired = []
-        wheel.schedule(2, lambda t: fired.append(("near", t)))
-        wheel.schedule(2000, lambda t: fired.append(("far", t)))
-        wheel.run()
-        assert fired == [("near", 2), ("far", 2000)]
+    def test_far_future_message_is_reached_by_a_jump(self):
+        net = _crossbar()
+        landed = []
+        net._chain(0, 1, 2, landed.append)
+        net._chain(2, 3, 10**12, landed.append)
+        net._run()
+        assert landed == [6, 10**12 + 4]
 
-    def test_callback_may_schedule_at_current_time(self):
-        wheel = EventWheel()
-        fired = []
-        wheel.schedule(
-            4, lambda t: wheel.schedule(t, lambda u: fired.append(u))
+    def test_callback_may_send_at_current_time(self):
+        net = _crossbar()
+        landed = []
+        net._chain(
+            0, 1, 4, lambda t: net._chain(2, 3, net._now, landed.append)
         )
-        wheel.run()
-        assert fired == [4]
+        net._run()  # one pass delivers the follow-up too
+        assert landed == [10]  # last hop fired at 6, +4
 
-    def test_idle_wheel_rewinds_for_earlier_transaction(self):
+    def test_idle_scheduler_rewinds_for_earlier_transaction(self):
         # Per-CPU virtual clocks restart at 0 between model replays; an
-        # idle wheel must accept the earlier timestamp verbatim instead
+        # idle fabric must accept the earlier timestamp verbatim instead
         # of clamping it to the old present.
-        wheel = EventWheel()
-        fired = []
-        wheel.schedule(100, fired.append)
-        wheel.run()
-        wheel.schedule(10, fired.append)
-        wheel.run()
-        assert fired == [100, 10]
+        net = _crossbar()
+        landed = []
+        net._chain(0, 1, 100, landed.append)
+        net._run()
+        net._chain(2, 3, 10, landed.append)
+        net._run()
+        assert landed == [104, 14]
+        # The single-message walk moves the present the same way.
+        assert net._send(4, 5, 200) == 204
+        net._chain(6, 7, 10, landed.append)
+        net._run()
+        assert landed[-1] == 14
 
-    def test_busy_wheel_clamps_stragglers_to_present(self):
-        wheel = EventWheel()
-        fired = []
+    def test_busy_scheduler_clamps_stragglers_to_present(self):
+        net = _crossbar()
+        landed = []
 
         def first(t):
-            fired.append(t)
-            wheel.schedule(2, fired.append)  # in the wheel's past
+            landed.append(t)
+            net._chain(2, 3, 2, landed.append)  # in the fabric's past
 
-        wheel.schedule(6, first)
-        wheel.run()
-        assert fired == [6, 6]
+        net._chain(0, 1, 6, first)
+        net._run()
+        assert landed == [10, 12]  # restarted at 8, the last hop's time
 
 
 class TestTopologies:
@@ -186,6 +207,116 @@ class TestTransactions:
         with pytest.raises(ValueError):
             build_network("torus", 4, 16)
         assert set(NETWORK_KINDS) == {"ideal", "crossbar", "mesh"}
+
+
+def _fabric_stream(kind, n_nodes, seed, n_ops=1500):
+    """Every latency a seeded random transaction stream returns, plus
+    the three summaries at the mid-stream reset and at the end."""
+    rng = random.Random(seed)
+    net = build_network(kind, n_nodes, 16)
+
+    def summaries():
+        return [net.summary(), net.link_summary(), net.directory.summary()]
+
+    clocks = [0] * n_nodes  # per-CPU, so only near-sorted globally
+    out = []
+    for i in range(n_ops):
+        if i == n_ops // 2:
+            # Between per-model replays the fabric is reset and every
+            # per-CPU clock restarts at 0.
+            out.append(summaries())
+            net.reset()
+            clocks = [0] * n_nodes
+        cpu = rng.randrange(n_nodes)
+        clocks[cpu] += rng.randrange(0, 60)
+        now = clocks[cpu]
+        line = rng.randrange(0, 64)
+        if rng.random() < 0.25:
+            line = cpu + n_nodes * rng.randrange(0, 4)  # cpu == home
+        op = rng.randrange(4)
+        if op == 0:
+            lat = net.replay_miss(
+                cpu, line * 16 + rng.randrange(16), rng.random() < 0.3, now
+            )
+        elif op == 1:
+            owner = rng.randrange(n_nodes) if rng.random() < 0.5 else None
+            lat = net.read_miss(cpu, line, owner, now)
+        else:
+            sharers = tuple(rng.sample(range(n_nodes), rng.randrange(0, 5)))
+            lat = net.write_miss(
+                cpu, line, sharers, now, upgrade=rng.random() < 0.4
+            )
+        out.append(lat)
+    out.append(summaries())
+    return out
+
+
+class TestTimingPinned:
+    """Fabric timing is part of every committed contention/co-simulation
+    number; these pins were generated with the event-wheel model this
+    one replaced and must never be regenerated to make a change pass."""
+
+    @pytest.mark.parametrize("kind,n_nodes,seed,digest", [
+        ("mesh", 9, 1, "2b386d06f9907e53"),
+        ("mesh", 9, 2, "2492c4da92f979d5"),
+        ("mesh", 16, 1, "5ea6f79c764dc9a5"),
+        ("mesh", 16, 2, "894ed9d0a50d27eb"),
+        ("crossbar", 9, 1, "fd5becd8e24eb537"),
+        ("crossbar", 9, 2, "5fa0236420e7ef93"),
+        ("crossbar", 16, 1, "51d4d9cd10caaa20"),
+        ("crossbar", 16, 2, "6d6ae4e83df464e3"),
+    ])
+    def test_random_stream_digest(self, kind, n_nodes, seed, digest):
+        blob = json.dumps(_fabric_stream(kind, n_nodes, seed), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+    def test_carried_clock_does_not_leak_between_transactions(self):
+        # The scheduler's present persists across transactions.  A write
+        # miss whose requester is the home node sends no request, so
+        # nothing moves the present before its invalidations fan out;
+        # and a single-message transaction must move it, or the next
+        # fan-out clamps to a stale future.  Every transaction below
+        # uses links of its own, so each must cost what it costs on an
+        # idle fabric.
+        net = build_network("crossbar", 16, 16)
+        assert net.write_miss(0, line=1, sharers=(2, 3), now=400) == 42
+        # requester is home, not an upgrade, sharers, and the previous
+        # transaction ended (~440) after this one starts
+        assert net.write_miss(4, line=4, sharers=(5, 6), now=100) == 34
+        assert net.write_miss(0, line=1, sharers=(2, 3), now=900) == 42
+        assert net.replay_miss(7, addr=8 * 16, is_write=False, now=50) == 42
+        assert net.write_miss(9, line=10, sharers=(11, 12), now=60) == 42
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["crossbar", "mesh"]),
+    src=st.integers(0, 8),
+    dst=st.integers(0, 8),
+    start=st.integers(0, 500),
+    data=st.booleans(),
+    link_free=st.lists(st.integers(0, 600), min_size=60, max_size=60),
+    present=st.integers(0, 600),
+)
+def test_single_message_walk_equals_fan_out_alone(
+    kind, src, dst, start, data, link_free, present
+):
+    """`_send`'s closed-form walk and the fan-out scheduler time one
+    message identically from any link state: same arrival, same link
+    reservations, same queue-depth statistics, same present after."""
+    walked = build_network(kind, 9, 16)
+    queued = build_network(kind, 9, 16)
+    n_links = walked.topology.n_links
+    for net in (walked, queued):
+        net._link_free = link_free[:n_links]
+        net._now = present
+    landed = []
+    queued._chain(src, dst, start, landed.append, data)
+    queued._run()
+    assert [walked._send(src, dst, start, data)] == landed
+    for state in ("_link_free", "_link_samples", "_link_depth_sum",
+                  "_link_depth_max", "_now"):
+        assert getattr(walked, state) == getattr(queued, state), state
 
 
 class TestCoherenceIntegration:
