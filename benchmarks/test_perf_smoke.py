@@ -26,10 +26,12 @@ from repro.consistency import get_model
 from repro.cpu import (
     ProcessorConfig,
     simulate,
+    simulate_base,
     simulate_ds,
     simulate_ds_fast,
     simulate_ss,
     simulate_ss_fast,
+    simulate_ssbr,
 )
 from repro.cpu.ds import DSConfig
 from repro.verify import ExecutionRecorder, check_execution
@@ -107,12 +109,24 @@ def test_perf_smoke():
     # doubles this ratio.
     coupling_store = TraceStore(n_procs=16, preset="tiny")
     coupling_run = coupling_store.get_cosim("lu")
+
+    def cosim_mesh(run, store, sync_mode="replay"):
+        return lambda: run_cosim(
+            run, cosim_cfg, network_kind="mesh",
+            line_size=store.line_size, sync_mode=sync_mode,
+        )
+
     coupled_s, solo_s = _race(
-        lambda: run_cosim(
-            coupling_run, cosim_cfg,
-            network_kind="mesh", line_size=coupling_store.line_size,
-        ),
+        cosim_mesh(coupling_run, coupling_store),
         lambda: [simulate(t, cosim_cfg) for t in coupling_run.traces],
+    )
+
+    # Live sync runs on the same DS engine as replayed sync: on the
+    # 4-node run the ratio sits a little above 1 (an acquire re-queries
+    # every cycle it waits) and doubles if live ever falls back to a
+    # scalar stepper.
+    live_s, replay_s = _race(
+        cosim_mesh(crun, cosim_store, "live"), cosim_mesh(crun, cosim_store)
     )
 
     # Vectorized engines vs. their scalar oracles, on the same trace.
@@ -142,17 +156,18 @@ def test_perf_smoke():
         probe_cache.install(addr, EXCLUSIVE)
     (batch_s,) = _race(lambda: probe_cache.batch_hits(addrs), reps=7)
 
-    # Both engines must agree exactly — the cheap CI echo of the full
-    # differential suite in tests/test_fastpath.py.
-    for kind in ("base", "ssbr", "ss", "ds"):
-        fast_bd = simulate(
-            trace, ProcessorConfig(kind=kind, model="RC", engine="fast")
-        )
-        ref_bd = simulate(
-            trace,
-            ProcessorConfig(kind=kind, model="RC", engine="reference"),
-        )
-        assert fast_bd == ref_bd, kind
+    # Engine and oracle must agree exactly — the cheap CI echo of the
+    # full differential suite in tests/test_fastpath.py.
+    for kind, oracle in (
+        ("base", lambda: simulate_base(trace)),
+        ("ssbr", lambda: simulate_ssbr(trace, rc, label="SSBR-RC")),
+        ("ss", lambda: simulate_ss(trace, rc, label="SS-RC")),
+        ("ds", lambda: simulate_ds(
+            trace, rc, DSConfig(window=64), label="DS-RC-w64"
+        )),
+    ):
+        config = ProcessorConfig(kind=kind, model="RC")
+        assert simulate(trace, config) == oracle(), kind
 
     # Axiomatic-checker throughput over a freshly recorded run.
     rec_workload = build_app("lu", preset="tiny")
@@ -168,22 +183,18 @@ def test_perf_smoke():
     check, verify_s = _timed(lambda: check_execution(log, "SC"))
     assert check.ok
 
-    # Instrumentation overhead on the DS replay loop, measured on BOTH
-    # engines explicitly: the event-driven fast path (where a stray
-    # per-instruction hook would be catastrophic relative to the
-    # vectorized loop) and the scalar reference path.  The disabled
+    # Instrumentation overhead on the DS replay loop, measured on the
+    # event-driven engine (where a stray per-instruction hook would be
+    # catastrophic relative to the vectorized loop) and on its scalar
+    # oracle, so probed differential tests stay affordable.  The disabled
     # path (a probe with metrics off and no tracer resolves to None
     # inside the models) is guarded at <=2% on each; the fully enabled
     # path (occupancy histograms + a Chrome trace span per
     # instruction) at <=40% on the fast engine.
     from repro.obs import ChromeTracer, MetricsRegistry, Probe
 
-    fast_cfg = ProcessorConfig(
-        kind="ds", model="RC", window=256, engine="fast"
-    )
-    ref_cfg = ProcessorConfig(
-        kind="ds", model="RC", window=256, engine="reference"
-    )
+    fast_cfg = ProcessorConfig(kind="ds", model="RC", window=256)
+    ref_cfg = DSConfig(window=256)
     plain_s, disabled_s, enabled_s = _race(
         lambda: simulate(trace, fast_cfg),
         lambda: simulate(trace, fast_cfg, probe=Probe()),
@@ -196,8 +207,8 @@ def test_perf_smoke():
     obs_disabled_ratio = disabled_s / plain_s
     obs_enabled_ratio = enabled_s / plain_s
     ref_plain_s, ref_disabled_s = _race(
-        lambda: simulate(trace, ref_cfg),
-        lambda: simulate(trace, ref_cfg, probe=Probe()),
+        lambda: simulate_ds(trace, rc, ref_cfg),
+        lambda: simulate_ds(trace, rc, ref_cfg, probe=Probe()),
         reps=5,
     )
     obs_disabled_ratio_ref = ref_disabled_s / ref_plain_s
@@ -254,6 +265,7 @@ def test_perf_smoke():
         "cosim_seconds": round(cosim_s, 4),
         "cosim_cycles_per_s": round(cosim_cycles / cosim_s),
         "cosim_coupling_ratio": round(coupled_s / solo_s, 2),
+        "cosim_live_ratio": round(live_s / replay_s, 2),
         "static_instr_per_s": round(n / static_fast_s),
         "static_scalar_instr_per_s": round(n / static_scalar_s),
         "static_speedup": round(static_scalar_s / static_fast_s, 2),
@@ -291,6 +303,8 @@ def test_perf_smoke():
     # cannot flake them, but any real regression to scalar parity trips.
     assert payload["static_speedup"] >= 2.0, payload["static_speedup"]
     assert payload["ds_event_speedup"] >= 1.2, payload["ds_event_speedup"]
+    # Live sync must stay on the engine replayed sync runs on.
+    assert payload["cosim_live_ratio"] <= 1.7, payload["cosim_live_ratio"]
     # Observability off may cost at most 2% on the replay hot loop —
     # on the event-driven engine AND the scalar reference engine;
     # fully on (histograms + per-instruction spans) at most 40%.

@@ -50,6 +50,7 @@ TOLERANCES: dict[str, tuple[str, float]] = {
     "obs_disabled_overhead_ref": ("lower", 0.05),
     "obs_enabled_overhead": ("lower", 0.30),
     "cosim_coupling_ratio": ("lower", 0.35),
+    "cosim_live_ratio": ("lower", 0.35),
 }
 
 

@@ -191,7 +191,7 @@ def cmd_cosim(args) -> int:
     )
     argv_echo = (
         f"python -m repro --procs {args.procs} --preset {args.preset} "
-        f"--network {args.network} --engine {args.engine} "
+        f"--network {args.network} "
         f"cosim {args.app} --kind {args.kind} --model {args.model} "
         f"--window {args.window} --sync {args.sync}"
     )
@@ -223,14 +223,13 @@ def cmd_profile(args) -> int:
     )
     argv_echo = (
         f"python -m repro --procs {args.procs} --preset {args.preset} "
-        f"--engine {args.engine} "
         f"profile {args.app} --kind {args.kind} --model {args.model} "
         f"--window {args.window} --network {args.network}"
     )
     result = obs.run_profile(
         args.app, store,
         kind=args.kind, model=args.model, window=args.window,
-        network=args.network, engine=args.engine,
+        network=args.network,
         trace=args.trace, metrics=args.metrics,
         out_dir=args.out, command=argv_echo,
     )
@@ -316,7 +315,6 @@ def _grid_payload(args) -> dict:
         "penalties": list(args.penalties),
         "procs": args.procs,
         "preset": args.preset,
-        "engine": args.engine,
     }
     if args.apps:
         payload["apps"] = list(args.apps)
@@ -640,7 +638,6 @@ def cmd_batch(args) -> int:
         penalties=tuple(args.penalties),
         procs=args.procs,
         preset=args.preset,
-        engine=args.engine,
     )
     command = "python -m repro batch " + " ".join(
         f"--{k} {v}" for k, v in (
@@ -742,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=NETWORK_KINDS,
                         help="interconnect timing backend (ideal = the "
                              "paper's fixed miss penalty)")
-    parser.add_argument("--engine", default="fast",
-                        choices=("fast", "reference"),
-                        help="simulation engine: the vectorized/event-"
-                             "driven fast path (default) or the scalar "
-                             "reference models; results are identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run and verify one application")
@@ -819,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("replay", "live"),
                          help="sync waits: trace-baked (replay) or "
                               "resolved live from the recorded "
-                              "schedule (scalar steppers only)")
+                              "schedule")
     p_cosim.add_argument("--contexts", type=int, default=1,
                          help="contexts per node for --kind mc")
     p_cosim.add_argument("--trace", action="store_true",
@@ -1174,9 +1166,6 @@ def main(argv: list[str] | None = None) -> int:
     for debugging).  Argparse itself exits 2 on usage errors.
     """
     args = build_parser().parse_args(argv)
-    from . import cpu
-
-    cpu.DEFAULT_ENGINE = args.engine
     try:
         rc = args.func(args)
     except (service.BatchInterrupted, KeyboardInterrupt) as exc:

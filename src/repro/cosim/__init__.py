@@ -11,9 +11,8 @@ timing.
 
 The moving parts:
 
-* :mod:`repro.cpu.requests` — every CPU model, scalar oracle and fast
-  engine alike, is a resumable stepper that suspends at each miss (the
-  scalar ones at each acquire too);
+* :mod:`repro.cpu.requests` — every CPU model is a resumable stepper
+  that suspends at each miss, acquire and release;
 * :class:`CosimEngine` — the global scheduler interleaving all
   steppers' requests on the shared network in timestamp order, with
   cross-processor sync wait edges (live mode) resolved from the

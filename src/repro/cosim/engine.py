@@ -24,12 +24,10 @@ timestamp order:
   co-simulated perform time and resumes any parked acquirers.
 
 The engine neither knows nor cares which implementation is behind a
-generator: the scalar oracles and the fast engines (vectorized static
-models, event-driven DS) speak the same protocol and issue the same
-:class:`MemRequest` sequence, so ``--engine fast`` and ``--engine
-reference`` co-simulate to byte-identical results.  The fast engines
-answer their own sync operations from the trace, which is why live sync
-runs on the scalar steppers.
+generator: the product's engines (event-driven static models and DS)
+and their scalar oracles speak the same protocol and issue the same
+request sequence, replayed or live, so co-simulating nodes built from
+either gives byte-identical results (``tests/test_cosim.py`` does).
 
 Request timestamps are only approximately causal across processors — a
 model may reveal its next request after the engine has served a

@@ -74,6 +74,8 @@ def run_cosim_app(
 
     kind = kind.lower()
     model = model.upper()
+    # Built before the (slow) trace fetch: a bad config fails at once.
+    config = ProcessorConfig(kind=kind, model=model, window=window)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -86,7 +88,6 @@ def run_cosim_app(
     probe = Probe(metrics=registry, tracer=tracer)
 
     t0 = time.perf_counter()
-    config = ProcessorConfig(kind=kind, model=model, window=window)
     result = run_cosim(
         crun, config,
         network_kind=network,
@@ -106,7 +107,6 @@ def run_cosim_app(
         "network": network,
         "sync": sync_mode,
         "contexts": contexts,
-        "engine": config.engine,
         "n_procs": store.n_procs,
         "miss_penalty": store.miss_penalty,
         "preset": store.preset,

@@ -30,9 +30,8 @@ def build_node(
 ) -> CosimNode:
     """Wrap one processor model around ``trace`` as a cosim node.
 
-    Fast or reference, the stepper issues the same requests, so timing
-    is byte-identical across engines in every mode; live sync runs on
-    the scalar steppers, the only ones that suspend at a sync operation.
+    Replayed or live sync, the node runs the same stepper: every model
+    suspends at its sync operations, and the engine decides the answer.
     """
     is_ds = config.kind.lower() == "ds"
     stepper = make_stepper(

@@ -8,11 +8,14 @@ traces produced by :mod:`repro.tango`:
 * ``SS`` — statically scheduled, non-blocking reads (stall at first use);
 * ``DS`` — dynamically scheduled with a reorder-buffer window of 16-256.
 
-Every model, scalar oracle or fast engine, is a resumable stepper
-(:mod:`repro.cpu.requests`); :func:`make_stepper` is the one place that
-maps a :class:`ProcessorConfig` onto an implementation.  Use
-:func:`simulate` for a uniform standalone entry point, or call the
-per-model functions directly.
+Each model has one implementation that runs — the event-driven engines
+of :mod:`repro.cpu.static_fast` and :mod:`repro.cpu.ds.event_engine`,
+which :func:`make_stepper` maps a :class:`ProcessorConfig` onto — and
+one scalar oracle kept for checking it (:mod:`repro.cpu.base`,
+:mod:`repro.cpu.static`, :mod:`repro.cpu.ds.engine`; the tests compare
+the two request for request).  Both are resumable steppers
+(:mod:`repro.cpu.requests`).  Use :func:`simulate` for a uniform
+standalone entry point, or call the per-model functions directly.
 """
 
 from __future__ import annotations
@@ -55,13 +58,6 @@ from .static_fast import (
 )
 
 
-# Process-wide default for ProcessorConfig.engine, so one switch (the
-# CLI's global --engine flag) retargets every config built afterwards.
-# Configs are built before any process-pool fan-out and pickle the
-# resolved value with them, so workers inherit the choice.
-DEFAULT_ENGINE = "fast"
-
-
 @dataclass
 class ProcessorConfig:
     """Uniform description of one processor/consistency configuration.
@@ -75,11 +71,6 @@ class ProcessorConfig:
         perfect_bp: perfect branch prediction (DS only, Figure 4).
         ignore_deps: ignore register data dependences (DS only, Figure 4).
         ds: extra knobs forwarded into :class:`DSConfig`.
-        engine: "fast" (default) runs the vectorized/event-driven
-            engines of :mod:`repro.cpu.static_fast` and
-            :mod:`repro.cpu.ds.event_engine`; "reference" runs the
-            scalar oracles.  Results are byte-identical either way —
-            the choice only affects throughput.
     """
 
     kind: str = "ds"
@@ -89,7 +80,22 @@ class ProcessorConfig:
     perfect_bp: bool = False
     ignore_deps: bool = False
     ds: dict = field(default_factory=dict)
-    engine: str = field(default_factory=lambda: DEFAULT_ENGINE)
+
+    def __post_init__(self) -> None:
+        # Only DS reads these fields (the service canonicalises the
+        # unused window of the static kinds to 0).
+        if self.kind.lower() == "ds":
+            self.ds_config()  # rejects a degenerate window/width/buffer
+
+    def ds_config(self) -> DSConfig:
+        """The :class:`DSConfig` this describes (kind "ds")."""
+        return DSConfig(
+            window=self.window,
+            issue_width=self.issue_width,
+            perfect_branch_prediction=self.perfect_bp,
+            ignore_data_dependences=self.ignore_deps,
+            **self.ds,
+        )
 
     def label(self) -> str:
         if self.kind == "base":
@@ -115,54 +121,33 @@ def make_stepper(
 ):
     """The configured processor model over ``trace`` as a stepper.
 
-    The only kind x engine dispatch: :func:`simulate` drives the result
+    The only kind dispatch: :func:`simulate` drives the result
     standalone, :mod:`repro.cosim` steps it against the shared fabric.
     ``coupled`` is each stepper's one coupling flag.  For the static
     models it is ``clamp_time``: a stateful network consumes the request
     times, so the clock must not run backwards on a negative sync wait.
-    For the DS fast engine it says somebody else (a network, the
+    For the DS engine it says somebody else (a network, the
     co-simulation engine) emits spans from ``probe`` while the stepper
     is suspended, which rules out its deferred retire-span pass.
-    ``live_sync`` selects the scalar steppers whatever the engine —
-    only they can suspend at a sync operation.
+    ``live_sync`` is an input of the DS model only (every acquire then
+    waits at the reorder-buffer head for its answer); the static models
+    request every sync operation either way.
     """
     kind = config.kind.lower()
-    engine = config.engine.lower()
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {config.engine!r}")
-    fast = engine == "fast" and not live_sync
     label = config.label()
     if kind == "base":
-        stepper = base_fast_stepper if fast else base_stepper
-        return stepper(trace, label=label, clamp_time=coupled)
+        return base_fast_stepper(trace, label=label, clamp_time=coupled)
     if kind == "ssbr" or kind == "ss":
-        if kind == "ssbr":
-            stepper = ssbr_fast_stepper if fast else ssbr_stepper
-        else:
-            stepper = ss_fast_stepper if fast else ss_stepper
+        stepper = ssbr_fast_stepper if kind == "ssbr" else ss_fast_stepper
         return stepper(
             trace, get_model(config.model), label=label,
             clamp_time=coupled, probe=probe,
         )
     if kind != "ds":
         raise ValueError(f"unknown processor kind {config.kind!r}")
-    ds_kwargs = dict(config.ds)
-    ds_kwargs.pop("network", None)  # the stepper's driver serves misses
-    ds_config = DSConfig(
-        window=config.window,
-        issue_width=config.issue_width,
-        perfect_branch_prediction=config.perfect_bp,
-        ignore_data_dependences=config.ignore_deps,
-        **ds_kwargs,
-    )
-    model = get_model(config.model)
-    if fast:
-        return ds_fast_stepper(
-            trace, model, ds_config, label=label, probe=probe,
-            coupled=coupled,
-        )
-    return DSProcessor(trace, model, ds_config, probe=probe).steps(
-        label=label, live_sync=live_sync
+    return ds_fast_stepper(
+        trace, get_model(config.model), config.ds_config(), label=label,
+        probe=probe, coupled=coupled, live_sync=live_sync,
     )
 
 

@@ -127,12 +127,15 @@ class DSConfig:
     #: synchronization stay constrained, and retirement order still
     #: provides the memory model's guarantees.
     speculative_loads: bool = False
-    #: Optional repro.net.ContentionNetwork.  When set, every miss (the
-    #: trace's baked stall marks hit/miss) is re-timed through the
-    #: interconnect at the cycle the memory port actually issues it —
-    #: the lockup-free cache's overlapped misses then genuinely queue
-    #: on the node's injection link and at hot directory home nodes.
-    network: object | None = None
+
+    def __post_init__(self) -> None:
+        # A zero-entry window, port or buffer never retires anything:
+        # the cycle loop would spin forever instead of failing.
+        for name in ("window", "issue_width", "btb_entries", "btb_assoc",
+                     "store_buffer_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def resolved_store_depth(self) -> int:
         return self.window if self.store_buffer_depth is None else (
@@ -241,12 +244,14 @@ class DSProcessor:
         self.read_miss_issue_delays: list[int] = []
         self.read_miss_distances: list[int] = []
 
-    def run(self, label: str | None = None) -> ExecutionBreakdown:
-        """Drive :meth:`steps` to completion (standalone replay)."""
+    def run(
+        self, label: str | None = None, network=None
+    ) -> ExecutionBreakdown:
+        """Drive :meth:`steps` to completion (standalone replay); a
+        ``network`` re-times every miss at the cycle the memory port
+        actually issues it, so overlapped misses genuinely queue."""
         return drive(
-            self.steps(label=label),
-            network=self.config.network,
-            cpu=self.trace.cpu,
+            self.steps(label=label), network=network, cpu=self.trace.cpu
         )
 
     def steps(self, label: str | None = None, live_sync: bool = False):
@@ -815,6 +820,9 @@ def simulate_ds(
     config: DSConfig | None = None,
     label: str | None = None,
     probe=None,
+    network=None,
 ) -> ExecutionBreakdown:
     """Convenience wrapper around :class:`DSProcessor`."""
-    return DSProcessor(trace, model, config, probe=probe).run(label=label)
+    return DSProcessor(trace, model, config, probe=probe).run(
+        label=label, network=network
+    )

@@ -33,16 +33,18 @@ objects.
 
 Everything observable is preserved cycle for cycle: the breakdown
 (busy/sync/read/write/other and the cycle count in ``extras``), the
-order and fields of the :class:`~repro.cpu.requests.MemRequest` the
-engine yields at each miss the memory port issues (it is a resumable
-stepper like the reference, driven standalone by :func:`~repro.cpu.
-requests.drive` or stepped by the co-simulation engine), probe
-histograms and retire spans (with lane handles cached instead of
-re-looked-up per retirement).  The reference engine remains the
-differential oracle — see ``tests/test_fastpath.py``.
-
-Runs that collect per-miss statistics delegate to the reference
-stepper, which exposes them on the processor object.
+order and fields of every request the engine yields — a
+:class:`~repro.cpu.requests.MemRequest` at each miss the memory port
+issues and, under live sync, a :class:`~repro.cpu.requests.SyncRequest`
+per cycle an acquire waits at the reorder-buffer head and a
+:class:`~repro.cpu.requests.ReleaseNotify` as each release performs (it
+is a resumable stepper like the reference, driven standalone by
+:func:`~repro.cpu.requests.drive` or stepped by the co-simulation
+engine) — probe histograms and retire spans (with lane handles cached
+instead of re-looked-up per retirement), and the read-miss issue delays
+of ``DSConfig.collect_miss_stats`` (returned in ``extras``).  The
+reference engine is the differential oracle — see
+``tests/test_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 from ...consistency import ConsistencyModel
 from ...tango import Trace
 from ..kernels import control_mispredicts, producer_rows
-from ..requests import MemRequest, drive
+from ..requests import MemRequest, ReleaseNotify, SyncRequest, drive
 from ..results import ExecutionBreakdown
 from ..static_fast import _trace_index
 from .btb import BranchTargetBuffer
@@ -70,11 +72,12 @@ from .engine import (
     _OP_MEMBER,
     _STORE_LIKE,
     DSConfig,
-    DSProcessor,
 )
 
 _MC_READ = 1
 _MC_WRITE = 2
+_MC_ACQUIRE = 3
+_MC_RELEASE = 4
 _N_CLS = max(_MEM_CLASSES) + 1
 _N_FU = max(_FU_VAL) + 1
 _FU_NP = np.array(_FU_VAL, dtype=np.int64)
@@ -93,7 +96,8 @@ class _DSIndex:
 
     __slots__ = (
         "n", "op_l", "fu_l", "cls_l", "stall_l", "wait_l", "addr_l",
-        "prod1_l", "prod2_l", "store_like_l", "acq_wait_l", "_misp",
+        "prod1_l", "prod2_l", "store_like_l", "acq_l", "acq_wait_l",
+        "sync_ord", "_misp",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -117,7 +121,19 @@ class _DSIndex:
         acq = np.zeros(_N_CLS, dtype=bool)
         acq[list(_ACQ)] = True
         self.store_like_l = store_like[mc_np].tolist()
-        self.acq_wait_l = (acq[mc_np] & (wait_np > 0)).tolist()
+        # Rows that wait at the reorder-buffer head: under replayed sync
+        # the contended acquires, under live sync every acquire (a byte
+        # mask: only live runs read it).
+        is_acq = acq[mc_np]
+        self.acq_l = is_acq.tobytes()
+        self.acq_wait_l = (is_acq & (wait_np > 0)).tolist()
+        #: Row -> ordinal among the synchronization-class rows, the key
+        #: of the recorded sync schedule (sparse: sync rows only).
+        self.sync_ord = {
+            row: k for k, row in enumerate(
+                np.nonzero(mc_np >= _MC_ACQUIRE)[0].tolist()
+            )
+        }
         self._misp = {}
 
     def mispredicts(self, trace: Trace, entries: int, assoc: int) -> list:
@@ -149,10 +165,10 @@ def simulate_ds_fast(
     config: DSConfig | None = None,
     label: str | None = None,
     probe=None,
+    network=None,
 ) -> ExecutionBreakdown:
     """Drop-in fast replacement for :func:`repro.cpu.ds.simulate_ds`:
-    drives :func:`ds_fast_stepper` against ``config.network``."""
-    network = config.network if config is not None else None
+    drives :func:`ds_fast_stepper` against ``network``."""
     stepper = ds_fast_stepper(
         trace, model, config, label=label, probe=probe,
         coupled=network is not None,
@@ -167,24 +183,23 @@ def ds_fast_stepper(
     label: str | None = None,
     probe=None,
     coupled: bool = False,
+    live_sync: bool = False,
 ):
     """The event-driven DS engine as a resumable stepper (drop-in for
-    :meth:`DSProcessor.steps` under replayed sync: it suspends at the
-    same misses, at the same cycles).
+    :meth:`DSProcessor.steps`: it suspends at the same requests, at the
+    same cycles).
 
     ``coupled`` says somebody else — a network with the probe attached,
     the co-simulation engine — emits spans from the same probe while
     this stepper is suspended, so retire spans must be emitted as rows
-    retire rather than in one pass at the end.
+    retire rather than in one pass at the end.  With ``live_sync`` every
+    acquire waits at the reorder-buffer head for an answered
+    :class:`~repro.cpu.requests.SyncRequest` (a negative answer means
+    "unresolved, ask again next cycle": the store buffer keeps
+    draining meanwhile) and each release announces its perform time,
+    instead of using the trace's baked waits.
     """
     cfg = config or DSConfig()
-    if cfg.collect_miss_stats:
-        # Miss statistics live on the DSProcessor object; callers that
-        # want them construct the reference engine directly anyway.
-        return (yield from DSProcessor(
-            trace, model, cfg, probe=probe
-        ).steps(label=label))
-
     idx = _ds_index(trace)
     n = idx.n
     window = cfg.window
@@ -204,7 +219,9 @@ def ds_fast_stepper(
     prod1_l = idx.prod1_l
     prod2_l = idx.prod2_l
     store_like_l = idx.store_like_l
-    acq_wait_l = idx.acq_wait_l
+    head_wait_l = idx.acq_l if live_sync else idx.acq_wait_l
+    sync_ord = idx.sync_ord
+    miss_delays = [] if cfg.collect_miss_stats else None
     if cfg.perfect_branch_prediction:
         misp_l = bytes(n)
     else:
@@ -421,55 +438,25 @@ def ds_fast_stepper(
 
         progressed = False
 
-        # Phase 1: completions / performs whose time has come.  The
-        # due-next bucket first, then the heap; same-cycle order is
-        # immaterial (see module docstring).
+        # Phase 1: completions / performs whose time has come (every
+        # one is due exactly now: no advance below ever passes a pending
+        # event).  The due-next bucket first, then the heap; same-cycle
+        # order is immaterial (see module docstring).
+        done = None
         if due_next and due_t <= t:
             done, due_next = due_next, []
-            etime = due_t
-            for i in done:
-                progressed = True
-                if complete_t[i] < 0:
-                    complete_t[i] = etime
-                if acq_wait_l[i] and hw_start.get(i, -1) < 0:
-                    continue
-                if cls_l[i] and not performed[i]:
-                    performed[i] = 1
-                    if store_like_l[i]:
-                        dq = pending_stores.get(addr_l[i])
-                        if dq:
-                            while dq and performed[dq[0]]:
-                                dq.popleft()
-                            if not dq:
-                                del pending_stores[addr_l[i]]
-                if fetch_stalled == i:
-                    fetch_stalled = -1
-                if has_deps[i]:
-                    has_deps[i] = 0
-                    for j in deps_l[i]:
-                        p = pending[j] - 1
-                        pending[j] = p
-                        if not p:
-                            # Inlined wake(j, etime) — dependent wakes
-                            # are the hot edge of every miss return.
-                            ready_t[j] = etime
-                            if store_like_l[j]:
-                                complete_t[j] = etime
-                            else:
-                                fu = fu_l[j]
-                                if fu == _FU_LOAD_STORE:
-                                    insort(lsu_ready, j)
-                                else:
-                                    fu_pending[fu] -= 1
-                                    heappush(fu_ready[fu], j)
-                                    fu_mask |= 1 << fu
         if ev_t <= t:
+            if done is None:
+                done = []
             while events and events[0][0] <= t:
-                etime, i = heappop(events)
-                progressed = True
+                done.append(heappop(events)[1])
+            ev_t = events[0][0] if events else _HUGE
+        if done:
+            progressed = True
+            for i in done:
                 if complete_t[i] < 0:
-                    complete_t[i] = etime
-                if acq_wait_l[i] and hw_start.get(i, -1) < 0:
+                    complete_t[i] = t
+                if head_wait_l[i] and hw_start.get(i, -1) < 0:
                     continue
                 if cls_l[i] and not performed[i]:
                     performed[i] = 1
@@ -480,6 +467,10 @@ def ds_fast_stepper(
                                 dq.popleft()
                             if not dq:
                                 del pending_stores[addr_l[i]]
+                        if live_sync and cls_l[i] == _MC_RELEASE:
+                            yield ReleaseNotify(
+                                net_cpu, sync_ord[i], t, addr_l[i]
+                            )
                 if fetch_stalled == i:
                     fetch_stalled = -1
                 if has_deps[i]:
@@ -488,11 +479,11 @@ def ds_fast_stepper(
                         p = pending[j] - 1
                         pending[j] = p
                         if not p:
-                            # Inlined wake(j, etime) — dependent wakes
-                            # are the hot edge of every miss return.
-                            ready_t[j] = etime
+                            # Inlined wake(j, t) — dependent wakes are
+                            # the hot edge of every miss return.
+                            ready_t[j] = t
                             if store_like_l[j]:
-                                complete_t[j] = etime
+                                complete_t[j] = t
                             else:
                                 fu = fu_l[j]
                                 if fu == _FU_LOAD_STORE:
@@ -501,7 +492,6 @@ def ds_fast_stepper(
                                     fu_pending[fu] -= 1
                                     heappush(fu_ready[fu], j)
                                     fu_mask |= 1 << fu
-            ev_t = events[0][0] if events else _HUGE
 
         # Drop performed stores from the buffer head.
         if store_head < sb_tail:
@@ -616,6 +606,8 @@ def ds_fast_stepper(
                     latency = 1
                 else:
                     if stall > 0 and cls_l[i] == _MC_READ:
+                        if miss_delays is not None:
+                            miss_delays.append(t - decode_t[i])
                         stall = yield MemRequest(addr_l[i], False, t, stall)
                     if prefetch and stall > 0 and ready_t[i] >= 0:
                         stall = max(0, stall - max(0, t - ready_t[i]))
@@ -732,6 +724,7 @@ def ds_fast_stepper(
         # Phase 4: retire in order.
         retired = 0
         stall_reason = None
+        sync_requery = False
         while retired < iw and rob_head < fetch_i:
             h = rob_head
             cls = cls_l[h]
@@ -747,13 +740,51 @@ def ds_fast_stepper(
                 sb_tail += 1
             elif cls >= 3 and not performed[h]:  # ACQUIRE or BARRIER
                 ct = complete_t[h]
-                if acq_wait_l[h] and 0 <= ct <= t and (
+                if head_wait_l[h] and 0 <= ct <= t and (
                     hw_start.get(h, -1) < 0
                 ):
+                    # The wait is charged serially from the moment the
+                    # acquire reaches the head.
+                    w = wait_l[h]
+                    if live_sync:
+                        w = yield SyncRequest(
+                            net_cpu, sync_ord[h], cls, t, w, stall_l[h],
+                            addr_l[h],
+                        )
+                        if w < 0:
+                            # Unresolved: keep cycling (the store buffer
+                            # must stay live) and ask again next cycle.
+                            stall_reason = "sync"
+                            sync_requery = True
+                            break
                     hw_start[h] = t
-                    heappush(events, (t + wait_l[h], h))
-                    if t + wait_l[h] < ev_t:
-                        ev_t = t + wait_l[h]
+                    if w <= 0:
+                        # A live wait resolved to zero: perform now and
+                        # let retirement proceed this cycle.
+                        performed[h] = 1
+                        if fetch_stalled == h:
+                            fetch_stalled = -1
+                        if has_deps[h]:
+                            has_deps[h] = 0
+                            for j in deps_l[h]:
+                                p = pending[j] - 1
+                                pending[j] = p
+                                if not p:  # wake(j, t), as in phase 1
+                                    ready_t[j] = t
+                                    if store_like_l[j]:
+                                        complete_t[j] = t
+                                    else:
+                                        fu = fu_l[j]
+                                        if fu == _FU_LOAD_STORE:
+                                            insort(lsu_ready, j)
+                                        else:
+                                            fu_pending[fu] -= 1
+                                            heappush(fu_ready[fu], j)
+                                            fu_mask |= 1 << fu
+                        continue
+                    heappush(events, (t + w, h))
+                    if t + w < ev_t:
+                        ev_t = t + w
                     stall_reason = "sync"
                 else:
                     stall_reason = blocked("sync", h)
@@ -816,7 +847,9 @@ def ds_fast_stepper(
             else:
                 stall_reason = "other"
 
-        if progressed:
+        if progressed or sync_requery:
+            # An unresolved live sync query pins the advance to one
+            # cycle: the grant can arrive before the next local event.
             cycles = 1
         else:
             # Idle jump.  Preset ops have no events, so the horizon is
@@ -880,9 +913,12 @@ def ds_fast_stepper(
                 sb_hist.observe(occ, weight)
     if spans_dropped:
         probe.metrics.counter("trace.spans_dropped").inc(spans_dropped)
+    extras = {"cycles": t}
+    if miss_delays is not None:
+        extras["read_miss_issue_delays"] = miss_delays
     return ExecutionBreakdown(
         label=label or f"DS-{model.name}-w{window}",
         busy=busy, sync=sync, read=read, write=write, other=other,
         instructions=n,
-        extras={"cycles": t},
+        extras=extras,
     )

@@ -23,10 +23,10 @@ via ``send()``:
   ``None``; the co-simulation engine uses it to resolve cross-processor
   wait edges.
 
-The fast engines issue exactly the :class:`MemRequest` sequence of
-their oracle (``tests/test_fastpath.py`` pins it) and answer their own
-synchronization operations with the trace's baked waits, so only the
-scalar steppers serve live sync.
+The fast engines issue exactly the request sequence of their oracle —
+every :class:`MemRequest`, :class:`SyncRequest` and
+:class:`ReleaseNotify`, field for field, under replayed and live
+answers (``tests/test_fastpath.py`` pins it).
 
 A stepper terminates by returning its
 :class:`~repro.cpu.results.ExecutionBreakdown` (surfaced as

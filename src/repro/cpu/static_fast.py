@@ -39,16 +39,21 @@ once and memoised on ``trace.fastpath_cache`` — a consistency-model
 sweep over one trace pays for them once.
 
 Each model is a resumable stepper (:mod:`repro.cpu.requests`): it
-yields every miss as a :class:`~repro.cpu.requests.MemRequest` at the
-cycle the scalar model would, so standalone replay (:func:`~repro.cpu.
-requests.drive`, behind the ``simulate_*_fast`` names) and the
-co-simulation engine resume it the same way.  Synchronization is
-answered from the trace, not yielded.
+yields every miss as a :class:`~repro.cpu.requests.MemRequest`, every
+acquire and barrier as a :class:`~repro.cpu.requests.SyncRequest` and
+every release as a :class:`~repro.cpu.requests.ReleaseNotify`, at the
+cycle the scalar model would — every synchronization row is a sparse
+event, and every window is computed from the current ``t``, so a live
+wait needs no state a replayed one does not.  Standalone replay
+(:func:`~repro.cpu.requests.drive`, behind the ``simulate_*_fast``
+names) and the co-simulation engine resume it the same way.
 
-Probed runs (buffer-depth histograms observe *every* push) delegate to
-the scalar steppers so the histograms stay exact; results are
-byte-identical either way.  The scalar implementations remain the
-differential oracle — see ``tests/test_fastpath.py``.
+Probed runs stay on this path: the depth histograms are commutative,
+processed pushes and read issues observe inline, and a skipped clean
+hit-write always leaves exactly one live entry, so all of them are one
+weighted ``observe(1, n_skipped)`` at the end.  The scalar
+implementations are the differential oracle — see
+``tests/test_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -63,15 +68,13 @@ from ..consistency import ConsistencyModel
 from ..isa import MemClass
 from ..tango import Trace
 from .kernels import mem_event_rows, reg_use_rows
-from .requests import MemRequest, drive
+from .requests import MemRequest, ReleaseNotify, SyncRequest, drive
 from .results import ExecutionBreakdown
 from .static import (
     READ_BUFFER_DEPTH,
     WRITE_BUFFER_DEPTH,
     WriteBuffer,
     _buffer_histogram,
-    ss_stepper,
-    ssbr_stepper,
 )
 
 _MC_NONE = int(MemClass.NONE)
@@ -95,7 +98,7 @@ class _TraceIndex:
         "n", "ev_l", "n_ev", "cls_l", "stall_l", "wait_l", "addr_l",
         "rd_l", "rs1_l", "rs2_l", "sp_l", "n_sp", "write_pos_l",
         "read_posm_l", "read_rows_l", "read_pos_l", "pos_of_row",
-        "users", "ds",
+        "users", "ds", "sync_ord", "n_stores",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -124,6 +127,17 @@ class _TraceIndex:
             (stall_ev > 0) | (mc_ev >= _MC_ACQUIRE)
         )[0].tolist()
         self.n_sp = len(self.sp_l)
+        #: Event position -> ordinal among the synchronization-class
+        #: rows, the key of the recorded sync schedule (sync rows only).
+        self.sync_ord = {
+            p: k for k, p in enumerate(
+                np.nonzero(mc_ev >= _MC_ACQUIRE)[0].tolist()
+            )
+        }
+        #: Rows that push the write buffer (writes and releases).
+        self.n_stores = int(
+            np.count_nonzero((mc_ev == _MC_WRITE) | (mc_ev == _MC_RELEASE))
+        )
         positions = np.arange(n_ev)
         # Position of the last write / last read at or before each
         # position, for the lazy folds over skipped clean rows.
@@ -157,42 +171,54 @@ def base_fast_stepper(
     trace: Trace, label: str = "BASE", clamp_time: bool = False
 ):
     """BASE over its sparse events only, as a resumable stepper (drop-in
-    for :func:`repro.cpu.base.base_stepper` under replayed sync).
+    for :func:`repro.cpu.base.base_stepper`).
 
-    Each miss is still requested serially at the exact cycle the scalar
-    model reaches it (whoever answers may be stateful); every other row,
-    hits included, only advances the clock by one.
+    Each miss and each synchronization operation is still requested
+    serially at the exact cycle the scalar model reaches it (whoever
+    answers may be stateful); every other row, hits included, only
+    advances the clock by one.  The sparse rows are one column scan per
+    run, not the shared :class:`_TraceIndex`: a trace build computes its
+    BASE breakdown and must not pay for (or keep) the other models'
+    tables.
     """
     n = len(trace)
+    cpu = trace.cpu
     sync = read = write = 0
     if n:
-        idx = _trace_index(trace)
-        ev_l, cls_l = idx.ev_l, idx.cls_l
-        stall_l, wait_l, addr_l = idx.stall_l, idx.wait_l, idx.addr_l
+        cols = trace.np_columns()
+        addr_np, stall_np, wait_np, mc_np = cols[6], cols[7], cols[8], cols[9]
+        sparse = np.nonzero(
+            (mc_np >= _MC_ACQUIRE) | ((mc_np > 0) & (stall_np > 0))
+        )[0]
         t = 0
         prev = -1
-        for p in idx.sp_l:
-            i = ev_l[p]
+        ordinal = 0
+        for i, cls, stall, wait, addr in zip(
+            sparse.tolist(), mc_np[sparse].tolist(),
+            stall_np[sparse].tolist(), wait_np[sparse].tolist(),
+            addr_np[sparse].tolist(),
+        ):
             t += i - prev
             prev = i
-            cls = cls_l[p]
-            stall = stall_l[p]
             if cls == _MC_READ:  # sparse reads and writes are misses
-                lat = yield MemRequest(addr_l[p], False, t, stall)
+                lat = yield MemRequest(addr, False, t, stall)
                 read += lat
                 t += lat
             elif cls == _MC_WRITE:
-                lat = yield MemRequest(addr_l[p], True, t, stall)
+                lat = yield MemRequest(addr, True, t, stall)
                 write += lat
                 t += lat
             elif cls == _MC_RELEASE:
                 write += stall
                 t += stall
+                yield ReleaseNotify(cpu, ordinal, t, addr)
+                ordinal += 1
             else:  # acquire or barrier
-                wait = wait_l[p]
-                sync += wait + stall
-                if not clamp_time or wait + stall > 0:
-                    t += wait + stall
+                w = yield SyncRequest(cpu, ordinal, cls, t, wait, stall, addr)
+                ordinal += 1
+                sync += w + stall
+                if not clamp_time or w + stall > 0:
+                    t += w + stall
     return ExecutionBreakdown(
         label=label, busy=n, sync=sync, read=read, write=write,
         instructions=n,
@@ -202,27 +228,7 @@ def base_fast_stepper(
 def simulate_base_fast(
     trace: Trace, label: str = "BASE", network=None
 ) -> ExecutionBreakdown:
-    """BASE as pure column arithmetic (drop-in for ``simulate_base``).
-
-    Without a network nothing listens to the misses and the breakdown
-    is three masked sums; with one, :func:`base_fast_stepper` is driven
-    against it.
-    """
-    n = len(trace)
-    if n and network is None:
-        cols = trace.np_columns()
-        stall_np, wait_np, mc_np = cols[7], cols[8], cols[9]
-        stall64 = stall_np.astype(np.int64)
-        read = int(stall64[mc_np == _MC_READ].sum())
-        write = int(
-            stall64[(mc_np == _MC_WRITE) | (mc_np == _MC_RELEASE)].sum()
-        )
-        sync_mask = (mc_np == _MC_ACQUIRE) | (mc_np == _MC_BARRIER)
-        sync = int(stall64[sync_mask].sum() + wait_np[sync_mask].sum())
-        return ExecutionBreakdown(
-            label=label, busy=n, sync=sync, read=read, write=write,
-            instructions=n,
-        )
+    """Drop-in for ``simulate_base``: drives :func:`base_fast_stepper`."""
     stepper = base_fast_stepper(
         trace, label=label, clamp_time=network is not None
     )
@@ -250,19 +256,14 @@ def ssbr_fast_stepper(
     probe=None,
 ):
     """SSBR over sparse events only, as a resumable stepper (drop-in for
-    :func:`repro.cpu.static.ssbr_stepper` under replayed sync: it
-    suspends at the same misses, at the same cycles, and answers its own
-    sync operations with the trace's baked waits)."""
-    if _buffer_histogram(
-        probe, "static.write_buffer_depth", write_buffer_depth
-    ) is not None:
-        # Depth histograms observe every push; keep them exact.
-        return (yield from ssbr_stepper(
-            trace, model, label=label,
-            write_buffer_depth=write_buffer_depth,
-            clamp_time=clamp_time, probe=probe,
-        ))
+    :func:`repro.cpu.static.ssbr_stepper`: it suspends at the same
+    misses, acquires and releases, at the same cycles)."""
+    cpu = trace.cpu
     buf = WriteBuffer(model, write_buffer_depth)
+    wb_hist = _buffer_histogram(
+        probe, "static.write_buffer_depth", write_buffer_depth
+    )
+    pushes = 0  # pushes observed inline; the skipped rest observe 1
     n = len(trace)
     t = 0
     busy = n  # one busy cycle per retired row, unconditionally
@@ -275,7 +276,7 @@ def ssbr_fast_stepper(
         idx = _trace_index(trace)
         ev_l, cls_l, stall_l = idx.ev_l, idx.cls_l, idx.stall_l
         wait_l, addr_l, sp_l = idx.wait_l, idx.addr_l, idx.sp_l
-        write_pos_l = idx.write_pos_l
+        write_pos_l, sync_ord = idx.write_pos_l, idx.sync_ord
         n_ev, n_sp = idx.n_ev, idx.n_sp
         pos = 0   # first unprocessed event position (dense cursor)
         si = 0    # sparse cursor
@@ -327,12 +328,17 @@ def ssbr_fast_stepper(
                     t, stall, addr_l[p], perform_floor=floor
                 )
                 write += full_stall
+                if wb_hist is not None:
+                    wb_hist.observe(len(buf._entries))
+                    pushes += 1
                 if cls == _MC_RELEASE:
                     last_release_perform = max(
                         last_release_perform, buf.last_perform
                     )
+                    yield ReleaseNotify(
+                        cpu, sync_ord[p], buf.last_perform, addr_l[p]
+                    )
             else:  # acquire or barrier
-                wait = wait_l[p]
                 if cls == _MC_BARRIER or not bypass:
                     drained = buf.drain_time()
                     if drained > t:
@@ -341,13 +347,18 @@ def ssbr_fast_stepper(
                 elif req_rel_acq and last_release_perform > t:
                     write += last_release_perform - t
                     t = last_release_perform
-                sync += wait + stall
-                if not clamp_time or wait + stall > 0:
-                    t += wait + stall
+                w = yield SyncRequest(
+                    cpu, sync_ord[p], cls, t, wait_l[p], stall, addr_l[p]
+                )
+                sync += w + stall
+                if not clamp_time or w + stall > 0:
+                    t += w + stall
         # Rows after the last processed event advance time one cycle
         # each; trailing clean hit-writes free before the end of trace,
         # so the final drain below sees them already retired.
         t += (n - 1) - prev
+        if wb_hist is not None and idx.n_stores > pushes:
+            wb_hist.observe(1, idx.n_stores - pushes)
     drained = buf.drain_time()
     if drained > t:
         write += drained - t
@@ -387,22 +398,16 @@ def ss_fast_stepper(
 ):
     """SS over sparse + dynamically discovered events, as a resumable
     stepper (see :func:`ssbr_fast_stepper`; drop-in for
-    :func:`repro.cpu.static.ss_stepper` under replayed sync)."""
-    if (
-        _buffer_histogram(
-            probe, "static.write_buffer_depth", write_buffer_depth
-        ) is not None
-        or _buffer_histogram(
-            probe, "static.read_buffer_depth", read_buffer_depth
-        ) is not None
-    ):
-        return (yield from ss_stepper(
-            trace, model, label=label,
-            write_buffer_depth=write_buffer_depth,
-            read_buffer_depth=read_buffer_depth,
-            clamp_time=clamp_time, probe=probe,
-        ))
+    :func:`repro.cpu.static.ss_stepper`)."""
+    cpu = trace.cpu
     buf = WriteBuffer(model, write_buffer_depth)
+    wb_hist = _buffer_histogram(
+        probe, "static.write_buffer_depth", write_buffer_depth
+    )
+    rb_hist = _buffer_histogram(
+        probe, "static.read_buffer_depth", read_buffer_depth
+    )
+    pushes = 0  # pushes observed inline; the skipped rest observe 1
     n = len(trace)
     reg_ready: dict[int, int] = {}
     outstanding: deque[int] = deque()
@@ -423,6 +428,7 @@ def ss_fast_stepper(
         write_pos_l, read_posm_l = idx.write_pos_l, idx.read_posm_l
         read_rows_l, read_pos_l = idx.read_rows_l, idx.read_pos_l
         pos_of_row, users = idx.pos_of_row, idx.users
+        sync_ord = idx.sync_ord
         n_ev, n_sp = idx.n_ev, idx.n_sp
         # Non-memory rows that may stall on a pending register.
         dyn: list[int] = []
@@ -595,6 +601,8 @@ def ss_fast_stepper(
                 last_read_perform = max(last_read_perform, perform)
                 if perform > t:
                     outstanding.append(perform)
+                    if rb_hist is not None:
+                        rb_hist.observe(len(outstanding))
                     rd = rd_l[p]
                     if rd >= 0:
                         reg_ready[rd] = perform
@@ -671,6 +679,8 @@ def ss_fast_stepper(
                                 last_read_perform = perform
                             if perform > t:
                                 outstanding.append(perform)
+                                if rb_hist is not None:
+                                    rb_hist.observe(len(outstanding))
                                 rd = rd_l[rp]
                                 if rd >= 0:
                                     reg_ready[rd] = perform
@@ -692,12 +702,17 @@ def ss_fast_stepper(
                     t, stall, addr_l[p], perform_floor=floor
                 )
                 write += full_stall
+                if wb_hist is not None:
+                    wb_hist.observe(len(buf._entries))
+                    pushes += 1
                 if cls == _MC_RELEASE:
                     last_release_perform = max(
                         last_release_perform, buf.last_perform
                     )
+                    yield ReleaseNotify(
+                        cpu, sync_ord[p], buf.last_perform, addr_l[p]
+                    )
             else:  # acquire or barrier
-                wait = wait_l[p]
                 if cls == _MC_BARRIER or not bypass:
                     reads_done = max(outstanding) if outstanding else 0
                     if reads_done > t:
@@ -713,10 +728,13 @@ def ss_fast_stepper(
                 elif serialize_reads and last_read_perform > t:
                     read += last_read_perform - t
                     t = last_read_perform
-                sync += wait + stall
-                if not clamp_time or wait + stall > 0:
-                    t += wait + stall
-                    if wait + stall < 0:
+                w = yield SyncRequest(
+                    cpu, sync_ord[p], cls, t, wait_l[p], stall, addr_l[p]
+                )
+                sync += w + stall
+                if not clamp_time or w + stall > 0:
+                    t += w + stall
+                    if w + stall < 0:
                         # Time jumped backwards: monotone-t windows no
                         # longer bound later rows; re-arm everything
                         # still pending from here.
@@ -733,6 +751,8 @@ def ss_fast_stepper(
                             arm_reads(i, last_read_perform - t)
                 outstanding.clear()
         t += (n - 1) - prev
+        if wb_hist is not None and idx.n_stores > pushes:
+            wb_hist.observe(1, idx.n_stores - pushes)
     reads_done = max(outstanding) if outstanding else 0
     if reads_done > t:
         read += reads_done - t

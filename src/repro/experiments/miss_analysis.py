@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..consistency import get_model
-from ..cpu.ds import DSConfig, DSProcessor
+import numpy as np
+
+from ..cpu import ProcessorConfig, simulate
+from ..isa import MemClass
 from .report import format_table
 from .runner import TraceStore, default_store
 
@@ -53,23 +55,24 @@ def run_miss_analysis(
     window: int = 64,
 ) -> list[MissAnalysis]:
     store = store or default_store()
+    config = ProcessorConfig(
+        kind="ds", model="RC", window=window, perfect_bp=True,
+        ds={"collect_miss_stats": True},
+    )
     results = []
     for run in store.all_apps():
-        proc = DSProcessor(
-            run.trace,
-            get_model("RC"),
-            DSConfig(
-                window=window,
-                perfect_branch_prediction=True,
-                collect_miss_stats=True,
-            ),
-        )
-        proc.run()
+        breakdown = simulate(run.trace, config)
+        # The spacing is a property of the trace alone: every read miss
+        # is decoded, in program order, whatever the timing.
+        cols = run.trace.np_columns()
+        miss_rows = np.nonzero(
+            (cols[9] == int(MemClass.READ)) & (cols[7] > 0)
+        )[0]
         results.append(
             MissAnalysis(
                 app=run.app,
-                issue_delays=proc.read_miss_issue_delays,
-                distances=proc.read_miss_distances,
+                issue_delays=breakdown.extras["read_miss_issue_delays"],
+                distances=np.diff(miss_rows).tolist(),
             )
         )
     return results

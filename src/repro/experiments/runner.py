@@ -33,12 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..apps import APP_NAMES, build_app
-from ..cpu import (
-    ExecutionBreakdown,
-    ProcessorConfig,
-    simulate,
-    simulate_base,
-)
+from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
+from ..cpu import simulate_base_fast as simulate_base
 from ..tango import (
     MultiprocessorConfig,
     RunStats,

@@ -11,9 +11,7 @@ speculative loads, with both — alongside plain RC as the ceiling.
 
 from __future__ import annotations
 
-from ..consistency import get_model
-from ..cpu import ExecutionBreakdown
-from ..cpu.ds import DSConfig, DSProcessor
+from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
 from .report import format_breakdowns
 from .runner import TraceStore, default_store
 
@@ -24,29 +22,28 @@ def run_sc_boost(
     apps: tuple[str, ...] | None = None,
 ) -> dict[str, list[ExecutionBreakdown]]:
     store = store or default_store()
-    sc = get_model("SC")
-    rc = get_model("RC")
     result = {}
     for run in store.all_apps():
         if apps is not None and run.app not in apps:
             continue
         variants = [
             ("BASE", None, {}),
-            (f"DS-SC-w{window}", sc, {}),
-            (f"DS-SC-w{window}+pf", sc, {"prefetch": True}),
-            (f"DS-SC-w{window}+spec", sc, {"speculative_loads": True}),
-            (f"DS-SC-w{window}+pf+spec", sc,
+            (f"DS-SC-w{window}", "SC", {}),
+            (f"DS-SC-w{window}+pf", "SC", {"prefetch": True}),
+            (f"DS-SC-w{window}+spec", "SC", {"speculative_loads": True}),
+            (f"DS-SC-w{window}+pf+spec", "SC",
              {"prefetch": True, "speculative_loads": True}),
-            (f"DS-RC-w{window}", rc, {}),
+            (f"DS-RC-w{window}", "RC", {}),
         ]
         runs = []
         for label, model, extra in variants:
             if model is None:
                 runs.append(run.base)
                 continue
-            breakdown = DSProcessor(
-                run.trace, model, DSConfig(window=window, **extra)
-            ).run(label=label)
+            breakdown = simulate(run.trace, ProcessorConfig(
+                kind="ds", model=model, window=window, ds=extra
+            ))
+            breakdown.label = label  # names the boost, not just the model
             runs.append(breakdown)
         result[run.app] = runs
     return result

@@ -88,11 +88,9 @@ def validate_manifest(obj) -> list[str]:
             errors.append(f"{name} is not an object")
     config = obj.get("config")
     if isinstance(config, dict):
-        # A run is not reproducible without knowing which simulation
-        # engine and interconnect backend produced it.  Batch manifests
-        # record the swept set as "networks" (plural).
-        if "engine" not in config:
-            errors.append("config missing 'engine'")
+        # A run is not reproducible without knowing which interconnect
+        # backend produced it.  Batch manifests record the swept set as
+        # "networks" (plural).
         if "network" not in config and "networks" not in config:
             errors.append("config missing 'network' (or 'networks')")
     for label, entry in (obj.get("outputs") or {}).items():

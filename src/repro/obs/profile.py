@@ -65,16 +65,6 @@ class ProfileResult:
         return not self.errors
 
 
-def _processor_config(
-    kind: str, model: str, window: int, engine: str | None = None
-) -> ProcessorConfig:
-    if engine is None:
-        return ProcessorConfig(kind=kind, model=model, window=window)
-    return ProcessorConfig(
-        kind=kind, model=model, window=window, engine=engine
-    )
-
-
 def _fresh_network(network: str, store):
     return build_network(network, store.n_procs, store.line_size)
 
@@ -86,7 +76,6 @@ def run_profile(
     model: str = "RC",
     window: int = 64,
     network: str = "ideal",
-    engine: str | None = None,
     trace: bool = True,
     metrics: bool = True,
     out_dir: Path | str = "results/profiles",
@@ -96,19 +85,13 @@ def run_profile(
 
     ``store`` is a :class:`~repro.experiments.runner.TraceStore`
     (it pins processor count, miss penalty, preset and cache dir).
-    ``engine`` selects the simulation engine (``fast``/``reference``;
-    None resolves the process default) and is recorded in the run
-    manifest, which :func:`~repro.obs.manifest.validate_manifest`
-    requires.  ``trace``/``metrics`` gate the two instrumentation
+    ``trace``/``metrics`` gate the two instrumentation
     channels; the report always renders (from an in-memory registry).
     Returns a :class:`ProfileResult`; ``errors`` carries any
     trace/manifest validation failures.
     """
-    from .. import cpu
-
     kind = kind.lower()
     model = model.upper()
-    engine = (engine or cpu.DEFAULT_ENGINE).lower()
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -119,13 +102,14 @@ def run_profile(
     t0 = time.perf_counter()
     if kind == "base":
         sweep = [simulate(
-            run.trace, _processor_config("base", "RC", window, engine),
+            run.trace, ProcessorConfig(kind="base", window=window),
             network=_fresh_network(network, store),
         )]
     else:
         sweep = [
             simulate(
-                run.trace, _processor_config(kind, m, window, engine),
+                run.trace,
+                ProcessorConfig(kind=kind, model=m, window=window),
                 network=_fresh_network(network, store),
             )
             for m in PROFILE_MODELS
@@ -140,8 +124,8 @@ def run_profile(
     net = _fresh_network(network, store)
     if net is not None:
         net.attach_probe(probe)
-    primary_cfg = _processor_config(
-        kind, "RC" if kind == "base" else model, window, engine
+    primary_cfg = ProcessorConfig(
+        kind=kind, model="RC" if kind == "base" else model, window=window
     )
     primary = simulate(run.trace, primary_cfg, network=net, probe=probe)
     if net is not None:
@@ -165,7 +149,6 @@ def run_profile(
         "model": model,
         "window": window,
         "network": network,
-        "engine": engine,
         "n_procs": store.n_procs,
         "miss_penalty": store.miss_penalty,
         "preset": store.preset,

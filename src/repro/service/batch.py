@@ -68,8 +68,7 @@ def run_sweep_job(job: SweepJob, store):
 
         crun = store.get_cosim(job.app)
         cfg = ProcessorConfig(
-            kind="ds", model=job.model, window=job.window,
-            engine=job.engine,
+            kind="ds", model=job.model, window=job.window
         )
         result = run_cosim(
             crun, cfg, network_kind=job.network,
@@ -95,7 +94,6 @@ def run_sweep_job(job: SweepJob, store):
         kind=job.kind,
         model=job.model if job.kind != "base" else "RC",
         window=job.window,
-        engine=job.engine,
     )
     # Like the contention experiment: traces come from the shared ideal
     # cache; a non-ideal backend re-times misses at replay.
@@ -540,7 +538,6 @@ def run_batch(
             "max_attempts": max_attempts,
             "seed": seed,
             "n_sweep_jobs": len(sweep),
-            "engine": ",".join(sorted({job.engine for job in sweep})),
             "networks": sorted({job.network for job in sweep}),
         },
         timings={"total": t_end - t_start},

@@ -36,15 +36,9 @@ class SweepJob:
     penalty: int = 50
     procs: int = 16
     preset: str = "default"
-    engine: str = "fast"
 
     def config(self) -> dict:
-        """The canonical, JSON-able config this job is addressed by.
-
-        The ``engine`` knob is deliberately excluded: fast and
-        reference engines are byte-identical by contract, so their
-        results share one record.
-        """
+        """The canonical, JSON-able config this job is addressed by."""
         return {
             "app": self.app,
             "kind": self.kind,
@@ -108,7 +102,6 @@ def expand_grid(
     *,
     procs: int = 16,
     preset: str = "default",
-    engine: str = "fast",
 ) -> list[SweepJob]:
     """Expand a config grid into deduplicated jobs, in grid order.
 
@@ -133,7 +126,6 @@ def expand_grid(
                                 penalty=penalty,
                                 procs=procs,
                                 preset=preset,
-                                engine=engine,
                             )
                             ckey = tuple(sorted(job.config().items()))
                             if ckey not in seen:
@@ -163,7 +155,7 @@ def shard(jobs: list, n_shards: int) -> list[list]:
 #: Grid-axis fields of a submission request (plural, list-valued).
 GRID_AXES = ("apps", "kinds", "models", "windows", "networks", "penalties")
 #: Scalar fields shared by every job of a submission.
-GRID_SCALARS = ("procs", "preset", "engine")
+GRID_SCALARS = ("procs", "preset")
 
 
 def sweep_from_request(payload: dict) -> list[SweepJob]:
@@ -240,5 +232,4 @@ def sweep_from_request(payload: dict) -> list[SweepJob]:
         penalties=_axis("penalties", [50]),
         procs=payload.get("procs", 16),
         preset=payload.get("preset", "default"),
-        engine=payload.get("engine", "fast"),
     )

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -29,6 +33,26 @@ class TestParser:
                      "compiler-sched", "miss-analysis", "multi-issue"):
             args = parser.parse_args([name])
             assert args.command == name
+
+
+class TestDegenerateConfig:
+    def test_zero_window_exits_bad_config_not_spins(self, tmp_path):
+        """`cosim --kind ds --window 0` used to spin until killed; it
+        must exit 3 with one line (a subprocess, so a regression fails
+        on the timeout instead of hanging the suite)."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--preset", "tiny",
+             "--procs", "4", "--cache-dir", str(tmp_path),
+             "cosim", "lu", "--kind", "ds", "--window", "0"],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: window must be at least 1, got 0"
+        ]
 
 
 class TestVerifyCommand:

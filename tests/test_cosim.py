@@ -4,32 +4,34 @@ Covers the acceptance criteria of the co-simulation engine:
 
 * **ideal differential** — co-simulating on the ideal fabric reproduces
   the existing fixed-penalty per-model cycle counts exactly, for every
-  processor kind and for both engines;
+  processor kind, for the product's nodes and for oracle-built ones;
 * **live feedback** — under a shared mesh, per-access latencies differ
   from the post-hoc ``contention`` replay of the same trace (the fabric
   carries all processors' load at once, so feedback is live);
 * **determinism** — same config ⇒ byte-identical per-processor cycle
-  counts and miss-latency sequences across repeated runs and across
-  ``--engine {fast,reference}``;
+  counts and miss-latency sequences across repeated runs, and against
+  nodes built from the scalar oracles (``tests/oracles.py``), under
+  replayed and live sync on every fabric;
 * the live sync mode (schedule-resolved waits), the multicontext
   stepper's cosim participation, the ``contention`` experiment's reuse
   of the solo-replay path, the ``cosim`` batch job kind, and the CLI
   subcommand's manifest validation.
 """
 
-import dataclasses
 import json
 import threading
 
 import pytest
+from oracles import reference_cosim, reference_stepper
 
+from repro.apps import APP_NAMES
 from repro.cosim import (
     CosimEngine,
     CosimNode,
     replay_solo,
     run_cosim,
 )
-from repro.cpu import ProcessorConfig, simulate
+from repro.cpu import ProcessorConfig, drive, simulate
 from repro.experiments.runner import TraceStore
 from repro.obs import ChromeTracer, MetricsRegistry, Probe
 
@@ -52,10 +54,6 @@ def cosim_store(tmp_path_factory):
 @pytest.fixture(scope="session")
 def lu_cosim(cosim_store):
     return cosim_store.get_cosim("lu")
-
-
-def _config(kind_config, engine):
-    return dataclasses.replace(kind_config, engine=engine)
 
 
 class TestSyncSchedule:
@@ -97,11 +95,20 @@ class TestIdealDifferential:
     def test_matches_standalone_simulation(
         self, lu_cosim, kind_config, engine
     ):
-        cfg = _config(kind_config, engine)
-        standalone = [
-            simulate(trace, cfg).total for trace in lu_cosim.traces
-        ]
-        result = run_cosim(lu_cosim, cfg, network_kind="ideal")
+        if engine == "fast":
+            standalone = [
+                simulate(trace, kind_config).total
+                for trace in lu_cosim.traces
+            ]
+            result = run_cosim(lu_cosim, kind_config, network_kind="ideal")
+        else:
+            standalone = [
+                drive(
+                    reference_stepper(trace, kind_config), cpu=trace.cpu
+                ).total
+                for trace in lu_cosim.traces
+            ]
+            result = reference_cosim(lu_cosim, kind_config)
         assert result.cycles() == standalone
 
     def test_full_breakdowns_match(self, lu_cosim):
@@ -128,11 +135,11 @@ class TestSharedFabric:
         self, cosim_store, lu_cosim, kind_config, network_kind
     ):
         fast = run_cosim(
-            lu_cosim, _config(kind_config, "fast"),
+            lu_cosim, kind_config,
             network_kind=network_kind, line_size=cosim_store.line_size,
         )
-        ref = run_cosim(
-            lu_cosim, _config(kind_config, "reference"),
+        ref = reference_cosim(
+            lu_cosim, kind_config,
             network_kind=network_kind, line_size=cosim_store.line_size,
         )
         assert fast.cycles() == ref.cycles()
@@ -150,29 +157,34 @@ class TestSharedFabric:
         """The metrics an instrumented run leaves behind — keys and
         values, the per-node ``breakdown.*`` counters and the count of
         spans dropped past a (here deliberately small) budget included
-        — are engine-blind."""
-        def observe(engine):
+        — are engine-blind, under replayed and live sync."""
+        def observe(cosim, sync_mode):
             probe = Probe(
                 metrics=MetricsRegistry(), tracer=ChromeTracer(),
                 span_limit=2_000,
             )
-            run_cosim(
-                lu_cosim, _config(kind_config, engine),
-                network_kind=network_kind,
-                line_size=cosim_store.line_size, probe=probe,
+            cosim(
+                lu_cosim, kind_config, network_kind=network_kind,
+                line_size=cosim_store.line_size, sync_mode=sync_mode,
+                probe=probe,
             )
             return probe
 
-        fast, ref = observe("fast"), observe("reference")
-        metrics = fast.metrics.snapshot()
-        assert metrics == ref.metrics.snapshot()
-        prefix = f"breakdown.{kind_config.label()}."
-        published = {k for k in metrics["counters"] if k.startswith(prefix)}
-        assert published == {
-            prefix + name for name in
-            ("busy", "sync", "read", "write", "other", "instructions")
-        }
-        assert fast.span_budget == ref.span_budget
+        for sync_mode in ("replay", "live"):
+            fast = observe(run_cosim, sync_mode)
+            ref = observe(reference_cosim, sync_mode)
+            metrics = fast.metrics.snapshot()
+            assert metrics == ref.metrics.snapshot()
+            prefix = f"breakdown.{kind_config.label()}."
+            published = {
+                k for k in metrics["counters"] if k.startswith(prefix)
+            }
+            assert published == {
+                prefix + name for name in
+                ("busy", "sync", "read", "write", "other", "instructions")
+            }
+            assert fast.tracer.events == ref.tracer.events
+            assert fast.span_budget == ref.span_budget
 
     def test_fast_engines_need_no_threads(
         self, monkeypatch, cosim_store, lu_cosim
@@ -284,6 +296,38 @@ class TestLiveSync:
         for waits in runs[0].sync_waits:
             assert len(waits) > 0
 
+    @staticmethod
+    def _agree(store, crun, config, network_kind):
+        fast, ref = (
+            cosim(
+                crun, config, network_kind=network_kind,
+                line_size=store.line_size, sync_mode="live",
+            )
+            for cosim in (run_cosim, reference_cosim)
+        )
+        assert fast.breakdowns == ref.breakdowns
+        assert fast.miss_latencies == ref.miss_latencies
+        assert fast.sync_waits == ref.sync_waits
+        assert fast.net_summary == ref.net_summary
+
+    @pytest.mark.parametrize("network_kind", ("ideal", "crossbar", "mesh"))
+    @pytest.mark.parametrize(
+        "kind_config", KIND_CONFIGS, ids=lambda c: c.kind
+    )
+    def test_agrees_with_reference_nodes(
+        self, cosim_store, lu_cosim, kind_config, network_kind
+    ):
+        """Live sync runs on the product's engines: every outcome equals
+        that of nodes built from the scalar oracles."""
+        self._agree(cosim_store, lu_cosim, kind_config, network_kind)
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_ds_agrees_with_reference_on_every_app(self, cosim_store, app):
+        self._agree(
+            cosim_store, cosim_store.get_cosim(app), KIND_CONFIGS[-1],
+            "mesh",
+        )
+
     def test_live_differs_from_replay(self, cosim_store, lu_cosim):
         cfg = ProcessorConfig(kind="ds", model="RC", window=64)
         live = run_cosim(
@@ -351,22 +395,16 @@ class TestContentionReuse:
         from repro.net import build_network
 
         run = cosim_store.get("lu")
-        for engine in ("fast", "reference"):
-            for kind in ("ideal", "mesh"):
-                cfg = ProcessorConfig(
-                    kind="ds", model="RC", window=64, engine=engine
-                )
-                net = build_network(
-                    kind, N_PROCS, cosim_store.line_size
-                )
-                direct = simulate(run.trace, cfg, network=net)
-                solo_bd, solo_net = replay_solo(
-                    run.trace, cfg, kind, N_PROCS,
-                    cosim_store.line_size,
-                )
-                assert direct.components() == solo_bd.components()
-                if net is not None:
-                    assert net.latencies == solo_net.latencies
+        cfg = ProcessorConfig(kind="ds", model="RC", window=64)
+        for kind in ("ideal", "mesh"):
+            net = build_network(kind, N_PROCS, cosim_store.line_size)
+            direct = simulate(run.trace, cfg, network=net)
+            solo_bd, solo_net = replay_solo(
+                run.trace, cfg, kind, N_PROCS, cosim_store.line_size,
+            )
+            assert direct.components() == solo_bd.components()
+            if net is not None:
+                assert net.latencies == solo_net.latencies
 
     def test_contention_report_columns_unchanged(self, cosim_store):
         from repro.experiments.contention import (

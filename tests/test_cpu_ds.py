@@ -262,6 +262,33 @@ class TestMultiIssue:
         assert w128.total <= w64.total
 
 
+class TestDegenerateConfigs:
+    """A window, width, BTB or store buffer with no entries can never
+    retire anything; construction refuses instead of the loop spinning."""
+
+    @pytest.mark.parametrize("field", (
+        "window", "issue_width", "btb_entries", "btb_assoc",
+        "store_buffer_depth",
+    ))
+    def test_rejected_at_construction(self, field):
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match=field):
+                DSConfig(**{field: bad})
+        assert getattr(DSConfig(**{field: 1}), field) == 1
+
+    def test_processor_config_fields_that_feed_it(self):
+        from repro.cpu import ProcessorConfig
+
+        with pytest.raises(ValueError, match="window"):
+            ProcessorConfig(kind="ds", window=0)
+        with pytest.raises(ValueError, match="issue_width"):
+            ProcessorConfig(kind="ds", issue_width=0)
+        with pytest.raises(ValueError, match="store_buffer_depth"):
+            ProcessorConfig(kind="ds", ds={"store_buffer_depth": 0})
+        # The window is not an input of the static models.
+        assert ProcessorConfig(kind="ss", window=0).label() == "SS-RC"
+
+
 class TestInstrumentation:
     def test_miss_stats_collected(self):
         tb = TraceBuilder()

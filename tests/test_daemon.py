@@ -147,6 +147,8 @@ class TestSweepFromRequest:
         {"jobs": [{"kind": "ds"}]},                 # missing app
         {"jobs": [{"app": "lu"}], "apps": ["lu"]},  # mixed forms
         {"kinds": ["warp-drive"]},
+        {"apps": ["lu"], "engine": "fast"},         # no such knob
+        {"jobs": [{"app": "lu", "engine": "fast"}]},
     ])
     def test_malformed_rejected(self, payload):
         with pytest.raises(ValueError):

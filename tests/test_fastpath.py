@@ -7,30 +7,32 @@ results exactly — trace for trace, counter for counter, byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import record, reference_stepper
 from trace_helpers import TraceBuilder
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
 from repro.cli import main
 from repro.consistency import get_model
-from repro.cosim import build_node
+from repro.cosim import build_node, run_cosim
 from repro.experiments import (
     TraceStore,
     figure3_configs,
     generate_traces,
+    run_miss_analysis,
+    run_sc_boost,
     simulate_app_models,
 )
 from repro.cpu import (
-    MemRequest,
+    DSProcessor,
     ProcessorConfig,
-    SyncRequest,
+    drive,
     make_stepper,
     simulate,
     simulate_base,
@@ -44,7 +46,8 @@ from repro.cpu import (
 )
 from repro.cpu.ds import DSConfig
 from repro.net import build_network
-from repro.obs import ChromeTracer, MetricsRegistry, Probe
+from repro.obs import ChromeTracer, MetricsRegistry, Probe, run_profile
+from repro.service import sweep_from_request
 from repro.tango.trace import TRACE_FORMAT_VERSION
 from repro.verify import ExecutionRecorder
 
@@ -236,9 +239,11 @@ class TestDSEventEngine:
                 return (None if network == "ideal"
                         else build_network("mesh", 16, 16))
 
-            ref = simulate_ds(lu_trace, model, DSConfig(network=net(), **kw))
+            ref = simulate_ds(
+                lu_trace, model, DSConfig(**kw), network=net()
+            )
             fast = simulate_ds_fast(
-                lu_trace, model, DSConfig(network=net(), **kw)
+                lu_trace, model, DSConfig(**kw), network=net()
             )
             assert fast == ref, kw
 
@@ -256,8 +261,8 @@ class TestDSEventEngine:
             if net is not None:
                 net.attach_probe(probe)
             breakdown = fn(
-                lu_trace, model, DSConfig(window=64, network=net),
-                probe=probe,
+                lu_trace, model, DSConfig(window=64), probe=probe,
+                network=net,
             )
             return breakdown, probe
 
@@ -269,33 +274,95 @@ class TestDSEventEngine:
         assert fast_probe.tracer.events == ref_probe.tracer.events
         assert fast_probe.span_budget == ref_probe.span_budget
 
+    def test_miss_stats_match_scalar(self, lu_trace):
+        """`collect_miss_stats`: the issue delay of every read miss, in
+        issue order, as the oracle records them on its processor."""
+        config = DSConfig(
+            window=64, perfect_branch_prediction=True,
+            collect_miss_stats=True,
+        )
+        model = get_model("RC")
+        oracle = DSProcessor(lu_trace, model, config)
+        ref = oracle.run()
+        fast = simulate_ds_fast(lu_trace, model, config)
+        delays = fast.extras.pop("read_miss_issue_delays")
+        assert delays == oracle.read_miss_issue_delays
+        assert len(delays) == lu_trace.read_misses() > 0
+        assert fast == ref
+
+
+def _raise_oracle(*args, **kwargs):
+    raise AssertionError("the product executed a scalar oracle")
+
 
 class TestEngineSelection:
-    """`ProcessorConfig.engine` / the CLI's global `--engine` flag."""
+    """One engine runs; its scalar oracle is only ever a reference."""
 
     @pytest.mark.parametrize("kind", ("base", "ssbr", "ss", "ds"))
     def test_reference_engine_equivalent(self, lu_trace, kind):
-        fast = ProcessorConfig(kind=kind, model="WO", window=64,
-                               engine="fast")
-        ref = ProcessorConfig(kind=kind, model="WO", window=64,
-                              engine="reference")
-        assert simulate(lu_trace, fast) == simulate(lu_trace, ref)
+        config = ProcessorConfig(kind=kind, model="WO", window=64)
+        assert simulate(lu_trace, config) == drive(
+            reference_stepper(lu_trace, config), cpu=lu_trace.cpu
+        )
 
     def test_unknown_engine_rejected(self, lu_trace):
+        # There is no engine to name any more: the word is an unknown
+        # field wherever a configuration comes in from outside.
+        with pytest.raises(TypeError, match="engine"):
+            ProcessorConfig(engine="reference")
+        with pytest.raises(ValueError, match="engine"):
+            sweep_from_request({"apps": ["lu"], "engine": "fast"})
+        with pytest.raises(ValueError, match="engine"):
+            sweep_from_request(
+                {"jobs": [{"app": "lu", "engine": "fast"}]}
+            )
         # Standalone and co-simulated runs share one dispatch: neither
-        # may fall back to some engine or kind the caller did not name.
+        # may fall back to some kind the caller did not name.
         for run in (simulate, build_node):
-            with pytest.raises(ValueError, match="engine"):
-                run(lu_trace, ProcessorConfig(engine="warp"))
             with pytest.raises(ValueError, match="kind"):
                 run(lu_trace, ProcessorConfig(kind="vliw"))
 
-    def test_default_engine_switch_retargets_new_configs(self, monkeypatch):
-        from repro import cpu
+    def test_product_never_executes_an_oracle(self, monkeypatch, tmp_path):
+        """With every scalar stepper booby-trapped, each product surface
+        still runs: standalone (probed or not), co-simulated (replayed
+        and live sync), `profile`, and experiments E10 and E12."""
+        from repro.cpu import base, static
+        from repro.cpu.ds import engine
 
-        assert ProcessorConfig().engine == "fast"
-        monkeypatch.setattr(cpu, "DEFAULT_ENGINE", "reference")
-        assert ProcessorConfig().engine == "reference"
+        # Swap the code, not the module attribute, so a reference
+        # imported by name anywhere is trapped as well.
+        for oracle in (
+            base.base_stepper, static.ssbr_stepper, static.ss_stepper
+        ):
+            monkeypatch.setattr(oracle, "__code__", _raise_oracle.__code__)
+        monkeypatch.setattr(engine.DSProcessor, "steps", _raise_oracle)
+
+        store = TraceStore(
+            n_procs=4, preset="tiny", cache_dir=tmp_path / "traces"
+        )
+        trace = store.get("lu").trace
+        crun = store.get_cosim("lu")
+        with pytest.raises(AssertionError, match="oracle"):
+            base.simulate_base(trace)  # the traps are live
+        for kind in ("base", "ssbr", "ss", "ds"):
+            config = ProcessorConfig(kind=kind, model="SC", window=16)
+            probe = Probe(metrics=MetricsRegistry(), tracer=ChromeTracer())
+            assert simulate(trace, config) == simulate(
+                trace, config, probe=probe
+            )
+            for sync_mode in ("replay", "live"):
+                result = run_cosim(
+                    crun, config, network_kind="mesh",
+                    line_size=store.line_size, sync_mode=sync_mode,
+                )
+                assert all(c > 0 for c in result.cycles())
+        for kind in ("ss", "ds"):
+            profile = run_profile(
+                "lu", store, kind=kind, out_dir=tmp_path / "profiles"
+            )
+            assert profile.ok, profile.errors
+        assert all(r.issue_delays for r in run_miss_analysis(store))
+        assert len(run_sc_boost(store, apps=("lu",))["lu"]) == 6
 
 
 @st.composite
@@ -335,28 +402,6 @@ def small_traces(draw):
     return tb.build()
 
 
-def _record(stepper):
-    """Drive ``stepper`` to completion, answering every miss with a
-    state-free function of (addr, time) and every sync operation from
-    the trace; returns the miss requests seen and the breakdown."""
-    requests = []
-    try:
-        req = next(stepper)
-        while True:
-            if type(req) is MemRequest:
-                requests.append(
-                    (req.addr, req.is_write, req.time, req.stall)
-                )
-                answer = 1 + (7 * req.addr + 13 * req.time) % 97
-            elif type(req) is SyncRequest:
-                answer = req.wait
-            else:  # ReleaseNotify
-                answer = None
-            req = stepper.send(answer)
-    except StopIteration as stop:
-        return requests, stop.value
-
-
 def _stepper_configs():
     yield ProcessorConfig(kind="base")
     for name in MODELS:
@@ -366,20 +411,24 @@ def _stepper_configs():
 
 class TestStepperContract:
     """What co-simulation rests on: whatever answers it is given, a
-    fast stepper issues exactly the miss requests of its scalar oracle
-    — same address, kind, cycle and baked stall, in the same order —
-    and returns the same breakdown."""
+    fast stepper makes exactly the requests of its scalar oracle —
+    every miss, acquire and release, every field, at the same cycle, in
+    the same order — and returns the same breakdown.  Sync is answered
+    from the trace (replay) and from a seeded function that mixes
+    zeros, positive waits and, for DS, runs of PENDING (live)."""
 
     @staticmethod
     def check(trace, config, coupled):
-        fast, ref = (
-            _record(make_stepper(
-                trace, dataclasses.replace(config, engine=engine),
-                coupled=coupled,
-            ))
-            for engine in ("fast", "reference")
-        )
-        assert fast == ref, (config.label(), coupled)
+        pending_ok = config.kind == "ds"
+        for live in (False, True):
+            fast, ref = (
+                record(
+                    build(trace, config, coupled=coupled, live_sync=live),
+                    live=live, pending_ok=pending_ok,
+                )
+                for build in (make_stepper, reference_stepper)
+            )
+            assert fast == ref, (config.label(), coupled, live)
         return fast
 
     @pytest.mark.parametrize("coupled", (False, True))
@@ -390,7 +439,13 @@ class TestStepperContract:
         self, lu_trace, config, coupled
     ):
         requests, _ = self.check(lu_trace, config, coupled)
-        assert requests  # the tiny LU trace does miss
+        kinds = {req[0] for req in requests}
+        # The tiny LU trace misses, synchronizes and releases.
+        assert kinds == {"MemRequest", "SyncRequest", "ReleaseNotify"}
+        if config.kind == "ds":
+            # ... and the live driver did make the DS model re-query.
+            asked = [req[1:3] for req in requests if req[0] == "SyncRequest"]
+            assert len(asked) > len(set(asked))
 
     @given(trace=small_traces())
     @settings(max_examples=40, deadline=None)
@@ -398,6 +453,42 @@ class TestStepperContract:
         for config in _stepper_configs():
             for coupled in (False, True):
                 self.check(trace, config, coupled)
+
+    @pytest.mark.parametrize("live", (False, True), ids=("replay", "live"))
+    @pytest.mark.parametrize("coupled", (False, True))
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ProcessorConfig(kind="ssbr", model="PC"),
+            ProcessorConfig(kind="ss", model="SC"),
+            ProcessorConfig(kind="ss", model="RC"),
+            ProcessorConfig(kind="ds", model="RC", window=16),
+        ],
+        ids=ProcessorConfig.label,
+    )
+    def test_probes_record_the_same(self, lu_trace, config, coupled, live):
+        """Instrumented, the two sides also leave the same histogram
+        snapshots, the same tracer events and the same span budget."""
+        def observe(build):
+            probe = Probe(
+                metrics=MetricsRegistry(), tracer=ChromeTracer(),
+                span_limit=2_000,
+            )
+            stepper = build(
+                lu_trace, config, coupled=coupled, live_sync=live,
+                probe=probe,
+            )
+            outcome = record(
+                stepper, live=live, pending_ok=config.kind == "ds"
+            )
+            return (
+                outcome, probe.metrics.snapshot(), probe.tracer.events,
+                probe.span_budget,
+            )
+
+        fast, ref = observe(make_stepper), observe(reference_stepper)
+        assert fast == ref
+        assert any(h["count"] for h in fast[1]["histograms"].values())
 
 
 class TestFastpathFuzz:

@@ -191,7 +191,7 @@ class TestManifest:
         out.write_text("{}")
         manifest = build_manifest(
             "python -m repro profile lu",
-            {"app": "lu", "engine": "fast", "network": "ideal"},
+            {"app": "lu", "network": "ideal"},
             {"run": 1.23456}, {"trace": out},
         )
         assert validate_manifest(manifest) == []
@@ -207,17 +207,14 @@ class TestManifest:
         assert any("missing field" in e for e in errors)
         assert any("no path" in e for e in errors)
 
-    def test_validation_requires_engine_and_network(self):
-        # A manifest that does not say which engine/interconnect
-        # produced the run is not reproducible and must be rejected.
+    def test_validation_requires_network(self):
+        # A manifest that does not say which interconnect produced the
+        # run is not reproducible and must be rejected.
         errors = validate_manifest({"config": {"app": "lu"}})
-        assert any("missing 'engine'" in e for e in errors)
         assert any("missing 'network'" in e for e in errors)
         # The batch path records the swept set as "networks" (plural).
-        errors = validate_manifest({
-            "config": {"engine": "fast", "networks": ["ideal"]},
-        })
-        assert not any("network" in e or "engine" in e for e in errors)
+        errors = validate_manifest({"config": {"networks": ["ideal"]}})
+        assert not any("network" in e for e in errors)
 
 
 class TestComponentTable:

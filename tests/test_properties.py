@@ -84,7 +84,7 @@ def traces(draw, max_len=60):
     return trace
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(traces())
 def test_attribution_sums_for_every_model(trace):
     for kind in ("base", "ssbr", "ss", "ds"):
@@ -99,7 +99,7 @@ def test_attribution_sums_for_every_model(trace):
                 break  # BASE ignores the model
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(traces())
 def test_base_is_upper_bound_for_static_models(trace):
     base = simulate_base(trace)
@@ -108,7 +108,7 @@ def test_base_is_upper_bound_for_static_models(trace):
         assert simulate_ss(trace, model).total <= base.total + 2
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_ds_window_monotonicity(trace):
     prev = None
@@ -122,7 +122,7 @@ def test_ds_window_monotonicity(trace):
         prev = total
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_ds_rc_never_slower_than_ds_sc(trace):
     sc = DSProcessor(trace, MODELS["SC"], DSConfig(window=64)).run()
@@ -130,26 +130,83 @@ def test_ds_rc_never_slower_than_ds_sc(trace):
     assert rc.total <= sc.total + 3
 
 
-@settings(max_examples=30, deadline=None)
+def _pbp_and_nodep(trace):
+    return [
+        DSProcessor(
+            trace, MODELS["RC"],
+            DSConfig(window=32, perfect_branch_prediction=True,
+                     ignore_data_dependences=nodep),
+        )
+        for nodep in (False, True)
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_perfect_bp_and_nodep_never_slower(trace):
     normal = DSProcessor(
         trace, MODELS["RC"], DSConfig(window=32)
     ).run()
-    pbp = DSProcessor(
-        trace, MODELS["RC"],
-        DSConfig(window=32, perfect_branch_prediction=True),
-    ).run()
-    nodep = DSProcessor(
-        trace, MODELS["RC"],
-        DSConfig(window=32, perfect_branch_prediction=True,
-                 ignore_data_dependences=True),
-    ).run()
+    pbp, nodep = (proc.run() for proc in _pbp_and_nodep(trace))
     assert pbp.total <= normal.total + 3
-    assert nodep.total <= pbp.total + 3
+    # Dropping dependences is not monotone on a single oldest-first
+    # memory port (a list-scheduling anomaly, pinned below): a load it
+    # makes ready early takes a port slot ahead of a younger operation
+    # on the critical path, and the shifted operation can then meet
+    # older stores at the port it used to miss.  Every memory operation
+    # holds the port for one cycle, so one cycle each is what the
+    # arbitration allows; anything beyond that is a regression.
+    port_ops = sum(cls != MemClass.NONE for cls in trace.mem_class)
+    assert nodep.total <= pbp.total + 3 + port_ops
 
 
-@settings(max_examples=30, deadline=None)
+def test_nodep_port_anomaly():
+    """The minimised counterexample to "ignoring dependences is never
+    slower" (found by a seed sweep: 2 of 40 seeds x 300 traces exceeded
+    the old +3 slack; 12 000 more traces topped out at +6).  With
+    dependences the two hit-loads wait for the misses they read from,
+    so the second miss issues at 53 and the first re-acquire at 54.
+    Without them both hit-loads are ready at once and are older: the
+    miss slips to 54 and the acquire to 56, performs at 107 instead of
+    105 — exactly when the two retired stores, older again, claim the
+    port — and the last acquire, serialized behind it, issues at 109
+    instead of 105.  Four port slots lost, none recovered."""
+    lock = dict(op=Op.LOCK, addr=0x8000, stall=50,
+                mem_class=MemClass.ACQUIRE)
+    miss = dict(op=Op.LW, rd=2, rs1=0, addr=0, stall=50,
+                mem_class=MemClass.READ)
+    hit = dict(op=Op.LW, rd=1, rs1=2, addr=0, mem_class=MemClass.READ)
+    rows = [
+        lock, miss, hit, miss,
+        dict(op=Op.SW, rs1=0, rs2=0, addr=0, mem_class=MemClass.WRITE),
+        dict(op=Op.UNLOCK, addr=0x8000, stall=50,
+             mem_class=MemClass.RELEASE),
+        hit, lock, dict(lock, wait=30),
+    ]
+    trace = Trace(cpu=0)
+    for pc, row in enumerate(rows):
+        trace.append(TraceRecord(pc=pc, next_pc=pc + 1, **row))
+
+    def miss_issue_times(proc):
+        stepper, times = proc.steps(), []
+        try:
+            request = next(stepper)
+            while True:
+                times.append(request.time)
+                request = stepper.send(request.stall)
+        except StopIteration as stop:
+            return times, stop.value.total
+
+    pbp, nodep = map(miss_issue_times, _pbp_and_nodep(trace))
+    assert pbp == ([52, 53], 187)
+    assert nodep == ([52, 54], 191)
+    fast = simulate(trace, ProcessorConfig(
+        kind="ds", window=32, perfect_bp=True, ignore_deps=True
+    ))
+    assert fast.total == 191  # the product reproduces the anomaly
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_ds_beats_or_matches_base(trace):
     base = simulate_base(trace)

@@ -23,7 +23,6 @@ from repro.service import (
     JobsFailedError,
     ResultStore,
     SupervisedPool,
-    SweepJob,
     echo_job,
     expand_grid,
     parse_chaos_arg,
@@ -292,11 +291,6 @@ class TestSweepGrid:
             windows=(16, 64), penalties=(50, 100),
         )
         assert len(grid) == 8
-
-    def test_engine_never_in_config(self):
-        job = SweepJob(app="lu", engine="reference")
-        assert "engine" not in job.config()
-        assert SweepJob(app="lu", engine="fast").config() == job.config()
 
     def test_bad_axes_rejected(self):
         with pytest.raises(ValueError):
