@@ -43,6 +43,7 @@ DEFAULT_HISTORY = Path("BENCH_history.jsonl")
 #: catch "the fast path stopped being fast", not single-digit drift.
 TOLERANCES: dict[str, tuple[str, float]] = {
     "compiled_speedup": ("higher", 0.35),
+    "compiled_speedup_pthor": ("higher", 0.35),
     "static_speedup": ("higher", 0.35),
     "ds_event_speedup": ("higher", 0.35),
     "daemon_warm_speedup": ("higher", 0.7),

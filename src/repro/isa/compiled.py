@@ -1,53 +1,60 @@
-"""Compiled instruction dispatch (classic threaded code).
+"""Compiled execution: generated Python for runs of private instructions.
 
-At :meth:`repro.isa.program.Program.seal` time every static instruction
-is translated into a small specialised closure with its operand indices,
-immediates and branch targets bound as locals.  The executor's inner loop
-then calls one closure per dynamic instruction instead of re-decoding the
-opcode through the interpreter's ~60-arm ``if/elif`` chain
-(:func:`repro.tango.interp.execute_instruction`, which remains the
-reference semantics the compiled path is differentially tested against).
+The trace generator (:mod:`repro.tango.executor`) schedules a thread only
+at its *shared* instructions — loads, stores, synchronization and
+``HALT`` — and runs the *private* ones in between (ALU/FP, branches,
+jumps: registers only, one cycle each) ahead in one go.  This module
+supplies the code for that:
 
-Each instruction compiles to ``(kind, closure)``:
+* :func:`compile_program`, run by :meth:`~repro.isa.program.Program.seal`,
+  classifies every instruction (``kinds``) and records the static ``(op,
+  rd, rs1, rs2)`` tuple stamped into its trace rows (``trace_meta``);
+* :class:`BlockCompiler` generates, on first use in a run, one Python
+  function per *superblock*: straight-line source over the register
+  list that starts at a private pc, follows unconditional jumps, leaves
+  at each conditional branch it takes and otherwise runs on to the next
+  shared instruction.  A load or store compiles to a *segment*: the
+  access itself (effective address, alignment check, the read or write
+  of :class:`~repro.mem.memory.SharedMemory`'s ``words``/``doubles``
+  dict) followed by the superblock after it, so the executor makes one
+  call per shared access.  Code is compiled once per shape, its
+  immediates bound per thread as default arguments, so threads that
+  differ only in constants share it; the compiler, and every function
+  it made, lives as long as its run.
 
-========  =============================  ==========================
-kind      closure signature              meaning of return value
-========  =============================  ==========================
-K_PLAIN   ``fn(regs)``                   none (falls through)
-K_CBR     ``fn(regs) -> int``            next pc (conditional branch)
-K_JMP     ``fn(regs) -> int``            next pc (J/JAL/JR)
-K_LOAD    ``fn(regs, words, doubles)``   effective address
-K_STORE   ``fn(regs, words, doubles)``   effective address
-K_SYNC    ``None``                       executor-handled
-K_HALT    ``None``                       executor-handled
-========  =============================  ==========================
-
-``words``/``doubles`` are the backing dicts of
-:class:`repro.mem.memory.SharedMemory`; binding them per run keeps the
-closures reusable across memories while skipping a method call per
-access.  Register 0 is hardwired to zero, so destinations of 0 (or
-``None``) compile to a compute-and-discard variant — faults (division by
-zero, misalignment) are still raised exactly as the reference does.
+The reference semantics remain :func:`repro.tango.interp.execute_instruction`
+(the ``compiled=False`` engine), and the generated code matches it
+exactly: comparison results are int 1/0, a write to register 0 is
+computed and discarded, and the same faults are raised (division by
+zero, negative square root, misalignment).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from types import FunctionType
 
 from ..mem.memory import MemoryError_
 from .ops import Op
 
-K_PLAIN = 0
-K_CBR = 1
-K_JMP = 2
-K_LOAD = 3
-K_STORE = 4
-K_SYNC = 5
-K_HALT = 6
+K_PRIVATE = 0
+K_LOAD = 1
+K_STORE = 2
+K_SYNC = 3
+K_HALT = 4
+
+#: Generated functions are compiled under this file name, so a fault's
+#: traceback line can be mapped back to its instruction.
+BLOCK_FILENAME = "<tango-block>"
 
 
 class CompileError(Exception):
     """An instruction could not be translated (unclassified opcode)."""
+
+
+class PcOutOfRange(Exception):
+    """A ``JR`` jumped to a negative pc (carried in ``args[0]``)."""
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -59,90 +66,78 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _bin_rr(fn, rd, rs1, rs2):
-    if rd:
-        def run(regs):
-            regs[rd] = fn(regs[rs1], regs[rs2])
-    else:
-        def run(regs):
-            fn(regs[rs1], regs[rs2])
-    return run
+def _trunc_rem(a: int, b: int) -> int:
+    return a - b * _trunc_div(a, b)
 
 
-def _bin_ri(fn, rd, rs1, imm):
-    if rd:
-        def run(regs):
-            regs[rd] = fn(regs[rs1], imm)
-    else:
-        def run(regs):
-            fn(regs[rs1], imm)
-    return run
+def _fdiv(a, b):
+    if b == 0.0:
+        from ..tango.interp import ExecutionError
+        raise ExecutionError("floating point division by zero")
+    return a / b
 
 
-def _unary(fn, rd, rs1):
-    if rd:
-        def run(regs):
-            regs[rd] = fn(regs[rs1])
-    else:
-        def run(regs):
-            fn(regs[rs1])
-    return run
+def _fsqrt(a):
+    if a < 0.0:
+        from ..tango.interp import ExecutionError
+        raise ExecutionError("sqrt of negative value")
+    return math.sqrt(a)
 
 
-# Two-register ALU/FP bodies, written out so the result types match the
-# reference interpreter exactly (comparisons produce int 1/0, not bool).
-_RR = {
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.MUL: lambda a, b: a * b,
-    Op.DIV: _trunc_div,
-    Op.REM: lambda a, b: a - b * _trunc_div(a, b),
-    Op.AND: lambda a, b: a & b,
-    Op.OR: lambda a, b: a | b,
-    Op.XOR: lambda a, b: a ^ b,
-    Op.SLT: lambda a, b: 1 if a < b else 0,
-    Op.SLE: lambda a, b: 1 if a <= b else 0,
-    Op.SEQ: lambda a, b: 1 if a == b else 0,
-    Op.SLL: lambda a, b: a << b,
-    Op.SRL: lambda a, b: a >> b,
-    Op.SRA: lambda a, b: a >> b,
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FMIN: min,
-    Op.FMAX: max,
-    Op.FLT: lambda a, b: 1 if a < b else 0,
-    Op.FLE: lambda a, b: 1 if a <= b else 0,
-    Op.FEQ: lambda a, b: 1 if a == b else 0,
+def _misaligned(access: str, addr):
+    return MemoryError_(f"misaligned {access} at {addr:#x}")
+
+
+def _jr(target: int, exit_):
+    """A ``JR`` exit: ``exit_`` with its next pc (and last row's) set."""
+    if target < 0:
+        raise PcOutOfRange(target)
+    _, n, branches, rows = exit_
+    if rows is not None:
+        next_pcs = array("i", rows[2])
+        next_pcs[-1] = target
+        rows = rows[:2] + (next_pcs,) + rows[3:]
+    return target, n, branches, rows
+
+
+#: Names the generated source may use.
+_GLOBALS = {
+    "_div": _trunc_div, "_rem": _trunc_rem, "_fdiv": _fdiv,
+    "_fsqrt": _fsqrt, "_jr": _jr, "_misaligned": _misaligned,
 }
 
-_RI = {
-    Op.ADDI: lambda a, imm: a + imm,
-    Op.MULI: lambda a, imm: a * imm,
-    Op.ANDI: lambda a, imm: a & imm,
-    Op.ORI: lambda a, imm: a | imm,
-    Op.XORI: lambda a, imm: a ^ imm,
-    Op.SLTI: lambda a, imm: 1 if a < imm else 0,
-    Op.SLLI: lambda a, imm: a << imm,
-    Op.SRLI: lambda a, imm: a >> imm,
-    Op.SRAI: lambda a, imm: a >> imm,
-}
-
-_UNARY = {
-    Op.FNEG: lambda a: -a,
-    Op.FABS: abs,
-    Op.FMOV: lambda a: a,
-    Op.CVTIF: float,
-    Op.CVTFI: int,
+# Private ALU/FP bodies as source templates over ``{a}``/``{b}`` (the
+# source registers) and ``{i}`` (the immediate), written so result types
+# match the reference interpreter exactly.
+_EXPR = {
+    Op.ADD: "{a} + {b}", Op.SUB: "{a} - {b}", Op.MUL: "{a} * {b}",
+    Op.DIV: "_div({a}, {b})", Op.REM: "_rem({a}, {b})",
+    Op.AND: "{a} & {b}", Op.OR: "{a} | {b}", Op.XOR: "{a} ^ {b}",
+    Op.SLT: "1 if {a} < {b} else 0", Op.SLE: "1 if {a} <= {b} else 0",
+    Op.SEQ: "1 if {a} == {b} else 0",
+    Op.ADDI: "{a} + {i}", Op.MULI: "{a} * {i}", Op.ANDI: "{a} & {i}",
+    Op.ORI: "{a} | {i}", Op.XORI: "{a} ^ {i}",
+    Op.SLTI: "1 if {a} < {i} else 0",
+    Op.SLL: "{a} << {b}", Op.SRL: "{a} >> {b}", Op.SRA: "{a} >> {b}",
+    Op.SLLI: "{a} << {i}", Op.SRLI: "{a} >> {i}", Op.SRAI: "{a} >> {i}",
+    Op.FADD: "{a} + {b}", Op.FSUB: "{a} - {b}", Op.FMUL: "{a} * {b}",
+    Op.FDIV: "_fdiv({a}, {b})", Op.FSQRT: "_fsqrt({a})",
+    Op.FNEG: "-{a}", Op.FABS: "abs({a})", Op.FMOV: "{a}",
+    Op.FMIN: "min({a}, {b})", Op.FMAX: "max({a}, {b})",
+    Op.FLT: "1 if {a} < {b} else 0", Op.FLE: "1 if {a} <= {b} else 0",
+    Op.FEQ: "1 if {a} == {b} else 0",
+    Op.FLI: "{i}", Op.CVTIF: "float({a})", Op.CVTFI: "int({a})",
 }
 
 _COND = {
-    Op.BEQ: lambda a, b: a == b,
-    Op.BNE: lambda a, b: a != b,
-    Op.BLT: lambda a, b: a < b,
-    Op.BGE: lambda a, b: a >= b,
-    Op.BLE: lambda a, b: a <= b,
-    Op.BGT: lambda a, b: a > b,
+    Op.BEQ: "==", Op.BNE: "!=", Op.BLT: "<", Op.BGE: ">=", Op.BLE: "<=",
+    Op.BGT: ">",
+}
+
+#: Loads and stores: (kind, width, backing dict, default read value).
+_ACCESS = {
+    Op.LW: (K_LOAD, 4, "words", "0"), Op.FLD: (K_LOAD, 8, "doubles", "0.0"),
+    Op.SW: (K_STORE, 4, "words", ""), Op.FSD: (K_STORE, 8, "doubles", ""),
 }
 
 _SYNC_OPS = frozenset({
@@ -150,182 +145,193 @@ _SYNC_OPS = frozenset({
 })
 
 
-def _compile_fdiv(rd, rs1, rs2):
-    from ..tango.interp import ExecutionError
-
-    def run(regs, rd=rd, rs1=rs1, rs2=rs2):
-        divisor = regs[rs2]
-        if divisor == 0.0:
-            raise ExecutionError("floating point division by zero")
-        val = regs[rs1] / divisor
-        if rd:
-            regs[rd] = val
-    return run
+def _reg(reg) -> str:
+    """Source text of register ``reg`` (ids may be ``int`` subclasses)."""
+    return f"r[{None if reg is None else int(reg)}]"
 
 
-def _compile_fsqrt(rd, rs1):
-    from ..tango.interp import ExecutionError
-    sqrt = math.sqrt
-
-    def run(regs, rd=rd, rs1=rs1):
-        operand = regs[rs1]
-        if operand < 0.0:
-            raise ExecutionError("sqrt of negative value")
-        val = sqrt(operand)
-        if rd:
-            regs[rd] = val
-    return run
-
-
-def _compile_load(op, rd, rs1, imm):
-    if op is Op.LW:
-        if rd:
-            def run(regs, words, doubles, rs1=rs1, imm=imm, rd=rd):
-                addr = regs[rs1] + imm
-                if addr % 4:
-                    raise MemoryError_(f"misaligned word read at {addr:#x}")
-                regs[rd] = words.get(addr, 0)
-                return addr
-        else:
-            def run(regs, words, doubles, rs1=rs1, imm=imm):
-                addr = regs[rs1] + imm
-                if addr % 4:
-                    raise MemoryError_(f"misaligned word read at {addr:#x}")
-                return addr
-    else:  # FLD
-        if rd:
-            def run(regs, words, doubles, rs1=rs1, imm=imm, rd=rd):
-                addr = regs[rs1] + imm
-                if addr % 8:
-                    raise MemoryError_(
-                        f"misaligned double read at {addr:#x}"
-                    )
-                regs[rd] = doubles.get(addr, 0.0)
-                return addr
-        else:
-            def run(regs, words, doubles, rs1=rs1, imm=imm):
-                addr = regs[rs1] + imm
-                if addr % 8:
-                    raise MemoryError_(
-                        f"misaligned double read at {addr:#x}"
-                    )
-                return addr
-    return run
-
-
-def _compile_store(op, rs1, rs2, imm):
-    if op is Op.SW:
-        def run(regs, words, doubles, rs1=rs1, rs2=rs2, imm=imm):
-            addr = regs[rs1] + imm
-            if addr % 4:
-                raise MemoryError_(f"misaligned word write at {addr:#x}")
-            words[addr] = regs[rs2]
-            return addr
-    else:  # FSD
-        def run(regs, words, doubles, rs1=rs1, rs2=rs2, imm=imm):
-            addr = regs[rs1] + imm
-            if addr % 8:
-                raise MemoryError_(f"misaligned double write at {addr:#x}")
-            doubles[addr] = regs[rs2]
-            return addr
-    return run
-
-
-def compile_instruction(instr, pc: int):
-    """Translate one sealed instruction into ``(kind, closure)``."""
-    op = instr.op
-    rd = instr.rd
-    # Destination 0 is the hardwired zero register: compute, discard.
-    rd = rd if rd else 0
-
-    if op in _RR:
-        return K_PLAIN, _bin_rr(_RR[op], rd, instr.rs1, instr.rs2)
-    if op in _RI:
-        return K_PLAIN, _bin_ri(_RI[op], rd, instr.rs1, instr.imm)
-    if op in _UNARY:
-        return K_PLAIN, _unary(_UNARY[op], rd, instr.rs1)
-    if op is Op.FLI:
-        imm = instr.imm
-        if rd:
-            def run(regs, rd=rd, imm=imm):
-                regs[rd] = imm
-        else:
-            def run(regs):
-                pass
-        return K_PLAIN, run
-    if op is Op.FDIV:
-        return K_PLAIN, _compile_fdiv(rd, instr.rs1, instr.rs2)
-    if op is Op.FSQRT:
-        return K_PLAIN, _compile_fsqrt(rd, instr.rs1)
-    if op is Op.NOP:
-        def run(regs):
-            pass
-        return K_PLAIN, run
-
-    if op in (Op.LW, Op.FLD):
-        return K_LOAD, _compile_load(op, rd, instr.rs1, instr.imm)
-    if op in (Op.SW, Op.FSD):
-        return K_STORE, _compile_store(op, instr.rs1, instr.rs2, instr.imm)
-
-    if op in _COND:
-        cond = _COND[op]
-        target = instr.target
-        fall = pc + 1
-
-        def run(regs, cond=cond, rs1=instr.rs1, rs2=instr.rs2,
-                target=target, fall=fall):
-            return target if cond(regs[rs1], regs[rs2]) else fall
-        return K_CBR, run
-    if op is Op.J:
-        target = instr.target
-
-        def run(regs, target=target):
-            return target
-        return K_JMP, run
-    if op is Op.JAL:
-        target = instr.target
-        link = pc + 1
-        if rd:
-            def run(regs, rd=rd, link=link, target=target):
-                regs[rd] = link
-                return target
-        else:
-            def run(regs, target=target):
-                return target
-        return K_JMP, run
-    if op is Op.JR:
-        # Bounds are checked by the executor at the next fetch, exactly
-        # where the reference interpreter faults on a wild jump.
-        def run(regs, rs1=instr.rs1):
-            return regs[rs1]
-        return K_JMP, run
-
-    if op in _SYNC_OPS:
-        return K_SYNC, None
-    if op is Op.HALT:
-        return K_HALT, None
-    raise CompileError(f"opcode {op.name} has no compiled semantics")
+def _access_lines(instr, imm: str) -> list[str]:
+    """Source of a load or store (offset ``imm``): address ``a``, the
+    alignment check, the read or write."""
+    kind, width, store, default = _ACCESS[instr.op]
+    name = ("double " if width == 8 else "word ") + (
+        "read" if kind == K_LOAD else "write"
+    )
+    lines = [
+        f"a = {_reg(instr.rs1)} + {imm}",
+        f"if a % {width}: raise _misaligned({name!r}, a)",
+    ]
+    if kind == K_STORE:
+        lines.append(f"{store}[a] = {_reg(instr.rs2)}")
+    elif instr.rd:
+        lines.append(f"{_reg(instr.rd)} = {store}.get(a, {default})")
+    return lines
 
 
 def compile_program(program):
-    """Compile a sealed program; returns ``(kinds, code, trace_meta)``.
+    """Classify a sealed program; returns ``(kinds, trace_meta)``.
 
-    ``kinds[pc]`` is the dispatch class, ``code[pc]`` the specialised
-    closure (``None`` for sync/halt), and ``trace_meta[pc]`` the static
-    ``(op, rd, rs1, rs2)`` tuple the executor stamps into trace rows
-    (-1 for absent operands, matching :class:`repro.tango.trace.Trace`).
+    ``kinds[pc]`` is ``K_PRIVATE``/``K_LOAD``/``K_STORE``/``K_SYNC``/
+    ``K_HALT`` and ``trace_meta[pc]`` the static ``(op, rd, rs1, rs2)``
+    tuple (-1 for absent operands, matching
+    :class:`repro.tango.trace.Trace`).
     """
-    kinds = []
-    code = []
-    trace_meta = []
-    for pc, instr in enumerate(program.instructions):
-        kind, fn = compile_instruction(instr, pc)
+    kinds, trace_meta = [], []
+    for instr in program.instructions:
+        op = instr.op
+        if op in _ACCESS:
+            kind = _ACCESS[op][0]
+        elif op in _SYNC_OPS:
+            kind = K_SYNC
+        elif op is Op.HALT:
+            kind = K_HALT
+        elif op in _EXPR or op in _COND or op in (
+            Op.NOP, Op.J, Op.JAL, Op.JR
+        ):
+            kind = K_PRIVATE
+        else:
+            raise CompileError(f"opcode {op.name} has no compiled semantics")
         kinds.append(kind)
-        code.append(fn)
         trace_meta.append((
-            int(instr.op),
+            int(op),
             -1 if instr.rd is None else instr.rd,
             -1 if instr.rs1 is None else instr.rs1,
             -1 if instr.rs2 is None else instr.rs2,
         ))
-    return kinds, code, trace_meta
+    return kinds, trace_meta
+
+
+class BlockCompiler:
+    """Generates the private code of one run's programs.
+
+    A superblock starts at a private pc and follows the program's
+    fall-through path — through unconditional jumps and past conditional
+    branches, each a side exit when taken — until it meets a shared
+    instruction, a ``JR`` or a pc already on its path.  It compiles to
+    ``fn(regs)`` returning its exit's tuple ``(next_pc, instructions,
+    branches, rows)``: the private instructions it executed, the
+    conditional branches among them and (traced threads only) their
+    trace columns.  A load or store compiles to a segment, ``fn(regs,
+    words, doubles)`` returning ``(address, exit)`` for the superblock
+    that follows it (possibly empty).  ``fn.line_pcs[k]`` is the pc of
+    line ``k + 2`` of the source, for fault messages.
+
+    Threads whose code is the same at the same pcs share one function,
+    and ones that differ only in immediates share its code object.
+    """
+
+    def __init__(self) -> None:
+        self._shapes: dict[tuple, object] = {}
+        self._blocks: dict[tuple, object] = {}
+
+    def block(self, program, pc: int, traced: bool):
+        """The superblock or segment of ``program`` that starts at
+        ``pc``; only code no thread has run yet is generated."""
+        instrs, kinds = program.instructions, program.kinds
+        start, path, exits = pc, [], []
+        segment = kinds[pc] != K_PRIVATE
+        nxt = pc + segment
+        while (nxt < len(instrs) and kinds[nxt] == K_PRIVATE
+               and nxt not in path):
+            pc = nxt
+            op = instrs[pc].op
+            path.append(pc)
+            nxt = pc + 1
+            if op in _COND:  # a side exit when taken
+                exits.append((len(path), instrs[pc].target))
+            elif op is Op.JR:
+                exits.append((len(path), 0))  # the pc comes at run time
+                break
+            elif op is Op.J or op is Op.JAL:
+                nxt = instrs[pc].target
+        else:
+            exits.append((len(path), nxt))
+        code = [instrs[p] for p in [start] * segment + path]
+        shape = (start, segment) + tuple(
+            (i.op, i.rd, i.rs1, i.rs2, i.target, i.imm is None) for i in code
+        )
+        imms = tuple(i.imm for i in code if i.imm is not None)
+        key = (shape, traced) + tuple(
+            repr(v) if isinstance(v, float) else v for v in imms
+        )
+        fn = self._blocks.get(key)
+        if fn is None:
+            proto = self._shapes.get(shape)
+            if proto is None:
+                proto = self._shapes[shape] = self._generate(
+                    start, code, path, len(exits)
+                )
+            fn = self._blocks[key] = FunctionType(
+                proto.__code__, proto.__globals__, "block",
+                tuple(self._exit(program, path[:n], nxt, traced)
+                      for n, nxt in exits) + imms,
+            )
+            fn.line_pcs = proto.line_pcs
+        return fn
+
+    @staticmethod
+    def _generate(start: int, code, path, n_exits: int):
+        """Compile a block's code, its exits parameters ``_x0``... and its
+        immediates ``_k0``..., both bound per thread."""
+        lines, line_pcs = [], []
+        args, out = "r", "{}"
+        imms = (f"_k{k}" for k in range(len(code)))
+        if len(code) > len(path):  # a segment: the access comes first
+            imm = "None" if code[0].imm is None else next(imms)
+            lines = _access_lines(code[0], imm)
+            line_pcs = [start] * len(lines)
+            args, out = "r, words, doubles", "(a, {})"
+        x = 0  # the next exit's index
+        for pc, instr in zip(path, code[len(code) - len(path):]):
+            op = instr.op
+            a, b = _reg(instr.rs1), _reg(instr.rs2)
+            imm = "None" if instr.imm is None else next(imms)
+            if op in _EXPR:
+                expr = _EXPR[op].format(a=a, b=b, i=imm)
+                lines.append(
+                    f"{_reg(instr.rd)} = {expr}" if instr.rd else expr
+                )
+            elif op in _COND:
+                lines.append(
+                    f"if {a} {_COND[op]} {b}: return {out.format(f'_x{x}')}"
+                )
+                x += 1
+            elif op is Op.JR:
+                lines.append(f"return {out.format(f'_jr({a}, _x{x})')}")
+            elif op is Op.JAL and instr.rd:
+                lines.append(f"{_reg(instr.rd)} = {pc + 1}")
+            else:  # NOP, J, JAL to register 0: no code
+                continue
+            line_pcs.append(pc)
+        if x < n_exits:  # fell off the end rather than through a JR
+            lines.append(f"return {out.format(f'_x{x}')}")
+        params = [f"_x{j}" for j in range(n_exits)] + [
+            f"_k{k}" for k in range(sum(i.imm is not None for i in code))
+        ]
+        source = "def block({}{}):\n    {}\n".format(
+            args, "".join(f", {name}=None" for name in params),
+            "\n    ".join(lines),
+        )
+        namespace = dict(_GLOBALS)
+        exec(compile(source, BLOCK_FILENAME, "exec"), namespace)
+        proto = namespace["block"]
+        proto.line_pcs = line_pcs
+        return proto
+
+    @staticmethod
+    def _exit(program, path, nxt: int, traced: bool):
+        """The exit tuple of a superblock that ran ``path`` into ``nxt``."""
+        rows = None
+        if traced:
+            meta = [program.trace_meta[p] for p in path]
+            rows = (
+                array("B", [m[0] for m in meta]), array("i", path),
+                array("i", (path + [nxt])[1:]),
+                array("h", [m[1] for m in meta]),
+                array("h", [m[2] for m in meta]),
+                array("h", [m[3] for m in meta]),
+                array("q", [-1] * len(path)), array("i", [0] * len(path)),
+                array("q", [0] * len(path)), array("B", [0] * len(path)),
+            )
+        branches = sum(program.instructions[p].op in _COND for p in path)
+        return nxt, len(path), branches, rows

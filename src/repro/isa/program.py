@@ -25,11 +25,11 @@ class Program:
         self.instructions: list[Instruction] = []
         self.labels: dict[str, int] = {}
         self._sealed = False
-        # Compiled-dispatch artifacts, populated by seal() (see
-        # repro.isa.compiled): per-pc dispatch kind, specialised closure,
-        # and the static (op, rd, rs1, rs2) tuple stamped into traces.
+        # Compiled-execution artifacts, populated by seal() (see
+        # repro.isa.compiled): per-pc kind (private, or which shared
+        # operation) and the static (op, rd, rs1, rs2) tuple stamped into
+        # traces.  The code itself is generated per run.
         self.kinds: list[int] | None = None
-        self.code: list | None = None
         self.trace_meta: list[tuple[int, int, int, int]] | None = None
 
     def __len__(self) -> int:
@@ -82,7 +82,7 @@ class Program:
                     f"branch target out of range at {idx} of {self.name!r}"
                 )
         self._sealed = True
-        self.kinds, self.code, self.trace_meta = compile_program(self)
+        self.kinds, self.trace_meta = compile_program(self)
         return self
 
     def disassemble(self) -> str:

@@ -186,6 +186,19 @@ class CoherentMemorySystem:
             self._obs.on_miss(cpu, False, stall, now)
         return False, stall
 
+    def hit_path(self):
+        """``(line_size, line_mask, [(tags, states), ...])``, one per cpu.
+
+        For callers that test hits inline (the trace generator's compiled
+        engine) and call :meth:`access_ht` only on a miss.  A hit taken
+        that way must still do what :meth:`access_ht` does on one: count
+        into the cache's ``stats.reads`` / ``stats.writes``, and turn an
+        EXCLUSIVE line MODIFIED on a write.
+        """
+        return self.line_size, self._line_mask, [
+            (cache._line_addr, cache._state) for cache in self.caches
+        ]
+
     def would_hit(self, cpu: int, addr: int, is_write: bool) -> bool:
         """Non-mutating lookup: would this access hit right now?"""
         state = self.caches[cpu].state_of(addr)

@@ -19,29 +19,65 @@ Architecture modelled (paper §3.2):
   in the traces' ``stall`` column;
 * ANL-macro synchronization handled by :class:`~repro.sync.SyncManager`.
 
-Scheduling uses per-thread virtual time: the runnable thread with the
-smallest clock executes next (batched up to the next thread's clock to cut
-scheduler overhead), which is deterministic and approximates the global
-interleaving a real machine would produce.
+Scheduling uses per-thread virtual time.  The reference engine keeps a
+heap of ``(clock, tid)``: it pops the smallest, reads the limit ``L`` (the
+heap's new minimum) once, and runs that thread while its clock is ``<=
+L``; a thread that blocks leaves the heap, a woken one is pushed back.
+That is deterministic and approximates the global interleaving a real
+machine would produce.
+
+Only *shared* instructions — loads, stores, synchronization, ``HALT`` —
+can observe the interleaving; private ones (ALU/FP, branches, jumps) touch
+registers only and take one cycle each.  At shared-instruction
+granularity the schedule above is:
+
+(a) **start-time order**: a shared instruction runs after every
+    instruction of any thread that starts earlier;
+(b) **owner first**: at one start time, the thread that owns the machine
+    goes first and the rest follow in tid order.  Ownership passes to the
+    last thread to execute at a time point, and it keeps it into the next
+    one while its own next start is no later than every other runnable
+    thread's (a one-cycle instruction always qualifies; a miss only if its
+    stall ends by then);
+(c) **lockstep parity**: while the set ``E`` of threads running private
+    code (one start every cycle) is constant, ownership alternates between
+    ``E``'s two highest tids, so a stretch of any length resolves in O(1);
+(d) **stale limit** (ROADMAP item 2): a thread woken during another
+    thread's slice joins only when that slice ends.  The waker keeps the
+    machine through its limit — unbounded when every other thread was
+    blocked, as for every barrier's last arriver — after which scheduling
+    restarts from the smallest next start with no owner, and time may move
+    backwards.
 
 Two execution engines produce identical results:
 
-* the **compiled** engine (default) dispatches through the specialised
-  closures :mod:`repro.isa.compiled` built at ``Program.seal()`` time —
-  one closure call per dynamic instruction, no opcode re-decoding, and
-  trace rows appended column-wise as flat ints;
+* the **compiled** engine (default) applies (a)-(d) directly: each
+  thread runs its private code ahead to its next shared instruction in
+  blocks :mod:`repro.isa.compiled` generates, and a calendar of next
+  shared starts orders only the shared instructions;
 * the **reference** engine (``compiled=False``) steps
-  :func:`~repro.tango.interp.execute_instruction` per instruction.  It is
-  the semantic oracle the differential tests compare against.
+  :func:`~repro.tango.interp.execute_instruction` per instruction under
+  the heap above.  It is the specification the differential tests
+  compare against.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 from ..isa import MemClass, Op, Program
+from ..isa.compiled import (
+    BLOCK_FILENAME,
+    K_LOAD,
+    K_STORE,
+    K_SYNC,
+    BlockCompiler,
+    PcOutOfRange,
+)
 from ..mem import CoherentMemorySystem, MemoryError_, SharedMemory
+from ..mem.cache import EXCLUSIVE, MODIFIED
 from ..net import build_network
 from ..sync import SyncManager, Wakeup
 from .interp import ExecutionError, ThreadState, execute_instruction
@@ -60,6 +96,7 @@ _MC_WRITE = int(MemClass.WRITE)
 _MC_RELEASE = int(MemClass.RELEASE)
 _OP_LW = int(Op.LW)
 _OP_SW = int(Op.SW)
+_INF = float("inf")
 
 
 class DeadlockError(Exception):
@@ -94,6 +131,15 @@ class MultiprocessorConfig:
     record_sync_schedule: bool = False
     #: Global retired-instruction budget, a runaway-program backstop.
     max_instructions: int = 100_000_000
+
+    def __post_init__(self) -> None:
+        if self.n_cpus < 1:
+            raise ValueError(f"n_cpus must be at least 1, got {self.n_cpus}")
+        outside = [c for c in self.trace_cpus if not 0 <= c < self.n_cpus]
+        if outside:
+            raise ValueError(
+                f"trace_cpus {outside} outside range({self.n_cpus})"
+            )
 
     @property
     def sync_latency(self) -> int:
@@ -418,193 +464,349 @@ class TangoExecutor:
         return result
 
     def _run_compiled(self) -> None:
-        """Fast engine: closure dispatch + columnar emission.
+        """Run-ahead engine: schedule shared instructions, batch the rest.
 
-        Timing, interleaving, statistics and traces are bit-identical to
-        :meth:`_run_reference`.  Counters accumulate in per-thread plain
-        lists and land in the :class:`CpuStats` objects once, at the end
-        of the run (the flush commutes with the direct updates the sync
-        helpers make mid-run); with lockstep threads the scheduler slices
-        average barely over one instruction, so the slice prologue and
-        epilogue are kept to a pc store and a retired-count flush.
+        Reproduces :meth:`_run_reference`'s schedule exactly at the
+        granularity of shared instructions (rules (a)-(d) of the module
+        docstring).  State between time points: ``E``, a bitmask of the
+        threads running private code (a start every cycle up to their
+        next shared instruction); ``p`` and ``last``, the latest time
+        point processed and the thread that executed last at it; and a
+        calendar (``cal``: time -> bitmask of tids, ``times``: heap of
+        its keys) with one event per other runnable thread — its next
+        shared start if it is in ``E``, else the start at which it
+        rejoins ``E``.  The thread just run keeps the machine without
+        touching the calendar while its next event is the earliest.
+        Counters accumulate in per-thread lists and land in the
+        :class:`CpuStats` objects once, at the end of the run; hits are
+        tested inline, misses go through ``access_ht``.
         """
         config = self.config
         max_steps = config.max_instructions
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
+        heappop, heappush = heapq.heappop, heapq.heappush
         access_ht = self.memsys.access_ht
+        line_size, line_mask, cache_tables = self.memsys.hit_path()
         words = self.memory.words
         doubles = self.memory.doubles
         rec = self.recorder
+        compiler = BlockCompiler()
+        extend = array.extend
 
+        # Per thread: registers, superblock and segment tables (by pc,
+        # filled on first use), kinds, trace metadata, cache tags and
+        # states, counters [private instructions, read hits, read misses,
+        # read stall, write hits, write misses, write stall, conditional
+        # branches], trace columns (None if untraced).
         ctxs = []
-        # Per-thread counter lists: [busy, branches, reads, writes,
-        # read_misses, read_stall, write_misses, write_stall].
-        counters = [[0] * 8 for _ in range(config.n_cpus)]
-        for tid in range(config.n_cpus):
-            state = self.threads[tid]
+        for tid, state in enumerate(self.threads):
             prog = state.program
             trace = self.traces.get(tid)
             ctxs.append((
-                prog.kinds, prog.code, prog.trace_meta, state.regs,
-                state, counters[tid],
-                None if trace is None else trace.append_row,
-                prog.name,
+                state.regs, [None] * len(prog), [None] * len(prog),
+                prog.kinds, prog.trace_meta, *cache_tables[tid], [0] * 8,
+                None if trace is None else trace.columns(),
             ))
 
-        heap = [(0, tid) for tid in range(config.n_cpus)]
-        heapq.heapify(heap)
-        item = heappop(heap)
-        inf = float("inf")
-        tid = item[1]
-        kinds, code, meta, regs, state, c, emit, name = ctxs[tid]
-        pc = state.pc
-        n = 0
+        n_cpus = config.n_cpus
+        pcs = [0] * n_cpus     # each thread's next shared pc
+        nss = [0] * n_cpus     # ... and the cycle it starts at
+        room = max_steps       # instructions left in the budget
+        cal = {}
+        for tid in range(n_cpus):
+            pcs[tid], n = self._ahead(tid, ctxs[tid], 0, room, compiler)
+            room -= n
+            nss[tid] = n
+            cal[n] = cal.get(n, 0) | 1 << tid
+        times = list(cal)
+        heapq.heapify(times)
+        E = (1 << n_cpus) - 1
+        p = last = -1
+        hold = None        # a waker's stale slice limit (rule d)
+        todo = 0           # the rest of time point q's shared threads
+        woken = []
+        key = None         # the current thread's next event, not queued
+        tid = q = -1
+        pc = 0
+        block = None
 
         try:
             while True:
-                clock, tid = item
-                kinds, code, meta, regs, state, c, emit, name = ctxs[tid]
-                limit = heap[0][0] if heap else inf
-                blocked = False
-                pc = state.pc
-                n = 0  # instructions retired on the fast path this slice
-                steps_base = self._steps
-
-                while clock <= limit:
-                    kind = kinds[pc]
-                    if kind == 0:  # plain ALU/FP
-                        code[pc](regs)
-                        if emit is not None:
-                            m = meta[pc]
-                            emit(m[0], pc, pc + 1, m[1], m[2], m[3],
-                                 -1, 0, 0, 0)
-                        pc += 1
-                    elif kind == 3:  # load (host blocks on read misses)
-                        addr = code[pc](regs, words, doubles)
-                        hit, stall = access_ht(tid, addr, False, clock)
-                        c[2] += 1
-                        if not hit:
-                            c[4] += 1
-                            c[5] += stall
-                            clock += stall
-                        if emit is not None:
-                            m = meta[pc]
-                            emit(m[0], pc, pc + 1, m[1], m[2], m[3],
-                                 addr, stall, 0, _MC_READ)
-                        if rec is not None:
-                            m = meta[pc]
-                            if m[0] == _OP_LW:
-                                rec.record(tid, pc, m[0], _MC_READ, addr,
-                                           value=words.get(addr, 0))
-                            else:
-                                rec.record(tid, pc, m[0], _MC_READ, addr,
-                                           value=doubles.get(addr, 0.0),
-                                           wide=True)
-                        pc += 1
-                    elif kind == 1:  # conditional branch
-                        nxt = code[pc](regs)
-                        c[1] += 1
-                        if emit is not None:
-                            m = meta[pc]
-                            emit(m[0], pc, nxt, m[1], m[2], m[3],
-                                 -1, 0, 0, 0)
-                        pc = nxt
-                    elif kind == 4:  # store (write buffer hides latency)
-                        addr = code[pc](regs, words, doubles)
-                        hit, stall = access_ht(tid, addr, True, clock)
-                        c[3] += 1
-                        if not hit:
-                            c[6] += 1
-                            c[7] += stall
-                        if emit is not None:
-                            m = meta[pc]
-                            emit(m[0], pc, pc + 1, m[1], m[2], m[3],
-                                 addr, stall, 0, _MC_WRITE)
-                        if rec is not None:
-                            m = meta[pc]
-                            if m[0] == _OP_SW:
-                                rec.record(tid, pc, m[0], _MC_WRITE, addr,
-                                           value=words.get(addr, 0))
-                            else:
-                                rec.record(tid, pc, m[0], _MC_WRITE, addr,
-                                           value=doubles.get(addr, 0.0),
-                                           wide=True)
-                        pc += 1
-                    elif kind == 2:  # jump
-                        nxt = code[pc](regs)
-                        if nxt < 0:
-                            raise ExecutionError(
-                                f"thread {tid}: pc {nxt} out of range "
-                                f"in {name!r}"
-                            )
-                        if emit is not None:
-                            m = meta[pc]
-                            emit(m[0], pc, nxt, m[1], m[2], m[3],
-                                 -1, 0, 0, 0)
-                        pc = nxt
-                    else:  # sync / HALT: leave the fast path
-                        state.pc = pc
-                        clock, blocked = self._sync_step(tid, clock, heap)
-                        if blocked:
-                            break
-                        pc = state.pc
-                        steps_base = self._steps
+                # -- the next event ----------------------------------
+                if hold is not None:
+                    q, key = key, None
+                    evm = 0
+                elif key is not None and not todo and (
+                    not times or key < times[0]
+                ):
+                    q, key = key, None   # tid keeps the machine
+                    evm = tb = 1 << tid
+                else:
+                    if key is not None:
+                        if key not in cal:
+                            heappush(times, key)
+                        cal[key] = cal.get(key, 0) | 1 << tid
+                        key = None
+                    if todo:
+                        low = todo & -todo
+                        todo ^= low
+                        tid = low.bit_length() - 1
+                        evm = 0
+                    elif times:
+                        q = heappop(times)
+                        evm = cal.pop(q)
+                        tid = evm.bit_length() - 1
+                        tb = 1 << tid
+                    else:
+                        break
+                if evm:
+                    # Who goes first at q (rule b): the owner — the last
+                    # thread to run before q if it has a start at q.
+                    if not E:
+                        own = last if last >= 0 and evm >> last & 1 else -1
+                    elif q == p + 1:
+                        own = last if last >= 0 and E >> last & 1 else -1
+                    else:
+                        # Rule (c): over a stretch with E fixed, ownership
+                        # alternates between E's two highest tids.
+                        m1 = E.bit_length() - 1
+                        m2 = (E ^ (1 << m1)).bit_length() - 1
+                        own = m1
+                        if m2 >= 0:
+                            a = m2 if last == m1 else m1
+                            own = a if (q - p) & 1 == 0 else m1 + m2 - a
+                    if evm != tb or not E & tb:
+                        # Threads rejoining E, several shared threads, or
+                        # both: the owner first, the rest in tid order.
+                        joins = evm & ~E
+                        E |= evm
+                        while joins:
+                            low = joins & -joins
+                            joins ^= low
+                            v = low.bit_length() - 1
+                            if nss[v] != q:  # its shared start is later
+                                evm ^= low
+                                if nss[v] not in cal:
+                                    heappush(times, nss[v])
+                                cal[nss[v]] = cal.get(nss[v], 0) | low
+                        low = (1 << own if own >= 0 and evm >> own & 1
+                               else evm & -evm)
+                        todo = evm ^ low
+                        tid = low.bit_length() - 1
+                    # The last to run at q: the highest tid in E(q) but
+                    # the owner, who runs first.
+                    rest = E & ~(1 << own) if own >= 0 else E
+                    last = rest.bit_length() - 1 if rest else own
+                    p = q
+                    if not evm:
                         continue
 
-                    clock += 1
-                    n += 1
-                    if steps_base + n > max_steps:
+                # -- its shared instruction --------------------------
+                (regs, blocks, segs, kinds, meta, tags, states, c,
+                 cols) = ctxs[tid]
+                spc = pcs[tid]
+                kind = kinds[spc]
+                if kind < K_SYNC:
+                    seg = segs[spc]
+                    if seg is None:
+                        seg = segs[spc] = compiler.block(
+                            self.threads[tid].program, spc, cols is not None
+                        )
+                    block = seg
+                    addr, (pc, n, nb, rows) = seg(regs, words, doubles)
+                    room -= 1
+                    if room < 0:
                         raise StepLimitExceeded(
                             f"exceeded {max_steps} instructions"
                         )
-
-                state.pc = pc
-                if n:
-                    c[0] += n
-                    self._steps += n
-                    n = 0
-                if blocked:
-                    if not heap:
-                        break
-                    item = heappop(heap)
+                    line = addr // line_size
+                    idx = line & line_mask
+                    if kind == K_LOAD:
+                        if tags[idx] == line and states[idx]:
+                            c[1] += 1
+                            stall = 0
+                            nx = q + 1
+                        else:
+                            stall = access_ht(tid, addr, False, q)[1]
+                            c[2] += 1
+                            c[3] += stall
+                            nx = q + 1 + stall
+                    else:
+                        if tags[idx] == line and states[idx] >= EXCLUSIVE:
+                            states[idx] = MODIFIED
+                            c[4] += 1
+                            stall = 0
+                        else:
+                            stall = access_ht(tid, addr, True, q)[1]
+                            c[5] += 1
+                            c[6] += stall
+                        nx = q + 1
+                    if cols is not None or rec is not None:
+                        op, rd, rs1, rs2 = meta[spc]
+                        mc = _MC_READ if kind == K_LOAD else _MC_WRITE
+                    if cols is not None:
+                        self.traces[tid].append_row(
+                            op, spc, spc + 1, rd, rs1, rs2, addr, stall, 0, mc
+                        )
+                        any(map(extend, cols, rows))
+                    if rec is not None:
+                        wide = op != _OP_LW and op != _OP_SW
+                        rec.record(
+                            tid, spc, op, mc, addr, wide=wide,
+                            value=doubles.get(addr, 0.0) if wide
+                            else words.get(addr, 0),
+                        )
                 else:
-                    # push-then-pop fused: same schedule, one heap op.
-                    item = heappushpop(heap, (clock, tid))
-        except MemoryError_ as exc:
-            # Misalignment faults carry only the address; add where the
-            # access came from (same format as the reference engine).
-            raise MemoryError_(
-                f"{exc} (thread {tid}, pc {pc})"
-            ) from None
-        except (TypeError, IndexError) as exc:
-            if not 0 <= pc < len(kinds):
-                raise ExecutionError(
-                    f"thread {tid}: pc {pc} out of range in {name!r}"
-                ) from None
-            instr = state.program.instructions[pc]
-            raise ExecutionError(
-                f"thread {tid}: fault at pc {pc} ({instr}): {exc}"
-            ) from exc
-        finally:
-            # An exception leaves the faulting slice's progress
-            # unflushed; account for it before the final merge.
-            if n:
-                state.pc = pc
+                    state = self.threads[tid]
+                    state.pc = pc = spc
+                    self._steps = max_steps - room
+                    nx, blocked = self._sync_step(tid, q, woken)
+                    room = max_steps - self._steps
+                    pc = state.pc
+                    n = nb = 0
+                    if woken:
+                        # Rule (d): woken before the waker's slice limit,
+                        # they wait until it has run to that limit.
+                        limit = times[0] if times else _INF
+                        if (hold is None and tid == last
+                                and not E & ~(1 << tid)
+                                and woken[0][0] < limit):
+                            hold = limit
+                        for k, v in woken:
+                            pcs[v], nv = self._ahead(
+                                v, ctxs[v], self.threads[v].pc, room,
+                                compiler,
+                            )
+                            room -= nv
+                            nss[v] = k + nv
+                            if k not in cal:
+                                heappush(times, k)
+                            cal[k] = cal.get(k, 0) | 1 << v
+                        woken.clear()
+                    if blocked:
+                        E &= ~(1 << tid)
+                        if hold is not None:
+                            hold = None
+                            E = 0
+                            last = -1
+                        continue
+
+                # -- run ahead to the next one (as ``_ahead`` does) ---
+                while True:
+                    block = blocks[pc]
+                    if block is None:
+                        if kinds[pc]:
+                            break
+                        block = blocks[pc] = compiler.block(
+                            self.threads[tid].program, pc, cols is not None
+                        )
+                    pc, w, wb, rows = block(regs)
+                    n += w
+                    nb += wb
+                    if n > room:
+                        raise StepLimitExceeded(
+                            f"exceeded {max_steps} instructions"
+                        )
+                    if cols is not None:
+                        any(map(extend, cols, rows))
+                pcs[tid] = pc
                 c[0] += n
-                self._steps += n
-            for t in range(config.n_cpus):
-                cnt = counters[t]
+                c[7] += nb
+                room -= n
+                ns = nss[tid] = nx + n
+
+                # -- and its next event ------------------------------
+                if hold is not None:
+                    if ns <= hold:
+                        key = ns
+                        continue
+                    key = max(nx, hold + 1)
+                    hold = None
+                    E = 0
+                    last = -1
+                elif nx == q + 1:
+                    key = ns
+                else:
+                    E &= ~(1 << tid)
+                    key = nx
+        except (MemoryError_, TypeError, IndexError, PcOutOfRange) as exc:
+            self._fault(exc, tid, pc, block)
+        finally:
+            self._steps = max_steps - room
+            for t, state in enumerate(self.threads):
+                state.pc = pcs[t]
+                (private, rhit, rmiss, rstall, whit, wmiss, wstall,
+                 branches) = ctxs[t][7]
+                busy = private + rhit + rmiss + whit + wmiss
                 stats = self.cpu_stats[t]
-                stats.busy_cycles += cnt[0]
-                self.threads[t].instructions_executed += cnt[0]
-                stats.cond_branches += cnt[1]
-                stats.reads += cnt[2]
-                stats.writes += cnt[3]
-                stats.read_misses += cnt[4]
-                stats.read_stall_cycles += cnt[5]
-                stats.write_misses += cnt[6]
-                stats.write_stall_cycles += cnt[7]
+                stats.busy_cycles += busy
+                state.instructions_executed += busy
+                stats.cond_branches += branches
+                stats.reads += rhit + rmiss
+                stats.writes += whit + wmiss
+                stats.read_misses += rmiss
+                stats.read_stall_cycles += rstall
+                stats.write_misses += wmiss
+                stats.write_stall_cycles += wstall
+                cache_stats = self.memsys.caches[t].stats
+                cache_stats.reads += rhit
+                cache_stats.writes += whit
+
+    def _ahead(self, tid: int, ctx, pc: int, room: int, compiler):
+        """Run a thread's private code from ``pc`` and count it (outside
+        the hot loop, which inlines the same walk); returns ``(shared pc,
+        instructions run)``."""
+        regs, blocks, _, kinds, _, _, _, c, cols = ctx
+        n = nb = 0
+        block = None
+        try:
+            while True:
+                block = blocks[pc]
+                if block is None:
+                    if kinds[pc]:
+                        c[0] += n
+                        c[7] += nb
+                        return pc, n
+                    block = blocks[pc] = compiler.block(
+                        self.threads[tid].program, pc,
+                        cols is not None,
+                    )
+                pc, w, wb, rows = block(regs)
+                n += w
+                nb += wb
+                if n > room:
+                    raise StepLimitExceeded(
+                        f"exceeded {self.config.max_instructions} "
+                        "instructions"
+                    )
+                if cols is not None:
+                    any(map(array.extend, cols, rows))
+        except (TypeError, IndexError, PcOutOfRange) as exc:
+            self._fault(exc, tid, pc, block)
+
+    def _fault(self, exc, tid: int, pc: int, block=None):
+        """Re-raise ``exc`` from thread ``tid`` at ``pc`` the way the
+        reference engine words it; inside a compiled ``block`` the
+        faulting instruction is found from the traceback's line."""
+        prog = self.threads[tid].program
+        tb = exc.__traceback__
+        if isinstance(exc, PcOutOfRange):
+            pc = exc.args[0]
+        elif block is not None:
+            while tb is not None:
+                if tb.tb_frame.f_code.co_filename == BLOCK_FILENAME:
+                    pc = block.line_pcs[tb.tb_lineno - 2]
+                    break
+                tb = tb.tb_next
+        if isinstance(exc, MemoryError_):
+            raise MemoryError_(f"{exc} (thread {tid}, pc {pc})") from None
+        if not 0 <= pc < len(prog):
+            raise ExecutionError(
+                f"thread {tid}: pc {pc} out of range in {prog.name!r}"
+            ) from None
+        instr = prog.instructions[pc]
+        raise ExecutionError(
+            f"thread {tid}: fault at pc {pc} ({instr}): {exc}"
+        ) from exc
 
     def _run_reference(self) -> None:
         """Oracle engine: one ``execute_instruction`` call per instruction."""

@@ -97,6 +97,28 @@ class TestBasicExecution:
                 [b.build()], MultiprocessorConfig(n_cpus=2), SharedMemory()
             )
 
+    @pytest.mark.parametrize("kw", (
+        dict(n_cpus=0), dict(n_cpus=-2, trace_cpus=()),
+        dict(n_cpus=4, trace_cpus=(7,)), dict(n_cpus=4, trace_cpus=(0, -1)),
+    ))
+    def test_degenerate_config_rejected(self, kw):
+        with pytest.raises(ValueError):
+            MultiprocessorConfig(**kw)
+
+    def test_trace_cpu_outside_the_machine_builds_nothing(self, tmp_path):
+        # A cpu the machine lacks would yield an empty trace that gets
+        # cached and analysed as if it were real.
+        from repro.cli import main
+        from repro.experiments import TraceStore
+
+        store = TraceStore(
+            n_procs=4, preset="tiny", trace_cpu=7, cache_dir=tmp_path
+        )
+        with pytest.raises(ValueError, match="trace_cpus"):
+            store.get("lu")
+        assert list(tmp_path.iterdir()) == []
+        assert main(["--procs", "0", "--preset", "tiny", "run", "lu"]) == 3
+
     def test_step_limit(self):
         b = AsmBuilder()
         b.label("spin")

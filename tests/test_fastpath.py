@@ -18,6 +18,7 @@ from trace_helpers import TraceBuilder
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
+from repro.asm import AsmBuilder
 from repro.cli import main
 from repro.consistency import get_model
 from repro.cosim import build_node, run_cosim
@@ -45,9 +46,11 @@ from repro.cpu import (
     simulate_ssbr_fast,
 )
 from repro.cpu.ds import DSConfig
+from repro.mem import MemoryError_, SharedMemory
 from repro.net import build_network
 from repro.obs import ChromeTracer, MetricsRegistry, Probe, run_profile
 from repro.service import sweep_from_request
+from repro.tango import ExecutionError, StepLimitExceeded
 from repro.tango.trace import TRACE_FORMAT_VERSION
 from repro.verify import ExecutionRecorder
 
@@ -109,6 +112,292 @@ class TestRecordedCompiledDispatch:
         recorded, _ = self._record("lu", compiled=True)
         bare = _run("lu", compiled=True)
         assert recorded.stats == bare.stats
+
+
+# Address map of the generated scheduler programs.
+_WORDS = 0x4000      # 4 shared lines of 4 words
+_DOUBLES = 0x4800    # 2 shared lines of 2 doubles
+_LOCKS = 0x5000      # one lock per line
+_EVENTS = 0x6000     # one event per phase, set by thread 0
+_BARRIER = 0x7000
+
+_OPS = st.one_of(
+    st.tuples(st.just("alu"), st.integers(1, 8)),
+    st.tuples(st.just("loop"), st.integers(1, 10),
+              st.sampled_from([None, "load", "store"]), st.integers(0, 15)),
+    st.tuples(st.just("load"), st.integers(0, 15)),
+    st.tuples(st.just("store"), st.integers(0, 15)),
+    st.tuples(st.just("fload"), st.integers(0, 3)),
+    st.tuples(st.just("fstore"), st.integers(0, 3)),
+    st.tuples(st.just("locked"), st.integers(0, 1), st.integers(0, 15)),
+    st.tuples(st.just("wait")),
+)
+
+
+@st.composite
+def shared_programs(draw):
+    """2-6 threads in 1-3 barrier-separated phases of private loops,
+    loads and stores over six shared lines, lock-protected updates and
+    waits on the phase's event, which thread 0 sets once per phase and
+    clears in the next: deadlock-free by construction."""
+    n = draw(st.integers(2, 6))
+    phases = draw(st.integers(1, 3))
+    spec = [
+        [draw(st.lists(_OPS, max_size=6)) for _ in range(phases)]
+        for _ in range(n)
+    ]
+    sets = [draw(st.integers(0, 6)) for _ in range(phases)]
+    config = dict(
+        miss_penalty=draw(st.sampled_from([5, 50])),
+        sync_access_latency=draw(st.sampled_from([None, 0, 3])),
+        network=draw(st.sampled_from(["ideal", "crossbar"])),
+    )
+    return spec, sets, config
+
+
+def _build_shared(spec, sets):
+    programs = []
+    for tid, phases in enumerate(spec):
+        b = AsmBuilder(f"t{tid}")
+        words, dbls, val, tmp, i, sync = (b.ireg() for _ in range(6))
+        f = b.freg()
+        b.li(words, _WORDS)
+        b.li(dbls, _DOUBLES)
+        b.li(val, tid + 1)
+        b.cvtif(f, val)
+
+        def event(k, op):
+            b.li(sync, _EVENTS + 4 * k)
+            op(sync)
+
+        def access(kind, w):
+            if kind == "load":
+                b.lw(tmp, words, 4 * w)
+            elif kind == "store":
+                b.sw(val, words, 4 * w)
+
+        for k, ops in enumerate(phases):
+            if tid == 0 and k:
+                event(k - 1, b.evclear)
+            for pos, op in enumerate(ops + [("end",)]):
+                if tid == 0 and pos == min(sets[k], len(ops)):
+                    event(k, b.evset)
+                if op[0] == "alu":
+                    for _ in range(op[1]):
+                        b.addi(tmp, tmp, 3)
+                elif op[0] == "loop":
+                    with b.for_range(i, 0, op[1]):
+                        b.xor(tmp, tmp, i)
+                        access(op[2], op[3])
+                elif op[0] in ("load", "store"):
+                    access(*op)
+                elif op[0] == "fload":
+                    b.fld(f, dbls, 8 * op[1])
+                elif op[0] == "fstore":
+                    b.fsd(f, dbls, 8 * op[1])
+                elif op[0] == "locked":
+                    b.li(sync, _LOCKS + 16 * op[1])
+                    b.lock(sync)
+                    b.lw(tmp, words, 4 * op[2])
+                    b.add(tmp, tmp, val)
+                    b.sw(tmp, words, 4 * op[2])
+                    b.unlock(sync)
+                elif op[0] == "wait" and tid:
+                    event(k, b.evwait)
+            b.li(sync, _BARRIER)
+            b.barrier(sync)
+        programs.append(b.build())
+    return programs
+
+
+def _both_engines(programs, **config):
+    """Run ``programs`` on both engines, every CPU traced and recorded;
+    asserts every output is identical and returns the compiled side's
+    ``(result, log)``."""
+    runs = []
+    for compiled in (True, False):
+        recorder = ExecutionRecorder()
+        cfg = MultiprocessorConfig(
+            n_cpus=len(programs), trace_cpus=tuple(range(len(programs))),
+            record_sync_schedule=True, **config,
+        )
+        result = TangoExecutor(
+            programs, cfg, SharedMemory(), compiled=compiled,
+            recorder=recorder,
+        ).run()
+        runs.append((result, recorder.log()))
+    (fast, fast_log), (ref, ref_log) = runs
+    assert fast.stats == ref.stats
+    for cpu in range(len(programs)):
+        assert fast.trace(cpu) == ref.trace(cpu), cpu
+    assert fast_log.events == ref_log.events
+    assert fast_log.coherence == ref_log.coherence
+    assert fast.memory.words == ref.memory.words
+    assert fast.memory.doubles == ref.memory.doubles
+    assert (fast.sync_schedule.summary()
+            == ref.sync_schedule.summary())
+    return fast, fast_log
+
+
+class TestRunAheadScheduler:
+    """The compiled engine orders only shared instructions and runs
+    private code ahead; it must reproduce the reference engine's
+    per-instruction schedule exactly, including its quirks (see the
+    rules in :mod:`repro.tango.executor`)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shared_programs())
+    def test_generated_programs_match_reference(self, drawn):
+        spec, sets, config = drawn
+        _both_engines(_build_shared(spec, sets), **config)
+
+    @pytest.mark.parametrize("k", (1, 5, 16, 40))
+    def test_lockstep_loop_with_a_load_every_k(self, k):
+        """Rule (c): 16 threads in one ALU loop — in pairs a cycle
+        apart, threads 0 and 15 alone — start every cycle together;
+        across the private stretches ownership alternates between the
+        two highest tids, and decides which of a pair goes first when
+        its loads and stores coincide."""
+        programs = []
+        for tid in range(16):
+            b = AsmBuilder(f"t{tid}")
+            src, dst, x, i = (b.ireg() for _ in range(4))
+            b.li(src, _WORDS + 16 * (tid % 4))
+            b.li(dst, _WORDS + 0x100 + 16 * tid)
+            for _ in range((tid + 1) // 2):
+                b.addi(x, x, 1)
+            with b.for_range(i, 0, 40):
+                for _ in range(k):
+                    b.addi(x, x, 1)
+                b.lw(x, src, 0)
+                b.sw(x, dst, 0)
+            programs.append(b.build())
+        _both_engines(programs)
+
+    def _race(self, lead):
+        """Thread 1 misses at cycle 1 (its stall ends at 52); thread 0
+        runs ``lead`` private instructions; both then store to one
+        word.  Returns who stored last."""
+        b0, b1 = AsmBuilder("t0"), AsmBuilder("t1")
+        for tid, b in enumerate((b0, b1)):
+            base, x = b.ireg(), b.ireg()
+            b.li(base, _WORDS)
+            if tid:
+                b.lw(x, base, 16)
+            else:
+                for _ in range(lead):
+                    b.addi(x, x, 1)
+            b.li(x, tid + 1)
+            b.sw(x, base, 0)
+        result, _ = _both_engines([b0.build(), b1.build()])
+        return result.memory.read_word(_WORDS) - 1
+
+    def test_miss_ending_at_the_others_next_start(self):
+        """Rule (b): at a tie the owner goes first — and a thread keeps
+        ownership across a miss only if its stall ends by the others'
+        next start."""
+        last = {lead: self._race(lead) for lead in range(47, 54)}
+        assert set(last.values()) == {0, 1}, last
+
+    def test_barrier_last_arriver_runs_past_the_woken(self):
+        """Rule (d): the last arriver at a barrier runs on until it
+        blocks, past the clocks of the threads it woke — time moves
+        backwards (ROADMAP item 2), so its later store is overwritten
+        by their earlier ones."""
+        programs = []
+        for tid in range(4):
+            b = AsmBuilder(f"t{tid}")
+            base, bar, x, i = b.ireg(), b.ireg(), b.ireg(), b.ireg()
+            b.li(base, _WORDS)
+            b.li(bar, _BARRIER)
+            b.li(x, tid + 1)
+            if tid == 3:
+                with b.for_range(i, 0, 20):
+                    b.addi(x, x, 0)
+            b.barrier(bar)
+            if tid == 3:
+                with b.for_range(i, 0, 30):
+                    b.addi(x, x, 0)
+            b.sw(x, base, 0)
+            b.barrier(bar)
+            programs.append(b.build())
+        result, log = _both_engines(programs)
+        stores = [e.tid for e in log.events if e.addr == _WORDS]
+        assert stores[0] == 3 and result.memory.read_word(_WORDS) != 4
+
+    def test_lock_handoff_while_the_others_miss(self):
+        """Rule (d): an unlock wakes the waiter while every other thread
+        is stalled on a miss; the releaser runs on to its old limit (the
+        first stall's end) before the woken thread starts."""
+        programs = []
+        for tid in range(4):
+            b = AsmBuilder(f"t{tid}")
+            base, lock, x, i = b.ireg(), b.ireg(), b.ireg(), b.ireg()
+            b.li(base, _WORDS)
+            b.li(lock, _LOCKS)
+            b.li(x, tid + 1)
+            if tid == 0:
+                b.lock(lock)
+                with b.for_range(i, 0, 6):
+                    b.addi(x, x, 0)
+                b.unlock(lock)
+                for _ in range(8):
+                    b.addi(x, x, 0)
+                b.sw(x, base, 0)
+            elif tid == 1:
+                b.addi(x, x, 0)
+                b.lock(lock)
+                b.sw(x, base, 0)
+                b.unlock(lock)
+            else:
+                for _ in range(12 + 2 * tid):
+                    b.addi(i, i, 1)
+                b.lw(i, base, 16 * tid)
+            programs.append(b.build())
+        result, log = _both_engines(programs, sync_access_latency=2)
+        stores = [e.tid for e in log.events if e.addr == _WORDS]
+        assert stores == [0, 1] and result.memory.read_word(_WORDS) == 2
+
+    def test_private_spin_hits_the_step_limit(self):
+        spin, done = AsmBuilder("spin"), AsmBuilder("done")
+        i = spin.ireg()
+        spin.label("top")
+        spin.addi(i, i, 1)
+        spin.branch("ge", i, spin.zero, "top")
+        done.halt()
+        config = MultiprocessorConfig(n_cpus=2, max_instructions=5_000)
+        for compiled in (True, False):
+            with pytest.raises(StepLimitExceeded):
+                TangoExecutor(
+                    [spin.build(), done.build()], config, compiled=compiled
+                ).run()
+
+    @pytest.mark.parametrize("fault, pc", (("type", 4), ("misaligned", 5)))
+    def test_fault_inside_a_block_names_thread_and_pc(self, fault, pc):
+        messages = []
+        for compiled in (True, False):
+            ok, bad = AsmBuilder("ok"), AsmBuilder("bad")
+            ok.halt()
+            base, x, y = bad.ireg(), bad.ireg(), bad.ireg()
+            f = bad.freg()
+            bad.li(base, _WORDS)
+            bad.lw(x, base, 0)
+            bad.addi(y, x, 2)
+            bad.fli(f, 1.5)
+            if fault == "type":
+                bad.sll(y, y, f)     # int << float
+            else:
+                bad.addi(base, base, 2)
+                bad.sw(y, base, 0)   # misaligned, after private code
+            bad.addi(y, y, 1)
+            config = MultiprocessorConfig(n_cpus=2)
+            with pytest.raises((ExecutionError, MemoryError_)) as exc:
+                TangoExecutor(
+                    [ok.build(), bad.build()], config, compiled=compiled
+                ).run()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "thread 1" in messages[0] and f"pc {pc}" in messages[0]
 
 
 class TestParallelFanOut:
