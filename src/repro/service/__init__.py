@@ -15,11 +15,15 @@ The layer between "one CLI invocation" and "sustained sweep traffic":
 * :mod:`~repro.service.chaos` — real fault injection (SIGKILL, hangs,
   payload corruption, transient failures) used by the tests and the CI
   smoke to prove the supervisor recovers;
-* :func:`run_batch` — graceful degradation: partial results plus a
-  structured failure report, surfaced via ``python -m repro
-  batch``/``status``/``results``;
+* :class:`~repro.service.batch.SweepCore` — the one lifecycle of a
+  sweep: job records, dedup against the store, pooled or in-thread
+  execution, stored payloads and traced spans; both front ends below
+  run through it;
+* :func:`run_batch` — the one-shot front end, with graceful
+  degradation: partial results plus a structured failure report,
+  surfaced via ``python -m repro batch``/``status``/``results``;
 * :class:`Daemon` + :mod:`~repro.service.http` — the persistent
-  simulation-as-a-service front half: warm pool and caches behind a
+  simulation-as-a-service front end: warm pool and caches behind a
   bounded priority :class:`JobQueue`, exposed over a stdlib JSON/HTTP
   API (``python -m repro serve``) with a :class:`DaemonClient` and a
   multi-endpoint shard :func:`dispatch` on the client side.

@@ -1,16 +1,21 @@
-"""Batch runner: sweeps with graceful degradation and live status.
+"""The sweep-execution core and the batch runner built on it.
 
-``run_batch`` ties the service layer together: the sweep scheduler
-(:mod:`repro.service.jobs`) decomposes the grid, the content-addressed
-:class:`~repro.service.store.ResultStore` satisfies every sub-run that
-any earlier batch already computed, and the
-:class:`~repro.service.pool.SupervisedPool` computes the rest under
-supervision.  A batch never raises on job failure: it returns partial
-results plus a structured failure report, persisted as
-``state.json``/``manifest.json`` under ``<out>/<batch-id>/`` so that
-``python -m repro status`` and ``results`` can inspect a batch during
-and after the run.  Only SIGINT/SIGTERM interrupt a batch, and even
-then the state file records how far it got.
+:class:`SweepCore` is the one place a sweep of
+:class:`~repro.service.jobs.SweepJob`\\ s runs: it builds the
+:class:`JobRecord`\\ s, serves hits from the content-addressed
+:class:`~repro.service.store.ResultStore`, runs the misses on a
+:class:`~repro.service.pool.SupervisedPool` or in the calling thread,
+stores their payloads and records a traced sweep's ``job``/``attempt``
+spans.  Its front ends are :func:`run_batch` and the
+:class:`~repro.service.daemon.Daemon`.
+
+``run_batch`` runs the core once on a per-batch pool and persists
+``state.json`` (on every record change), ``manifest.json`` and, when
+traced, ``trace.json`` under ``<out>/<batch-id>/`` for ``python -m
+repro status``/``results``.  A batch never raises on job failure: it
+returns partial results plus a structured failure report.  Only
+SIGINT/SIGTERM interrupt it, and the state file still records how far
+it got.
 """
 
 from __future__ import annotations
@@ -18,18 +23,26 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
+import threading
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from ..obs.manifest import build_manifest, write_manifest
+from ..obs.context import TraceContext
 from ..obs.metrics import MetricsRegistry
-from .errors import BatchInterrupted
+from ..obs.spans import Span, write_spans
+from .errors import REASON_ERROR, AttemptFailure, BatchInterrupted
 from .jobs import SweepJob
 from .pool import (
+    LIVE_STATES,
+    STATE_CANCELLED,
     STATE_DONE,
+    STATE_FAILED,
     STATE_PENDING,
-    STATE_RETRY,
     STATE_RUNNING,
     Job,
     SupervisedPool,
@@ -44,12 +57,9 @@ DEFAULT_BATCH_DIR = Path("results") / "batches"
 def run_sweep_job(job: SweepJob, store):
     """Run one canonical sub-run against ``store``, to a breakdown.
 
-    The single execution path shared by the batch workers and the
-    daemon's serial scheduler — both therefore produce byte-identical
-    pickles for the same job.  ``store`` is an
-    :class:`~repro.experiments.runner.TraceStore`; a warm one (the
-    daemon's, or a persistent worker's shared store) satisfies the
-    trace lookup from memory.
+    ``store`` is an :class:`~repro.experiments.runner.TraceStore`; a
+    warm one (a persistent worker's or the daemon's shared store)
+    satisfies the trace lookup from memory.
 
     Imports stay inside the function so :mod:`repro.service` never
     imports :mod:`repro.experiments` at module level (the experiments
@@ -103,54 +113,49 @@ def run_sweep_job(job: SweepJob, store):
 
 def _sweep_worker(
     config: dict, cache_dir: str | None, trace_info: dict | None = None,
+    job_fn=None, metrics=None,
 ):
-    """Worker-side entry: reconstruct the job and run it.
+    """Run one sub-run, in a pool worker or in the calling thread.
 
-    The store comes from :func:`repro.experiments.runner.shared_store`,
-    keyed by the job's trace-shaping parameters — in a *persistent*
-    worker (daemon mode) the same process serves many jobs, so traces
-    generated for one request stay warm for the next.  In per-batch
-    workers the shared store degenerates to the old per-job store.
+    ``job_fn`` (``SweepJob -> result``) replaces the simulation; by
+    default the sub-run is simulated against
+    :func:`repro.experiments.runner.shared_store`, keyed by the job's
+    trace-shaping parameters, so a persistent worker (or the daemon's
+    own thread) keeps traces warm from one request to the next.
+    ``metrics`` rebinds that store's warm-cache counters (in-thread
+    only; a worker keeps its own).
 
-    ``trace_info`` (``{"trace_id", "parent_id", "label", "span_dir"}``)
-    opts this execution into distributed tracing: the worker records a
-    run span with nested trace-acquisition and simulate spans into a
-    JSONL side file under ``span_dir``.  The simulation result itself
-    is untouched — tracing on or off, the returned (and thus pickled)
-    payload is byte-identical.
+    ``trace_info`` (``{"trace_id", "parent_id", "span_dir"}``)
+    opts this execution into distributed tracing: a run span with
+    nested trace-acquisition and simulate spans goes to a JSONL side
+    file under ``span_dir``.  The returned payload is byte-identical
+    either way.
     """
-    from ..experiments.runner import shared_store
-
     job = SweepJob(**config)
-    store = shared_store(dict(
-        n_procs=job.procs,
-        miss_penalty=job.penalty,
-        preset=job.preset,
-        cache_dir=cache_dir,
-    ))
+    store = None
+    if job_fn is None:
+        from ..experiments.runner import shared_store
+
+        store = shared_store(dict(
+            n_procs=job.procs,
+            miss_penalty=job.penalty,
+            preset=job.preset,
+            cache_dir=cache_dir,
+        ), metrics=metrics)
+        job_fn = partial(run_sweep_job, store=store)
     if trace_info is None:
-        return run_sweep_job(job, store)
-    return _traced_sweep_job(job, store, trace_info)
-
-
-def _traced_sweep_job(job: SweepJob, store, trace_info: dict):
-    """Run one job while recording worker-side spans to a side file."""
-    from ..obs.spans import Span, write_spans
-
+        return job_fn(job)
     trace_id = trace_info["trace_id"]
-    label = trace_info.get("label") or job.label()
+    label = job.label()
     process = f"worker-{os.getpid()}"
     run_id = os.urandom(4).hex()
     t_run = time.time()
     # Warm the trace explicitly so its cost appears as its own nested
     # span; run_sweep_job re-fetches it from the (now warm) store.
-    t_trace = time.time()
-    if job.kind == "cosim":
-        store.get_cosim(job.app)
-    else:
-        store.get(job.app)
+    if store is not None:
+        (store.get_cosim if job.kind == "cosim" else store.get)(job.app)
     t_sim = time.time()
-    result = run_sweep_job(job, store)
+    result = job_fn(job)
     t_end = time.time()
     spans = [
         Span(
@@ -160,7 +165,7 @@ def _traced_sweep_job(job: SweepJob, store, trace_info: dict):
         ),
         Span(
             trace_id, os.urandom(4).hex(), run_id,
-            "trace", process, "main", t_trace, t_sim,
+            "trace", process, "main", t_run, t_sim,
         ),
         Span(
             trace_id, os.urandom(4).hex(), run_id,
@@ -189,7 +194,7 @@ class JobRecord:
     key: str
     label: str
     config: dict
-    state: str = "pending"
+    state: str = STATE_PENDING
     attempts: int = 0
     source: str | None = None  # "store"/"cache" (dedup hit), "computed"
     history: list = field(default_factory=list)
@@ -225,6 +230,191 @@ class JobRecord:
         }
 
 
+def sweep_records(
+    store, sweep: list[SweepJob], queued_at: float,
+) -> list[JobRecord]:
+    """One pending record per sub-run, keyed by ``store``."""
+    return [
+        JobRecord(
+            key=store.key(job.config()), label=job.label(),
+            config=job.config(), queued_at=queued_at,
+        )
+        for job in sweep
+    ]
+
+
+@dataclass
+class SweepCore:
+    """Runs sweeps against one result store (see module docstring).
+
+    Misses run on ``pool`` or, without one, one at a time in the
+    calling thread; ``inline_single`` also keeps a lone miss in-thread.
+    ``job_fn`` (``SweepJob -> result``; module-level, so a pool can
+    pickle it) replaces the simulation.  ``lookup(key)`` is the dedup
+    probe (default: the store), ``on_computed(key, payload)`` sees every
+    stored payload, and ``emit(span)`` takes the spans, which appear
+    under ``process``.
+    """
+
+    store: ResultStore
+    process: str
+    pool: SupervisedPool | None = None
+    inline_single: bool = False
+    job_fn: Callable | None = None
+    cache_dir: str | None = None
+    metrics: MetricsRegistry | None = None
+    span_dir: Path | str | None = None
+    lookup: Callable[[str], bytes | None] | None = None
+    on_computed: Callable[[str, bytes], None] | None = None
+    emit: Callable[[Span], None] | None = None
+    _draining: threading.Event = field(
+        default_factory=threading.Event, init=False, repr=False,
+    )
+
+    def drain(self) -> None:
+        """Start no further in-thread sub-run; the rest are cancelled."""
+        self._draining.set()
+
+    def interrupt(self) -> None:
+        """Unwind a pooled run now, cancelling its live sub-runs."""
+        if self.pool is not None:
+            self.pool.interrupt()
+
+    def run(
+        self, sweep: list[SweepJob], records: list[JobRecord], *,
+        trace: TraceContext | None = None, on_change=None,
+    ) -> bool:
+        """Serve, run and store every sub-run of ``sweep`` into its
+        ``records``; returns whether the run was interrupted.
+
+        Job-level failures are recorded, never raised.  ``on_change()``
+        follows the dedup pre-pass and every record change.  With a
+        ``trace`` each record gets a ``job <label>`` span under
+        ``trace.span_id`` with an ``attempt N`` child per attempt; pooled
+        workers parent their ``run`` spans on the job span, whose id is
+        minted up front so no cross-process coordination is needed.
+        """
+        trace_id = trace.trace_id if trace is not None else None
+        changed = on_change or (lambda: None)
+        lookup = self.lookup or self.store.get_bytes
+        span_ids = (
+            {r.key: os.urandom(4).hex() for r in records} if trace_id else {}
+        )
+        misses: list[tuple[JobRecord, SweepJob]] = []
+        for record, job in zip(records, sweep):
+            if lookup(record.key) is not None:
+                record.state = STATE_DONE
+                record.source = "store"
+                record.started_at = record.finished_at = time.time()
+            else:
+                misses.append((record, job))
+        changed()
+
+        inline = self.pool is None or (
+            self.inline_single and len(misses) == 1
+        )
+        fn = (
+            partial(_sweep_worker, metrics=self.metrics) if inline
+            else _sweep_worker
+        )
+        pool_jobs = []
+        for i, (record, job) in enumerate(misses):
+            trace_info = None
+            if trace_id and not inline:
+                trace_info = {
+                    "trace_id": trace_id,
+                    "parent_id": span_ids[record.key],
+                    "span_dir": str(self.span_dir),
+                }
+            pool_jobs.append(Job(
+                index=i, fn=fn, label=record.label,
+                args=(vars(job), self.cache_dir, trace_info, self.job_fn),
+            ))
+        attempt_open: dict[tuple[int, int], float] = {}
+
+        def on_update(job: Job) -> None:
+            record = misses[job.index][0]
+            now = time.time()
+            record.state = job.state
+            record.attempts = job.attempts
+            record.history = [h.to_dict() for h in job.history]
+            if job.state == STATE_RUNNING:
+                if record.started_at is None:
+                    record.started_at = now
+                attempt_open.setdefault((job.index, job.attempts), now)
+            if job.state not in LIVE_STATES:
+                record.finished_at = now
+            if trace_id and job.state != STATE_RUNNING:
+                opened = attempt_open.pop((job.index, job.attempts), None)
+                if opened is not None:
+                    self.emit(Span(
+                        trace_id, os.urandom(4).hex(),
+                        span_ids[record.key],
+                        f"attempt {job.attempts}", self.process,
+                        record.label, opened, now,
+                        args={"state": job.state, "label": record.label},
+                    ))
+            if job.state == STATE_DONE and job.payload is not None:
+                record.source = "computed"
+                self.store.put_bytes(
+                    record.key, job.payload,
+                    meta={"label": record.label, "config": record.config},
+                )
+                if self.on_computed is not None:
+                    self.on_computed(record.key, job.payload)
+            changed()
+
+        interrupted = False
+        if inline:
+            interrupted = self._run_inline(pool_jobs, on_update)
+        elif pool_jobs:
+            try:
+                self.pool.run(pool_jobs, on_update=on_update)
+            except BatchInterrupted:
+                interrupted = True
+        if trace_id:
+            # Every record is terminal now; one cancelled before it
+            # started gets a zero-length span.
+            for record in records:
+                self.emit(Span(
+                    trace_id, span_ids[record.key], trace.span_id,
+                    f"job {record.label}", self.process, record.label,
+                    record.started_at or record.finished_at,
+                    record.finished_at,
+                    args={
+                        "state": record.state, "source": record.source,
+                        "attempts": record.attempts,
+                    },
+                ))
+        return interrupted
+
+    def _run_inline(self, jobs: list[Job], notify) -> bool:
+        """One attempt per job in this thread, through the pool's state
+        transitions; after :meth:`drain` the rest are cancelled."""
+        for i, job in enumerate(jobs):
+            if self._draining.is_set():
+                for rest in jobs[i:]:
+                    rest.state = STATE_CANCELLED
+                    notify(rest)
+                return True
+            job.attempts = 1
+            job.state = STATE_RUNNING
+            notify(job)
+            try:
+                job.payload = pickle.dumps(
+                    job.fn(*job.args), pickle.HIGHEST_PROTOCOL
+                )
+            except Exception as exc:  # noqa: BLE001 — recorded, not fatal
+                job.history.append(AttemptFailure(
+                    1, REASON_ERROR, f"{type(exc).__name__}: {exc}", 0.0,
+                ))
+                job.state = STATE_FAILED
+            else:
+                job.state = STATE_DONE
+            notify(job)
+        return False
+
+
 @dataclass
 class BatchReport:
     """Outcome of one batch: partial results + structured failures."""
@@ -238,15 +428,15 @@ class BatchReport:
 
     @property
     def completed(self) -> list[JobRecord]:
-        return [r for r in self.records if r.state == "done"]
+        return [r for r in self.records if r.state == STATE_DONE]
 
     @property
     def failed(self) -> list[JobRecord]:
-        return [r for r in self.records if r.state == "failed"]
+        return [r for r in self.records if r.state == STATE_FAILED]
 
     @property
     def cancelled(self) -> list[JobRecord]:
-        return [r for r in self.records if r.state == "cancelled"]
+        return [r for r in self.records if r.state == STATE_CANCELLED]
 
     @property
     def partial(self) -> bool:
@@ -295,14 +485,6 @@ def _batch_id(keys: list[str]) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:12]
 
 
-def _write_state(path: Path, state: dict) -> None:
-    """Atomic JSON write so `status` never reads a torn state file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(state, indent=2) + "\n")
-    os.replace(tmp, path)
-
-
 def run_batch(
     sweep: list[SweepJob],
     *,
@@ -330,7 +512,7 @@ def run_batch(
     timeline to ``<batch>/trace.json``.
     """
     from ..obs.log import NULL_LOG
-    from ..obs.spans import Span, read_spans, stitch, write_spans
+    from ..obs.spans import read_spans, stitch
 
     m = metrics if metrics is not None else MetricsRegistry(enabled=True)
     log = log if log is not None else NULL_LOG
@@ -339,17 +521,10 @@ def run_batch(
         Path(store_dir) if store_dir else out_root / "store", metrics=m
     )
     t_start = time.time()
-
-    keys = [store.key(job.config()) for job in sweep]
-    records = [
-        JobRecord(
-            key=key, label=job.label(), config=job.config(),
-            queued_at=t_start,
-        )
-        for key, job in zip(keys, sweep)
-    ]
-    batch_dir = out_root / _batch_id(keys)
+    records = sweep_records(store, sweep, t_start)
+    batch_dir = out_root / _batch_id([r.key for r in records])
     state_path = batch_dir / "state.json"
+    span_dir = batch_dir / "spans"
     if trace is not None:
         log = log.bind(trace=trace.trace_id)
     log = log.bind(batch=batch_dir.name)
@@ -357,14 +532,27 @@ def run_batch(
         "batch.start", n_jobs=len(sweep), workers=jobs,
         max_attempts=max_attempts, chaos=chaos is not None,
     )
-    span_dir = batch_dir / "spans"
     batch_spans: list[Span] = []
-    job_span_ids: dict[str, str] = {}
-    if trace is not None:
-        for record in records:
-            job_span_ids[record.key] = os.urandom(4).hex()
+    core = SweepCore(
+        store,
+        process="batch",
+        pool=SupervisedPool(
+            workers=jobs,
+            timeout=timeout,
+            max_attempts=max_attempts,
+            seed=seed,
+            chaos=chaos,
+            metrics=m,
+            log=log,
+            install_signal_handlers=True,
+        ),
+        cache_dir=str(cache_dir) if cache_dir else None,
+        span_dir=span_dir,
+        emit=batch_spans.append,
+    )
 
     def persist(extra: dict | None = None) -> None:
+        """Atomic write, so `status` never reads a torn state file."""
         state = {
             "schema": BATCH_STATE_SCHEMA,
             "batch_id": batch_dir.name,
@@ -375,97 +563,12 @@ def run_batch(
         }
         if extra:
             state.update(extra)
-        _write_state(state_path, state)
+        batch_dir.mkdir(parents=True, exist_ok=True)
+        tmp = state_path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(state, indent=2) + "\n")
+        os.replace(tmp, state_path)
 
-    # Content-addressed dedup: anything a previous batch (or a shared
-    # grid point of this one) already computed is done before any
-    # worker spawns.
-    misses: list[tuple[JobRecord, SweepJob]] = []
-    for record, job in zip(records, sweep):
-        if store.get_bytes(record.key) is not None:
-            record.state = "done"
-            record.source = "store"
-            record.started_at = record.finished_at = time.time()
-            log.debug("batch.store_hit", label=record.label)
-        else:
-            misses.append((record, job))
-    persist()
-
-    pool_jobs: list[Job] = []
-    by_index: dict[int, JobRecord] = {}
-    for i, (record, job) in enumerate(misses):
-        by_index[i] = record
-        trace_info = None
-        if trace is not None:
-            trace_info = {
-                "trace_id": trace.trace_id,
-                "parent_id": job_span_ids[record.key],
-                "label": record.label,
-                "span_dir": str(span_dir),
-            }
-        pool_jobs.append(
-            Job(
-                index=i,
-                fn=_sweep_worker,
-                args=(
-                    (asdict(job), str(cache_dir) if cache_dir else None)
-                    if trace_info is None else
-                    (asdict(job), str(cache_dir) if cache_dir else None,
-                     trace_info)
-                ),
-                label=record.label,
-            )
-        )
-
-    interrupted = False
-    if pool_jobs:
-        pool = SupervisedPool(
-            workers=jobs,
-            timeout=timeout,
-            max_attempts=max_attempts,
-            seed=seed,
-            chaos=chaos,
-            metrics=m,
-            log=log,
-            install_signal_handlers=True,
-        )
-        attempt_open: dict[tuple[int, int], float] = {}
-
-        def on_update(job: Job) -> None:
-            record = by_index[job.index]
-            now = time.time()
-            record.state = job.state
-            record.attempts = job.attempts
-            record.history = [h.to_dict() for h in job.history]
-            if job.state == STATE_RUNNING:
-                if record.started_at is None:
-                    record.started_at = now
-                attempt_open.setdefault((job.index, job.attempts), now)
-            if job.state not in (STATE_RUNNING, STATE_PENDING, STATE_RETRY):
-                record.finished_at = now
-            if trace is not None and job.state != STATE_RUNNING:
-                opened = attempt_open.pop((job.index, job.attempts), None)
-                if opened is not None:
-                    batch_spans.append(Span(
-                        trace.trace_id, os.urandom(4).hex(),
-                        job_span_ids[record.key],
-                        f"attempt {job.attempts}", "batch", record.label,
-                        opened, now,
-                        args={"state": job.state, "label": record.label},
-                    ))
-            if job.state == STATE_DONE and job.payload is not None:
-                record.source = "computed"
-                store.put_bytes(
-                    record.key, job.payload,
-                    meta={"label": record.label, "config": record.config},
-                )
-            persist()
-
-        try:
-            pool.run(pool_jobs, on_update=on_update)
-        except BatchInterrupted:
-            interrupted = True
-            log.warning("batch.interrupted")
+    interrupted = core.run(sweep, records, trace=trace, on_change=persist)
 
     counters = {
         name: inst.value
@@ -493,29 +596,13 @@ def run_batch(
     outputs = {"state": state_path}
     t_end = time.time()
     if trace is not None:
-        root_id = trace.span_id
         batch_spans.append(Span(
-            trace.trace_id, root_id, None,
+            trace.trace_id, trace.span_id, None,
             f"batch {batch_dir.name}", "batch", "main", t_start, t_end,
             args={"n_jobs": len(records)},
         ))
-        for record in records:
-            start = record.started_at
-            end = record.finished_at
-            if start is None:
-                start = end if end is not None else t_end
-            if end is None:
-                end = t_end
-            batch_spans.append(Span(
-                trace.trace_id, job_span_ids[record.key], root_id,
-                f"job {record.label}", "batch", record.label, start, end,
-                args={
-                    "state": record.state, "source": record.source,
-                    "attempts": record.attempts,
-                },
-            ))
         all_spans = batch_spans + read_spans(span_dir, trace.trace_id)
-        write_spans(batch_dir / "spans" / "supervisor.jsonl", batch_spans)
+        write_spans(span_dir / "supervisor.jsonl", batch_spans)
         trace_doc = stitch(
             all_spans, other_data={"batch_id": batch_dir.name},
         )
@@ -599,11 +686,9 @@ def format_status(state: dict) -> str:
         f"batch {state.get('batch_id')} — {len(jobs)} jobs ({counts})"
     ]
     for job in jobs:
-        marker = {
-            "done": "ok",
-            "failed": "FAILED",
-            "cancelled": "cancelled",
-        }.get(job["state"], job["state"])
+        marker = {STATE_DONE: "ok", STATE_FAILED: "FAILED"}.get(
+            job["state"], job["state"]
+        )
         src = f" [{job['source']}]" if job.get("source") else ""
         queued = job.get("queued_at")
         started = job.get("started_at")
@@ -638,7 +723,7 @@ def format_results(state: dict) -> str:
     rows = []
     missing = 0
     for job in state.get("jobs", []):
-        if job["state"] != "done":
+        if job["state"] != STATE_DONE:
             continue
         breakdown = store.get(job["key"])
         if breakdown is None:

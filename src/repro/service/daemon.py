@@ -16,11 +16,11 @@ daemon keeps everything warm across requests:
 
 Submissions arrive through :meth:`Daemon.submit` (the HTTP front end in
 :mod:`repro.service.http` is a thin adapter over it) and are executed
-one sweep at a time by a scheduler thread, priority-first.  Execution
-is **identical to the batch path** — both funnel through
-:func:`repro.service.batch.run_sweep_job` and store pickled payloads
-under unchanged store keys — so a result computed by the daemon is
-byte-for-byte the result a direct batch run would have produced.
+one sweep at a time by a scheduler thread, priority-first, through the
+same :class:`~repro.service.batch.SweepCore` as a batch (on the
+persistent pool, or in that thread for ``workers=1`` and single
+misses), so a result computed by the daemon is byte-for-byte the
+result a direct batch run would have produced.
 
 Shutdown is bounded: :meth:`Daemon.stop` closes the queue (new
 submissions are refused), cancels everything still waiting, lets the
@@ -35,23 +35,15 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict
 from pathlib import Path
 
+from ..obs.context import TraceContext
 from ..obs.log import NULL_LOG
 from ..obs.metrics import SECONDS_BOUNDS, MetricsRegistry
 from ..obs.spans import Span, SpanSink, read_spans
-from .batch import JobRecord, run_sweep_job, _sweep_worker
-from .errors import REASON_ERROR, AttemptFailure, BatchInterrupted
-from .jobs import SweepJob, sweep_from_request
-from .pool import (
-    STATE_DONE,
-    STATE_PENDING,
-    STATE_RETRY,
-    STATE_RUNNING,
-    Job,
-    SupervisedPool,
-)
+from .batch import SweepCore, sweep_records
+from .jobs import sweep_from_request
+from .pool import STATE_CANCELLED, STATE_DONE, STATE_FAILED, SupervisedPool
 from .queue import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -76,8 +68,10 @@ class Daemon:
     """The persistent simulation service core (see module docstring).
 
     ``executor`` is a test seam: a callable ``(SweepJob) -> result``
-    that replaces the real simulation, letting queue/HTTP lifecycle
-    tests run without generating traces.
+    that replaces the real simulation (the core's ``job_fn``), letting
+    lifecycle tests run without generating traces.  With ``workers > 1``
+    it runs in pool workers, so it must then be a picklable
+    module-level callable such as :func:`~repro.service.chaos.sleep_job`.
     """
 
     def __init__(
@@ -117,11 +111,9 @@ class Daemon:
         self.workers = workers
         self.grace = grace
         self.started_at = time.time()
-        self._executor = executor
         self._result_cache: OrderedDict[str, bytes] = OrderedDict()
         self._result_cache_size = result_cache_size
         self._cache_lock = threading.Lock()
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._pool: SupervisedPool | None = None
         if workers > 1:
@@ -135,6 +127,19 @@ class Daemon:
                 grace=grace,
                 install_signal_handlers=False,
             )
+        self._core = SweepCore(
+            self.store,
+            process="daemon",
+            pool=self._pool,
+            inline_single=True,
+            job_fn=executor,
+            cache_dir=self.cache_dir,
+            metrics=self.metrics,
+            span_dir=self.span_dir,
+            lookup=self._cached_bytes,
+            on_computed=self._store_computed,
+            emit=self.spans.record,
+        )
         m = self.metrics
         self._c_jobs_done = m.counter("daemon.jobs_done")
         self._c_jobs_failed = m.counter("daemon.jobs_failed")
@@ -172,14 +177,13 @@ class Daemon:
         """
         self.log.info("daemon.stopping")
         cancelled = self.queue.close()
-        self._stop.set()
+        self._core.drain()
         if self._thread is not None:
             self._thread.join(self.grace)
-            if self._thread.is_alive() and self._pool is not None:
-                # The scheduler is wedged inside a pool run: trip the
-                # pool's interrupt flag so the run unwinds, then give
-                # it one more bounded wait.
-                self._pool._interrupted = -1
+            if self._thread.is_alive():
+                # The scheduler is wedged inside a pool run: unwind it,
+                # then give it one more bounded wait.
+                self._core.interrupt()
                 self._thread.join(self.grace)
         if self._pool is not None:
             self._pool.close()
@@ -232,7 +236,7 @@ class Daemon:
             return None
         rows = []
         for record in job.records:
-            if record.state != "done":
+            if record.state != STATE_DONE:
                 continue
             payload = self._cached_bytes(record.key)
             if payload is None:
@@ -294,33 +298,14 @@ class Daemon:
     # -- scheduler -----------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
+        # Closing the queue cancels everything still waiting in it.
+        while not self.queue.closed:
             qjob = self.queue.pop(timeout=0.1)
-            if qjob is None:
-                if self._stop.is_set() or self.queue.closed:
-                    return
-                continue
-            self._execute(qjob)
+            if qjob is not None:
+                self._execute(qjob)
 
-    def _trace_store(self, job: SweepJob):
-        from ..experiments.runner import shared_store
-
-        return shared_store(
-            dict(
-                n_procs=job.procs,
-                miss_penalty=job.penalty,
-                preset=job.preset,
-                cache_dir=self.cache_dir,
-            ),
-            metrics=self.metrics,
-        )
-
-    def _store_computed(self, record: JobRecord, payload: bytes) -> None:
-        self.store.put_bytes(
-            record.key, payload,
-            meta={"label": record.label, "config": record.config},
-        )
-        self._cache_put(record.key, payload)
+    def _store_computed(self, key: str, payload: bytes) -> None:
+        self._cache_put(key, payload)
         self._c_subruns.inc()
 
     def _execute(self, qjob: QueuedJob) -> None:
@@ -336,46 +321,13 @@ class Daemon:
             wait_s=round(qjob.started_at - qjob.submitted_at, 6),
         )
         t0 = time.monotonic()
-        records = [
-            JobRecord(
-                key=self.store.key(job.config()),
-                label=job.label(),
-                config=job.config(),
-                queued_at=qjob.submitted_at,
-            )
-            for job in qjob.sweep
-        ]
-        qjob.records = records
-        # Pre-minted per-record span ids let supervisor-side attempt
-        # spans and worker-side run spans share one parent without any
-        # cross-process coordination.
-        job_span_ids = (
-            {record.key: os.urandom(4).hex() for record in records}
-            if trace_id else {}
+        records = qjob.records = sweep_records(
+            self.store, qjob.sweep, qjob.submitted_at,
         )
-
-        # Warm pre-pass: in-memory result cache, then the store.
-        misses: list[tuple[JobRecord, SweepJob]] = []
-        for record, job in zip(records, qjob.sweep):
-            payload = self._cached_bytes(record.key)
-            if payload is not None:
-                record.state = "done"
-                record.source = "store"
-                record.started_at = record.finished_at = time.time()
-            else:
-                misses.append((record, job))
-
-        interrupted = False
-        if misses:
-            if self._pool is not None and len(misses) > 1:
-                interrupted = self._execute_pooled(
-                    misses, trace_id, job_span_ids, log,
-                )
-            else:
-                interrupted = self._execute_serial(
-                    misses, trace_id, job_span_ids,
-                )
-
+        sweep_ctx = (
+            TraceContext(trace_id, os.urandom(4).hex()) if trace_id else None
+        )
+        self._core.run(qjob.sweep, records, trace=sweep_ctx)
         qjob.finished_at = time.time()
         self.queue.note_duration(time.monotonic() - t0)
         for record in records:
@@ -385,163 +337,35 @@ class Daemon:
             run_s = record.run_seconds
             if run_s is not None:
                 self._h_run.observe(run_s)
+        # An interrupted run always leaves a cancelled record.
         states = {record.state for record in records}
-        if "cancelled" in states or interrupted:
+        if STATE_CANCELLED in states:
             qjob.state = JOB_CANCELLED
-        elif "failed" in states:
+        elif STATE_FAILED in states:
             qjob.state = JOB_FAILED
             self._c_jobs_failed.inc()
         else:
             qjob.state = JOB_DONE
             self._c_jobs_done.inc()
         if trace_id:
-            self._record_sweep_spans(qjob, trace, job_span_ids)
+            parent_id = trace.get("parent_id")
+            self.spans.record(Span(
+                trace_id, os.urandom(4).hex(), parent_id,
+                "queue-wait", "daemon", "scheduler",
+                qjob.submitted_at, qjob.started_at,
+                args={"job": qjob.id},
+            ))
+            self.spans.record(Span(
+                trace_id, sweep_ctx.span_id, parent_id,
+                f"sweep {qjob.id}", "daemon", "scheduler",
+                qjob.started_at, qjob.finished_at,
+                args={"job": qjob.id, "state": qjob.state},
+            ))
         log.info(
             "daemon.sweep_done", state=qjob.state,
             seconds=round(qjob.finished_at - qjob.started_at, 6),
             counts=qjob.counts(),
         )
-
-    def _record_sweep_spans(
-        self, qjob: QueuedJob, trace: dict, job_span_ids: dict,
-    ) -> None:
-        """Record queue-wait, sweep, and per-record job spans."""
-        trace_id = trace["trace_id"]
-        parent_id = trace.get("parent_id")
-        sweep_id = os.urandom(4).hex()
-        self.spans.record(Span(
-            trace_id, os.urandom(4).hex(), parent_id,
-            "queue-wait", "daemon", "scheduler",
-            qjob.submitted_at, qjob.started_at,
-            args={"job": qjob.id},
-        ))
-        self.spans.record(Span(
-            trace_id, sweep_id, parent_id,
-            f"sweep {qjob.id}", "daemon", "scheduler",
-            qjob.started_at, qjob.finished_at,
-            args={"job": qjob.id, "state": qjob.state},
-        ))
-        for record in qjob.records:
-            start = record.started_at
-            end = record.finished_at
-            if start is None:
-                start = end if end is not None else qjob.finished_at
-            if end is None:
-                end = qjob.finished_at
-            self.spans.record(Span(
-                trace_id, job_span_ids[record.key], sweep_id,
-                f"job {record.label}", "daemon", record.label,
-                start, end,
-                args={
-                    "state": record.state, "source": record.source,
-                    "attempts": record.attempts,
-                },
-            ))
-
-    def _execute_serial(
-        self, misses, trace_id=None, job_span_ids=None,
-    ) -> bool:
-        """Run misses in the scheduler thread against warm stores."""
-        for i, (record, job) in enumerate(misses):
-            if self._stop.is_set():
-                # Draining: the sub-runs already executed are kept
-                # (drained); the rest are cancelled.
-                for rec, _ in misses[i:]:
-                    rec.state = "cancelled"
-                    rec.finished_at = time.time()
-                return True
-            record.state = "running"
-            record.started_at = time.time()
-            record.attempts = 1
-            try:
-                if self._executor is not None:
-                    result = self._executor(job)
-                else:
-                    result = run_sweep_job(job, self._trace_store(job))
-                payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # noqa: BLE001 — recorded, not fatal
-                record.state = "failed"
-                record.history.append(
-                    AttemptFailure(
-                        1, REASON_ERROR, f"{type(exc).__name__}: {exc}",
-                        0.0,
-                    ).to_dict()
-                )
-            else:
-                self._store_computed(record, payload)
-                record.state = "done"
-                record.source = "computed"
-            record.finished_at = time.time()
-            if trace_id:
-                self.spans.record(Span(
-                    trace_id, os.urandom(4).hex(),
-                    job_span_ids[record.key],
-                    "attempt 1", "daemon", record.label,
-                    record.started_at, record.finished_at,
-                    args={"state": record.state, "label": record.label},
-                ))
-        return False
-
-    def _execute_pooled(
-        self, misses, trace_id=None, job_span_ids=None, log=None,
-    ) -> bool:
-        """Run misses on the persistent supervised pool."""
-        by_index: dict[int, JobRecord] = {}
-        pool_jobs: list[Job] = []
-        for i, (record, job) in enumerate(misses):
-            by_index[i] = record
-            args = (asdict(job), self.cache_dir)
-            if trace_id:
-                args = args + ({
-                    "trace_id": trace_id,
-                    "parent_id": job_span_ids[record.key],
-                    "label": record.label,
-                    "span_dir": str(self.span_dir),
-                },)
-            pool_jobs.append(
-                Job(
-                    index=i,
-                    fn=_sweep_worker,
-                    args=args,
-                    label=record.label,
-                )
-            )
-        attempt_open: dict[tuple[int, int], float] = {}
-
-        def on_update(job: Job) -> None:
-            record = by_index[job.index]
-            now = time.time()
-            record.state = job.state
-            record.attempts = job.attempts
-            record.history = [h.to_dict() for h in job.history]
-            if job.state == STATE_RUNNING:
-                if record.started_at is None:
-                    record.started_at = now
-                attempt_open.setdefault((job.index, job.attempts), now)
-            if job.state not in (STATE_RUNNING, STATE_PENDING,
-                                 STATE_RETRY):
-                record.finished_at = now
-            if trace_id and job.state != STATE_RUNNING:
-                opened = attempt_open.pop((job.index, job.attempts), None)
-                if opened is not None:
-                    self.spans.record(Span(
-                        trace_id, os.urandom(4).hex(),
-                        job_span_ids[record.key],
-                        f"attempt {job.attempts}", "daemon",
-                        record.label, opened, now,
-                        args={
-                            "state": job.state, "label": record.label,
-                        },
-                    ))
-            if job.state == STATE_DONE and job.payload is not None:
-                record.source = "computed"
-                self._store_computed(record, job.payload)
-
-        try:
-            self._pool.run(pool_jobs, on_update=on_update)
-        except BatchInterrupted:
-            return True
-        return False
 
 
 def serve(

@@ -71,7 +71,7 @@ STATE_FAILED = "failed"
 STATE_CANCELLED = "cancelled"
 
 #: States a job can still leave.
-_LIVE_STATES = (STATE_PENDING, STATE_RUNNING, STATE_RETRY)
+LIVE_STATES = (STATE_PENDING, STATE_RUNNING, STATE_RETRY)
 
 
 def _digest(payload: bytes) -> str:
@@ -248,7 +248,7 @@ class SupervisedPool:
         self.log = log if log is not None else NULL_LOG
         self.grace = grace
         self.install_signal_handlers = install_signal_handlers
-        self._interrupted: int | None = None
+        self._interrupted: str | None = None
         self._fleet: list[_Worker] = []
         self._persistent = False
         try:
@@ -310,12 +310,17 @@ class SupervisedPool:
             return None
 
         def _handler(signum, frame):  # noqa: ARG001
-            self._interrupted = signum
+            self._interrupted = f"signal {signum}"
 
         previous = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
             previous[sig] = signal.signal(sig, _handler)
         return previous
+
+    def interrupt(self) -> None:
+        """Unwind the current run and every later one, as SIGINT or
+        SIGTERM do; safe to call from another thread."""
+        self._interrupted = "interrupt()"
 
     @staticmethod
     def _restore_signals(previous) -> None:
@@ -355,7 +360,6 @@ class SupervisedPool:
         if not ready:
             return jobs
 
-        self._interrupted = None
         n_workers = (
             self.workers if self._persistent
             else min(self.workers, len(ready))
@@ -436,10 +440,10 @@ class SupervisedPool:
                     _Worker(self._ctx, self.chaos)
                     for _ in range(n_workers)
                 ]
-            while any(j.state in _LIVE_STATES for j in jobs):
+            while any(j.state in LIVE_STATES for j in jobs):
                 if self._interrupted is not None:
                     raise BatchInterrupted(
-                        f"interrupted by signal {self._interrupted}"
+                        f"interrupted by {self._interrupted}"
                     )
                 busy = sum(1 for w in fleet if w.job is not None)
                 g_busy.set(busy)
@@ -521,7 +525,7 @@ class SupervisedPool:
         except BatchInterrupted as exc:
             log.warning("pool.interrupted", detail=str(exc))
             for job in jobs:
-                if job.state in _LIVE_STATES:
+                if job.state in LIVE_STATES:
                     job.state = STATE_CANCELLED
                     notify(job)
             raise

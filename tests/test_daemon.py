@@ -17,6 +17,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from functools import partial
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.service import (
     expand_grid,
     make_server,
     run_batch,
+    sleep_job,
     submission_id,
     sweep_from_request,
 )
@@ -287,6 +289,27 @@ class TestDaemonLifecycle:
         assert counts.get("done", 0) >= 1
         assert counts.get("cancelled", 0) >= 1
         assert final.state == JOB_CANCELLED
+
+    def test_stop_interrupts_wedged_pool_within_twice_grace(
+        self, tmp_path
+    ):
+        grace = 1.0
+        d = Daemon(store_dir=tmp_path / "store", workers=2, grace=grace,
+                   executor=partial(sleep_job, 60.0))
+        d.start()
+        job, _ = d.submit({"apps": ["lu"], "kinds": ["base", "ds"],
+                           "windows": [16], "procs": 4, "preset": "tiny"})
+        deadline = time.monotonic() + 10.0
+        while not any(r.state == "running" for r in job.records):
+            assert time.monotonic() < deadline, "pool never started"
+            time.sleep(0.01)
+        t0 = time.monotonic()
+        d.stop()
+        elapsed = time.monotonic() - t0
+        # One grace for the drain, one for tearing the wedged fleet down.
+        assert elapsed < 2 * grace + 1.0
+        assert [r.state for r in job.records] == ["cancelled"] * 2
+        assert job.state == JOB_CANCELLED
 
     def test_stop_cancels_queued_submissions(self, tmp_path):
         d = Daemon(store_dir=tmp_path / "store", executor=fake_executor)
@@ -554,11 +577,12 @@ def warm_traces(tmp_path_factory):
 
 
 class TestByteIdentityWithBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_daemon_results_byte_identical_to_batch(
-        self, tmp_path, warm_traces
+        self, tmp_path, warm_traces, workers
     ):
-        """Acceptance: the daemon path and the batch path store
-        byte-identical payloads under identical keys."""
+        """Acceptance: the daemon path (in-thread and pooled) and the
+        batch path store byte-identical payloads under identical keys."""
         sweep = _sweep(kinds=("base", "ds"))
         batch = run_batch(
             sweep, cache_dir=warm_traces,
@@ -568,7 +592,7 @@ class TestByteIdentityWithBatch:
         assert not batch.partial
 
         d = Daemon(store_dir=tmp_path / "daemon-store",
-                   cache_dir=warm_traces)
+                   cache_dir=warm_traces, workers=workers)
         d.start()
         try:
             job, _ = d.submit({
@@ -615,6 +639,67 @@ class TestByteIdentityWithBatch:
             assert warm_hits >= 1
         finally:
             d.stop()
+
+
+def _assert_sweep_span_shape(spans, records):
+    """One ``job`` span per record, each with ``attempt`` children and
+    the worker's ``run`` span parented on it."""
+    for record in records:
+        jobs = [s for s in spans if s.name == f"job {record.label}"]
+        assert len(jobs) == 1, record.label
+        job_id = jobs[0].span_id
+        children = [s.name for s in spans if s.parent_id == job_id]
+        assert any(n.startswith("attempt ") for n in children)
+        assert f"run {record.label}" in children
+
+
+class TestSpanShapeAcrossFrontEnds:
+    """A traced pooled sweep yields the same span tree from the batch
+    runner and from the daemon: both record it in one shared core."""
+
+    GRID = {"apps": ["lu"], "kinds": ["base", "ds"], "windows": [16],
+            "procs": 4, "preset": "tiny"}
+
+    def test_batch_and_pooled_daemon_span_trees_match(
+        self, tmp_path, warm_traces
+    ):
+        from repro.obs import (
+            Span, TraceContext, read_spans, stitch, validate_trace,
+        )
+
+        batch_ctx = TraceContext.mint()
+        report = run_batch(
+            sweep_from_request(self.GRID), jobs=2, cache_dir=warm_traces,
+            out_dir=tmp_path / "batches",
+            store_dir=tmp_path / "batch-store", trace=batch_ctx,
+        )
+        assert not report.partial
+        _assert_sweep_span_shape(
+            read_spans(report.out_dir / "spans", batch_ctx.trace_id),
+            report.records,
+        )
+        doc = json.loads((report.out_dir / "trace.json").read_text())
+        assert validate_trace(doc) == []
+
+        daemon_ctx = TraceContext.mint()
+        d = Daemon(store_dir=tmp_path / "daemon-store",
+                   cache_dir=warm_traces, workers=2)
+        d.start()
+        try:
+            job, _ = d.submit(dict(self.GRID, trace={
+                "trace_id": daemon_ctx.trace_id,
+                "parent_id": daemon_ctx.span_id,
+            }))
+            assert _wait_done(d, job.id, timeout=60).state == JOB_DONE
+            spans = d.trace_spans(daemon_ctx.trace_id)
+        finally:
+            d.stop()
+        _assert_sweep_span_shape(spans, job.records)
+        root = Span(daemon_ctx.trace_id, daemon_ctx.span_id, None,
+                    "submit", "client", "main",
+                    min(s.start for s in spans) - 0.001,
+                    max(s.end for s in spans) + 0.001)
+        assert validate_trace(stitch([root] + spans)) == []
 
 
 class TestServeSignal:
