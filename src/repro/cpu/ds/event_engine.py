@@ -27,9 +27,42 @@ objects.
   list swapped each cycle instead of the event heap; the heap only
   carries miss latencies and acquire head-waits.  Processing order of
   same-cycle completions does not affect any outcome (flags and
-  wake-ups commute), so the split is exact.  Phases whose inputs are
-  empty (FU issue, the memory port) are skipped with one check, and
-  the per-class ready heaps are scanned through a nonempty bitmask.
+  wake-ups commute), so the split is exact.  A completion known at
+  most one cycle ahead is written when it becomes known (at an FU
+  issue, a hit issue, or a preset decode): a consumer decoded before
+  it lands is then ready at the same cycle its wake-up would have
+  made it, without a dependence link, and an FU result with nobody
+  linked to it never enters the due list at all.
+
+* **An O(1) memory port.**  Ready loads and acquires wait in one
+  index-ordered heap per memory class, beside the per-unit FU heaps,
+  all behind one nonempty bitmask.  The port takes the oldest
+  admissible of the oldest unissued buffered store (it has retired, so
+  it is older than every load) and the ready ops; admissibility — no
+  older op the model orders first is unperformed — is monotone in the
+  row within a class, and every queued op is ready, so only the head of
+  each class heap can win.  Admissibility itself is one deque head: the
+  unperformed memory rows are kept once per distinct blocker set of
+  the model (one set under SC), so the oldest blocker of a class is a
+  single lazy-cleaned head.
+
+* **The streak.**  While no event is due, every ready heap is empty
+  and fetch runs, a cycle is committed as "perform last cycle's
+  one-cycle access, issue the op that claimed the port, decode one
+  provable op, retire the head" without the phase machinery.  Provable
+  are preset non-memory ops (operands ready by t+1, unit idle and no
+  older op of the unit able to wake first: issue at t+1, complete at
+  t+2), cache-hit loads (no older blocker unperformed, no dep-deferred
+  load or acquire that could wake first, no store that could take the
+  port at t+1 — forwarding from a buffered store costs the same single
+  cycle — so they issue at t+1 and complete at t+2) and stores (no port
+  until they retire; a clean one retiring into a non-full buffer with
+  no older blocker issues at t+1 ahead of every load).  A proven access
+  claims the port for the next cycle; the claim is honoured by the
+  streak and the general loop alike.  Misses, mispredictions, acquires
+  at the head, dependent decodes, a full window or buffer and queued
+  port work fall back to the general loop, which re-enters the streak
+  on the next cycle.
 
 Everything observable is preserved cycle for cycle: the breakdown
 (busy/sync/read/write/other and the cycle count in ``extras``), the
@@ -49,7 +82,6 @@ reference engine is the differential oracle — see
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 
@@ -275,12 +307,21 @@ def ds_fast_stepper(
                 retire_t = [0] * n
     spans_dropped = 0
 
-    blockers_l = [()] * _N_CLS
+    # Unperformed memory rows, one idx-ordered deque per distinct set of
+    # classes the model orders before some class (SC has one set, PC,
+    # WO and RC two).  A row joins every set holding its class, and
+    # perform() drops performed rows from the heads, so the head of
+    # blocking_q[c] is the oldest row a class-c access must wait for.
+    by_set: dict[tuple[int, ...], deque[int]] = {}
+    blocking_q = [deque()] * _N_CLS       # class 0: a queue nobody joins
     for cls in _MEM_CLASSES:
-        blockers_l[cls] = tuple(
+        blocking_q[cls] = by_set.setdefault(tuple(
             earlier for earlier in _MEM_CLASSES
             if model.requires(earlier, cls)
-        )
+        ), deque())
+    joins = [()] * _N_CLS
+    for cls in _MEM_CLASSES:
+        joins[cls] = tuple(dq for s, dq in by_set.items() if cls in s)
 
     # ---- flat per-row state --------------------------------------------
     complete_t = [-1] * n
@@ -298,113 +339,217 @@ def ds_fast_stepper(
     rob_head = 0                          # ROB = rows [rob_head, fetch_i)
     fetch_stalled = -1
     events: list[tuple[int, int]] = []    # heap: misses / head-waits only
-    due_next: list[int] = []              # completions due at due_t
-    due_t = 0
-    lsu_ready: list[int] = []             # idx-sorted loads/acquires
-    fu_ready: list[list[int]] = [[] for _ in range(_N_FU)]
-    fu_heaps = tuple(fu_ready)
-    fu_mask = 0                           # bit f set iff fu_ready[f]
+    due_next: list[int] = []              # completions due next cycle
+    # Ready rows: one min-heap per functional unit (index fu) and one
+    # per memory class waiting for the port (index _N_FU + class).  Bit
+    # k of ready_mask is set iff ready_heaps[k] is nonempty, so the
+    # port's bits are exactly those above fu_bits.
+    ready_heaps = tuple([] for _ in range(_N_FU + _N_CLS))
+    ready_mask = 0
+    fu_bits = (1 << _N_FU) - 1
     # Preset bookkeeping: a decoded non-memory op whose operands are
     # ready by t+1, whose class has no ready or dep-deferred older op,
     # and whose prediction was correct provably issues at t+1 and
     # completes at t+2; its completion time is written at decode and it
     # never touches the ready heaps or the event queues.  The phantom
     # issue still consumes the class's t+1 slot (fu_taken_gen), and
-    # dep-deferred ops per class are counted (fu_pending) to disable
-    # the proof while an older op could wake in between.
+    # dep-deferred ops per unit are counted (fu_pending, the port's
+    # loads and acquires included) to disable the proof while an older
+    # op could wake in between.  The streak extends the proof to the
+    # memory port: a hit load proven at decode, or a clean store proven
+    # at retire, claims the port for cycle port_gen.
     fu_pending = [0] * _N_FU
     fu_taken_gen = [-1] * _N_FU
+    port_gen = -1
+    port_row = -1
     store_buffer: list[int] = []
     store_head = 0
     sb_tail = 0                           # == len(store_buffer)
-    store_scan = 0                        # first possibly-unissued slot
-    uq: list[deque[int]] = [deque() for _ in range(_N_CLS)]
+    store_scan = 0                        # first unissued slot
     pending_stores: dict[int, deque[int]] = {}
-    frontier_val = [0] * _N_CLS
-    frontier_gen = [-1] * _N_CLS
-    rejected_gen = [-1] * _N_CLS
 
     busy = sync = read = write = other = 0
     ev_t = _HUGE                          # events[0][0], cached
 
-    # The helper binds its state through default arguments, not a
+    # The helpers bind their state through default arguments, not a
     # closure: a closure would turn every captured name into a cell
     # variable and tax each access in the cycle loop below.
+    def perform(
+        i: int, performed=performed, joins=joins, cls_l=cls_l,
+        store_like_l=store_like_l, pending_stores=pending_stores,
+        addr_l=addr_l,
+    ) -> None:
+        """Memory row ``i`` performs.  Every queue it sits in drops its
+        performed head rows, so a queue head is always unperformed: the
+        oldest blocker of an access, or the oldest store an access to
+        that address may forward from, is one index away."""
+        performed[i] = 1
+        for dq in joins[cls_l[i]]:
+            while dq and performed[dq[0]]:
+                dq.popleft()
+        if store_like_l[i]:
+            a = addr_l[i]
+            dq = pending_stores.get(a)
+            if dq:
+                while dq and performed[dq[0]]:
+                    dq.popleft()
+                if not dq:
+                    del pending_stores[a]
+
     def blocked(
-        own: str, h: int,
-        issued=issued, blockers_l=blockers_l, cls_l=cls_l, uq=uq,
-        performed=performed,
+        own: str, h: int, issued=issued, blocking_q=blocking_q, cls_l=cls_l,
     ) -> str:
         if issued[h]:
             return own
-        best = h
-        best_cls = -1
-        for earlier in blockers_l[cls_l[h]]:
-            dq = uq[earlier]
-            while dq and performed[dq[0]]:
-                dq.popleft()
-            if dq and dq[0] < best:
-                best = dq[0]
-                best_cls = earlier
-        if best_cls < 0:
+        dq = blocking_q[cls_l[h]]
+        if not dq or dq[0] >= h:
             return own
+        best_cls = cls_l[dq[0]]
         if best_cls in _STORE_LIKE:
             return "write"
         if best_cls in _ACQ:
             return "sync"
         return "read"
 
+    def wake_deps(
+        i: int, wt: int,
+        has_deps=has_deps, deps_l=deps_l, pending=pending,
+        ready_t=ready_t, complete_t=complete_t, store_like_l=store_like_l,
+        fu_l=fu_l, cls_l=cls_l, fu_pending=fu_pending,
+        ready_heaps=ready_heaps,
+    ) -> int:
+        """Row ``i`` completed (or performed) at ``wt``: wake the
+        dependents it was the last pending source of.  Returns the
+        ready_mask bits of the heaps they joined."""
+        has_deps[i] = 0
+        bits = 0
+        for j in deps_l[i]:
+            p = pending[j] - 1
+            pending[j] = p
+            if not p:
+                ready_t[j] = wt
+                if store_like_l[j]:
+                    complete_t[j] = wt
+                else:
+                    fu = fu_l[j]
+                    fu_pending[fu] -= 1
+                    k = _N_FU + cls_l[j] if fu == _FU_LOAD_STORE else fu
+                    heappush(ready_heaps[k], j)
+                    bits |= 1 << k
+        return bits
+
     streak_ok = iw == 1
 
     # ---- main cycle loop ------------------------------------------------
     while True:
-        # Steady-state streak: while no event is pending, every ready
-        # queue and the store buffer are empty, and fetch is running,
-        # a cycle is exactly "decode one preset-eligible op, retire the
-        # head" — commit both without touching the phase machinery.
-        # Any condition the proof needs (dependence, memory class,
-        # misprediction, class contention) breaks to the general loop,
-        # which re-enters the streak on the next cycle.
+        progressed = False
+
+        # Steady-state streak (module docstring).  Every check comes
+        # before any commit except the perform, which leaves nothing
+        # for the general loop's phase 1 to redo; any failed check
+        # breaks to the general loop, which re-enters the streak next
+        # cycle.
         if streak_ok:
             while (
                 ev_t > t
-                and not due_next
-                and not fu_mask
-                and not lsu_ready
-                and store_scan >= sb_tail  # no unissued store wants the port
+                and not ready_mask
                 and fetch_stalled < 0
-                and rob_head < fetch_i < n
-                and fetch_i - rob_head < window
+                and rob_head < fetch_i
             ):
-                i = fetch_i
-                if cls_l[i] or misp_l[i]:
-                    break
+                if due_next:
+                    r = due_next[0]
+                    if len(due_next) > 1 or has_deps[r] or head_wait_l[r] or (
+                        live_sync and cls_l[r] == _MC_RELEASE
+                    ):
+                        break
+                    due_next.pop()
+                    progressed = True
+                    if complete_t[r] < 0:
+                        complete_t[r] = t
+                    if cls_l[r] and not performed[r]:
+                        perform(r)
+                        if store_like_l[r]:
+                            while store_head < sb_tail and (
+                                performed[store_buffer[store_head]]
+                            ):
+                                store_head += 1
+                if store_scan < sb_tail:
+                    break  # an unissued store wants the port
                 h = rob_head
-                if store_like_l[h]:
-                    break
                 hc = complete_t[h]
                 if hc < 0 or hc > t:
                     break
-                if cls_l[h] >= 3 and not performed[h]:
-                    break
-                p = prod1_l[i]
-                if p >= 0:
-                    ct = complete_t[p]
-                    if ct < 0 or (ct > t and store_like_l[p]):
+                if store_like_l[h]:
+                    if sb_tail - store_head >= store_depth:
                         break
-                p = prod2_l[i]
-                if p >= 0:
-                    ct = complete_t[p]
-                    if ct < 0 or (ct > t and store_like_l[p]):
-                        break
-                fu = fu_l[i]
-                if fu == _FU_LOAD_STORE or fu_pending[fu]:
+                elif cls_l[h] >= 3 and not performed[h]:
                     break
-                decode_t[i] = t
-                ready_t[i] = t + 1
-                complete_t[i] = t + 2
-                fu_taken_gen[fu] = t + 1
-                fetch_i = i + 1
+                i = fetch_i
+                decode = i < n and i - rob_head < window
+                if decode:
+                    if misp_l[i]:
+                        break
+                    p = prod1_l[i]
+                    if p >= 0:
+                        ct = complete_t[p]
+                        if ct < 0 or (ct > t and store_like_l[p]):
+                            break
+                    p = prod2_l[i]
+                    if p >= 0:
+                        ct = complete_t[p]
+                        if ct < 0 or (ct > t and store_like_l[p]):
+                            break
+                    cls = cls_l[i]
+                    if not cls:
+                        fu = fu_l[i]
+                        if fu == _FU_LOAD_STORE or fu_pending[fu]:
+                            break
+                    elif cls == _MC_READ:
+                        dq = blocking_q[cls]
+                        if (
+                            stall_l[i]
+                            or fu_pending[_FU_LOAD_STORE]
+                            or store_like_l[h]
+                            or not speculative and dq and dq[0] < i
+                        ):
+                            break
+                    elif not store_like_l[i]:
+                        break
+                # -- every check passed: commit the cycle --
+                if port_gen == t:
+                    r = port_row
+                    issued[r] = 1
+                    due_next.append(r)
+                if decode:
+                    decode_t[i] = t
+                    ready_t[i] = t + 1
+                    if not cls:
+                        complete_t[i] = t + 2
+                        fu_taken_gen[fu] = t + 1
+                    else:
+                        for dq in joins[cls]:
+                            dq.append(i)
+                        if cls == _MC_READ:
+                            complete_t[i] = t + 2
+                            port_gen = t + 1
+                            port_row = i
+                        else:
+                            complete_t[i] = t + 1
+                            a = addr_l[i]
+                            if a >= 0:
+                                dq = pending_stores.get(a)
+                                if dq is None:
+                                    pending_stores[a] = dq = deque()
+                                dq.append(i)
+                    fetch_i = i + 1
+                if store_like_l[h]:
+                    store_buffer.append(h)
+                    dq = blocking_q[cls_l[h]]
+                    if not stall_l[h] and (not dq or dq[0] >= h):
+                        port_gen = t + 1
+                        port_row = h
+                        store_scan += 1
+                    sb_tail += 1
                 if tracer is not None:
                     if retire_t is not None:
                         retire_t[h] = t
@@ -436,14 +581,12 @@ def ds_fast_stepper(
                     sb_occ[sb_tail - store_head] += 1
                 t += 1
 
-        progressed = False
-
         # Phase 1: completions / performs whose time has come (every
         # one is due exactly now: no advance below ever passes a pending
         # event).  The due-next bucket first, then the heap; same-cycle
         # order is immaterial (see module docstring).
         done = None
-        if due_next and due_t <= t:
+        if due_next:
             done, due_next = due_next, []
         if ev_t <= t:
             if done is None:
@@ -459,39 +602,15 @@ def ds_fast_stepper(
                 if head_wait_l[i] and hw_start.get(i, -1) < 0:
                     continue
                 if cls_l[i] and not performed[i]:
-                    performed[i] = 1
-                    if store_like_l[i]:
-                        dq = pending_stores.get(addr_l[i])
-                        if dq:
-                            while dq and performed[dq[0]]:
-                                dq.popleft()
-                            if not dq:
-                                del pending_stores[addr_l[i]]
-                        if live_sync and cls_l[i] == _MC_RELEASE:
-                            yield ReleaseNotify(
-                                net_cpu, sync_ord[i], t, addr_l[i]
-                            )
+                    perform(i)
+                    if live_sync and cls_l[i] == _MC_RELEASE:
+                        yield ReleaseNotify(
+                            net_cpu, sync_ord[i], t, addr_l[i]
+                        )
                 if fetch_stalled == i:
                     fetch_stalled = -1
                 if has_deps[i]:
-                    has_deps[i] = 0
-                    for j in deps_l[i]:
-                        p = pending[j] - 1
-                        pending[j] = p
-                        if not p:
-                            # Inlined wake(j, t) — dependent wakes are
-                            # the hot edge of every miss return.
-                            ready_t[j] = t
-                            if store_like_l[j]:
-                                complete_t[j] = t
-                            else:
-                                fu = fu_l[j]
-                                if fu == _FU_LOAD_STORE:
-                                    insort(lsu_ready, j)
-                                else:
-                                    fu_pending[fu] -= 1
-                                    heappush(fu_ready[fu], j)
-                                    fu_mask |= 1 << fu
+                    ready_mask |= wake_deps(i, t)
 
         # Drop performed stores from the buffer head.
         if store_head < sb_tail:
@@ -505,124 +624,60 @@ def ds_fast_stepper(
                     sb_tail -= shift
                     store_scan -= shift
 
-        # Phase 2: issue to functional units (bitmask = nonempty heaps).
-        if fu_mask:
-            m = fu_mask
+        # Phase 2: issue to functional units.  Every unit takes one
+        # cycle, so the completion is written at issue (a consumer
+        # decoded now is ready at t+1 without a dependence link, as for
+        # a preset); only a completion with linked dependents or a
+        # stalled fetch to release is processed in phase 1.
+        m = ready_mask & fu_bits
+        if m:
             while m:
                 low = m & -m
                 m ^= low
                 f = low.bit_length() - 1
                 if fu_taken_gen[f] == t:
                     continue  # slot claimed by a preset issue this cycle
-                heap = fu_heaps[f]
+                heap = ready_heaps[f]
                 started = 0
                 while heap and started < iw and ready_t[heap[0]] <= t:
-                    due_next.append(heappop(heap))
+                    i = heappop(heap)
+                    complete_t[i] = t + 1
+                    if has_deps[i] or fetch_stalled == i:
+                        due_next.append(i)
                     progressed = True
                     started += 1
                 if not heap:
-                    fu_mask ^= low
-            if due_next:
-                due_t = t + 1
+                    ready_mask ^= low
 
-        # Phase 2b: the memory port.  Issued stores stay in the buffer
-        # until performed but never become candidates again, so the
-        # candidate scan starts from a persistent pointer.
-        if store_scan < store_head:
-            store_scan = store_head
-        while store_scan < sb_tail and (
-            issued[store_buffer[store_scan]]
-            or performed[store_buffer[store_scan]]
-        ):
-            store_scan += 1
-        if lsu_ready or store_scan < sb_tail:
-            port_i = -1
-            port_pos = -1
-            n_rejected = 0
-            for pos, i in enumerate(lsu_ready):
-                if ready_t[i] > t:
-                    continue
-                cls = cls_l[i]
-                if speculative and cls == _MC_READ:
-                    port_i = i
-                    port_pos = pos
+        # Phase 2b: the memory port, one access per cycle.  A claimed
+        # port issues its proven op (the proof excluded every other
+        # candidate); otherwise the candidates are the oldest unissued
+        # store, then each class heap's head (module docstring).
+        if port_gen == t:
+            i = port_row
+            issued[i] = 1
+            due_next.append(i)
+            progressed = True
+        elif store_scan < sb_tail or ready_mask > fu_bits:
+            port_i = _HUGE
+            i = store_buffer[store_scan] if store_scan < sb_tail else _HUGE
+            m = ready_mask >> _N_FU
+            while True:
+                if i < port_i:
+                    cls = cls_l[i]
+                    dq = blocking_q[cls]
+                    if not dq or dq[0] >= i or (
+                        speculative and cls == _MC_READ
+                    ):
+                        port_i = i
+                if not m or port_i < rob_head:
                     break
-                if rejected_gen[cls] == t:
-                    continue
-                if frontier_gen[cls] == t:
-                    frontier = frontier_val[cls]
-                else:
-                    frontier = _HUGE
-                    for earlier in blockers_l[cls]:
-                        dq = uq[earlier]
-                        while dq and performed[dq[0]]:
-                            dq.popleft()
-                        if dq and dq[0] < frontier:
-                            frontier = dq[0]
-                    frontier_val[cls] = frontier
-                    frontier_gen[cls] = t
-                if i <= frontier:
-                    port_i = i
-                    port_pos = pos
-                    break
-                rejected_gen[cls] = t
-                n_rejected += 1
-                if n_rejected == 3:
-                    break
-            store_i = -1
-            if store_scan < sb_tail:
-                i = store_buffer[store_scan]
-                cls = cls_l[i]
-                if frontier_gen[cls] == t:
-                    frontier = frontier_val[cls]
-                else:
-                    frontier = _HUGE
-                    for earlier in blockers_l[cls]:
-                        dq = uq[earlier]
-                        while dq and performed[dq[0]]:
-                            dq.popleft()
-                        if dq and dq[0] < frontier:
-                            frontier = dq[0]
-                    frontier_val[cls] = frontier
-                    frontier_gen[cls] = t
-                if i <= frontier:
-                    store_i = i
+                low = m & -m
+                m ^= low
+                i = ready_heaps[_N_FU - 1 + low.bit_length()][0]
 
-            if port_i >= 0 and (store_i < 0 or port_i < store_i):
+            if port_i < rob_head:  # the store
                 i = port_i
-                del lsu_ready[port_pos]
-                stall = stall_l[i]
-                forwarded = False
-                if pending_stores and cls_l[i] == _MC_READ:
-                    dq = pending_stores.get(addr_l[i])
-                    if dq:
-                        while dq and performed[dq[0]]:
-                            dq.popleft()
-                        if not dq:
-                            del pending_stores[addr_l[i]]
-                    if dq and dq[0] < i:
-                        forwarded = True
-                if forwarded:
-                    latency = 1
-                else:
-                    if stall > 0 and cls_l[i] == _MC_READ:
-                        if miss_delays is not None:
-                            miss_delays.append(t - decode_t[i])
-                        stall = yield MemRequest(addr_l[i], False, t, stall)
-                    if prefetch and stall > 0 and ready_t[i] >= 0:
-                        stall = max(0, stall - max(0, t - ready_t[i]))
-                    latency = 1 + stall
-                if latency == 1:  # hit or forwarded: due next cycle
-                    due_next.append(i)
-                    due_t = t + 1
-                else:
-                    heappush(events, (t + latency, i))
-                    if t + latency < ev_t:
-                        ev_t = t + latency
-                issued[i] = 1
-                progressed = True
-            elif store_i >= 0:
-                i = store_i
                 issued[i] = 1
                 store_scan += 1
                 stall = stall_l[i]
@@ -636,7 +691,40 @@ def ds_fast_stepper(
                         ev_t = t + 1 + stall
                 else:
                     due_next.append(i)
-                    due_t = t + 1
+                progressed = True
+            elif port_i < _HUGE:
+                i = port_i
+                cls = cls_l[i]
+                heap = ready_heaps[_N_FU + cls]
+                heappop(heap)
+                if not heap:
+                    ready_mask ^= 1 << (_N_FU + cls)
+                stall = stall_l[i]
+                forwarded = False
+                if pending_stores and cls == _MC_READ:
+                    dq = pending_stores.get(addr_l[i])
+                    forwarded = dq is not None and dq[0] < i
+                if forwarded:
+                    latency = 1
+                else:
+                    if stall > 0 and cls == _MC_READ:
+                        if miss_delays is not None:
+                            miss_delays.append(t - decode_t[i])
+                        stall = yield MemRequest(addr_l[i], False, t, stall)
+                    if prefetch and stall > 0 and ready_t[i] >= 0:
+                        stall = max(0, stall - max(0, t - ready_t[i]))
+                    latency = 1 + stall
+                if latency == 1:  # hit or forwarded: due next cycle
+                    # Known one cycle ahead, like a preset completion: a
+                    # consumer decoded now is ready at t+1 without a
+                    # dependence link (see phase 3).
+                    complete_t[i] = t + 1
+                    due_next.append(i)
+                else:
+                    heappush(events, (t + latency, i))
+                    if t + latency < ev_t:
+                        ev_t = t + latency
+                issued[i] = 1
                 progressed = True
 
         # Phase 3: decode up to issue_width instructions.
@@ -654,7 +742,8 @@ def ds_fast_stepper(
             decoded += 1
             progressed = True
             if cls:
-                uq[cls].append(i)
+                for dq in joins[cls]:
+                    dq.append(i)
                 if store_like_l[i] and addr_l[i] >= 0:
                     a = addr_l[i]
                     dq = pending_stores.get(a)
@@ -664,10 +753,11 @@ def ds_fast_stepper(
             ps = 0
             if not ignore_deps:
                 # A producer with a known *future* completion time is a
-                # preset op finishing at most at t+1, so this consumer
-                # is still ready at t+1; only unknown completions and
-                # store-like producers (which wake dependents at their
-                # perform, not their completion) defer the consumer.
+                # preset op or a one-cycle issue finishing at most at
+                # t+1, so this consumer is still ready at t+1; only
+                # unknown completions and store-like producers (which
+                # wake dependents at their perform, not their
+                # completion) defer the consumer.
                 p = prod1_l[i]
                 if p >= 0:
                     ct = complete_t[p]
@@ -697,11 +787,15 @@ def ds_fast_stepper(
                 else:
                     fu = fu_l[i]
                     if fu == _FU_LOAD_STORE:
-                        lsu_ready.append(i)  # i is the largest row yet
+                        # i is the largest row yet: appending keeps the
+                        # heap ordered.
+                        k = _N_FU + cls
+                        ready_heaps[k].append(i)
+                        ready_mask |= 1 << k
                     elif (
                         cls == 0
                         and iw == 1
-                        and not fu_ready[fu]
+                        and not ready_heaps[fu]
                         and not fu_pending[fu]
                         and not misp_l[i]
                     ):
@@ -711,12 +805,10 @@ def ds_fast_stepper(
                         complete_t[i] = t + 2
                         fu_taken_gen[fu] = t + 1
                     else:
-                        heappush(fu_ready[fu], i)
-                        fu_mask |= 1 << fu
+                        heappush(ready_heaps[fu], i)
+                        ready_mask |= 1 << fu
             elif not store_like_l[i]:
-                fu = fu_l[i]
-                if fu != _FU_LOAD_STORE:
-                    fu_pending[fu] += 1
+                fu_pending[fu_l[i]] += 1
             if misp_l[i]:
                 fetch_stalled = i
                 break
@@ -761,26 +853,11 @@ def ds_fast_stepper(
                     if w <= 0:
                         # A live wait resolved to zero: perform now and
                         # let retirement proceed this cycle.
-                        performed[h] = 1
+                        perform(h)
                         if fetch_stalled == h:
                             fetch_stalled = -1
                         if has_deps[h]:
-                            has_deps[h] = 0
-                            for j in deps_l[h]:
-                                p = pending[j] - 1
-                                pending[j] = p
-                                if not p:  # wake(j, t), as in phase 1
-                                    ready_t[j] = t
-                                    if store_like_l[j]:
-                                        complete_t[j] = t
-                                    else:
-                                        fu = fu_l[j]
-                                        if fu == _FU_LOAD_STORE:
-                                            insort(lsu_ready, j)
-                                        else:
-                                            fu_pending[fu] -= 1
-                                            heappush(fu_ready[fu], j)
-                                            fu_mask |= 1 << fu
+                            ready_mask |= wake_deps(h, t)
                         continue
                     heappush(events, (t + w, h))
                     if t + w < ev_t:
@@ -855,9 +932,9 @@ def ds_fast_stepper(
             # Idle jump.  Preset ops have no events, so the horizon is
             # the earliest of: the event heap, the ROB head's known
             # future completion (it enables a retire), and t+1 if any
-            # ready heap is nonempty (a claim-deferred op issues then).
+            # FU heap is nonempty (a claim-deferred op issues then).
             next_t = ev_t
-            if fu_mask and t + 1 < next_t:
+            if ready_mask & fu_bits and t + 1 < next_t:
                 next_t = t + 1
             if rob_head < fetch_i:
                 hc = complete_t[rob_head]

@@ -104,13 +104,21 @@ def live_answer(cpu: int, ordinal: int, query: int, pending_ok: bool) -> int:
     return 0 if h % 3 == 0 else 1 + h % 23
 
 
-def record(stepper, live: bool = False, pending_ok: bool = False):
+def _scattered_latency(req) -> int:
+    return 1 + (7 * req.addr + 13 * req.time) % 97
+
+
+def record(
+    stepper, live: bool = False, pending_ok: bool = False,
+    miss_answer=_scattered_latency,
+):
     """Drive ``stepper`` to completion and log every request it makes.
 
-    Misses are answered with a state-free function of (addr, time); sync
-    operations with the trace's baked wait, or under ``live`` with
-    :func:`live_answer`.  Returns ``(requests, breakdown)`` — each
-    request as a tuple of its class name and every field.
+    Misses are answered with ``miss_answer(request)``, by default a
+    state-free function of (addr, time); sync operations with the
+    trace's baked wait, or under ``live`` with :func:`live_answer`.
+    Returns ``(requests, breakdown)`` — each request as a tuple of its
+    class name and every field.
     """
     requests = []
     queries: dict[tuple[int, int], int] = {}
@@ -123,7 +131,7 @@ def record(stepper, live: bool = False, pending_ok: bool = False):
                 + tuple(getattr(req, name) for name in kind.__slots__)
             )
             if kind is MemRequest:
-                answer = 1 + (7 * req.addr + 13 * req.time) % 97
+                answer = miss_answer(req)
             elif kind is SyncRequest:
                 if live:
                     key = (req.cpu, req.ordinal)

@@ -7,14 +7,18 @@ results exactly — trace for trace, counter for counter, byte for byte.
 
 from __future__ import annotations
 
+import inspect
 import pickle
+import signal
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import record, reference_stepper
-from trace_helpers import TraceBuilder
+from trace_helpers import TraceBuilder, alu_block
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
@@ -46,6 +50,7 @@ from repro.cpu import (
     simulate_ssbr_fast,
 )
 from repro.cpu.ds import DSConfig
+from repro.cpu.ds.event_engine import ds_fast_stepper
 from repro.mem import MemoryError_, SharedMemory
 from repro.net import build_network
 from repro.obs import ChromeTracer, MetricsRegistry, Probe, run_profile
@@ -506,6 +511,219 @@ class TestStaticFastEngines:
                 == simulate_ss(lu_trace, model, network=net()))
 
 
+# -- one program per precondition of the DS streak's proofs -------------
+#
+# The streak commits a cycle without the phase machinery only when it can
+# prove what the general loop would do: a hit load issues at t+1, a clean
+# store retiring now issues at t+1, a non-memory op issues at t+1.  Each
+# program below puts one way of breaking such a proof inside a running
+# streak; a proof that forgot the case changes some request or cycle.
+
+
+def _streaming(tb: TraceBuilder) -> None:
+    """A miss at the head while the window fills behind it: from then on
+    the streak retires a row a cycle with the window full of rows."""
+    tb.load(addr=0x8000, stall=60)
+    alu_block(tb, 70)
+
+
+def _behind(blocker) -> TraceBuilder:
+    """Hit loads decoded while ``blocker`` — an access the model orders
+    before them — is still in flight, one repetition at a time.  The
+    miss queued behind them issues the cycle after the hit does."""
+    tb = TraceBuilder()
+    _streaming(tb)
+    for gap in (1, 2, 3, 1, 2, 3):
+        blocker(tb)
+        alu_block(tb, gap)
+        tb.load(rd=3, addr=0x1000)
+        tb.alu(rd=4, rs1=3)
+        tb.load(rd=5, addr=0x3100, stall=20)
+        alu_block(tb, 40)
+    return tb
+
+
+def _hit_load_behind_acquire() -> TraceBuilder:
+    # RC orders an acquire before every later access.
+    return _behind(lambda tb: tb.acquire(addr=0x2000, stall=60))
+
+
+def _hit_load_behind_read() -> TraceBuilder:
+    # SC orders every earlier read before a read.
+    return _behind(lambda tb: tb.load(rd=2, addr=0x3000, stall=60))
+
+
+def _forwarding_load() -> TraceBuilder:
+    # A load finding an unperformed older store to its address takes one
+    # cycle whatever its own stall; a miss that finds none does not.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(6):
+        tb.store(addr=0x1000, stall=30)
+        alu_block(tb, k % 3)
+        tb.load(rd=3, addr=0x1000)
+        tb.load(rd=4, addr=0x1000, stall=25)
+        tb.load(rd=5, addr=0x1080 + 16 * k, stall=25)
+        tb.alu(rd=6, rs1=4, rs2=5)
+        alu_block(tb, 8)
+    return tb
+
+
+def _port_contention() -> TraceBuilder:
+    # Stores retire while loads decode: both want the next port cycle.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(12):
+        tb.store(addr=0x1000 + 16 * (k % 4))
+        alu_block(tb, k % 3)
+        tb.load(rd=3, addr=0x1100)
+        tb.load(rd=4, addr=0x1110)
+        tb.alu(rd=5, rs1=3, rs2=4)
+        tb.store(addr=0x1200, stall=15 * (k % 2))
+    return tb
+
+
+def _full_store_buffer() -> TraceBuilder:
+    # A missing store at the buffer head keeps two-entry buffers full
+    # while clean stores behind it retire.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(6):
+        tb.store(addr=0x4000 + 16 * k, stall=25)
+        for j in range(4):
+            tb.store(addr=0x1000 + 16 * j)
+            alu_block(tb, k % 2)
+        tb.release(addr=0x2000, stall=0)
+        tb.load(rd=3, addr=0x1100)
+        alu_block(tb, 6)
+    return tb
+
+
+def _hit_load_after_mispredict() -> TraceBuilder:
+    # Each taken branch lands on a fresh pc the BTB has never seen.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(8):
+        alu_block(tb, k % 3)
+        tb.branch(taken=True)
+        tb.load(rd=3, addr=0x1000)
+        tb.alu(rd=4, rs1=3)
+        alu_block(tb, 4)
+    return tb
+
+
+def _hit_load_beside_deferred_load() -> TraceBuilder:
+    # A load whose address waits on a miss wakes as the miss returns;
+    # a younger hit decoded just before must not have taken that cycle.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(16):
+        tb.load(rd=2, addr=0x5000 + 16 * k, stall=12)
+        tb.load(rd=3, rs1=2, addr=0x1000, stall=15)
+        alu_block(tb, k)
+        tb.load(rd=4, addr=0x1100)
+        alu_block(tb, 40)
+    return tb
+
+
+def _clean_store_behind_pending_store() -> TraceBuilder:
+    # PC and SC order earlier writes before a write: a clean store
+    # retiring behind a missing one waits for it, and so does the miss
+    # behind both.
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(6):
+        tb.store(addr=0x4000 + 16 * k, stall=15)
+        tb.alu()
+        tb.store(addr=0x1000)
+        alu_block(tb, k % 3)
+        tb.store(addr=0x1010, stall=10)
+        alu_block(tb, 40)
+    return tb
+
+
+def _speculation_and_prefetch() -> TraceBuilder:
+    tb = TraceBuilder()
+    _streaming(tb)
+    for k in range(6):
+        tb.acquire(addr=0x2000, stall=30)
+        tb.load(rd=3, addr=0x1000)
+        tb.load(rd=4, addr=0x1100 + 16 * k, stall=20)
+        alu_block(tb, k % 3)
+        tb.acquire(addr=0x2100, stall=5)
+        tb.store(addr=0x1200)
+        tb.load(rd=5, addr=0x1000)
+        tb.barrier(addr=0x3000, stall=10)
+        alu_block(tb, 40)
+        tb.load(rd=6, addr=0x1300 + 16 * k, stall=20)
+        alu_block(tb, 4)
+    return tb
+
+
+_STREAK_PROGRAMS = {
+    "hit_load_behind_acquire_rc": (_hit_load_behind_acquire, ("RC",), {}),
+    "hit_load_behind_read_sc": (_hit_load_behind_read, ("SC",), {}),
+    "forwarding_load": (_forwarding_load, ("RC", "WO"), {}),
+    "port_contention": (_port_contention, ("RC", "PC"), {}),
+    "full_store_buffer": (
+        _full_store_buffer, ("RC",), {"store_buffer_depth": 2},
+    ),
+    "hit_load_after_mispredict": (_hit_load_after_mispredict, ("RC",), {}),
+    "hit_load_beside_deferred_load": (
+        _hit_load_beside_deferred_load, ("RC",), {},
+    ),
+    "clean_store_behind_pending_store": (
+        _clean_store_behind_pending_store, ("PC", "SC"), {},
+    ),
+    "speculative_loads": (
+        _speculation_and_prefetch, MODELS, {"speculative_loads": True},
+    ),
+    "prefetch": (_speculation_and_prefetch, MODELS, {"prefetch": True}),
+}
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail instead of spinning: a proof that loses an access leaves it
+    unperformed, and the cycle loop then never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _trace_latency(req) -> int:
+    return req.stall
+
+
+def _ds_agrees(trace, model_name: str, config: DSConfig) -> None:
+    """The DS engine and its oracle make every request alike and return
+    the same breakdown: replayed with each miss taking its trace latency
+    (where a program can line events up) or a scattered one, and under
+    live sync."""
+    model = get_model(model_name)
+    for live, miss_answer in (
+        (False, _trace_latency), (False, None), (True, None),
+    ):
+        kw = {"miss_answer": miss_answer} if miss_answer else {}
+        with _deadline(20):
+            fast = record(
+                ds_fast_stepper(trace, model, config, live_sync=live),
+                live=live, pending_ok=True, **kw,
+            )
+        ref = record(
+            DSProcessor(trace, model, config).steps(live_sync=live),
+            live=live, pending_ok=True, **kw,
+        )
+        assert fast == ref, (model_name, config, live, miss_answer)
+
+
 class TestDSEventEngine:
     """The event-driven DS engine vs. the per-cycle scalar oracle."""
 
@@ -562,6 +780,61 @@ class TestDSEventEngine:
                 == ref_probe.metrics.snapshot())
         assert fast_probe.tracer.events == ref_probe.tracer.events
         assert fast_probe.span_budget == ref_probe.span_budget
+
+    @pytest.mark.parametrize("name", sorted(_STREAK_PROGRAMS))
+    def test_streak_precondition(self, name):
+        build, models, extra = _STREAK_PROGRAMS[name]
+        trace = build().build()
+        for model_name in models:
+            for window in (8, 32):
+                _ds_agrees(trace, model_name, DSConfig(window=window, **extra))
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_port_candidates_are_ready(self, lu_trace, model_name):
+        """What the O(1) port rests on, checked at every visit of the
+        stepper's port phase: every queued row is ready (it joined at or
+        before this cycle, so only each class heap's head can win), and
+        a port claimed by a proven access has no other candidate."""
+        lines, first = inspect.getsourcelines(ds_fast_stepper)
+        k = next(
+            k for k, line in enumerate(lines)
+            if "# Phase 2b: the memory port" in line
+        )
+        while lines[k].strip().startswith("#"):
+            k += 1
+        port_line = first + k
+        code = ds_fast_stepper.__code__
+        seen = {"visits": 0, "claims": 0}
+
+        def at_line(frame, event, arg):
+            if event == "line" and frame.f_lineno == port_line:
+                f = frame.f_locals
+                t, ready_t = f["t"], f["ready_t"]
+                for heap in f["ready_heaps"]:
+                    assert all(ready_t[i] <= t for i in heap), t
+                if f["port_gen"] == t:
+                    assert f["ready_mask"] <= f["fu_bits"], t
+                    assert f["store_scan"] >= f["sb_tail"], t
+                    seen["claims"] += 1
+                seen["visits"] += 1
+            return at_line
+
+        def on_call(frame, event, arg):
+            return at_line if frame.f_code is code else None
+
+        model = get_model(model_name)
+        for window in (16, 64):
+            config = DSConfig(window=window)
+            previous = sys.gettrace()
+            sys.settrace(on_call)
+            try:
+                fast = simulate_ds_fast(lu_trace, model, config)
+            finally:
+                sys.settrace(previous)
+            assert fast == simulate_ds(lu_trace, model, config)
+        assert seen["visits"] > 1000
+        if model_name in ("WO", "RC"):
+            assert seen["claims"] > 0
 
     def test_miss_stats_match_scalar(self, lu_trace):
         """`collect_miss_stats`: the issue delay of every read miss, in
@@ -798,6 +1071,8 @@ class TestFastpathFuzz:
                 dict(window=4),
                 dict(window=16, issue_width=2),
                 dict(window=8, store_buffer_depth=2),
+                dict(window=64, speculative_loads=True),
+                dict(window=32, prefetch=True),
             ):
                 fast = simulate_ds_fast(trace, model, DSConfig(**kw))
                 ref = simulate_ds(trace, model, DSConfig(**kw))
