@@ -1,11 +1,13 @@
-"""Performance smoke test: record core throughput numbers.
+"""Performance smoke test: the repository's one perf gate on ratios.
 
 Times the hot loops everything else is gated on — the functional
-interpreter (trace generation), the vectorized static-model kernels,
-the event-driven DS engine (both against their scalar oracles), and
-the batch cache-lookup kernel — on the tiny LU workload, and writes
-the numbers to ``BENCH_core.json`` at the repository root so
-successive PRs leave a performance trajectory.  Run with::
+interpreter (trace generation), the event-driven static and DS engines
+(both against their scalar oracles in ``tests/oracles/``), the
+co-simulation coupling, instrumentation, and the daemon's warm caches —
+on the tiny LU workload, and asserts a fixed floor or ceiling on every
+ratio, each assertion message showing the measured value.  Run from the
+repository root (``pyproject.toml`` puts ``tests/`` on the path for the
+oracles) with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_smoke.py -q
 
@@ -16,27 +18,16 @@ sides of a ratio cancels out.
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 from pathlib import Path
 
+from oracles import simulate_base, simulate_ds, simulate_ss, simulate_ssbr
+
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.consistency import get_model
-from repro.cpu import (
-    ProcessorConfig,
-    simulate,
-    simulate_base,
-    simulate_ds,
-    simulate_ds_fast,
-    simulate_ss,
-    simulate_ss_fast,
-    simulate_ssbr,
-)
+from repro.cpu import ProcessorConfig, simulate
 from repro.cpu.ds import DSConfig
 from repro.verify import ExecutionRecorder, check_execution
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
 
 def _timed(fn):
@@ -79,18 +70,9 @@ def test_perf_smoke():
     compiled = TangoExecutor(
         workload.programs, config, memory=workload.memory
     )
-    result, gen_s = _timed(compiled.run)
+    result = compiled.run()
     workload.verify(result.memory)
-    instructions = result.stats.total_instructions()
     trace = result.trace(0)
-    n = len(trace)
-
-    ref_workload = build_app("lu", preset="tiny")
-    reference = TangoExecutor(
-        ref_workload.programs, config, memory=ref_workload.memory,
-        compiled=False,
-    )
-    _, ref_s = _timed(reference.run)
 
     # Run-ahead gains least where private runs between shared accesses
     # are shortest, which is pthor: gate it on its own so a per-app
@@ -100,30 +82,17 @@ def test_perf_smoke():
         fast_s, slow_s = _interpreter_race(app, config)
         speedups[app] = slow_s / fast_s
 
-    ds_cfg = ProcessorConfig(kind="ds", model="RC", window=256)
-    _, ds_s = _timed(lambda: simulate(trace, ds_cfg))
-
-    # DS replay with every miss re-timed through the mesh backend: the
-    # contention model's overhead relative to the fixed penalty.
+    # DS replay with every miss re-timed through the mesh backend.
     from repro.net import build_network
 
+    ds_cfg = ProcessorConfig(kind="ds", model="RC", window=256)
     mesh = build_network("mesh", config.n_cpus, config.line_size)
-    _, mesh_s = _timed(lambda: simulate(trace, ds_cfg, network=mesh))
+    simulate(trace, ds_cfg, network=mesh)
 
-    # Co-simulation throughput: every processor of a 4-node tiny LU
-    # stepping against one shared mesh (the fast engines' steppers),
-    # in co-simulated cycles per second of wall time.
     from repro.cosim import run_cosim
     from repro.experiments.runner import TraceStore
 
     cosim_cfg = ProcessorConfig(kind="ds", model="RC", window=64)
-    cosim_store = TraceStore(n_procs=4, preset="tiny")
-    crun = cosim_store.get_cosim("lu")
-    cosim_result, cosim_s = _timed(lambda: run_cosim(
-        crun, cosim_cfg,
-        network_kind="mesh", line_size=cosim_store.line_size,
-    ))
-    cosim_cycles = sum(cosim_result.cycles())
 
     # What sharing one contended fabric costs on top of the DS engine's
     # own work: co-simulated mesh seconds over the same traces' solo
@@ -145,10 +114,12 @@ def test_perf_smoke():
         lambda: [simulate(t, cosim_cfg) for t in coupling_run.traces],
     )
 
-    # Live sync runs on the same DS engine as replayed sync: on the
-    # 4-node run the ratio sits a little above 1 (an acquire re-queries
+    # Live sync runs on the same DS engine as replayed sync: on a
+    # 4-node tiny LU the ratio sits a little above 1 (an acquire re-queries
     # every cycle it waits) and doubles if live ever falls back to a
     # scalar stepper.
+    cosim_store = TraceStore(n_procs=4, preset="tiny")
+    crun = cosim_store.get_cosim("lu")
     live_s, replay_s = _race(
         cosim_mesh(crun, cosim_store, "live"), cosim_mesh(crun, cosim_store)
     )
@@ -158,27 +129,14 @@ def test_perf_smoke():
     # event-driven engine against the per-cycle reference.
     rc = get_model("RC")
     static_fast_s, static_scalar_s = _race(
-        lambda: simulate_ss_fast(trace, rc),
+        lambda: simulate(trace, ProcessorConfig(kind="ss", model="RC")),
         lambda: simulate_ss(trace, rc),
     )
     ds_fast_s, ds_scalar_s = _race(
-        lambda: simulate_ds_fast(trace, rc, DSConfig(window=256)),
+        lambda: simulate(trace, ds_cfg),
         lambda: simulate_ds(trace, rc, DSConfig(window=256)),
         reps=3,
     )
-
-    # Batch cache-lookup kernel: one vectorized set-index/tag-match
-    # over the trace's whole memory-access column.
-    import numpy as np
-
-    from repro.mem.cache import EXCLUSIVE, Cache
-
-    cols = trace.np_columns()
-    addrs = cols[6][cols[9] != 0].astype(np.int64)
-    probe_cache = Cache()
-    for addr in addrs[: probe_cache.num_lines].tolist():
-        probe_cache.install(addr, EXCLUSIVE)
-    (batch_s,) = _race(lambda: probe_cache.batch_hits(addrs), reps=7)
 
     # Engine and oracle must agree exactly — the cheap CI echo of the
     # full differential suite in tests/test_fastpath.py.
@@ -193,7 +151,7 @@ def test_perf_smoke():
         config = ProcessorConfig(kind=kind, model="RC")
         assert simulate(trace, config) == oracle(), kind
 
-    # Axiomatic-checker throughput over a freshly recorded run.
+    # The axiomatic checker accepts a freshly recorded run.
     rec_workload = build_app("lu", preset="tiny")
     recorder = ExecutionRecorder()
     rec_result = TangoExecutor(
@@ -203,9 +161,7 @@ def test_perf_smoke():
         recorder=recorder,
     ).run()
     rec_workload.verify(rec_result.memory)
-    log = recorder.log()
-    check, verify_s = _timed(lambda: check_execution(log, "SC"))
-    assert check.ok
+    assert check_execution(recorder.log(), "SC").ok
 
     # Instrumentation overhead on the DS replay loop, measured on the
     # event-driven engine (where a stray per-instruction hook would be
@@ -233,7 +189,7 @@ def test_perf_smoke():
     ref_plain_s, ref_disabled_s = _race(
         lambda: simulate_ds(trace, rc, ref_cfg),
         lambda: simulate_ds(trace, rc, ref_cfg, probe=Probe()),
-        reps=5,
+        reps=9,
     )
     obs_disabled_ratio_ref = ref_disabled_s / ref_plain_s
 
@@ -271,78 +227,45 @@ def test_perf_smoke():
         finally:
             daemon.stop()
 
-    payload = {
-        "app": "lu",
-        "preset": "tiny",
-        "interp_instructions": instructions,
-        "interp_seconds": round(gen_s, 4),
-        "interp_instr_per_s": round(instructions / gen_s),
-        "interp_reference_instr_per_s": round(instructions / ref_s),
-        "compiled_speedup": round(speedups["lu"], 2),
-        "compiled_speedup_pthor": round(speedups["pthor"], 2),
-        "ds_trace_instructions": n,
-        "ds_seconds": round(ds_s, 4),
-        "ds_instr_per_s": round(n / ds_s),
-        "ds_mesh_seconds": round(mesh_s, 4),
-        "ds_mesh_instr_per_s": round(n / mesh_s),
-        "ds_mesh_misses_timed": len(mesh.latencies),
-        "cosim_procs": len(cosim_result.breakdowns),
-        "cosim_seconds": round(cosim_s, 4),
-        "cosim_cycles_per_s": round(cosim_cycles / cosim_s),
-        "cosim_coupling_ratio": round(coupled_s / solo_s, 2),
-        "cosim_live_ratio": round(live_s / replay_s, 2),
-        "static_instr_per_s": round(n / static_fast_s),
-        "static_scalar_instr_per_s": round(n / static_scalar_s),
-        "static_speedup": round(static_scalar_s / static_fast_s, 2),
-        "ds_event_instr_per_s": round(n / ds_fast_s),
-        "ds_scalar_instr_per_s": round(n / ds_scalar_s),
-        "ds_event_speedup": round(ds_scalar_s / ds_fast_s, 2),
-        "cache_batch_lookups_per_s": round(len(addrs) / batch_s),
-        "verify_events": len(log),
-        "verify_seconds": round(verify_s, 4),
-        "verify_events_per_s": round(len(log) / verify_s),
-        "obs_disabled_overhead": round(obs_disabled_ratio, 4),
-        "obs_disabled_overhead_ref": round(obs_disabled_ratio_ref, 4),
-        "obs_enabled_seconds": round(enabled_s, 4),
-        "obs_enabled_overhead": round(obs_enabled_ratio, 2),
-        "daemon_cold_seconds": round(daemon_cold_s, 4),
-        "daemon_warm_seconds": round(daemon_warm_s, 4),
-        "daemon_warm_speedup": round(daemon_cold_s / daemon_warm_s, 2),
-        "daemon_trace_builds": trace_builds,
-        "daemon_trace_warm_hits": trace_warm_hits,
-        "python": sys.version.split()[0],
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert payload["interp_instr_per_s"] > 0
-    assert payload["ds_instr_per_s"] > 0
-    assert payload["ds_mesh_instr_per_s"] > 0
-    assert payload["ds_mesh_misses_timed"] > 0
-    assert payload["cosim_cycles_per_s"] > 0
-    assert payload["cache_batch_lookups_per_s"] > 0
-    assert payload["verify_events_per_s"] > 0
-    # The compiled engine must never regress below the reference one.
-    assert payload["compiled_speedup"] > 1.0
-    assert payload["compiled_speedup_pthor"] > 1.0
-    # Nor may the vectorized model engines: conservative floors well
-    # under the measured ~4.5x (static) and ~1.7-2.1x (DS) so CI noise
-    # cannot flake them, but any real regression to scalar parity trips.
-    assert payload["static_speedup"] >= 2.0, payload["static_speedup"]
-    assert payload["ds_event_speedup"] >= 1.2, payload["ds_event_speedup"]
+    assert len(mesh.latencies) > 0
+    # The compiled interpreter must keep its run-ahead gain over the
+    # reference one (measured ~8x on lu, ~2.9x on pthor), and the
+    # vectorized model engines theirs over the scalar oracles (~3.6x
+    # static, ~2.7x DS): floors well under those so CI noise cannot
+    # flake them, but a lost fast path trips.
+    assert speedups["lu"] >= 4.0, f"compiled_speedup {speedups['lu']:.2f}"
+    assert speedups["pthor"] >= 1.8, (
+        f"compiled_speedup_pthor {speedups['pthor']:.2f}"
+    )
+    static_speedup = static_scalar_s / static_fast_s
+    ds_event_speedup = ds_scalar_s / ds_fast_s
+    assert static_speedup >= 2.3, f"static_speedup {static_speedup:.2f}"
+    assert ds_event_speedup >= 1.6, f"ds_event_speedup {ds_event_speedup:.2f}"
+    # Sharing one contended mesh costs ~1.4x the solo ideal-fabric runs;
+    # fabric timing that ticked through every queueing wait would double
+    # it.
+    coupling_ratio = coupled_s / solo_s
+    assert coupling_ratio <= 1.9, f"cosim_coupling_ratio {coupling_ratio:.2f}"
     # Live sync must stay on the engine replayed sync runs on.
-    assert payload["cosim_live_ratio"] <= 1.7, payload["cosim_live_ratio"]
+    live_ratio = live_s / replay_s
+    assert live_ratio <= 1.7, f"cosim_live_ratio {live_ratio:.2f}"
     # Observability off may cost at most 2% on the replay hot loop —
     # on the event-driven engine AND the scalar reference engine;
     # fully on (histograms + per-instruction spans) at most 40%.
-    assert obs_disabled_ratio <= 1.02, payload["obs_disabled_overhead"]
-    assert obs_disabled_ratio_ref <= 1.02, (
-        payload["obs_disabled_overhead_ref"]
+    assert obs_disabled_ratio <= 1.02, (
+        f"obs_disabled_overhead {obs_disabled_ratio:.4f}"
     )
-    assert obs_enabled_ratio <= 1.4, payload["obs_enabled_overhead"]
+    assert obs_disabled_ratio_ref <= 1.02, (
+        f"obs_disabled_overhead_ref {obs_disabled_ratio_ref:.4f}"
+    )
+    assert obs_enabled_ratio <= 1.4, (
+        f"obs_enabled_overhead {obs_enabled_ratio:.2f}"
+    )
     # A warm daemon sweep must not regenerate traces (that is its whole
     # point) and must beat the cold sweep that built them.
     assert trace_builds == 1, trace_builds  # one lu trace, built once
     assert trace_warm_hits >= 1, trace_warm_hits
-    assert payload["daemon_warm_speedup"] >= 1.2, (
-        payload["daemon_warm_speedup"]
+    daemon_warm_speedup = daemon_cold_s / daemon_warm_s
+    assert daemon_warm_speedup >= 1.2, (
+        f"daemon_warm_speedup {daemon_warm_speedup:.2f}"
     )

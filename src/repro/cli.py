@@ -36,9 +36,6 @@ Commands:
 * ``top`` — live fleet view: poll one or more daemons' health and
   metrics endpoints and render queue/worker/cache state in the
   terminal (``--once`` for a single CI-friendly sample).
-* ``bench`` — append the perf smoke's ``BENCH_core.json`` numbers to
-  a timestamped history file and (``--check``) gate the
-  machine-independent ratio metrics against a committed baseline.
 * ``all`` — regenerate everything into ``results/``.
 
 Exit codes are uniform across subcommands (see the README table):
@@ -596,27 +593,6 @@ def cmd_top(args) -> int:
         return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from . import bench
-
-    payload = bench.load_payload(args.input)
-    if args.record:
-        entry = bench.append_history(payload, args.history)
-        runs = len(bench.load_history(args.history))
-        print(
-            f"recorded bench run {entry['recorded_at']} "
-            f"(rev {entry['revision'] or 'unknown'}) -> "
-            f"{args.history} ({runs} run(s))"
-        )
-    if args.check:
-        baseline = bench.load_payload(args.baseline)
-        deltas = bench.check(payload, baseline)
-        print(bench.format_check(deltas))
-        if not deltas or any(not d.ok for d in deltas):
-            return EXIT_FAILURE
-    return EXIT_OK
-
-
 def cmd_batch(args) -> int:
     if args.endpoint:
         # Thin-client mode: hand the grid to one or more daemons (warm
@@ -1119,35 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--once", action="store_true",
                        help="print one sample and exit (CI-friendly)")
     p_top.set_defaults(func=cmd_top)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="record/check the perf trajectory from BENCH_core.json",
-        description=(
-            "Append the perf smoke test's BENCH_core.json payload to a "
-            "JSONL history file (stamped with a UTC timestamp and the "
-            "git revision), and — with --check — compare the "
-            "machine-independent ratio metrics (engine speedups, "
-            "instrumentation overheads) against a committed baseline "
-            "with per-metric tolerances, exiting 1 on any regression."
-        ),
-    )
-    p_bench.add_argument("--input", default="BENCH_core.json",
-                         metavar="PATH",
-                         help="current bench payload (written by the "
-                              "perf smoke test)")
-    p_bench.add_argument("--history", default="BENCH_history.jsonl",
-                         metavar="PATH",
-                         help="JSONL history file to append to")
-    p_bench.add_argument("--no-record", dest="record",
-                         action="store_false",
-                         help="skip appending to the history file")
-    p_bench.add_argument("--check", action="store_true",
-                         help="gate ratio metrics against --baseline")
-    p_bench.add_argument("--baseline", default="BENCH_core.json",
-                         metavar="PATH",
-                         help="baseline payload for --check")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_all = sub.add_parser("all", help="regenerate everything")
     p_all.add_argument("--output", default="results")

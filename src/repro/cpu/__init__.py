@@ -8,14 +8,13 @@ traces produced by :mod:`repro.tango`:
 * ``SS`` — statically scheduled, non-blocking reads (stall at first use);
 * ``DS`` — dynamically scheduled with a reorder-buffer window of 16-256.
 
-Each model has one implementation that runs — the event-driven engines
-of :mod:`repro.cpu.static_fast` and :mod:`repro.cpu.ds.event_engine`,
-which :func:`make_stepper` maps a :class:`ProcessorConfig` onto — and
-one scalar oracle kept for checking it (:mod:`repro.cpu.base`,
-:mod:`repro.cpu.static`, :mod:`repro.cpu.ds.engine`; the tests compare
-the two request for request).  Both are resumable steppers
-(:mod:`repro.cpu.requests`).  Use :func:`simulate` for a uniform
-standalone entry point, or call the per-model functions directly.
+Each model has one implementation: the event-driven resumable steppers
+(:mod:`repro.cpu.requests`) of :mod:`repro.cpu.static_fast` —
+:func:`base_fast_stepper`, :func:`ssbr_fast_stepper`,
+:func:`ss_fast_stepper` — and :mod:`repro.cpu.ds.event_engine` —
+:func:`ds_fast_stepper`.  :func:`make_stepper` maps a
+:class:`ProcessorConfig` onto one of them, and :func:`simulate` is the
+one standalone entry point that drives it to completion.
 """
 
 from __future__ import annotations
@@ -24,15 +23,7 @@ from dataclasses import dataclass, field
 
 from ..consistency import ConsistencyModel, get_model
 from ..tango import Trace
-from .base import base_stepper, simulate_base
-from .ds import (
-    BranchTargetBuffer,
-    DSConfig,
-    DSProcessor,
-    ds_fast_stepper,
-    simulate_ds,
-    simulate_ds_fast,
-)
+from .ds import BranchTargetBuffer, DSConfig, ds_fast_stepper
 from .multicontext import (
     MultiContextConfig,
     MultiContextProcessor,
@@ -41,18 +32,9 @@ from .multicontext import (
 from .requests import MemRequest, ReleaseNotify, SyncRequest, drive
 from .scheduling import ScheduleStats, schedule_reads_early
 from .results import ExecutionBreakdown
-from .static import (
-    WriteBuffer,
-    simulate_ss,
-    simulate_ssbr,
-    ss_stepper,
-    ssbr_stepper,
-)
 from .static_fast import (
+    WriteBuffer,
     base_fast_stepper,
-    simulate_base_fast,
-    simulate_ss_fast,
-    simulate_ssbr_fast,
     ss_fast_stepper,
     ssbr_fast_stepper,
 )
@@ -176,7 +158,6 @@ __all__ = [
     "BranchTargetBuffer",
     "ConsistencyModel",
     "DSConfig",
-    "DSProcessor",
     "ExecutionBreakdown",
     "MemRequest",
     "MultiContextConfig",
@@ -185,21 +166,10 @@ __all__ = [
     "ReleaseNotify",
     "ScheduleStats",
     "SyncRequest",
-    "base_stepper",
+    "WriteBuffer",
     "drive",
     "make_stepper",
     "schedule_reads_early",
-    "simulate_multicontext",
-    "ss_stepper",
-    "ssbr_stepper",
-    "WriteBuffer",
     "simulate",
-    "simulate_base",
-    "simulate_base_fast",
-    "simulate_ds",
-    "simulate_ds_fast",
-    "simulate_ss",
-    "simulate_ss_fast",
-    "simulate_ssbr",
-    "simulate_ssbr_fast",
+    "simulate_multicontext",
 ]

@@ -1,14 +1,31 @@
-"""Event-driven fast path for the dynamically scheduled processor.
+"""The dynamically scheduled processor (paper §3.1, after Johnson),
+event-driven.
 
-A byte-identical reimplementation of :class:`repro.cpu.ds.engine.
-DSProcessor` built on the same split as :mod:`repro.cpu.static_fast`:
+A cycle-level, trace-driven model of the paper's out-of-order core: a
+reorder buffer (the 16–256-entry "lookahead window") that decodes and
+retires in program order; register renaming through it, so only true
+dependences delay issue; one single-cycle functional unit per class
+with out-of-order issue within each; a 2048-entry 4-way BTB with 2-bit
+counters and speculative execution past predicted branches (a
+misprediction stalls fetch until the branch executes); a lockup-free
+cache behind one memory port; and a store buffer with read bypassing
+and forwarding, whose stores issue only after retiring and only when
+the consistency model allows.  The consistency model enters once: a
+memory operation may begin its access only when every earlier
+operation whose class the model orders before it has *performed*.
+Each cycle is busy when an instruction retires, and otherwise charged
+to the reorder-buffer head's blocking reason (read, sync, write, or
+the rare "other" bubble).
+
+The loop is exact to a per-entry, per-cycle formulation (kept as the
+test oracle), built on the same split as :mod:`repro.cpu.static_fast`:
 everything that depends only on the *trace contents* is precomputed in
 batch, and the cycle loop runs on flat per-row state instead of heap
 objects.
 
 * **Decode-side kernels.**  Decode order equals trace order regardless
-  of timing, so the three stateful per-decode computations of the
-  reference engine collapse into batch passes done once per trace: the
+  of timing, so the three stateful per-decode computations of a
+  per-entry model collapse into batch passes done once per trace: the
   full branch-prediction outcome column
   (:func:`repro.cpu.kernels.control_mispredicts` replays the BTB), the
   producer row of each source operand
@@ -71,45 +88,114 @@ order and fields of every request the engine yields — a
 issues and, under live sync, a :class:`~repro.cpu.requests.SyncRequest`
 per cycle an acquire waits at the reorder-buffer head and a
 :class:`~repro.cpu.requests.ReleaseNotify` as each release performs (it
-is a resumable stepper like the reference, driven standalone by
-:func:`~repro.cpu.requests.drive` or stepped by the co-simulation
-engine) — probe histograms and retire spans (with lane handles cached
-instead of re-looked-up per retirement), and the read-miss issue delays
-of ``DSConfig.collect_miss_stats`` (returned in ``extras``).  The
-reference engine is the differential oracle — see
+is a resumable stepper, driven standalone by :func:`repro.cpu.simulate`
+or stepped by the co-simulation engine) — probe histograms and retire
+spans (with lane handles cached instead of re-looked-up per
+retirement), and the read-miss issue delays of
+``DSConfig.collect_miss_stats`` (returned in ``extras``).  The
+per-cycle formulation is the differential oracle — see
 ``tests/test_fastpath.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
 from ...consistency import ConsistencyModel
+from ...isa import FuClass, MemClass, Op, fu_class
 from ...tango import Trace
-from ..kernels import control_mispredicts, producer_rows
-from ..requests import MemRequest, ReleaseNotify, SyncRequest, drive
+from ..kernels import _N_OPS, _OP_MEMBER, control_mispredicts, producer_rows
+from ..requests import MemRequest, ReleaseNotify, SyncRequest
 from ..results import ExecutionBreakdown
 from ..static_fast import _trace_index
 from .btb import BranchTargetBuffer
-from .engine import (
-    _ACQ,
-    _compact,
-    _COMPACT_FLOOR,
-    _FU_LOAD_STORE,
-    _FU_VAL,
-    _MEM_CLASSES,
-    _OP_MEMBER,
-    _STORE_LIKE,
-    DSConfig,
-)
 
 _MC_READ = 1
 _MC_WRITE = 2
 _MC_ACQUIRE = 3
 _MC_RELEASE = 4
+
+_MEM_CLASSES = tuple(int(cls) for cls in (
+    MemClass.READ,
+    MemClass.WRITE,
+    MemClass.ACQUIRE,
+    MemClass.RELEASE,
+    MemClass.BARRIER,
+))
+
+_ACQ = (int(MemClass.ACQUIRE), int(MemClass.BARRIER))
+_STORE_LIKE = (int(MemClass.WRITE), int(MemClass.RELEASE))
+
+# Opcode-indexed functional-unit table (``_OP_MEMBER`` is the kernels').
+_FU_VAL = [0] * _N_OPS
+for _op in Op:
+    _FU_VAL[_op] = fu_class(_op).value
+_FU_LOAD_STORE = FuClass.LOAD_STORE.value
+
+#: Head-indexed lists (the store buffer, the reorder buffer) consume
+#: entries by advancing an index; the dead prefix is physically freed
+#: only once it outgrows both this floor and the live suffix, keeping
+#: the amortised cost O(1) per entry.
+_COMPACT_FLOOR = 64
+
+
+def _compact(buf: list, head: int) -> int:
+    """Free ``buf``'s consumed prefix when it dominates; returns the new
+    head index.  Purely memory management: simulated results are
+    identical at any threshold (pinned by ``tests/test_cpu_ds.py``)."""
+    if head > _COMPACT_FLOOR and head > len(buf) - head:
+        del buf[:head]
+        return 0
+    return head
+
+
+@dataclass
+class DSConfig:
+    """Configuration of the dynamically scheduled processor."""
+
+    window: int = 64
+    issue_width: int = 1
+    #: Store buffer entries; ``None`` sizes it with the window (the paper
+    #: notes the DS processor uses a larger write buffer than the static
+    #: processors' 16 entries).
+    store_buffer_depth: int | None = None
+    perfect_branch_prediction: bool = False
+    ignore_data_dependences: bool = False
+    btb_entries: int = 2048
+    btb_assoc: int = 4
+    #: Collect per-read-miss issue-delay samples (§4.1.3 analysis).
+    collect_miss_stats: bool = False
+    #: [8]-style non-binding prefetch: a memory operation whose issue is
+    #: delayed by consistency constraints starts fetching its line as
+    #: soon as its address is known; by actual issue time, part (or all)
+    #: of the miss latency has already elapsed.
+    prefetch: bool = False
+    #: [8]-style speculative load execution: loads issue regardless of
+    #: consistency constraints (rollback on a detected violation is
+    #: assumed rare and free, as in the reference); stores and
+    #: synchronization stay constrained, and retirement order still
+    #: provides the memory model's guarantees.
+    speculative_loads: bool = False
+
+    def __post_init__(self) -> None:
+        # A zero-entry window, port or buffer never retires anything:
+        # the cycle loop would spin forever instead of failing.
+        for name in ("window", "issue_width", "btb_entries", "btb_assoc",
+                     "store_buffer_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
+    def resolved_store_depth(self) -> int:
+        return self.window if self.store_buffer_depth is None else (
+            self.store_buffer_depth
+        )
+
+
 _N_CLS = max(_MEM_CLASSES) + 1
 _N_FU = max(_FU_VAL) + 1
 _FU_NP = np.array(_FU_VAL, dtype=np.int64)
@@ -191,23 +277,6 @@ def _ds_index(trace: Trace) -> _DSIndex:
     return idx
 
 
-def simulate_ds_fast(
-    trace: Trace,
-    model: ConsistencyModel,
-    config: DSConfig | None = None,
-    label: str | None = None,
-    probe=None,
-    network=None,
-) -> ExecutionBreakdown:
-    """Drop-in fast replacement for :func:`repro.cpu.ds.simulate_ds`:
-    drives :func:`ds_fast_stepper` against ``network``."""
-    stepper = ds_fast_stepper(
-        trace, model, config, label=label, probe=probe,
-        coupled=network is not None,
-    )
-    return drive(stepper, network=network, cpu=trace.cpu)
-
-
 def ds_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
@@ -217,11 +286,10 @@ def ds_fast_stepper(
     coupled: bool = False,
     live_sync: bool = False,
 ):
-    """The event-driven DS engine as a resumable stepper (drop-in for
-    :meth:`DSProcessor.steps`: it suspends at the same requests, at the
-    same cycles).
+    """The DS timing loop as a resumable stepper.
 
-    ``coupled`` says somebody else — a network with the probe attached,
+    Suspends at every miss the memory port issues (the answer re-times
+    it).  ``coupled`` says somebody else — a network with the probe attached,
     the co-simulation engine — emits spans from the same probe while
     this stepper is suspended, so retire spans must be emitted as rows
     retire rather than in one pass at the end.  With ``live_sync`` every
@@ -259,8 +327,8 @@ def ds_fast_stepper(
     else:
         misp_l = idx.mispredicts(trace, cfg.btb_entries, cfg.btb_assoc)
 
-    # Observability (mirrors the reference engine, with the per-retire
-    # track()/f-string lookups hoisted into a lane-handle cache).
+    # Observability, with the per-retire track()/f-string lookups
+    # hoisted into a lane-handle cache.
     probe = probe if probe is not None and probe.enabled else None
     rob_hist = sb_hist = None
     tracer = None

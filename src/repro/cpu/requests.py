@@ -1,8 +1,8 @@
 """The resumable-stepper protocol shared by every processor model.
 
-Each CPU model — the scalar oracles and the fast engines of
-:mod:`repro.cpu.static_fast` and :mod:`repro.cpu.ds.event_engine`
-alike — exposes its timing loop as a *stepper*: a generator that runs
+Each CPU model of :mod:`repro.cpu.static_fast` and
+:mod:`repro.cpu.ds.event_engine` (and each scalar test oracle) exposes
+its timing loop as a *stepper*: a generator that runs
 the model forward and suspends at every point where the outside world
 owes it an answer, yielding a request object and receiving the answer
 via ``send()``:
@@ -31,8 +31,8 @@ answers (``tests/test_fastpath.py`` pins it).
 A stepper terminates by returning its
 :class:`~repro.cpu.results.ExecutionBreakdown` (surfaced as
 ``StopIteration.value``).  :func:`drive` replays a stepper to completion
-standalone — it is the engine behind every ``simulate_*`` function, so
-the stepper *is* the timing model, not a copy of it.
+standalone — it is the engine behind :func:`repro.cpu.simulate`, so the
+stepper *is* the timing model, not a copy of it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,23 @@
-"""Event-driven fast path for the static models (BASE, SSBR and SS).
+"""The static models (BASE, SSBR and SS), event-driven.
 
-Byte-identical reimplementations of :mod:`repro.cpu.base` and
-:mod:`repro.cpu.static`, built on two observations about the in-order
-machines:
+The in-order processors of the paper's §4.1:
+
+* **BASE** — no overlap at all: each operation completes before the
+  next one starts (the normalisation reference).
+* **SSBR** — blocking reads.  Writes go to a 16-deep write buffer whose
+  behaviour the consistency model governs: under SC the buffer must
+  drain before a read may be serviced; under PC reads bypass pending
+  writes but buffered writes still retire one at a time; under WO/RC
+  buffered writes retire overlapped (:class:`WriteBuffer`).
+* **SS** — non-blocking reads: a read miss stalls the processor only at
+  the first *use* of its value, and a 16-deep read buffer bounds the
+  outstanding reads.  Under SC and PC reads stay serialized with
+  respect to previous reads.
+
+Each retires one instruction per cycle plus stalls, so ``busy`` equals
+the instruction count.  The loops are exact to a scalar row-by-row
+formulation (kept as the test oracle) but skip what provably does not
+move time, built on two observations about the in-order machines:
 
 1. Only rows that touch memory can move simulated time by anything other
    than the unconditional ``t += 1; busy += 1`` — and while the write
@@ -45,14 +60,14 @@ every release as a :class:`~repro.cpu.requests.ReleaseNotify`, at the
 cycle the scalar model would — every synchronization row is a sparse
 event, and every window is computed from the current ``t``, so a live
 wait needs no state a replayed one does not.  Standalone replay
-(:func:`~repro.cpu.requests.drive`, behind the ``simulate_*_fast``
-names) and the co-simulation engine resume it the same way.
+(:func:`repro.cpu.simulate`) and the co-simulation engine resume it the
+same way.
 
 Probed runs stay on this path: the depth histograms are commutative,
 processed pushes and read issues observe inline, and a skipped clean
 hit-write always leaves exactly one live entry, so all of them are one
 weighted ``observe(1, n_skipped)`` at the end.  The scalar
-implementations are the differential oracle — see
+formulations are the differential oracle — see
 ``tests/test_fastpath.py``.
 """
 
@@ -68,14 +83,11 @@ from ..consistency import ConsistencyModel
 from ..isa import MemClass
 from ..tango import Trace
 from .kernels import mem_event_rows, reg_use_rows
-from .requests import MemRequest, ReleaseNotify, SyncRequest, drive
+from .requests import MemRequest, ReleaseNotify, SyncRequest
 from .results import ExecutionBreakdown
-from .static import (
-    READ_BUFFER_DEPTH,
-    WRITE_BUFFER_DEPTH,
-    WriteBuffer,
-    _buffer_histogram,
-)
+
+WRITE_BUFFER_DEPTH = 16
+READ_BUFFER_DEPTH = 16
 
 _MC_NONE = int(MemClass.NONE)
 _MC_READ = int(MemClass.READ)
@@ -83,6 +95,81 @@ _MC_WRITE = int(MemClass.WRITE)
 _MC_ACQUIRE = int(MemClass.ACQUIRE)
 _MC_RELEASE = int(MemClass.RELEASE)
 _MC_BARRIER = int(MemClass.BARRIER)
+
+
+class WriteBuffer:
+    """A FIFO write buffer with consistency-governed retirement.
+
+    Entries are (perform_time, free_time, addr).  ``perform_time`` is when
+    the write becomes visible; ``free_time`` is when the FIFO slot frees
+    (entries free in order).  Under serializing models (SC, PC) a write
+    may not begin its memory access until the previous write performed;
+    under overlapping models (WO, RC) writes pipeline.
+    """
+
+    def __init__(self, model: ConsistencyModel,
+                 depth: int = WRITE_BUFFER_DEPTH) -> None:
+        self.model = model
+        self.depth = depth
+        self._entries: deque[tuple[int, int]] = deque()  # (free, addr)
+        self._pending_addrs: dict[int, int] = {}
+        self.last_perform = 0
+        self.last_free = 0
+
+    def _drain(self, now: int) -> None:
+        while self._entries and self._entries[0][0] <= now:
+            _, addr = self._entries.popleft()
+            if addr >= 0:
+                count = self._pending_addrs.get(addr, 0) - 1
+                if count <= 0:
+                    self._pending_addrs.pop(addr, None)
+                else:
+                    self._pending_addrs[addr] = count
+
+    def push(self, now: int, stall: int, addr: int = -1,
+             perform_floor: int = 0) -> tuple[int, int]:
+        """Buffer a write issued at ``now``.
+
+        ``perform_floor`` is the earliest the write may perform (used for
+        releases that must wait for prior accesses).  Returns
+        ``(new_now, full_stall)`` — the cycles the processor stalled
+        because the buffer was full.
+        """
+        self._drain(now)
+        full_stall = 0
+        if len(self._entries) >= self.depth:
+            wait_until = self._entries[0][0]
+            full_stall = wait_until - now
+            now = wait_until
+            self._drain(now)
+        if self.model.writes_overlap:
+            perform = max(now, perform_floor) + stall
+        else:
+            perform = max(now, self.last_perform, perform_floor) + stall
+        self.last_perform = max(self.last_perform, perform)
+        free = max(perform, self.last_free)
+        self.last_free = free
+        self._entries.append((free, addr))
+        if addr >= 0:
+            self._pending_addrs[addr] = self._pending_addrs.get(addr, 0) + 1
+        return now, full_stall
+
+    def holds_addr(self, addr: int, now: int) -> bool:
+        self._drain(now)
+        return addr in self._pending_addrs
+
+    def drain_time(self) -> int:
+        """Time at which every buffered write has performed and freed."""
+        return self.last_free if self._entries else 0
+
+
+def _buffer_histogram(probe, name: str, capacity: int):
+    """The occupancy histogram for ``name``, or None when unprobed."""
+    if probe is None or not probe.metrics.enabled:
+        return None
+    from ..obs.metrics import occupancy_bounds
+
+    return probe.metrics.histogram(name, occupancy_bounds(capacity))
 
 
 class _TraceIndex:
@@ -170,13 +257,16 @@ def _trace_index(trace: Trace) -> _TraceIndex:
 def base_fast_stepper(
     trace: Trace, label: str = "BASE", clamp_time: bool = False
 ):
-    """BASE over its sparse events only, as a resumable stepper (drop-in
-    for :func:`repro.cpu.base.base_stepper`).
+    """BASE over its sparse events only, as a resumable stepper.
 
-    Each miss and each synchronization operation is still requested
-    serially at the exact cycle the scalar model reaches it (whoever
-    answers may be stateful); every other row, hits included, only
-    advances the clock by one.  The sparse rows are one column scan per
+    One access at a time: each miss and each synchronization operation
+    is requested serially at the exact cycle the serial processor
+    reaches it (whoever answers may be stateful); every other row, hits
+    included, only advances the clock by one.  With ``clamp_time`` set
+    the clock never runs backwards on a negative sync wait (a wakeup
+    granted before this processor's virtual time) — the network-replay
+    behaviour; without it the accounting matches the closed-form
+    fixed-penalty sums.  The sparse rows are one column scan per
     run, not the shared :class:`_TraceIndex`: a trace build computes its
     BASE breakdown and must not pay for (or keep) the other models'
     tables.
@@ -225,16 +315,6 @@ def base_fast_stepper(
     )
 
 
-def simulate_base_fast(
-    trace: Trace, label: str = "BASE", network=None
-) -> ExecutionBreakdown:
-    """Drop-in for ``simulate_base``: drives :func:`base_fast_stepper`."""
-    stepper = base_fast_stepper(
-        trace, label=label, clamp_time=network is not None
-    )
-    return drive(stepper, network=network, cpu=trace.cpu)
-
-
 def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
     """Reconstruct the buffer as the scalar model would have left it after
     a run of skipped clean hit-writes whose last one was to ``addr`` at
@@ -251,17 +331,21 @@ def ssbr_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
-    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
     clamp_time: bool = False,
     probe=None,
 ):
-    """SSBR over sparse events only, as a resumable stepper (drop-in for
-    :func:`repro.cpu.static.ssbr_stepper`: it suspends at the same
-    misses, acquires and releases, at the same cycles)."""
+    """SSBR over sparse events only, as a resumable stepper.
+
+    Suspends at every miss (the answer re-times it) and every acquire
+    (the answer is the wait), and announces each release's perform time.
+    ``clamp_time`` keeps the clock from running backwards on a negative
+    sync wait — the behaviour required when a stateful network consumes
+    the request times.  ``probe`` samples write-buffer depth per push;
+    it never alters timing."""
     cpu = trace.cpu
-    buf = WriteBuffer(model, write_buffer_depth)
+    buf = WriteBuffer(model)
     wb_hist = _buffer_histogram(
-        probe, "static.write_buffer_depth", write_buffer_depth
+        probe, "static.write_buffer_depth", WRITE_BUFFER_DEPTH
     )
     pushes = 0  # pushes observed inline; the skipped rest observe 1
     n = len(trace)
@@ -370,42 +454,24 @@ def ssbr_fast_stepper(
     )
 
 
-def simulate_ssbr_fast(
-    trace: Trace,
-    model: ConsistencyModel,
-    label: str | None = None,
-    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
-    network=None,
-    probe=None,
-) -> ExecutionBreakdown:
-    """Drop-in for ``simulate_ssbr``: drives :func:`ssbr_fast_stepper`."""
-    stepper = ssbr_fast_stepper(
-        trace, model, label=label,
-        write_buffer_depth=write_buffer_depth,
-        clamp_time=network is not None, probe=probe,
-    )
-    return drive(stepper, network=network, cpu=trace.cpu)
-
-
 def ss_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
-    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
-    read_buffer_depth: int = READ_BUFFER_DEPTH,
     clamp_time: bool = False,
     probe=None,
 ):
     """SS over sparse + dynamically discovered events, as a resumable
-    stepper (see :func:`ssbr_fast_stepper`; drop-in for
-    :func:`repro.cpu.static.ss_stepper`)."""
+    stepper (see :func:`ssbr_fast_stepper` for the protocol).  A read
+    miss is requested at its *start* cycle — after read serialization
+    under SC/PC — which may lie ahead of the processor's own clock."""
     cpu = trace.cpu
-    buf = WriteBuffer(model, write_buffer_depth)
+    buf = WriteBuffer(model)
     wb_hist = _buffer_histogram(
-        probe, "static.write_buffer_depth", write_buffer_depth
+        probe, "static.write_buffer_depth", WRITE_BUFFER_DEPTH
     )
     rb_hist = _buffer_histogram(
-        probe, "static.read_buffer_depth", read_buffer_depth
+        probe, "static.read_buffer_depth", READ_BUFFER_DEPTH
     )
     pushes = 0  # pushes observed inline; the skipped rest observe 1
     n = len(trace)
@@ -579,7 +645,7 @@ def ss_fast_stepper(
             if cls == _MC_READ:
                 while outstanding and outstanding[0] <= t:
                     outstanding.popleft()
-                if len(outstanding) >= read_buffer_depth:
+                if len(outstanding) >= READ_BUFFER_DEPTH:
                     stall_until = outstanding[0]
                     read += stall_until - t
                     t = stall_until
@@ -607,7 +673,7 @@ def ss_fast_stepper(
                     if rd >= 0:
                         reg_ready[rd] = perform
                         arm(rd, perform, i)
-                    if len(outstanding) >= read_buffer_depth:
+                    if len(outstanding) >= READ_BUFFER_DEPTH:
                         arm_reads(i, max(outstanding) - t)
                 if serialize_reads and last_read_perform > t:
                     if buf.last_free > t or buf.last_perform > t:
@@ -659,7 +725,7 @@ def ss_fast_stepper(
                                 t = avail
                             while outstanding and outstanding[0] <= t:
                                 outstanding.popleft()
-                            if len(outstanding) >= read_buffer_depth:
+                            if len(outstanding) >= READ_BUFFER_DEPTH:
                                 stall_until = outstanding[0]
                                 read += stall_until - t
                                 t = stall_until
@@ -685,7 +751,7 @@ def ss_fast_stepper(
                                 if rd >= 0:
                                     reg_ready[rd] = perform
                                     arm(rd, perform, rrow)
-                                if len(outstanding) >= read_buffer_depth:
+                                if len(outstanding) >= READ_BUFFER_DEPTH:
                                     arm_reads(rrow, max(outstanding) - t)
                         if last_read_perform > t:
                             arm_reads(prev, last_read_perform - t)
@@ -766,22 +832,3 @@ def ss_fast_stepper(
         busy=busy, sync=sync, read=read, write=write,
         instructions=n,
     )
-
-
-def simulate_ss_fast(
-    trace: Trace,
-    model: ConsistencyModel,
-    label: str | None = None,
-    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
-    read_buffer_depth: int = READ_BUFFER_DEPTH,
-    network=None,
-    probe=None,
-) -> ExecutionBreakdown:
-    """Drop-in for ``simulate_ss``: drives :func:`ss_fast_stepper`."""
-    stepper = ss_fast_stepper(
-        trace, model, label=label,
-        write_buffer_depth=write_buffer_depth,
-        read_buffer_depth=read_buffer_depth,
-        clamp_time=network is not None, probe=probe,
-    )
-    return drive(stepper, network=network, cpu=trace.cpu)

@@ -26,8 +26,13 @@ def run_contexts(
     switch_penalty: int = 4,
     apps: tuple[str, ...] | None = None,
 ) -> dict[str, dict]:
-    """Per app: efficiency by context count, plus DS-w64 efficiency."""
+    """Per app: efficiency by context count, plus DS-w64 efficiency.
+
+    The context counts are those of :data:`CONTEXT_COUNTS` the machine
+    has processors for: K contexts need K traced processors.
+    """
     store = store or default_store()
+    counts = tuple(k for k in CONTEXT_COUNTS if k <= store.n_procs)
     result: dict[str, dict] = {}
     for run in store.all_apps():
         if apps is not None and run.app not in apps:
@@ -41,15 +46,15 @@ def run_contexts(
             n_cpus=store.n_procs,
             cache_size=store.cache_size,
             miss_penalty=store.miss_penalty,
-            trace_cpus=tuple(range(max(CONTEXT_COUNTS))),
+            trace_cpus=tuple(range(max(counts))),
         )
         mp = TangoExecutor(
             workload.programs, config, memory=workload.memory
         ).run()
-        traces = [mp.trace(c) for c in range(max(CONTEXT_COUNTS))]
+        traces = [mp.trace(c) for c in range(max(counts))]
 
         efficiency = {}
-        for k in CONTEXT_COUNTS:
+        for k in counts:
             breakdown = simulate_multicontext(
                 traces[:k], switch_penalty=switch_penalty
             )
@@ -66,17 +71,20 @@ def run_contexts(
 
 
 def format_contexts(result: dict[str, dict]) -> str:
+    counts = sorted({
+        k for data in result.values() for k in data["efficiency"]
+    })
     rows = []
     for app, data in result.items():
         row = [app.upper()]
         row.append(f"{100 * data['base_efficiency']:.0f}%")
-        for k in CONTEXT_COUNTS:
+        for k in counts:
             row.append(f"{100 * data['efficiency'][k]:.0f}%")
         row.append(f"{100 * data['ds_efficiency']:.0f}%")
         rows.append(row)
     return format_table(
         ["program", "BASE"]
-        + [f"MC k={k}" for k in CONTEXT_COUNTS]
+        + [f"MC k={k}" for k in counts]
         + ["DS-RC w64"],
         rows,
         title=(

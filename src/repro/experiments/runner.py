@@ -34,7 +34,6 @@ from pathlib import Path
 
 from ..apps import APP_NAMES, build_app
 from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
-from ..cpu import simulate_base_fast as simulate_base
 from ..tango import (
     MultiprocessorConfig,
     RunStats,
@@ -46,6 +45,13 @@ from ..service.pool import run_jobs
 from ..tango.trace import TRACE_FORMAT_VERSION, TraceFormatError
 
 DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "traces"
+
+_BASE = ProcessorConfig(kind="base")
+
+
+def simulate_base(trace: Trace) -> ExecutionBreakdown:
+    """The BASE breakdown every :class:`AppRun` caches with its trace."""
+    return simulate(trace, _BASE)
 
 
 @dataclass

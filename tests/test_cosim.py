@@ -205,7 +205,7 @@ class TestSharedFabric:
     ):
         """A failure inside one node's model, mid-run, surfaces from
         run_cosim as itself — not wrapped or swallowed by the engine."""
-        from repro.cpu.static import WriteBuffer
+        from repro.cpu import WriteBuffer
 
         class ModelBug(Exception):
             pass

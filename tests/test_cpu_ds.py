@@ -1,16 +1,16 @@
 """Tests for the dynamically scheduled processor on hand-crafted traces."""
 
 import pytest
+from oracles import DSProcessor, simulate_ds
 
 from repro.consistency import PC, RC, SC
-from repro.cpu import simulate_base
-from repro.cpu.ds import DSConfig, DSProcessor
+from repro.cpu.ds import DSConfig
 
-from trace_helpers import TraceBuilder, alu_block
+from trace_helpers import TraceBuilder, alu_block, run_model
 
 
 def ds(trace, model=RC, **cfg):
-    return DSProcessor(trace, model, DSConfig(**cfg)).run()
+    return run_model(trace, "ds", model, **cfg)
 
 
 class TestPipelineBasics:
@@ -55,7 +55,7 @@ class TestReadOverlap:
         for i in range(8):
             tb.load(rd=-1, stall=50, addr=0x1000 + 64 * i)
         r = ds(tb.build(), RC, window=64)
-        base = simulate_base(tb.build())
+        base = run_model(tb.build(), "base")
         # BASE pays 8x50; the DS pays roughly one memory latency since
         # all eight issue back to back through the single port.
         assert base.read == 400
@@ -66,7 +66,7 @@ class TestReadOverlap:
         for i in range(8):
             tb.load(rd=-1, stall=50, addr=0x1000 + 64 * i)
         r = ds(tb.build(), SC, window=64)
-        base = simulate_base(tb.build())
+        base = run_model(tb.build(), "base")
         assert r.total >= base.total - 10
 
     def test_pc_serializes_reads_too(self):
@@ -187,7 +187,7 @@ class TestSynchronizationSemantics:
             alu_block(tb, 60)
             tb.acquire(stall=50, wait=0)
         r = ds(tb.build(), RC, window=256)
-        base = simulate_base(tb.build())
+        base = run_model(tb.build(), "base")
         assert r.sync < base.sync
 
 
@@ -291,6 +291,7 @@ class TestDegenerateConfigs:
 
 class TestInstrumentation:
     def test_miss_stats_collected(self):
+        # Miss distances are collected by the oracle only.
         tb = TraceBuilder()
         tb.load(rd=1, stall=50, addr=0x1000)
         tb.load(rd=2, rs1=1, stall=50, addr=0x2000)
@@ -310,7 +311,8 @@ class TestInstrumentation:
 
 class TestCompaction:
     """Head-list compaction is pure memory management: any threshold
-    must produce the identical breakdown (see `_compact`'s docstring)."""
+    must produce the identical breakdown (see `_compact`'s docstring).
+    The product and the oracle share the one `_compact`."""
 
     @staticmethod
     def _churny_trace():
@@ -330,22 +332,18 @@ class TestCompaction:
 
     @pytest.mark.parametrize("floor", (0, 2, 10**9))
     def test_threshold_never_changes_results(self, floor, monkeypatch):
-        from repro.cpu.ds import engine, event_engine
-        from repro.cpu.ds.engine import simulate_ds
-        from repro.cpu.ds.event_engine import simulate_ds_fast
+        from repro.cpu.ds import event_engine
 
         trace = self._churny_trace()
         baseline_scalar = simulate_ds(trace, RC, DSConfig(window=16))
-        baseline_fast = simulate_ds_fast(trace, RC, DSConfig(window=16))
+        baseline_fast = ds(trace, RC, window=16)
         assert baseline_scalar == baseline_fast
-        monkeypatch.setattr(engine, "_COMPACT_FLOOR", floor)
         monkeypatch.setattr(event_engine, "_COMPACT_FLOOR", floor)
         for model in (SC, PC, RC):
             for kw in (dict(window=16), dict(window=64),
                        dict(window=16, store_buffer_depth=4)):
                 scalar = simulate_ds(trace, model, DSConfig(**kw))
-                fast = simulate_ds_fast(trace, model, DSConfig(**kw))
+                fast = ds(trace, model, **kw)
                 assert scalar == fast, (floor, kw)
         assert simulate_ds(trace, RC, DSConfig(window=16)) == baseline_scalar
-        assert (simulate_ds_fast(trace, RC, DSConfig(window=16))
-                == baseline_fast)
+        assert ds(trace, RC, window=16) == baseline_fast

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
     TraceStore,
     analyze_trace,
@@ -15,6 +16,7 @@ from repro.experiments import (
     format_table1,
     format_table2,
     format_table3,
+    run_contexts,
     run_figure1,
     run_table1,
     run_table2,
@@ -126,6 +128,19 @@ class TestFigures:
         assert result[64]["avg"] >= result[16]["avg"]
         text = format_headline(result)
         assert "paper avg" in text
+
+    def test_contexts_below_eight_processors(self, tmp_path, capsys):
+        """E11 on a machine smaller than its largest context count: the
+        counts, and the table's columns, stop at the processors."""
+        store = TraceStore(n_procs=4, preset="tiny", cache_dir=tmp_path)
+        result = run_contexts(store, apps=("lu",))
+        assert set(result["lu"]["efficiency"]) == {1, 2, 4}
+        assert main([
+            "--procs", "4", "--preset", "tiny",
+            "--cache-dir", str(tmp_path), "contexts",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "MC k=4" in out and "MC k=8" not in out
 
 
 class TestFormatting:

@@ -4,16 +4,10 @@ compiler read scheduling."""
 import pytest
 
 from repro.consistency import RC, SC
-from repro.cpu import (
-    schedule_reads_early,
-    simulate_base,
-    simulate_multicontext,
-    simulate_ss,
-)
-from repro.cpu.ds import DSConfig, DSProcessor
+from repro.cpu import schedule_reads_early, simulate_multicontext
 from repro.isa import MemClass
 
-from trace_helpers import TraceBuilder, alu_block
+from trace_helpers import TraceBuilder, alu_block, run_model
 
 
 def miss_heavy_trace(misses=10, gap=3):
@@ -28,7 +22,7 @@ class TestMultiContext:
     def test_single_context_exposes_all_misses(self):
         trace = miss_heavy_trace()
         r = simulate_multicontext([trace], switch_penalty=0)
-        base = simulate_base(trace)
+        base = run_model(trace, "base")
         assert r.total >= base.total - base.write - 2
 
     def test_two_contexts_overlap_misses(self):
@@ -76,39 +70,34 @@ class TestScBoost:
         tb = TraceBuilder()
         tb.load(rd=-1, stall=50, addr=0x1000)
         tb.load(rd=-1, stall=50, addr=0x2000)
-        plain = DSProcessor(tb.build(), SC, DSConfig(window=16)).run()
-        boosted = DSProcessor(
-            tb.build(), SC, DSConfig(window=16, prefetch=True)
-        ).run()
+        plain = run_model(tb.build(), "ds", SC, window=16)
+        boosted = run_model(tb.build(), "ds", SC, window=16, prefetch=True)
         assert boosted.total < plain.total - 30
 
     def test_speculative_loads_overlap_under_sc(self):
         tb = TraceBuilder()
         for i in range(6):
             tb.load(rd=-1, stall=50, addr=0x1000 + 64 * i)
-        plain = DSProcessor(tb.build(), SC, DSConfig(window=64)).run()
-        spec = DSProcessor(
-            tb.build(), SC, DSConfig(window=64, speculative_loads=True)
-        ).run()
+        plain = run_model(tb.build(), "ds", SC, window=64)
+        spec = run_model(
+            tb.build(), "ds", SC, window=64, speculative_loads=True
+        )
         assert spec.total < plain.total / 2
 
     def test_boosted_sc_still_bounded_by_rc(self):
         trace = miss_heavy_trace()
-        both = DSProcessor(
-            trace, SC,
-            DSConfig(window=64, prefetch=True, speculative_loads=True),
-        ).run()
-        rc = DSProcessor(trace, RC, DSConfig(window=64)).run()
+        both = run_model(
+            trace, "ds", SC, window=64, prefetch=True, speculative_loads=True
+        )
+        rc = run_model(trace, "ds", RC, window=64)
         assert rc.total <= both.total + 2
 
     def test_prefetch_noop_on_hits(self):
         tb = TraceBuilder()
         for _ in range(10):
             tb.load(rd=-1, stall=0)
-        plain = DSProcessor(tb.build(), SC, DSConfig(window=16)).run()
-        boosted = DSProcessor(
-            tb.build(), SC, DSConfig(window=16, prefetch=True)
-        ).run()
+        plain = run_model(tb.build(), "ds", SC, window=16)
+        boosted = run_model(tb.build(), "ds", SC, window=16, prefetch=True)
         assert boosted.total == plain.total
 
 
@@ -176,8 +165,8 @@ class TestCompilerScheduling:
         original = tb.build()
         scheduled, stats = schedule_reads_early(original)
         assert stats.loads_moved == 10
-        before = simulate_ss(original, RC)
-        after = simulate_ss(scheduled, RC)
+        before = run_model(original, "ss", RC)
+        after = run_model(scheduled, "ss", RC)
         assert after.read < before.read
         assert after.total < before.total
 

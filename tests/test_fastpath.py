@@ -8,17 +8,28 @@ results exactly — trace for trace, counter for counter, byte for byte.
 from __future__ import annotations
 
 import inspect
+import os
 import pickle
 import signal
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import record, reference_stepper
-from trace_helpers import TraceBuilder, alu_block
+from oracles import (
+    DSProcessor,
+    record,
+    reference_stepper,
+    simulate_base,
+    simulate_ds,
+    simulate_ss,
+    simulate_ssbr,
+)
+from trace_helpers import TraceBuilder, alu_block, model_config
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
@@ -34,21 +45,7 @@ from repro.experiments import (
     run_sc_boost,
     simulate_app_models,
 )
-from repro.cpu import (
-    DSProcessor,
-    ProcessorConfig,
-    drive,
-    make_stepper,
-    simulate,
-    simulate_base,
-    simulate_base_fast,
-    simulate_ds,
-    simulate_ds_fast,
-    simulate_ss,
-    simulate_ss_fast,
-    simulate_ssbr,
-    simulate_ssbr_fast,
-)
+from repro.cpu import ProcessorConfig, drive, make_stepper, simulate
 from repro.cpu.ds import DSConfig
 from repro.cpu.ds.event_engine import ds_fast_stepper
 from repro.mem import MemoryError_, SharedMemory
@@ -60,6 +57,15 @@ from repro.tango.trace import TRACE_FORMAT_VERSION
 from repro.verify import ExecutionRecorder
 
 MODELS = ("SC", "PC", "WO", "RC")
+BASE = ProcessorConfig(kind="base")
+
+
+def _ds_oracle(trace, config, network=None, probe=None):
+    """The scalar DS oracle's run of ``simulate(trace, config, ...)``."""
+    return simulate_ds(
+        trace, get_model(config.model), config.ds_config(),
+        label=config.label(), network=network, probe=probe,
+    )
 
 
 def _run(app: str, compiled: bool, network: str = "ideal", probe=None):
@@ -494,7 +500,7 @@ class TestStaticFastEngines:
     """`static_fast` batch kernels vs. the scalar BASE/SSBR/SS models."""
 
     def test_base_matches_scalar(self, lu_trace):
-        assert simulate_base_fast(lu_trace) == simulate_base(lu_trace)
+        assert simulate(lu_trace, BASE) == simulate_base(lu_trace)
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("network", ("ideal", "mesh"))
@@ -505,9 +511,11 @@ class TestStaticFastEngines:
             return (None if network == "ideal"
                     else build_network("mesh", 16, 16))
 
-        assert (simulate_ssbr_fast(lu_trace, model, network=net())
+        ssbr = ProcessorConfig(kind="ssbr", model=model_name)
+        ss = ProcessorConfig(kind="ss", model=model_name)
+        assert (simulate(lu_trace, ssbr, network=net())
                 == simulate_ssbr(lu_trace, model, network=net()))
-        assert (simulate_ss_fast(lu_trace, model, network=net())
+        assert (simulate(lu_trace, ss, network=net())
                 == simulate_ss(lu_trace, model, network=net()))
 
 
@@ -746,12 +754,9 @@ class TestDSEventEngine:
                 return (None if network == "ideal"
                         else build_network("mesh", 16, 16))
 
-            ref = simulate_ds(
-                lu_trace, model, DSConfig(**kw), network=net()
-            )
-            fast = simulate_ds_fast(
-                lu_trace, model, DSConfig(**kw), network=net()
-            )
+            config = model_config("ds", model, **kw)
+            ref = _ds_oracle(lu_trace, config, network=net())
+            fast = simulate(lu_trace, config, network=net())
             assert fast == ref, kw
 
     @pytest.mark.parametrize("network", ("ideal", "mesh"))
@@ -759,7 +764,7 @@ class TestDSEventEngine:
         """Instrumented runs agree on everything the probe records:
         occupancy histograms, retire spans (deferred without a network,
         interleaved with miss spans behind one), and the breakdown."""
-        model = get_model("RC")
+        config = model_config("ds", window=64)
 
         def run(fn):
             net = (None if network == "ideal"
@@ -767,14 +772,12 @@ class TestDSEventEngine:
             probe = Probe(metrics=MetricsRegistry(), tracer=ChromeTracer())
             if net is not None:
                 net.attach_probe(probe)
-            breakdown = fn(
-                lu_trace, model, DSConfig(window=64), probe=probe,
-                network=net,
-            )
+            breakdown = fn(lu_trace, config, probe=probe, network=net)
             return breakdown, probe
 
-        ref_bd, ref_probe = run(simulate_ds)
-        fast_bd, fast_probe = run(simulate_ds_fast)
+        ref_bd, ref_probe = run(_ds_oracle)
+        ref_probe.publish_breakdown(ref_bd)  # as simulate() does
+        fast_bd, fast_probe = run(simulate)
         assert fast_bd == ref_bd
         assert (fast_probe.metrics.snapshot()
                 == ref_probe.metrics.snapshot())
@@ -824,14 +827,14 @@ class TestDSEventEngine:
 
         model = get_model(model_name)
         for window in (16, 64):
-            config = DSConfig(window=window)
+            config = model_config("ds", model, window=window)
             previous = sys.gettrace()
             sys.settrace(on_call)
             try:
-                fast = simulate_ds_fast(lu_trace, model, config)
+                fast = simulate(lu_trace, config)
             finally:
                 sys.settrace(previous)
-            assert fast == simulate_ds(lu_trace, model, config)
+            assert fast == _ds_oracle(lu_trace, config)
         assert seen["visits"] > 1000
         if model_name in ("WO", "RC"):
             assert seen["claims"] > 0
@@ -839,14 +842,13 @@ class TestDSEventEngine:
     def test_miss_stats_match_scalar(self, lu_trace):
         """`collect_miss_stats`: the issue delay of every read miss, in
         issue order, as the oracle records them on its processor."""
-        config = DSConfig(
-            window=64, perfect_branch_prediction=True,
+        config = model_config(
+            "ds", window=64, perfect_branch_prediction=True,
             collect_miss_stats=True,
         )
-        model = get_model("RC")
-        oracle = DSProcessor(lu_trace, model, config)
-        ref = oracle.run()
-        fast = simulate_ds_fast(lu_trace, model, config)
+        oracle = DSProcessor(lu_trace, get_model("RC"), config.ds_config())
+        ref = oracle.run(label=config.label())
+        fast = simulate(lu_trace, config)
         delays = fast.extras.pop("read_miss_issue_delays")
         assert delays == oracle.read_miss_issue_delays
         assert len(delays) == lu_trace.read_misses() > 0
@@ -884,12 +886,46 @@ class TestEngineSelection:
             with pytest.raises(ValueError, match="kind"):
                 run(lu_trace, ProcessorConfig(kind="vliw"))
 
+    def test_product_imports_nothing_from_tests(self):
+        """Imports run from the tests to the product only: loading every
+        `repro` module, with `tests/` importable, loads nothing from it."""
+        import oracles
+        import repro
+
+        tests_dir = Path(oracles.__file__).resolve().parents[1]
+        src_dir = Path(repro.__file__).resolve().parents[1]
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "from pathlib import Path\n"
+            "import repro\n"
+            "names = [m.name for m in pkgutil.walk_packages(\n"
+            "    repro.__path__, 'repro.') if m.name != 'repro.__main__']\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "tests = Path(sys.argv[1])\n"
+            "print(len(names))\n"
+            "for name, module in sorted(sys.modules.items()):\n"
+            "    path = getattr(module, '__file__', None)\n"
+            "    if path and Path(path).resolve().is_relative_to(tests):\n"
+            "        print(name)\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(
+                [str(src_dir), str(tests_dir)]
+            )
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tests_dir)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert int(out[0]) > 50  # the walk reached the whole package
+        assert out[1:] == []
+
     def test_product_never_executes_an_oracle(self, monkeypatch, tmp_path):
         """With every scalar stepper booby-trapped, each product surface
         still runs: standalone (probed or not), co-simulated (replayed
         and live sync), `profile`, and experiments E10 and E12."""
-        from repro.cpu import base, static
-        from repro.cpu.ds import engine
+        from oracles import base, ds, static
 
         # Swap the code, not the module attribute, so a reference
         # imported by name anywhere is trapped as well.
@@ -897,7 +933,7 @@ class TestEngineSelection:
             base.base_stepper, static.ssbr_stepper, static.ss_stepper
         ):
             monkeypatch.setattr(oracle, "__code__", _raise_oracle.__code__)
-        monkeypatch.setattr(engine.DSProcessor, "steps", _raise_oracle)
+        monkeypatch.setattr(ds.DSProcessor, "steps", _raise_oracle)
 
         store = TraceStore(
             n_procs=4, preset="tiny", cache_dir=tmp_path / "traces"
@@ -1060,13 +1096,13 @@ class TestFastpathFuzz:
     @given(trace=small_traces())
     @settings(max_examples=60, deadline=None)
     def test_all_models_match_scalar(self, trace):
-        assert simulate_base_fast(trace) == simulate_base(trace)
+        assert simulate(trace, BASE) == simulate_base(trace)
         for name in MODELS:
             model = get_model(name)
-            assert (simulate_ssbr_fast(trace, model)
-                    == simulate_ssbr(trace, model))
-            assert (simulate_ss_fast(trace, model)
-                    == simulate_ss(trace, model))
+            ssbr = ProcessorConfig(kind="ssbr", model=name)
+            ss = ProcessorConfig(kind="ss", model=name)
+            assert simulate(trace, ssbr) == simulate_ssbr(trace, model)
+            assert simulate(trace, ss) == simulate_ss(trace, model)
             for kw in (
                 dict(window=4),
                 dict(window=16, issue_width=2),
@@ -1074,9 +1110,9 @@ class TestFastpathFuzz:
                 dict(window=64, speculative_loads=True),
                 dict(window=32, prefetch=True),
             ):
-                fast = simulate_ds_fast(trace, model, DSConfig(**kw))
-                ref = simulate_ds(trace, model, DSConfig(**kw))
-                assert fast == ref, (name, kw)
+                config = model_config("ds", model, **kw)
+                fast = simulate(trace, config)
+                assert fast == _ds_oracle(trace, config), (name, kw)
 
 
 class TestTraceRoundTrip:
@@ -1095,7 +1131,7 @@ class TestTraceRoundTrip:
     def test_fastpath_cache_never_pickled(self, lu_trace):
         # Populate the derived-index cache, then make sure the pickle
         # neither carries it nor resurrects it.
-        simulate_ds_fast(lu_trace, get_model("RC"), DSConfig(window=16))
+        simulate(lu_trace, ProcessorConfig(kind="ds", window=16))
         assert lu_trace.fastpath_cache is not None
         state = lu_trace.__getstate__()
         assert set(state) == {"version", "cpu", "columns"}

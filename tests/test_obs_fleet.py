@@ -1,5 +1,5 @@
 """Tests for fleet-wide observability: distributed traces, structured
-logs, Prometheus exposition, and perf-regression tracking.
+logs and Prometheus exposition.
 
 The span/stitch unit tests exercise the cross-process invariants the
 service relies on (nesting survives independent rounding, duplicate
@@ -16,7 +16,6 @@ import re
 
 import pytest
 
-from repro import bench
 from repro.obs import (
     JsonLogger,
     MetricsRegistry,
@@ -355,76 +354,3 @@ class TestJsonLogger:
         with pytest.raises(ValueError):
             JsonLogger.to_path(tmp_path / "x.log", level="loud")
 
-
-class TestBench:
-    BASE = {
-        "compiled_speedup": 4.0,
-        "static_speedup": 4.0,
-        "obs_disabled_overhead": 1.0,
-    }
-
-    def test_higher_better_direction(self):
-        deltas = bench.check(
-            {"compiled_speedup": 2.0}, {"compiled_speedup": 4.0}
-        )
-        (d,) = deltas
-        assert not d.ok  # 2.0 < 4.0 * (1 - 0.35)
-        deltas = bench.check(
-            {"compiled_speedup": 2.7}, {"compiled_speedup": 4.0}
-        )
-        assert deltas[0].ok  # 2.7 >= 2.6
-
-    def test_lower_better_direction(self):
-        bad = bench.check(
-            {"obs_disabled_overhead": 1.1},
-            {"obs_disabled_overhead": 1.0},
-        )
-        assert not bad[0].ok  # 1.1 > 1.0 * 1.05
-        good = bench.check(
-            {"obs_disabled_overhead": 1.04},
-            {"obs_disabled_overhead": 1.0},
-        )
-        assert good[0].ok
-
-    def test_missing_metrics_skipped(self):
-        deltas = bench.check({"compiled_speedup": 4.0}, {})
-        assert deltas == []
-        deltas = bench.check({}, {"compiled_speedup": 4.0})
-        assert deltas == []
-
-    def test_absolute_throughput_not_gated(self):
-        deltas = bench.check(
-            {"interp_instr_per_s": 1, **self.BASE},
-            {"interp_instr_per_s": 10**9, **self.BASE},
-        )
-        assert all(d.ok for d in deltas)
-        assert not any(
-            d.metric == "interp_instr_per_s" for d in deltas
-        )
-
-    def test_format_reports_regressions(self):
-        deltas = bench.check(
-            {"compiled_speedup": 1.0}, {"compiled_speedup": 4.0}
-        )
-        out = bench.format_check(deltas)
-        assert "REGRESSED" in out
-        assert "FAILED" in out
-
-    def test_history_roundtrip_skips_corrupt(self, tmp_path):
-        hist = tmp_path / "hist.jsonl"
-        bench.append_history({"compiled_speedup": 4.0}, hist)
-        hist.open("a").write("not json\n")
-        bench.append_history({"compiled_speedup": 4.1}, hist)
-        entries = bench.load_history(hist)
-        assert [
-            e["payload"]["compiled_speedup"] for e in entries
-        ] == [4.0, 4.1]
-        assert all("recorded_at" in e for e in entries)
-
-    def test_load_payload_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="no bench payload"):
-            bench.load_payload(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="not a JSON object"):
-            bench.load_payload(bad)

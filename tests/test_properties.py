@@ -8,16 +8,13 @@ model orderings, window monotonicity, and the busy==instructions identity.
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency import MODELS
-from repro.cpu import (
-    ProcessorConfig,
-    simulate,
-    simulate_base,
-    simulate_ss,
-    simulate_ssbr,
-)
-from repro.cpu.ds import DSConfig, DSProcessor
+from repro.cpu import ProcessorConfig, make_stepper, simulate
 from repro.isa import MemClass, Op
 from repro.tango import Trace, TraceRecord
+
+
+def _run(trace, kind, model="RC", **kw):
+    return simulate(trace, ProcessorConfig(kind=kind, model=model, **kw))
 
 
 @st.composite
@@ -102,10 +99,10 @@ def test_attribution_sums_for_every_model(trace):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(traces())
 def test_base_is_upper_bound_for_static_models(trace):
-    base = simulate_base(trace)
-    for model in MODELS.values():
-        assert simulate_ssbr(trace, model).total <= base.total + 2
-        assert simulate_ss(trace, model).total <= base.total + 2
+    base = _run(trace, "base")
+    for model in MODELS:
+        assert _run(trace, "ssbr", model).total <= base.total + 2
+        assert _run(trace, "ss", model).total <= base.total + 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -113,9 +110,7 @@ def test_base_is_upper_bound_for_static_models(trace):
 def test_ds_window_monotonicity(trace):
     prev = None
     for window in (16, 64, 256):
-        total = DSProcessor(
-            trace, MODELS["RC"], DSConfig(window=window)
-        ).run().total
+        total = _run(trace, "ds", window=window).total
         if prev is not None:
             # Allow a sliver of scheduling noise.
             assert total <= prev + 3
@@ -125,29 +120,22 @@ def test_ds_window_monotonicity(trace):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_ds_rc_never_slower_than_ds_sc(trace):
-    sc = DSProcessor(trace, MODELS["SC"], DSConfig(window=64)).run()
-    rc = DSProcessor(trace, MODELS["RC"], DSConfig(window=64)).run()
+    sc = _run(trace, "ds", "SC", window=64)
+    rc = _run(trace, "ds", "RC", window=64)
     assert rc.total <= sc.total + 3
 
 
-def _pbp_and_nodep(trace):
-    return [
-        DSProcessor(
-            trace, MODELS["RC"],
-            DSConfig(window=32, perfect_branch_prediction=True,
-                     ignore_data_dependences=nodep),
-        )
-        for nodep in (False, True)
-    ]
+_PBP_AND_NODEP = [
+    ProcessorConfig(kind="ds", window=32, perfect_bp=True, ignore_deps=nodep)
+    for nodep in (False, True)
+]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_perfect_bp_and_nodep_never_slower(trace):
-    normal = DSProcessor(
-        trace, MODELS["RC"], DSConfig(window=32)
-    ).run()
-    pbp, nodep = (proc.run() for proc in _pbp_and_nodep(trace))
+    normal = _run(trace, "ds", window=32)
+    pbp, nodep = (simulate(trace, config) for config in _PBP_AND_NODEP)
     assert pbp.total <= normal.total + 3
     # Dropping dependences is not monotone on a single oldest-first
     # memory port (a list-scheduling anomaly, pinned below): a load it
@@ -187,8 +175,8 @@ def test_nodep_port_anomaly():
     for pc, row in enumerate(rows):
         trace.append(TraceRecord(pc=pc, next_pc=pc + 1, **row))
 
-    def miss_issue_times(proc):
-        stepper, times = proc.steps(), []
+    def miss_issue_times(config):
+        stepper, times = make_stepper(trace, config), []
         try:
             request = next(stepper)
             while True:
@@ -197,20 +185,16 @@ def test_nodep_port_anomaly():
         except StopIteration as stop:
             return times, stop.value.total
 
-    pbp, nodep = map(miss_issue_times, _pbp_and_nodep(trace))
+    pbp, nodep = map(miss_issue_times, _PBP_AND_NODEP)
     assert pbp == ([52, 53], 187)
     assert nodep == ([52, 54], 191)
-    fast = simulate(trace, ProcessorConfig(
-        kind="ds", window=32, perfect_bp=True, ignore_deps=True
-    ))
-    assert fast.total == 191  # the product reproduces the anomaly
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_ds_beats_or_matches_base(trace):
-    base = simulate_base(trace)
-    ds = DSProcessor(trace, MODELS["RC"], DSConfig(window=256)).run()
+    base = _run(trace, "base")
+    ds = _run(trace, "ds", window=256)
     # +small slack: pipeline-fill and port quantization.
     assert ds.total <= base.total + len(trace) // 4 + 5
 
@@ -218,12 +202,8 @@ def test_ds_beats_or_matches_base(trace):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(traces())
 def test_wider_issue_never_slower(trace):
-    one = DSProcessor(
-        trace, MODELS["RC"], DSConfig(window=64, issue_width=1)
-    ).run()
-    four = DSProcessor(
-        trace, MODELS["RC"], DSConfig(window=64, issue_width=4)
-    ).run()
+    one = _run(trace, "ds", window=64, issue_width=1)
+    four = _run(trace, "ds", window=64, issue_width=4)
     # Wider issue is not strictly monotone cycle-for-cycle: a 4-wide
     # front end reaches mispredicted branches and store-buffer limits
     # sooner, which can cost a few cycles around each such episode.

@@ -7,6 +7,8 @@ counts can be derived by hand.
 
 from __future__ import annotations
 
+from repro.consistency import RC, ConsistencyModel
+from repro.cpu import ExecutionBreakdown, ProcessorConfig, simulate
 from repro.isa import MemClass, Op
 from repro.tango import Trace, TraceRecord
 
@@ -84,3 +86,27 @@ def alu_block(tb: TraceBuilder, count: int) -> None:
     """Append ``count`` independent single-cycle instructions."""
     for _ in range(count):
         tb.alu()
+
+
+def model_config(
+    kind: str, model: ConsistencyModel = RC, **ds_fields
+) -> ProcessorConfig:
+    """One processor ``kind`` under ``model``; for DS, ``ds_fields`` are
+    :class:`~repro.cpu.DSConfig` fields (``window=16``,
+    ``prefetch=True``, ...), so ``ds_config()`` rebuilds exactly
+    ``DSConfig(**ds_fields)``."""
+    return ProcessorConfig(
+        kind=kind, model=model.name,
+        window=ds_fields.pop("window", 64),
+        issue_width=ds_fields.pop("issue_width", 1),
+        perfect_bp=ds_fields.pop("perfect_branch_prediction", False),
+        ignore_deps=ds_fields.pop("ignore_data_dependences", False),
+        ds=ds_fields,
+    )
+
+
+def run_model(
+    trace: Trace, kind: str, model: ConsistencyModel = RC, **ds_fields
+) -> ExecutionBreakdown:
+    """:func:`repro.cpu.simulate` of :func:`model_config`'s processor."""
+    return simulate(trace, model_config(kind, model, **ds_fields))
