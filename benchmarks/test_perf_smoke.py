@@ -170,7 +170,7 @@ def test_perf_smoke():
     # path (a probe with metrics off and no tracer resolves to None
     # inside the models) is guarded at <=2% on each; the fully enabled
     # path (occupancy histograms + a Chrome trace span per
-    # instruction) at <=40% on the fast engine.
+    # instruction) at <=60% on the fast engine.
     from repro.obs import ChromeTracer, MetricsRegistry, Probe
 
     fast_cfg = ProcessorConfig(kind="ds", model="RC", window=256)
@@ -251,14 +251,14 @@ def test_perf_smoke():
     assert live_ratio <= 1.7, f"cosim_live_ratio {live_ratio:.2f}"
     # Observability off may cost at most 2% on the replay hot loop —
     # on the event-driven engine AND the scalar reference engine;
-    # fully on (histograms + per-instruction spans) at most 40%.
+    # fully on (histograms + per-instruction spans) at most 60%.
     assert obs_disabled_ratio <= 1.02, (
         f"obs_disabled_overhead {obs_disabled_ratio:.4f}"
     )
     assert obs_disabled_ratio_ref <= 1.02, (
         f"obs_disabled_overhead_ref {obs_disabled_ratio_ref:.4f}"
     )
-    assert obs_enabled_ratio <= 1.4, (
+    assert obs_enabled_ratio <= 1.6, (
         f"obs_enabled_overhead {obs_enabled_ratio:.2f}"
     )
     # A warm daemon sweep must not regenerate traces (that is its whole

@@ -434,26 +434,29 @@ def cmd_submit(args) -> int:
                 return trace_rc
         return rc
 
-    client = service.DaemonClient(args.endpoint[0])
-    accepted = client.submit(payload, trace=trace)
-    verb = "duplicate of" if accepted["deduped"] else "accepted as"
-    print(
-        f"{verb} job {accepted['id']} "
-        f"({accepted['n_subruns']} sub-runs, "
-        f"state {accepted['state']})"
-    )
-    if not args.wait and trace is None:
-        return EXIT_OK
-    final = client.wait(
-        accepted["id"], timeout=timeout, interval=args.interval
-    )
+    with service.DaemonClient(args.endpoint[0]) as client:
+        accepted = client.submit(payload, trace=trace)
+        verb = "duplicate of" if accepted["deduped"] else "accepted as"
+        print(
+            f"{verb} job {accepted['id']} "
+            f"({accepted['n_subruns']} sub-runs, "
+            f"state {accepted['state']})"
+        )
+        if not args.wait and trace is None:
+            return EXIT_OK
+        final = client.wait(
+            accepted["id"], timeout=timeout, interval=args.interval
+        )
+        rows = client.results(accepted["id"]).get("results", [])
+        spans = (
+            client.trace_spans(trace.trace_id) if trace is not None else []
+        )
     counts = ", ".join(
         f"{k}={v}" for k, v in sorted(final.get("counts", {}).items())
     )
     latency = final.get("queue_latency")
     wait_txt = f", queue wait {latency:.2f}s" if latency is not None else ""
     print(f"job {final['id']} {final['state']} ({counts}{wait_txt})")
-    rows = client.results(accepted["id"]).get("results", [])
     if rows:
         print(_format_remote_results(
             rows, f"Job {final['id']} — completed results"
@@ -461,8 +464,7 @@ def cmd_submit(args) -> int:
     rc = EXIT_OK if final["state"] == "done" else EXIT_PARTIAL
     if trace is not None:
         trace_rc = _write_submit_trace(
-            args.trace_out, trace,
-            client.trace_spans(trace.trace_id), t0, time.time(),
+            args.trace_out, trace, spans, t0, time.time(),
         )
         if trace_rc != EXIT_OK:
             return trace_rc
@@ -497,7 +499,6 @@ def _format_subrun_timing(final: dict) -> str | None:
 
 
 def cmd_watch(args) -> int:
-    client = service.DaemonClient(args.endpoint)
     last = None
 
     def on_poll(job: dict) -> None:
@@ -512,12 +513,13 @@ def cmd_watch(args) -> int:
             print(line, flush=True)
             last = line
 
-    final = client.wait(
-        args.id,
-        timeout=args.timeout if args.timeout > 0 else None,
-        interval=args.interval,
-        on_poll=on_poll,
-    )
+    with service.DaemonClient(args.endpoint) as client:
+        final = client.wait(
+            args.id,
+            timeout=args.timeout if args.timeout > 0 else None,
+            interval=args.interval,
+            on_poll=on_poll,
+        )
     timing = _format_subrun_timing(final)
     if timing:
         print(timing)
@@ -539,10 +541,10 @@ def _top_table(endpoints: list[str]) -> tuple[str, int]:
     rows = []
     up = 0
     for url in endpoints:
-        client = service.DaemonClient(url, timeout=5.0)
         try:
-            health = client.healthz()
-            snap = client.metrics()
+            with service.DaemonClient(url, timeout=5.0) as client:
+                health = client.healthz()
+                snap = client.metrics()
         except service.ClientError:
             rows.append([url, "DOWN"] + ["-"] * (len(headers) - 2))
             continue

@@ -1,8 +1,16 @@
 """HTTP client and multi-endpoint shard dispatcher for the daemon.
 
-:class:`DaemonClient` is a stdlib (urllib) JSON client for one daemon
-endpoint — submit, poll, fetch results — used by the ``submit`` and
-``watch`` CLI subcommands and by ``batch --endpoint``.
+:class:`DaemonClient` is a stdlib (``http.client``) JSON client for
+one daemon endpoint — submit, poll, fetch results — used by the
+``submit``, ``watch`` and ``top`` CLI subcommands and by ``batch
+--endpoint``.  Each calling thread keeps one persistent HTTP/1.1
+connection and reuses it for every call, so a poll loop pays no TCP
+connect and the daemon no handler-thread start per request.  A reused
+connection the daemon has meanwhile closed (its idle timeout, see
+:mod:`repro.service.http`) is detected before any response byte
+arrives, and the request is sent once more on a fresh connection;
+nothing else is ever retried.  ``close()`` (or a ``with`` block)
+releases the connections.
 
 :func:`dispatch` is the scale-out path: it expands a request grid
 *locally*, partitions the deduplicated jobs with the deterministic
@@ -15,10 +23,10 @@ endpoint (or a local batch) would have produced for the same grid.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import asdict, dataclass, field
 
 from ..obs.context import HEADER as TRACE_HEADER
@@ -52,43 +60,101 @@ class ClientError(ServiceError):
 
 
 class DaemonClient:
-    """JSON-over-HTTP client for one daemon endpoint."""
+    """JSON-over-HTTP client for one daemon endpoint.
+
+    Safe to share between threads: each thread gets its own persistent
+    connection.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        scheme, sep, rest = self.base_url.partition("://")
+        if not sep or scheme not in ("http", "https"):
+            raise ValueError(f"unsupported endpoint URL {base_url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._conn_class = (
+            http.client.HTTPSConnection if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []
+
+    def __enter__(self) -> "DaemonClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._conn_class(self._netloc, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._conns.append(conn)
+        return conn
+
+    @staticmethod
+    def _exchange(conn, method, url, body, headers):
+        """Send one request and return the response with its head read.
+
+        Only a *reused* connection found closed before any response
+        byte arrived (reset on send, or end of stream where the status
+        line belongs) is retried, once, on a fresh connection: the
+        daemon never read that request, so even a POST goes out once.
+        """
+        reused = conn.sock is not None
+        try:
+            conn.request(method, url, body=body, headers=headers)
+            return conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            # http.client.RemoteDisconnected is a ConnectionResetError.
+            if not reused:
+                raise
+            conn.close()
+        conn.request(method, url, body=body, headers=headers)
+        return conn.getresponse()
 
     def _request(
         self, method: str, path: str, payload=None, headers=None,
     ) -> dict:
-        data = None
+        body = None
         headers = {"Accept": "application/json", **(headers or {})}
         if payload is not None:
-            data = json.dumps(payload).encode()
+            body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers,
-            method=method,
-        )
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read() or b"{}")
-            except (json.JSONDecodeError, OSError):
-                body = {}
-            raise ClientError(
-                f"{method} {path} -> {exc.code}: "
-                f"{body.get('error', exc.reason)}",
-                status=exc.code, body=body,
-            ) from exc
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
+            response = self._exchange(
+                conn, method, self._prefix + path, body, headers
+            )
+            data = response.read()
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()
             raise ClientError(
                 f"{method} {self.base_url}{path} unreachable: {exc}"
             ) from exc
+        if not 200 <= response.status < 300:
+            try:
+                error = json.loads(data or b"{}")
+            except json.JSONDecodeError:
+                error = {}
+            raise ClientError(
+                f"{method} {path} -> {response.status}: "
+                f"{error.get('error', response.reason)}",
+                status=response.status, body=error,
+            )
+        return json.loads(data or b"{}")
 
     # -- API -----------------------------------------------------------
 
@@ -211,38 +277,42 @@ def dispatch(
 
     clients = [client_factory(url) for url in endpoints]
     submissions: list[tuple[DaemonClient, str, str]] = []
-    for client, part in zip(clients, parts):
-        if not part:
-            continue
-        shard_payload = {
-            "jobs": [asdict(job) for job in part],
-            "priority": priority,
-        }
-        if trace is not None:
-            accepted = client.submit(shard_payload, trace=trace)
-        else:
-            accepted = client.submit(shard_payload)
-        submissions.append((client, client.base_url, accepted["id"]))
-
     by_label: dict[str, dict] = {}
-    for client, endpoint, job_id in submissions:
-        final = client.wait(job_id, timeout=timeout, interval=interval)
-        report.shards.append({
-            "endpoint": endpoint,
-            "id": job_id,
-            "state": final.get("state"),
-            "n_subruns": final.get("n_subruns"),
-            "queue_latency": final.get("queue_latency"),
-        })
-        for row in client.results(job_id).get("results", []):
-            by_label[row["label"]] = row
+    try:
+        for client, part in zip(clients, parts):
+            if not part:
+                continue
+            shard_payload = {
+                "jobs": [asdict(job) for job in part],
+                "priority": priority,
+            }
+            if trace is not None:
+                accepted = client.submit(shard_payload, trace=trace)
+            else:
+                accepted = client.submit(shard_payload)
+            submissions.append((client, client.base_url, accepted["id"]))
 
-    if trace is not None:
-        for client, endpoint, _ in submissions:
-            try:
-                report.spans.extend(client.trace_spans(trace.trace_id))
-            except ClientError:
-                pass  # a dead endpoint loses its spans, not the run
+        for client, endpoint, job_id in submissions:
+            final = client.wait(job_id, timeout=timeout, interval=interval)
+            report.shards.append({
+                "endpoint": endpoint,
+                "id": job_id,
+                "state": final.get("state"),
+                "n_subruns": final.get("n_subruns"),
+                "queue_latency": final.get("queue_latency"),
+            })
+            for row in client.results(job_id).get("results", []):
+                by_label[row["label"]] = row
+
+        if trace is not None:
+            for client, endpoint, _ in submissions:
+                try:
+                    report.spans.extend(client.trace_spans(trace.trace_id))
+                except ClientError:
+                    pass  # a dead endpoint loses its spans, not the run
+    finally:
+        for client in clients:
+            client.close()
 
     # Merge back into grid order.  Labels are unique across the
     # deduplicated expansion and shards are disjoint, so this is exact.

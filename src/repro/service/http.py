@@ -32,6 +32,16 @@ served back by ``GET /v1/trace/{id}``.
 Handler threads only ever touch the daemon's thread-safe surface
 (queue submit/lookup and the result store), so a slow simulation never
 blocks health checks or status polls.
+
+Connections persist (HTTP/1.1 keep-alive): one handler thread serves
+every request a client sends on its connection, and closes it after
+:data:`IDLE_TIMEOUT_S` seconds without one.  A response is buffered and
+leaves in one send when it fits the write buffer.  Nagle's algorithm
+is off on accepted sockets: a response sent in more than one write
+(the head, then a body too big for the buffer) would otherwise wait
+for the client's delayed ACK of the first (tens of milliseconds) on a
+reused connection.  ``daemon.http_connections`` counts accepted
+connections, ``daemon.http_requests`` answered requests.
 """
 
 from __future__ import annotations
@@ -49,6 +59,10 @@ from .queue import QueueClosed, QueueFull
 #: job list for a big shard still fits comfortably).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a keep-alive connection may sit idle before its handler
+#: thread closes it (read when the connection is accepted).
+IDLE_TIMEOUT_S = 30.0
+
 
 class DaemonHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one daemon instance."""
@@ -64,12 +78,28 @@ class DaemonHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-sim-daemon/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    # Buffer each response (the stdlib flushes after every request), so
+    # a small one leaves in one send.  Written unbuffered, the body
+    # waits for the GIL, which an in-thread simulation takes as soon as
+    # the send of the head releases it.
+    wbufsize = -1
 
     # -- plumbing ------------------------------------------------------
 
-    def log_message(self, format, *args):  # noqa: A002 — stdlib name
-        """Route request logging to metrics instead of stderr."""
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+        self.server.sim_daemon.metrics.counter(
+            "daemon.http_connections"
+        ).inc()
+
+    def log_request(self, code="-", size="-") -> None:
+        """Count each answered request instead of logging it."""
         self.server.sim_daemon.metrics.counter("daemon.http_requests").inc()
+
+    def log_message(self, format, *args):  # noqa: A002 — stdlib name
+        """Keep stderr quiet (errors, idle-connection timeouts)."""
 
     def _send_json(
         self, code: int, obj: dict, headers: dict | None = None

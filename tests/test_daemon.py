@@ -330,7 +330,8 @@ def http_daemon(tmp_path):
     thread.start()
     d.start()
     host, port = server.server_address[:2]
-    yield d, DaemonClient(f"http://{host}:{port}")
+    with DaemonClient(f"http://{host}:{port}") as client:
+        yield d, client
     server.shutdown()
     d.stop()
     server.server_close()
@@ -441,6 +442,124 @@ class TestDaemonHTTP:
         assert exc_info.value.status == 503
 
 
+def _count(daemon, name):
+    counter = daemon.metrics.get(name)
+    return counter.value if counter else 0
+
+
+class TestPersistentConnection:
+    """One client, one connection: calls reuse it, a connection the
+    daemon closed is replaced without re-sending a request it read, and
+    the error contract is unchanged."""
+
+    def test_calls_share_one_connection_without_delayed_ack(
+        self, http_daemon
+    ):
+        daemon, client = http_daemon
+        # 36 sub-runs: the status body outgrows the handler's write
+        # buffer, so head and body leave in separate writes.
+        job, _ = daemon.submit({
+            "apps": ["lu"], "kinds": ["ds"], "windows": [16, 32, 64],
+            "models": ["SC", "PC", "WO", "RC"], "penalties": [25, 50, 100],
+            "procs": 4, "preset": "tiny",
+        })
+        _wait_done(daemon, job.id)
+        t0 = time.perf_counter()
+        for _ in range(20):
+            assert len(client.job(job.id)["subruns"]) == 36
+        elapsed = time.perf_counter() - t0
+        assert _count(daemon, "daemon.http_connections") == 1
+        assert _count(daemon, "daemon.http_requests") >= 20
+        # A body write stalled on the client's delayed ACK costs ~44 ms
+        # a call: 20 calls would take at least 0.88 s.
+        assert elapsed < 0.5
+
+    def test_reconnects_after_idle_close_and_posts_once(
+        self, http_daemon, monkeypatch
+    ):
+        from repro.service import http
+
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.05)
+        daemon, client = http_daemon
+        assert client.healthz()["status"] == "ok"
+        time.sleep(0.3)  # the daemon closes the idle connection
+        accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                  "preset": "tiny"})
+        assert list(daemon.queue.jobs) == [accepted["id"]]
+        assert _count(daemon, "daemon.submitted") == 1
+        time.sleep(0.3)  # the second connection idles out as well
+        assert _count(daemon, "daemon.http_connections") == 2
+        # Idle timeouts are not requests.
+        assert _count(daemon, "daemon.http_requests") == 2
+
+    def test_threads_share_a_client(self, http_daemon):
+        daemon, client = http_daemon
+        ids = []
+        for penalty in (25, 50, 75, 100):
+            job, _ = daemon.submit({"apps": ["lu"], "procs": 4,
+                                    "preset": "tiny",
+                                    "penalties": [penalty]})
+            _wait_done(daemon, job.id)
+            ids.append(job.id)
+        errors = []
+
+        def poll(job_id):
+            try:
+                for _ in range(10):
+                    body = client.job(job_id)
+                    assert (body["id"], body["state"]) == (job_id, "done")
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=poll, args=(job_id,))
+                   for job_id in ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert errors == []
+        assert _count(daemon, "daemon.http_connections") == 4
+
+    def test_error_contract(self, tmp_path):
+        # No scheduler running, so the second submission finds the
+        # one-deep queue full.
+        d = Daemon(store_dir=tmp_path / "store",
+                   executor=fake_executor, queue_depth=1)
+        server = make_server(d)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        try:
+            with DaemonClient(f"http://{host}:{port}") as client:
+                with pytest.raises(ClientError) as bad:
+                    client.submit({"apps": ["no-such-app"]})
+                assert bad.value.status == 400
+                assert "no-such-app" in bad.value.body["error"]
+                assert bad.value.retry_after is None
+                with pytest.raises(ClientError) as missing:
+                    client.job("feedface00000000")
+                assert missing.value.status == 404
+                assert missing.value.body == {"error": "unknown job id"}
+                client.submit({"apps": ["lu"], "procs": 4,
+                               "preset": "tiny"})
+                with pytest.raises(ClientError) as full:
+                    client.submit({"apps": ["lu"], "penalties": [100],
+                                   "procs": 4, "preset": "tiny"})
+                assert full.value.status == 429
+                assert full.value.body["error"] == "queue full"
+                assert full.value.retry_after >= 1.0
+                # The connection survives every error response.
+                assert client.healthz()["status"] == "ok"
+                assert _count(d, "daemon.http_connections") == 1
+        finally:
+            server.shutdown()
+            d.stop()
+            server.server_close()
+        with pytest.raises(ClientError) as down:
+            DaemonClient(f"http://{host}:{port}", timeout=2).healthz()
+        assert down.value.status == 0
+        assert "unreachable" in str(down.value)
+
+
 class TestDaemonTracing:
     def test_trace_header_propagates_to_daemon_spans(
         self, http_daemon
@@ -520,6 +639,7 @@ class TestDaemonTracing:
         assert "repro_daemon_submitted_total" in text
         assert "repro_daemon_jobs_done_total" in text
         assert "repro_daemon_job_wait_seconds_bucket" in text
+        assert "repro_daemon_http_connections_total" in text
         assert 'le="+Inf"' in text
         # Default format is unchanged: the JSON snapshot.
         snapshot = client.metrics()
