@@ -20,7 +20,8 @@ This is exactly the information Figure 1 of the paper conveys:
   wait, barrier entry) and *releases* (write-like: unlock, event set,
   barrier exit).  Only an acquire gates the accesses after it, and only a
   release waits for the accesses before it.  Synchronization accesses
-  themselves stay ordered with respect to one another (the RCsc flavour).
+  obey processor consistency among themselves, so a later acquire may
+  bypass an earlier release (the RCpc flavour).
 
 The predicate is deliberately conservative/straightforward — the paper's
 own words: "straightforward implementations of the four consistency

@@ -20,7 +20,10 @@ supplies the code for that:
   call per shared access.  Code is compiled once per shape, its
   immediates bound per thread as default arguments, so threads that
   differ only in constants share it; the compiler, and every function
-  it made, lives as long as its run.
+  it made, lives as long as its run.  Each exit of a block registers the
+  static trace rows of the instructions it ran in the run's
+  :class:`~repro.tango.trace.RowTemplates`, once, and carries the id, so
+  a traced thread logs one int per block.
 
 The reference semantics remain :func:`repro.tango.interp.execute_instruction`
 (the ``compiled=False`` engine), and the generated code matches it
@@ -32,11 +35,10 @@ zero, negative square root, misalignment).
 from __future__ import annotations
 
 import math
-from array import array
 from types import FunctionType
 
 from ..mem.memory import MemoryError_
-from .ops import Op
+from .ops import MemClass, Op
 
 K_PRIVATE = 0
 K_LOAD = 1
@@ -89,15 +91,12 @@ def _misaligned(access: str, addr):
 
 
 def _jr(target: int, exit_):
-    """A ``JR`` exit: ``exit_`` with its next pc (and last row's) set."""
+    """A ``JR`` exit: ``exit_`` with its next pc set (its template leaves
+    the ``JR`` row's to the row after it)."""
     if target < 0:
         raise PcOutOfRange(target)
-    _, n, branches, rows = exit_
-    if rows is not None:
-        next_pcs = array("i", rows[2])
-        next_pcs[-1] = target
-        rows = rows[:2] + (next_pcs,) + rows[3:]
-    return target, n, branches, rows
+    _, n, branches, template = exit_
+    return target, n, branches, template
 
 
 #: Names the generated source may use.
@@ -209,22 +208,25 @@ class BlockCompiler:
     branches, each a side exit when taken — until it meets a shared
     instruction, a ``JR`` or a pc already on its path.  It compiles to
     ``fn(regs)`` returning its exit's tuple ``(next_pc, instructions,
-    branches, rows)``: the private instructions it executed, the
-    conditional branches among them and (traced threads only) their
-    trace columns.  A load or store compiles to a segment, ``fn(regs,
-    words, doubles)`` returning ``(address, exit)`` for the superblock
-    that follows it (possibly empty).  ``fn.line_pcs[k]`` is the pc of
-    line ``k + 2`` of the source, for fault messages.
+    branches, template)``: the private instructions it executed, the
+    conditional branches among them and the id of their trace rows'
+    template in ``templates``.  A load or store compiles to a segment,
+    ``fn(regs, words, doubles)`` returning ``(address, exit)`` for the
+    superblock that follows it (possibly empty); its exits' templates
+    start with the access's row, whose address and stall the executor
+    logs.  ``fn.line_pcs[k]`` is the pc of line ``k + 2`` of the source,
+    for fault messages.
 
     Threads whose code is the same at the same pcs share one function,
     and ones that differ only in immediates share its code object.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, templates) -> None:
+        self._templates = templates
         self._shapes: dict[tuple, object] = {}
         self._blocks: dict[tuple, object] = {}
 
-    def block(self, program, pc: int, traced: bool):
+    def block(self, program, pc: int):
         """The superblock or segment of ``program`` that starts at
         ``pc``; only code no thread has run yet is generated."""
         instrs, kinds = program.instructions, program.kinds
@@ -240,7 +242,7 @@ class BlockCompiler:
             if op in _COND:  # a side exit when taken
                 exits.append((len(path), instrs[pc].target))
             elif op is Op.JR:
-                exits.append((len(path), 0))  # the pc comes at run time
+                exits.append((len(path), -1))  # the pc comes at run time
                 break
             elif op is Op.J or op is Op.JAL:
                 nxt = instrs[pc].target
@@ -251,7 +253,7 @@ class BlockCompiler:
             (i.op, i.rd, i.rs1, i.rs2, i.target, i.imm is None) for i in code
         )
         imms = tuple(i.imm for i in code if i.imm is not None)
-        key = (shape, traced) + tuple(
+        key = (shape,) + tuple(
             repr(v) if isinstance(v, float) else v for v in imms
         )
         fn = self._blocks.get(key)
@@ -263,7 +265,7 @@ class BlockCompiler:
                 )
             fn = self._blocks[key] = FunctionType(
                 proto.__code__, proto.__globals__, "block",
-                tuple(self._exit(program, path[:n], nxt, traced)
+                tuple(self._exit(program, [start] * segment + path[:n], nxt)
                       for n, nxt in exits) + imms,
             )
             fn.line_pcs = proto.line_pcs
@@ -318,20 +320,20 @@ class BlockCompiler:
         proto.line_pcs = line_pcs
         return proto
 
-    @staticmethod
-    def _exit(program, path, nxt: int, traced: bool):
-        """The exit tuple of a superblock that ran ``path`` into ``nxt``."""
-        rows = None
-        if traced:
-            meta = [program.trace_meta[p] for p in path]
-            rows = (
-                array("B", [m[0] for m in meta]), array("i", path),
-                array("i", (path + [nxt])[1:]),
-                array("h", [m[1] for m in meta]),
-                array("h", [m[2] for m in meta]),
-                array("h", [m[3] for m in meta]),
-                array("q", [-1] * len(path)), array("i", [0] * len(path)),
-                array("q", [0] * len(path)), array("B", [0] * len(path)),
+    def _exit(self, program, pcs, nxt: int):
+        """The exit tuple of a block that ran ``pcs`` into ``nxt``, its
+        rows registered as one template."""
+        kinds, meta = program.kinds, program.trace_meta
+        rows = [
+            (op, pc, npc, rd, rs1, rs2, int(MemClass.NONE))
+            for pc, npc, (op, rd, rs1, rs2) in zip(
+                pcs, pcs[1:] + [nxt], map(meta.__getitem__, pcs)
             )
+        ]
+        segment = kinds[pcs[0]] != K_PRIVATE
+        if segment:  # the access comes first
+            mc = MemClass.READ if kinds[pcs[0]] == K_LOAD else MemClass.WRITE
+            rows[0] = rows[0][:6] + (int(mc),)
+        path = pcs[segment:]
         branches = sum(program.instructions[p].op in _COND for p in path)
-        return nxt, len(path), branches, rows
+        return nxt, len(path), branches, self._templates.add(rows)

@@ -59,12 +59,19 @@ Two execution engines produce identical results:
   :func:`~repro.tango.interp.execute_instruction` per instruction under
   the heap above.  It is the specification the differential tests
   compare against.
+
+Both emit trace rows the same way (see :mod:`repro.tango.trace`): a
+traced thread logs the id of a row template — one per compiled block
+exit, one per instruction the reference engine runs or a
+synchronization completes — plus the address, stall and wait of each
+shared row, and when the run ends, however it ends, :meth:`TangoExecutor.run`
+expands every log into its trace's columns in one vectorised pass.
+Tracing costs the run a few appends per block, not per row.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 
 from ..isa import MemClass, Op, Program
@@ -82,7 +89,7 @@ from ..net import build_network
 from ..sync import SyncManager, Wakeup
 from .interp import ExecutionError, ThreadState, execute_instruction
 from .stats import CpuStats, RunStats
-from .trace import Trace
+from .trace import EmissionLog, RowTemplates, Trace
 
 _SYNC_OPS = frozenset({
     Op.LOCK, Op.UNLOCK, Op.BARRIER, Op.EVWAIT, Op.EVSET, Op.EVCLEAR,
@@ -91,9 +98,12 @@ _COND_BRANCHES = frozenset({
     Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT,
 })
 
+_MC_NONE = int(MemClass.NONE)
 _MC_READ = int(MemClass.READ)
 _MC_WRITE = int(MemClass.WRITE)
+_MC_ACQUIRE = int(MemClass.ACQUIRE)
 _MC_RELEASE = int(MemClass.RELEASE)
+_MC_BARRIER = int(MemClass.BARRIER)
 _OP_LW = int(Op.LW)
 _OP_SW = int(Op.SW)
 _INF = float("inf")
@@ -212,6 +222,14 @@ class TangoExecutor:
         self.traces = {
             cpu: Trace(cpu=cpu) for cpu in self.config.trace_cpus
         }
+        # What the traces are built from (module docstring): one row
+        # template table, and a log per traced thread (None if untraced).
+        self.templates = RowTemplates()
+        self.logs = [
+            EmissionLog() if tid in self.traces else None
+            for tid in range(self.config.n_cpus)
+        ]
+        self._single_rows: dict[tuple, int] = {}
         self._steps = 0
         # Opt-in consistency-verification hook (repro.verify): records
         # every performed load/store/sync and listens for coherence
@@ -235,31 +253,38 @@ class TangoExecutor:
     def _emit(
         self,
         tid: int,
-        instr,
         pc: int,
         next_pc: int,
+        mem_class: int = _MC_NONE,
         addr: int = -1,
         stall: int = 0,
         wait: int = 0,
-        mem_class: MemClass = MemClass.NONE,
     ) -> None:
-        trace = self.traces.get(tid)
-        if trace is None:
+        """Log one row of thread ``tid`` by its one-row template."""
+        log = self.logs[tid]
+        if log is None:
             return
-        # Flat ints straight into the column arrays — no per-row
-        # TraceRecord materialization on the emit path.
-        trace.append_row(
-            int(instr.op),
-            pc,
-            next_pc,
-            -1 if instr.rd is None else instr.rd,
-            -1 if instr.rs1 is None else instr.rs1,
-            -1 if instr.rs2 is None else instr.rs2,
-            addr,
-            stall,
-            wait,
-            int(mem_class),
+        key = (tid, pc, next_pc)
+        x = self._single_rows.get(key)
+        if x is None:
+            op, rd, rs1, rs2 = self.threads[tid].program.trace_meta[pc]
+            x = self._single_rows[key] = self.templates.add(
+                [(op, pc, next_pc, rd, rs1, rs2, mem_class)]
+            )
+        log.ids.append(x)
+        if mem_class != _MC_NONE:
+            log.addrs.append(addr)
+            log.stalls.append(stall)
+            if mem_class > _MC_WRITE:
+                log.waits.append(wait)
+
+    def _expand_logs(self) -> None:
+        """Build every trace from its thread's log (module docstring)."""
+        self.templates.expand(
+            (log, self.traces[tid], self.threads[tid].pc)
+            for tid, log in enumerate(self.logs) if log is not None
         )
+        self.logs = [None] * self.config.n_cpus
 
     # -- synchronization completion -------------------------------------------
 
@@ -275,28 +300,22 @@ class TangoExecutor:
         state = self.threads[tid]
         stats = self.cpu_stats[tid]
         lat = self.config.sync_latency
-        instr = state.program.instructions[state.pc]
         if op is Op.LOCK:
             stats.locks += 1
-            mem_class = MemClass.ACQUIRE
+            mem_class = _MC_ACQUIRE
         elif op is Op.EVWAIT:
             stats.wait_events += 1
-            mem_class = MemClass.ACQUIRE
+            mem_class = _MC_ACQUIRE
         else:  # BARRIER
             stats.barriers += 1
-            mem_class = MemClass.BARRIER
+            mem_class = _MC_BARRIER
         stats.acquire_wait_cycles += wait
         stats.acquire_access_cycles += lat
         stats.busy_cycles += 1
         state.instructions_executed += 1
         if self.recorder is not None:
-            self.recorder.record(
-                tid, state.pc, int(op), int(mem_class), addr
-            )
-        self._emit(
-            tid, instr, state.pc, state.pc + 1,
-            addr=addr, stall=lat, wait=wait, mem_class=mem_class,
-        )
+            self.recorder.record(tid, state.pc, int(op), mem_class, addr)
+        self._emit(tid, state.pc, state.pc + 1, mem_class, addr, lat, wait)
         rec = self.sync_recorder
         if rec is not None:
             if op is Op.BARRIER:
@@ -353,10 +372,7 @@ class TangoExecutor:
                 self.recorder.record(
                     tid, state.pc, int(op), _MC_RELEASE, addr
                 )
-            self._emit(
-                tid, instr, state.pc, state.pc + 1,
-                addr=addr, stall=lat, mem_class=MemClass.RELEASE,
-            )
+            self._emit(tid, state.pc, state.pc + 1, _MC_RELEASE, addr, lat)
             if self.sync_recorder is not None:
                 # Before the wakeup, so the handed-off acquire sees this
                 # unlock as its source edge.
@@ -395,10 +411,7 @@ class TangoExecutor:
                 self.recorder.record(
                     tid, state.pc, int(op), _MC_RELEASE, addr
                 )
-            self._emit(
-                tid, instr, state.pc, state.pc + 1,
-                addr=addr, stall=lat, mem_class=MemClass.RELEASE,
-            )
+            self._emit(tid, state.pc, state.pc + 1, _MC_RELEASE, addr, lat)
             if self.sync_recorder is not None:
                 self.sync_recorder.note_release(tid, "event", addr)
             state.pc += 1
@@ -413,10 +426,7 @@ class TangoExecutor:
                 self.recorder.record(
                     tid, state.pc, int(op), _MC_RELEASE, addr
                 )
-            self._emit(
-                tid, instr, state.pc, state.pc + 1,
-                addr=addr, stall=lat, mem_class=MemClass.RELEASE,
-            )
+            self._emit(tid, state.pc, state.pc + 1, _MC_RELEASE, addr, lat)
             if self.sync_recorder is not None:
                 # A clear enables no acquire: ordinal only.
                 self.sync_recorder.note_release(tid, None, addr)
@@ -429,10 +439,13 @@ class TangoExecutor:
 
     def run(self) -> RunResult:
         """Execute all threads to completion; returns the annotated result."""
-        if self.compiled:
-            self._run_compiled()
-        else:
-            self._run_reference()
+        try:
+            if self.compiled:
+                self._run_compiled()
+            else:
+                self._run_reference()
+        finally:
+            self._expand_logs()
 
         unfinished = [t.tid for t in self.threads if not t.halted]
         if unfinished:
@@ -489,22 +502,24 @@ class TangoExecutor:
         words = self.memory.words
         doubles = self.memory.doubles
         rec = self.recorder
-        compiler = BlockCompiler()
-        extend = array.extend
+        compiler = BlockCompiler(self.templates)
 
         # Per thread: registers, superblock and segment tables (by pc,
         # filled on first use), kinds, trace metadata, cache tags and
         # states, counters [private instructions, read hits, read misses,
         # read stall, write hits, write misses, write stall, conditional
-        # branches], trace columns (None if untraced).
+        # branches], and the appends of its log's template ids,
+        # addresses and stalls (None if untraced).
         ctxs = []
         for tid, state in enumerate(self.threads):
             prog = state.program
-            trace = self.traces.get(tid)
+            log = self.logs[tid]
             ctxs.append((
                 state.regs, [None] * len(prog), [None] * len(prog),
                 prog.kinds, prog.trace_meta, *cache_tables[tid], [0] * 8,
-                None if trace is None else trace.columns(),
+                *((None,) * 3 if log is None else (
+                    log.ids.append, log.addrs.append, log.stalls.append
+                )),
             ))
 
         n_cpus = config.n_cpus
@@ -512,24 +527,24 @@ class TangoExecutor:
         nss = [0] * n_cpus     # ... and the cycle it starts at
         room = max_steps       # instructions left in the budget
         cal = {}
-        for tid in range(n_cpus):
-            pcs[tid], n = self._ahead(tid, ctxs[tid], 0, room, compiler)
-            room -= n
-            nss[tid] = n
-            cal[n] = cal.get(n, 0) | 1 << tid
-        times = list(cal)
-        heapq.heapify(times)
         E = (1 << n_cpus) - 1
         p = last = -1
         hold = None        # a waker's stale slice limit (rule d)
         todo = 0           # the rest of time point q's shared threads
         woken = []
         key = None         # the current thread's next event, not queued
-        tid = q = -1
         pc = 0
         block = None
 
         try:
+            for tid in range(n_cpus):
+                n = self._ahead(tid, ctxs[tid], 0, room, compiler, pcs)
+                room -= n
+                nss[tid] = n
+                cal[n] = cal.get(n, 0) | 1 << tid
+            times = list(cal)
+            heapq.heapify(times)
+            tid = q = -1
             while True:
                 # -- the next event ----------------------------------
                 if hold is not None:
@@ -602,17 +617,17 @@ class TangoExecutor:
 
                 # -- its shared instruction --------------------------
                 (regs, blocks, segs, kinds, meta, tags, states, c,
-                 cols) = ctxs[tid]
+                 put, put_addr, put_stall) = ctxs[tid]
                 spc = pcs[tid]
                 kind = kinds[spc]
                 if kind < K_SYNC:
                     seg = segs[spc]
                     if seg is None:
                         seg = segs[spc] = compiler.block(
-                            self.threads[tid].program, spc, cols is not None
+                            self.threads[tid].program, spc
                         )
                     block = seg
-                    addr, (pc, n, nb, rows) = seg(regs, words, doubles)
+                    addr, (pc, n, nb, x) = seg(regs, words, doubles)
                     room -= 1
                     if room < 0:
                         raise StepLimitExceeded(
@@ -640,15 +655,13 @@ class TangoExecutor:
                             c[5] += 1
                             c[6] += stall
                         nx = q + 1
-                    if cols is not None or rec is not None:
-                        op, rd, rs1, rs2 = meta[spc]
-                        mc = _MC_READ if kind == K_LOAD else _MC_WRITE
-                    if cols is not None:
-                        self.traces[tid].append_row(
-                            op, spc, spc + 1, rd, rs1, rs2, addr, stall, 0, mc
-                        )
-                        any(map(extend, cols, rows))
+                    if put is not None:
+                        put(x)
+                        put_addr(addr)
+                        put_stall(stall)
                     if rec is not None:
+                        op = meta[spc][0]
+                        mc = _MC_READ if kind == K_LOAD else _MC_WRITE
                         wide = op != _OP_LW and op != _OP_SW
                         rec.record(
                             tid, spc, op, mc, addr, wide=wide,
@@ -672,9 +685,9 @@ class TangoExecutor:
                                 and woken[0][0] < limit):
                             hold = limit
                         for k, v in woken:
-                            pcs[v], nv = self._ahead(
+                            nv = self._ahead(
                                 v, ctxs[v], self.threads[v].pc, room,
-                                compiler,
+                                compiler, pcs,
                             )
                             room -= nv
                             nss[v] = k + nv
@@ -697,17 +710,18 @@ class TangoExecutor:
                         if kinds[pc]:
                             break
                         block = blocks[pc] = compiler.block(
-                            self.threads[tid].program, pc, cols is not None
+                            self.threads[tid].program, pc
                         )
-                    pc, w, wb, rows = block(regs)
+                    pc, w, wb, x = block(regs)
                     n += w
                     nb += wb
+                    if put is not None:
+                        put(x)
                     if n > room:
+                        pcs[tid] = pc
                         raise StepLimitExceeded(
                             f"exceeded {max_steps} instructions"
                         )
-                    if cols is not None:
-                        any(map(extend, cols, rows))
                 pcs[tid] = pc
                 c[0] += n
                 c[7] += nb
@@ -751,11 +765,11 @@ class TangoExecutor:
                 cache_stats.reads += rhit
                 cache_stats.writes += whit
 
-    def _ahead(self, tid: int, ctx, pc: int, room: int, compiler):
+    def _ahead(self, tid: int, ctx, pc: int, room: int, compiler, pcs):
         """Run a thread's private code from ``pc`` and count it (outside
-        the hot loop, which inlines the same walk); returns ``(shared pc,
-        instructions run)``."""
-        regs, blocks, _, kinds, _, _, _, c, cols = ctx
+        the hot loop, which inlines the same walk); sets ``pcs[tid]`` to
+        its next shared pc and returns the instructions run."""
+        regs, blocks, _, kinds, _, _, _, c, put, _, _ = ctx
         n = nb = 0
         block = None
         try:
@@ -763,23 +777,24 @@ class TangoExecutor:
                 block = blocks[pc]
                 if block is None:
                     if kinds[pc]:
+                        pcs[tid] = pc
                         c[0] += n
                         c[7] += nb
-                        return pc, n
+                        return n
                     block = blocks[pc] = compiler.block(
-                        self.threads[tid].program, pc,
-                        cols is not None,
+                        self.threads[tid].program, pc
                     )
-                pc, w, wb, rows = block(regs)
+                pc, w, wb, x = block(regs)
                 n += w
                 nb += wb
+                if put is not None:
+                    put(x)
                 if n > room:
+                    pcs[tid] = pc
                     raise StepLimitExceeded(
                         f"exceeded {self.config.max_instructions} "
                         "instructions"
                     )
-                if cols is not None:
-                    any(map(array.extend, cols, rows))
         except (TypeError, IndexError, PcOutOfRange) as exc:
             self._fault(exc, tid, pc, block)
 
@@ -866,9 +881,8 @@ class TangoExecutor:
                         stats.reads += 1
                         mem_class = MemClass.READ
                     self._emit(
-                        tid, instr, pc, result.next_pc,
-                        addr=result.addr, stall=access.stall,
-                        mem_class=mem_class,
+                        tid, pc, result.next_pc, int(mem_class),
+                        result.addr, access.stall,
                     )
                     if self.recorder is not None:
                         wide = op is Op.FLD or op is Op.FSD
@@ -883,7 +897,7 @@ class TangoExecutor:
                 else:
                     if op in _COND_BRANCHES:
                         stats.cond_branches += 1
-                    self._emit(tid, instr, pc, result.next_pc)
+                    self._emit(tid, pc, result.next_pc)
 
                 clock += cost
                 if self._steps > config.max_instructions:

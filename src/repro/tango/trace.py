@@ -1,8 +1,8 @@
 """Dynamic instruction traces, stored column-wise.
 
-The multiprocessor executor emits one row per retired instruction of each
-traced processor.  A row carries everything the downstream trace-driven
-processor simulators need (§3.2 of the paper):
+A trace has one row per retired instruction of a traced processor.  A
+row carries everything the downstream trace-driven processor simulators
+need (§3.2 of the paper):
 
 * the opcode and its static register operands (for dependence tracking
   and renaming in the dynamically scheduled model);
@@ -19,6 +19,16 @@ column), and lets the processor models iterate over plain ints instead of
 chasing attribute lookups through millions of heap objects.
 :class:`TraceRecord` remains available as a materialised *view* of one
 row for tests, debugging and the (cold) trace-transformation passes.
+
+The multiprocessor executor does not build traces row by row.  Every run
+of rows whose static fields (opcode, pc, next pc, registers, memory
+class) are fixed is registered once in a :class:`RowTemplates` table:
+one per compiled block exit, one per shared or reference-engine
+instruction.  While the run lasts, a traced thread appends to its
+:class:`EmissionLog` only a template id per run of rows plus the
+address, stall and wait of its shared rows.  When the run ends,
+:meth:`RowTemplates.expand` turns each log into the trace's columns with
+one vectorised gather per column.
 """
 
 from __future__ import annotations
@@ -54,6 +64,114 @@ TRACE_COLUMNS = (
     ("wait", "q"),
     ("mem_class", "B"),
 )
+
+
+#: The columns a row template fixes; ``addr``, ``stall`` and ``wait``
+#: come from the log.
+_STATIC_COLUMNS = ("op", "pc", "next_pc", "rd", "rs1", "rs2", "mem_class")
+_TYPECODES = dict(TRACE_COLUMNS)
+
+# Template flags, derived from its rows.  _SHARED: the first row is a
+# load, store or synchronization, whose address and stall are logged;
+# _SYNC: it is a synchronization, whose wait is logged too; _FOLLOW: the
+# last row's next pc is -1 (a ``JR``'s, known only at run time) and is
+# the pc of the row after it, or for a trace's last row the thread's pc
+# when the run ended.
+_SHARED, _SYNC, _FOLLOW = 1, 2, 4
+
+
+class RowTemplates:
+    """Static trace rows, registered once and emitted by id.
+
+    Every column grows in place as templates are added, so registering
+    costs only the new rows and expanding a log converts each column to
+    numpy once, without a copy.
+    """
+
+    def __init__(self) -> None:
+        self._columns = tuple(
+            array(_TYPECODES[name]) for name in _STATIC_COLUMNS
+        )
+        self._start = array("q")
+        self._length = array("q")
+        self._flags = array("B")
+
+    def add(self, rows) -> int:
+        """Register ``rows``, each ``(op, pc, next_pc, rd, rs1, rs2,
+        mem_class)``, as one template; returns its id.  Only the first
+        row may be shared and only the last one's next pc may be -1."""
+        mem_class = rows[0][6]
+        self._start.append(len(self._columns[0]))
+        self._length.append(len(rows))
+        self._flags.append(
+            (_SHARED if mem_class != MemClass.NONE else 0)
+            | (_SYNC if mem_class > MemClass.WRITE else 0)
+            | (_FOLLOW if rows[-1][2] < 0 else 0)
+        )
+        for column, values in zip(self._columns, zip(*rows)):
+            column.extend(values)
+        return len(self._flags) - 1
+
+    def expand(self, logs) -> None:
+        """Append each ``(log, trace, final_pc)``'s rows to ``trace``;
+        ``final_pc`` is the thread's pc when the run ended."""
+        static = [_np_view(c) for c in self._columns]
+        start, length, flags = (
+            _np_view(a) for a in (self._start, self._length, self._flags)
+        )
+        for log, trace, final_pc in logs:
+            ids = _np_view(log.ids)
+            if not len(ids):
+                continue
+            lengths = length[ids]
+            ends = np.cumsum(lengths)
+            n = int(ends[-1])
+            offsets = ends - lengths
+            # Row k of entry e is template row start[e] + k.
+            rows = np.repeat(start[ids] - offsets, lengths)
+            rows += np.arange(n)
+            cols = dict(zip(_STATIC_COLUMNS, (c[rows] for c in static)))
+            del rows
+            kinds = flags[ids]
+            shared = offsets[kinds & _SHARED != 0]
+            for name, fill, at, values in (
+                ("addr", -1, shared, log.addrs),
+                ("stall", 0, shared, log.stalls),
+                ("wait", 0, offsets[kinds & _SYNC != 0], log.waits),
+            ):
+                col = np.full(n, fill, _NP_DTYPES[values.typecode])
+                col[at] = _np_view(values)
+                cols[name] = col
+            jumps = ends[kinds & _FOLLOW != 0] - 1
+            if len(jumps):
+                cols["next_pc"][jumps] = np.append(cols["pc"], final_pc)[
+                    jumps + 1
+                ]
+            for name, _ in TRACE_COLUMNS:
+                getattr(trace, name).frombytes(
+                    memoryview(cols.pop(name)).cast("B")
+                )
+
+
+class EmissionLog:
+    """One traced thread's rows, by reference, until the run ends: a
+    :class:`RowTemplates` id per run of rows (``ids``), the address and
+    stall of each shared row and the wait of each synchronization row."""
+
+    __slots__ = ("ids", "addrs", "stalls", "waits")
+
+    def __init__(self) -> None:
+        self.ids = array("i")
+        self.addrs = array(_TYPECODES["addr"])
+        self.stalls = array(_TYPECODES["stall"])
+        self.waits = array(_TYPECODES["wait"])
+
+
+def _np_view(col: array) -> np.ndarray:
+    """A zero-copy numpy view of an ``array`` (``np.frombuffer`` rejects
+    empty buffers, so those get a fresh empty array)."""
+    dtype = _NP_DTYPES[col.typecode]
+    return np.frombuffer(col, dtype) if len(col) else np.empty(0, dtype)
 
 
 class TraceFormatError(Exception):
@@ -119,27 +237,16 @@ class Trace:
 
     def append(self, record: TraceRecord) -> None:
         """Append one record (compatibility path for tests/builders)."""
-        self.append_row(
-            int(record.op), record.pc, record.next_pc,
-            record.rd, record.rs1, record.rs2,
-            record.addr, record.stall, record.wait, int(record.mem_class),
-        )
-
-    def append_row(
-        self, op: int, pc: int, next_pc: int, rd: int, rs1: int, rs2: int,
-        addr: int, stall: int, wait: int, mem_class: int,
-    ) -> None:
-        """Append one row of flat ints (the executor's fast path)."""
-        self.op.append(op)
-        self.pc.append(pc)
-        self.next_pc.append(next_pc)
-        self.rd.append(rd)
-        self.rs1.append(rs1)
-        self.rs2.append(rs2)
-        self.addr.append(addr)
-        self.stall.append(stall)
-        self.wait.append(wait)
-        self.mem_class.append(mem_class)
+        self.op.append(int(record.op))
+        self.pc.append(record.pc)
+        self.next_pc.append(record.next_pc)
+        self.rd.append(record.rd)
+        self.rs1.append(record.rs1)
+        self.rs2.append(record.rs2)
+        self.addr.append(record.addr)
+        self.stall.append(record.stall)
+        self.wait.append(record.wait)
+        self.mem_class.append(int(record.mem_class))
 
     @classmethod
     def from_records(cls, records, cpu: int = 0) -> "Trace":
@@ -161,19 +268,13 @@ class Trace:
 
         Each view aliases the column's ``array`` buffer directly
         (``np.frombuffer``) — no bytes are copied.  Views are built fresh
-        on every call because ``append_row`` may reallocate the buffers;
-        do not cache them across appends.
+        on every call because appending may reallocate the buffers; do
+        not cache them across appends.
         """
-        views = []
-        for name, typecode in TRACE_COLUMNS:
-            col = getattr(self, name)
-            if len(col):
-                view = np.frombuffer(col, dtype=_NP_DTYPES[typecode])
-            else:  # frombuffer rejects empty buffers
-                view = np.empty(0, dtype=_NP_DTYPES[typecode])
+        views = tuple(_np_view(col) for col in self.columns())
+        for view in views:
             view.flags.writeable = False
-            views.append(view)
-        return tuple(views)
+        return views
 
     def __len__(self) -> int:
         return len(self.op)

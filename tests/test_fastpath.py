@@ -48,6 +48,7 @@ from repro.experiments import (
 from repro.cpu import ProcessorConfig, drive, make_stepper, simulate
 from repro.cpu.ds import DSConfig
 from repro.cpu.ds.event_engine import ds_fast_stepper
+from repro.isa import Op
 from repro.mem import MemoryError_, SharedMemory
 from repro.net import build_network
 from repro.obs import ChromeTracer, MetricsRegistry, Probe, run_profile
@@ -123,6 +124,86 @@ class TestRecordedCompiledDispatch:
         recorded, _ = self._record("lu", compiled=True)
         bare = _run("lu", compiled=True)
         assert recorded.stats == bare.stats
+
+
+class TestEmissionLog:
+    """Traced threads log rows by template id and the executor expands
+    the logs when the run ends (:mod:`repro.tango.trace`): which CPUs are
+    traced must not change the run, and every way a run can end must
+    still expand them."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_tracing_every_cpu_changes_nothing(self, app):
+        """Every CPU's trace from a run that traces all four and records
+        the sync schedule equals the trace of a run that traces only it,
+        with equal RunStats.  locus's traces carry JR exits, whose next
+        pc comes from the row after them; pthor's many sync rows."""
+
+        def run(cpus, record_sync_schedule=False):
+            workload = build_app(app, n_procs=4, preset="tiny")
+            config = MultiprocessorConfig(
+                n_cpus=4, trace_cpus=cpus,
+                record_sync_schedule=record_sync_schedule,
+            )
+            return TangoExecutor(
+                workload.programs, config, memory=workload.memory
+            ).run()
+
+        every = run((0, 1, 2, 3), record_sync_schedule=True)
+        for cpu in range(4):
+            alone = run((cpu,))
+            assert alone.stats == every.stats
+            assert alone.trace(cpu) == every.trace(cpu), cpu
+        if app == "locus":
+            assert any(Op.JR in t.op for t in every.traces.values())
+
+    @pytest.mark.parametrize("compiled", (True, False))
+    def test_logs_expand_when_the_budget_runs_out(self, compiled):
+        """A step limit stops three looping threads mid-run: every trace
+        is still expanded, and is a prefix of the finished run's, down to
+        the last row's next pc — also when that row is a JR.  The budgets
+        run out in the first run-ahead, in a load or store and in the
+        private code after one, on a JR or not."""
+        programs = []
+        for tid in range(3):
+            b = AsmBuilder(f"t{tid}")
+            base, x, y, i, j = (b.ireg() for _ in range(5))
+            b.li(base, _WORDS + 16 * tid)
+            b.jal("sub")
+            with b.for_range(i, 0, 30):
+                b.lw(x, base, 0)
+                b.sw(x, base, 4)
+                with b.for_range(j, 0, 2):
+                    b.addi(y, y, 1)
+                b.jal("sub")
+            b.halt()
+            b.label("sub")
+            for _ in range(tid + 1):
+                b.addi(x, x, 1)
+            b.jr()
+            programs.append(b.build())
+
+        def executor(budget):
+            config = MultiprocessorConfig(
+                n_cpus=3, trace_cpus=(0, 1, 2), max_instructions=budget,
+            )
+            return TangoExecutor(
+                programs, config, SharedMemory(), compiled=compiled
+            )
+
+        full = executor(10_000).run()
+        ends_in_jr = 0
+        for budget in range(1, 120):
+            cut = executor(budget)
+            with pytest.raises(StepLimitExceeded):
+                cut.run()
+            for cpu, trace in cut.traces.items():
+                whole = full.trace(cpu)
+                assert len(trace) < len(whole)
+                for got, want in zip(trace.np_columns(), whole.np_columns()):
+                    assert (got == want[:len(trace)]).all(), (budget, cpu)
+                ends_in_jr += len(trace) and trace.op[-1] == Op.JR
+        assert ends_in_jr
 
 
 # Address map of the generated scheduler programs.
