@@ -9,9 +9,6 @@ Commands:
 * ``table1|table2|table3|headline|figure1|figure3|figure4|latency100|
   multi-issue|miss-analysis|sc-boost|contexts|compiler-sched`` —
   regenerate a specific table/figure/extension experiment and print it.
-* ``contention`` — replay traces under the contention-aware network
-  backends (``--network {ideal,crossbar,mesh}``) and report per-model
-  miss-latency distributions.
 * ``profile <app>`` — instrumented run of one model/window/network
   combination: occupancy histograms, stall attribution per consistency
   model, and (``--trace``) a Perfetto-loadable timeline plus a
@@ -75,7 +72,6 @@ def _store(args) -> exp.TraceStore:
         miss_penalty=args.penalty,
         preset=args.preset,
         cache_dir=args.cache_dir,
-        network=args.network,
     )
 
 
@@ -83,7 +79,6 @@ def cmd_run(args) -> None:
     workload = build_app(args.app, n_procs=args.procs, preset=args.preset)
     config = MultiprocessorConfig(
         n_cpus=args.procs, miss_penalty=args.penalty,
-        network=args.network,
     )
     result = TangoExecutor(
         workload.programs, config, memory=workload.memory
@@ -158,39 +153,17 @@ def cmd_experiment(args) -> None:
     print(_SIMPLE[args.command](_store(args), jobs))
 
 
-def cmd_contention(args) -> None:
-    # The contention replay builds its own network per (model, network)
-    # pair; traces themselves stay on the ideal backend.
-    store = exp.TraceStore(
-        n_procs=args.procs, miss_penalty=args.penalty,
-        preset=args.preset, cache_dir=args.cache_dir,
-    )
-    networks = (
-        tuple(NETWORK_KINDS) if args.network == "ideal"
-        else ("ideal", args.network)
-    )
-    apps = tuple(args.apps) if args.apps else None
-    print(exp.format_contention(
-        exp.run_contention(
-            store, apps=apps, networks=networks, jobs=args.jobs
-        )
-    ))
-
-
 def cmd_cosim(args) -> int:
     from . import cosim
 
-    # Traces are generated on the ideal backend (cache-shareable); the
-    # co-simulation serves every miss on its own shared fabric.
-    store = exp.TraceStore(
-        n_procs=args.procs, miss_penalty=args.penalty,
-        preset=args.preset, cache_dir=args.cache_dir,
-    )
+    # Traces carry the fixed penalty; the co-simulation serves every
+    # miss on its own shared fabric.
+    store = _store(args)
     argv_echo = (
         f"python -m repro --procs {args.procs} --preset {args.preset} "
-        f"--network {args.network} "
         f"cosim {args.app} --kind {args.kind} --model {args.model} "
-        f"--window {args.window} --sync {args.sync}"
+        f"--window {args.window} --network {args.network} "
+        f"--sync {args.sync}"
     )
     result = cosim.run_cosim_app(
         args.app, store,
@@ -211,13 +184,9 @@ def cmd_cosim(args) -> int:
 def cmd_profile(args) -> int:
     from . import obs
 
-    # Traces are generated on the ideal backend (cache-shareable); the
-    # profiled model replays them through a fresh network of the chosen
-    # kind, contention-style.
-    store = exp.TraceStore(
-        n_procs=args.procs, miss_penalty=args.penalty,
-        preset=args.preset, cache_dir=args.cache_dir,
-    )
+    # Traces carry the fixed penalty; the profiled model replays them
+    # through a fresh network of the chosen kind.
+    store = _store(args)
     argv_echo = (
         f"python -m repro --procs {args.procs} --preset {args.preset} "
         f"profile {args.app} --kind {args.kind} --model {args.model} "
@@ -713,10 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="application size preset")
     parser.add_argument("--cache-dir", default=exp.runner.DEFAULT_CACHE_DIR,
                         help="trace cache directory")
-    parser.add_argument("--network", default="ideal",
-                        choices=NETWORK_KINDS,
-                        help="interconnect timing backend (ideal = the "
-                             "paper's fixed miss penalty)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run and verify one application")
@@ -739,25 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "and model sweeps")
         p.set_defaults(func=cmd_experiment)
 
-    p_cont = sub.add_parser(
-        "contention",
-        help="miss-latency distributions under a loaded interconnect",
-        description=(
-            "Replay the application traces through BASE/SSBR/DS with "
-            "miss latencies re-timed by a contention-aware network "
-            "model, reporting each model's execution time and observed "
-            "miss-latency distribution (mean/p50/p99).  With --network "
-            "ideal (the default) all backends are compared; otherwise "
-            "only ideal plus the selected backend."
-        ),
-    )
-    p_cont.add_argument("--apps", nargs="*", choices=APP_NAMES,
-                        help="restrict to these applications")
-    p_cont.add_argument("--jobs", type=int, default=1,
-                        help="supervised worker processes (one app's "
-                             "replay per worker)")
-    p_cont.set_defaults(func=cmd_contention)
-
     p_cosim = sub.add_parser(
         "cosim",
         help="co-simulate all processors on one shared fabric",
@@ -767,6 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
             "live directory state, feeding each miss's actual fabric "
             "latency (including queueing behind the other processors' "
             "concurrent misses) back into the issuing CPU's timing.  "
+            "On a contended fabric the report adds the traced "
+            "processor replayed alone on a fresh fabric (its solo "
+            "line).  "
             "--sync live additionally resolves lock/barrier waits from "
             "the co-simulated timeline instead of the trace's baked "
             "waits.  With --out, writes metrics + a validated run "
@@ -785,6 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="consistency model")
     p_cosim.add_argument("--window", type=int, default=64,
                          help="DS reorder-buffer window")
+    p_cosim.add_argument("--network", default="ideal",
+                         choices=NETWORK_KINDS,
+                         help="interconnect timing backend (ideal = the "
+                              "paper's fixed miss penalty)")
     p_cosim.add_argument("--sync", default="replay",
                          choices=("replay", "live"),
                          help="sync waits: trace-baked (replay) or "
@@ -822,10 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="consistency model of the primary run")
     p_prof.add_argument("--window", type=int, default=64,
                         help="DS reorder-buffer window")
-    # Accepted here as well as globally, so `profile lu --network mesh`
-    # works; SUPPRESS keeps the global value when omitted.
-    p_prof.add_argument("--network", choices=NETWORK_KINDS,
-                        default=argparse.SUPPRESS,
+    p_prof.add_argument("--network", default="ideal",
+                        choices=NETWORK_KINDS,
                         help="interconnect backend for the profiled run")
     p_prof.add_argument("--trace", action="store_true",
                         help="emit a Chrome trace_event JSON timeline")

@@ -1,13 +1,13 @@
 """Execution-driven co-simulation of all processors on one shared fabric.
 
 The paper evaluates each processor model in isolation with a fixed miss
-penalty, and the ``contention`` experiment replays each model through a
-*fresh* network afterwards.  This package closes the loop: every
-processor of the multiprocessor advances against a **single shared**
-:mod:`repro.net` fabric with live directory state, and each access's
-actual network latency — including queueing behind the *other*
-processors' concurrent misses — feeds back into the issuing CPU's
-timing.
+penalty; replaying one processor through a *fresh* network
+(:func:`replay_solo`) adds its own queueing but nobody else's.  This
+package closes the loop: every processor of the multiprocessor advances
+against a **single shared** :mod:`repro.net` fabric with live directory
+state, and each access's actual network latency — including queueing
+behind the *other* processors' concurrent misses — feeds back into the
+issuing CPU's timing.
 
 The moving parts:
 
@@ -18,8 +18,10 @@ The moving parts:
   cross-processor sync wait edges (live mode) resolved from the
   recorded :class:`repro.sync.SyncSchedule`;
 * :func:`run_cosim` / :func:`replay_solo` — the high-level entry
-  points used by the ``cosim`` CLI subcommand, the ``contention``
-  experiment, and the ``cosim`` batch job kind.
+  points.  The ``cosim`` CLI subcommand runs both (the shared fabric,
+  then the traced processor solo); ``profile`` and the service's
+  sweep jobs replay solo; the ``cosim`` batch job kind runs the
+  shared fabric.
 """
 
 from .engine import CosimEngine, CosimNode, CosimResult

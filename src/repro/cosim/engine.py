@@ -32,7 +32,7 @@ either gives byte-identical results (``tests/test_cosim.py`` does).
 Request timestamps are only approximately causal across processors — a
 model may reveal its next request after the engine has served a
 slightly-later one from another processor (the same conservatism the
-post-hoc ``contention`` replay has).  Service order is deterministic:
+solo replay has).  Service order is deterministic:
 the heap breaks timestamp ties by processor index, and nothing depends
 on wall-clock time.
 """

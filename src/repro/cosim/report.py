@@ -4,7 +4,11 @@ Co-simulates every processor of one application on one shared fabric
 and reports the per-processor outcomes (cycles, served misses with
 their latency distribution) plus the fabric-level view the per-model
 replays cannot see: link queueing and directory occupancy *under the
-combined load of all processors at once*.
+combined load of all processors at once*.  On a contended fabric the
+report also replays the traced processor alone on a fresh fabric
+(:func:`~repro.cosim.replay_solo`), so one pair of runs — ``--network
+ideal`` and a contended one — gives the fixed / solo / shared view of
+that processor.
 
 With an output directory the run also writes the observability
 artifacts of the ``profile`` subcommand — a Perfetto-loadable
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cpu import ProcessorConfig
-from .run import run_cosim
+from .run import replay_solo, run_cosim
 
 
 @dataclass
@@ -98,6 +102,16 @@ def run_cosim_app(
     )
     timings["cosim_run"] = time.perf_counter() - t0
 
+    solo = None
+    if network != "ideal" and kind != "mc":
+        t0 = time.perf_counter()
+        cpu = store.trace_cpu
+        solo = (cpu, *replay_solo(
+            crun.traces[cpu], config, network, store.n_procs,
+            store.line_size,
+        ))
+        timings["solo_replay"] = time.perf_counter() - t0
+
     label = f"MC-k{contexts}" if kind == "mc" else config.label()
     config_dict = {
         "app": app,
@@ -154,7 +168,7 @@ def run_cosim_app(
     else:
         out_path = None
 
-    report = format_cosim_report(run_id, label, result, outputs)
+    report = format_cosim_report(run_id, label, result, outputs, solo)
     return CosimAppResult(
         app=app, config=config_dict, result=result, report=report,
         out_dir=out_path, outputs=outputs, errors=errors,
@@ -162,9 +176,15 @@ def run_cosim_app(
 
 
 def format_cosim_report(
-    run_id: str, label: str, result, outputs: dict | None = None
+    run_id: str, label: str, result, outputs: dict | None = None,
+    solo: tuple | None = None,
 ) -> str:
-    """Per-processor and fabric-level view of one co-simulated run."""
+    """Per-processor and fabric-level view of one co-simulated run.
+
+    ``solo`` is ``(cpu, breakdown, network)`` from
+    :func:`~repro.cosim.replay_solo`: that processor alone on a fresh
+    fabric, reported with its miss latencies and link queueing.
+    """
     from ..experiments.report import format_table
 
     rows = []
@@ -189,6 +209,21 @@ def format_cosim_report(
             title="per-processor outcomes",
         ),
     ]
+
+    if solo is not None:
+        cpu, breakdown, network = solo
+        miss = network.summary()
+        links = network.link_summary()
+        lines.append("")
+        lines.append(format_table(
+            ["node", "cycles", "misses", "lat mean", "p50", "p99",
+             "q mean", "q max"],
+            [[f"cpu{cpu}", breakdown.total, miss["count"],
+              float(miss["mean"]), miss["p50"], miss["p99"],
+              float(links["mean_depth"]), links["max_depth"]]],
+            title=f"solo (cpu{cpu} alone on a fresh "
+                  f"'{network.kind}' fabric)",
+        ))
 
     if result.net_summary is not None:
         net = result.net_summary

@@ -5,7 +5,7 @@
 the fabric; :func:`run_cosim` co-simulates a whole :class:`CosimRun`
 (every processor of the application on one shared fabric);
 :func:`replay_solo` puts a *single* processor alone on a fresh fabric —
-the ``contention`` experiment's replay mode.
+the "solo" column between the fixed penalty and the shared fabric.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def run_cosim(
     config: ProcessorConfig,
     network_kind: str = "ideal",
     line_size: int = 4,
-    net_config=None,
     sync_mode: str = "replay",
     contexts: int = 1,
     switch_penalty: int = 4,
@@ -102,7 +101,7 @@ def run_cosim(
             )
             for trace in crun.traces
         ]
-    network = build_network(network_kind, len(nodes), line_size, net_config)
+    network = build_network(network_kind, len(nodes), line_size)
     if network is not None and probe is not None:
         network.attach_probe(probe)
     engine = CosimEngine(
@@ -137,16 +136,16 @@ def replay_solo(
     network_kind: str,
     n_nodes: int,
     line_size: int,
-    net_config=None,
     probe=None,
 ):
     """One processor alone on a fresh fabric.
 
-    This is the ``contention`` experiment's replay mode: the same
-    stepper and network as :func:`run_cosim`, but with a single node, so
-    queueing reflects only this processor's own overlapped misses.
-    Returns ``(breakdown, network)`` — ``network`` is None under
-    ``"ideal"``.
+    The same stepper and network as :func:`run_cosim`, but with a single
+    node, so queueing reflects only this processor's own overlapped
+    misses.  Returns ``(breakdown, network)`` — ``network`` is None
+    under ``"ideal"``.
     """
-    network = build_network(network_kind, n_nodes, line_size, net_config)
+    network = build_network(network_kind, n_nodes, line_size)
+    if network is not None and probe is not None:
+        network.attach_probe(probe)
     return simulate(trace, config, network=network, probe=probe), network

@@ -6,11 +6,6 @@ rendering them as text.
 """
 
 from .compiler_sched import format_compiler_sched, run_compiler_sched
-from .contention import (
-    contention_configs,
-    format_contention,
-    run_contention,
-)
 from .contexts import CONTEXT_COUNTS, format_contexts, run_contexts
 from .figure1 import format_figure1, run_figure1
 from .figure3 import figure3_configs, format_figure3, run_figure3
@@ -38,13 +33,11 @@ __all__ = [
     "PAPER_HIDDEN",
     "TraceStore",
     "analyze_trace",
-    "contention_configs",
     "default_store",
     "figure3_configs",
     "figure4_configs",
     "format_breakdowns",
     "format_compiler_sched",
-    "format_contention",
     "format_contexts",
     "format_figure1",
     "format_figure3",
@@ -62,7 +55,6 @@ __all__ = [
     "generate_traces",
     "simulate_app_models",
     "run_compiler_sched",
-    "run_contention",
     "run_contexts",
     "run_figure1",
     "run_figure3",

@@ -6,8 +6,7 @@ Generating a trace takes seconds-to-minutes of functional simulation, so
 this module provides :class:`TraceStore` — an in-memory plus on-disk
 cache keyed by every parameter that shapes the trace (application,
 processor count, miss penalty, cache size, line size, sync latency,
-preset, network backend, traced processor) plus the on-disk trace
-schema version
+preset, traced processor) plus the on-disk trace schema version
 (:data:`repro.tango.trace.TRACE_FORMAT_VERSION`).  Stale or unreadable
 pickles are regenerated, never trusted.
 
@@ -93,7 +92,6 @@ class TraceStore:
         verify: bool = True,
         line_size: int = 16,
         sync_access_latency: int | None = None,
-        network: str = "ideal",
         metrics=None,
     ) -> None:
         self.n_procs = n_procs
@@ -105,7 +103,6 @@ class TraceStore:
         self.trace_cpu = trace_cpu
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.verify = verify
-        self.network = network
         #: Warm-cache observability sink (re-attachable; the daemon
         #: points a long-lived shared store at its own registry).  Not
         #: part of :meth:`spec` — workers attach their own.
@@ -120,13 +117,10 @@ class TraceStore:
             "auto" if self.sync_access_latency is None
             else str(self.sync_access_latency)
         )
-        # The ideal backend keeps the pre-network filename so existing
-        # cached traces stay valid (they are byte-identical anyway).
-        net = "" if self.network == "ideal" else f"_net{self.network}"
         name = (
             f"{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
             f"_m{self.miss_penalty}_c{self.cache_size}_l{self.line_size}"
-            f"_s{sync}_{self.preset}{net}_t{self.trace_cpu}.pkl"
+            f"_s{sync}_{self.preset}_t{self.trace_cpu}.pkl"
         )
         return self.cache_dir / name
 
@@ -188,7 +182,6 @@ class TraceStore:
             line_size=self.line_size,
             miss_penalty=self.miss_penalty,
             sync_access_latency=self.sync_access_latency,
-            network=self.network,
             trace_cpus=(self.trace_cpu,),
         )
         result = TangoExecutor(
@@ -214,11 +207,10 @@ class TraceStore:
             "auto" if self.sync_access_latency is None
             else str(self.sync_access_latency)
         )
-        net = "" if self.network == "ideal" else f"_net{self.network}"
         name = (
             f"cosim_{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
             f"_m{self.miss_penalty}_c{self.cache_size}_l{self.line_size}"
-            f"_s{sync}_{self.preset}{net}.pkl"
+            f"_s{sync}_{self.preset}.pkl"
         )
         return self.cache_dir / name
 
@@ -257,7 +249,6 @@ class TraceStore:
             line_size=self.line_size,
             miss_penalty=self.miss_penalty,
             sync_access_latency=self.sync_access_latency,
-            network=self.network,
             trace_cpus=tuple(range(self.n_procs)),
             record_sync_schedule=True,
         )
@@ -289,7 +280,6 @@ class TraceStore:
             verify=self.verify,
             line_size=self.line_size,
             sync_access_latency=self.sync_access_latency,
-            network=self.network,
         )
 
 

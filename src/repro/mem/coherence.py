@@ -4,15 +4,9 @@ This is the memory-system model of the paper's §3.2: per-processor
 direct-mapped write-back caches kept coherent with an invalidation
 protocol (MSI), a 1-cycle hit time, and a *fixed* miss penalty — queueing
 and contention in the interconnect and at the memory modules are not
-modelled, exactly as in the paper.
-
-That fixed penalty is now the degenerate "ideal" network backend.  When
-a :class:`~repro.net.ContentionNetwork` is attached, miss latency is
-instead computed per transaction — request to the line's directory home
-node, directory occupancy, invalidation/intervention fan-out, data
-return — so it varies with interconnect and directory load.  The ideal
-backend (``network=None``) remains the default and its code path is
-byte-for-byte the original one.
+modelled, exactly as in the paper.  A contended network re-times the
+misses later, when a processor model replays the trace
+(:mod:`repro.net`, :mod:`repro.cosim`).
 
 Write misses include ownership upgrades (a write to a SHARED line must
 invalidate remote copies and therefore pays the full miss penalty), which
@@ -64,15 +58,12 @@ class CoherentMemorySystem:
         cache_size: int = 64 * 1024,
         line_size: int = 16,
         miss_penalty: int = 50,
-        network=None,
     ) -> None:
         if n_cpus < 1:
             raise ValueError("need at least one processor")
         self.n_cpus = n_cpus
         self.line_size = line_size
         self.miss_penalty = miss_penalty
-        #: optional repro.net.ContentionNetwork; None = fixed penalty
-        self.network = network
         self.caches = [
             Cache(size=cache_size, line_size=line_size) for _ in range(n_cpus)
         ]
@@ -119,9 +110,8 @@ class CoherentMemorySystem:
 
         This is the executor's fast path: no result object is allocated
         and the cache lookup is inlined (hits are ~90% of accesses).
-        ``now`` is the requester's current cycle; the ideal backend
-        ignores it, the network backend uses it to place the miss's
-        messages in time so overlapping misses contend.
+        ``now`` is the requester's current cycle, passed on to the
+        probe's miss tap.
         """
         cache = self.caches[cpu]
         line = addr // self.line_size
@@ -138,7 +128,7 @@ class CoherentMemorySystem:
                 return True, 0
             # SHARED needs an ownership upgrade; INVALID needs a full fill.
             # Both invalidate every remote copy and pay the miss penalty.
-            sharers = self._invalidate_others(cpu, addr)
+            self._invalidate_others(cpu, addr)
             if state == SHARED:
                 stats.upgrades += 1
                 cache._state[idx] = MODIFIED
@@ -155,12 +145,7 @@ class CoherentMemorySystem:
                 if self._obs is not None:
                     self._obs.on_coherence("install", cpu, line, MODIFIED)
             stats.write_misses += 1
-            if self.network is None:
-                stall = self.miss_penalty
-            else:
-                stall = self.network.write_miss(
-                    cpu, line, sharers, now, upgrade=state == SHARED
-                )
+            stall = self.miss_penalty
             if self._obs is not None:
                 self._obs.on_miss(cpu, True, stall, now)
             return False, stall
@@ -170,7 +155,7 @@ class CoherentMemorySystem:
         # Read miss: remote copies are downgraded to SHARED (a dirty one
         # is written back); the line installs SHARED if anyone else holds
         # it, EXCLUSIVE otherwise.
-        shared, owner = self._downgrade_others(cpu, addr)
+        shared = self._downgrade_others(cpu, addr)
         new_state = SHARED if shared else EXCLUSIVE
         cache.install(addr, new_state)
         if self._listener is not None:
@@ -178,10 +163,7 @@ class CoherentMemorySystem:
         if self._obs is not None:
             self._obs.on_coherence("install", cpu, line, new_state)
         stats.read_misses += 1
-        if self.network is None:
-            stall = self.miss_penalty
-        else:
-            stall = self.network.read_miss(cpu, line, owner, now)
+        stall = self.miss_penalty
         if self._obs is not None:
             self._obs.on_miss(cpu, False, stall, now)
         return False, stall
@@ -208,11 +190,10 @@ class CoherentMemorySystem:
 
     # -- protocol helpers ---------------------------------------------------
 
-    def _invalidate_others(self, cpu: int, addr: int) -> tuple[int, ...]:
-        """Invalidate remote copies; returns the cpus that held one."""
+    def _invalidate_others(self, cpu: int, addr: int) -> None:
+        """Invalidate remote copies."""
         line = addr // self.line_size
         idx = line & self._line_mask
-        sharers = []
         for other, cache in enumerate(self.caches):
             if other != cpu and cache._line_addr[idx] == line:
                 state = cache._state[idx]
@@ -221,7 +202,6 @@ class CoherentMemorySystem:
                         cache.stats.writebacks += 1
                     cache._state[idx] = INVALID
                     cache.stats.invalidations_received += 1
-                    sharers.append(other)
                     if self._listener is not None:
                         self._listener.coherence_event(
                             "invalidate", other, line, state == MODIFIED
@@ -230,26 +210,18 @@ class CoherentMemorySystem:
                         self._obs.on_coherence(
                             "invalidate", other, line, state == MODIFIED
                         )
-        return tuple(sharers)
 
-    def _downgrade_others(self, cpu: int, addr: int):
-        """Downgrade remote copies to SHARED.
-
-        Returns ``(shared, owner)``: whether any remote copy existed,
-        and the cpu that held the line MODIFIED (the intervention
-        target that supplies data cache-to-cache) or None when memory
-        at the home node sources the fill.
-        """
+    def _downgrade_others(self, cpu: int, addr: int) -> bool:
+        """Downgrade remote copies to SHARED; returns whether any remote
+        copy existed."""
         line = addr // self.line_size
         idx = line & self._line_mask
         shared = False
-        owner = None
         for other, cache in enumerate(self.caches):
             if other != cpu and cache._line_addr[idx] == line:
                 state = cache._state[idx]
                 if state == MODIFIED:
                     shared = True
-                    owner = other
                     cache._state[idx] = SHARED
                     stats = cache.stats
                     stats.downgrades_received += 1
@@ -274,7 +246,7 @@ class CoherentMemorySystem:
                         )
                 elif state == SHARED:
                     shared = True
-        return shared, owner
+        return shared
 
     # -- invariants and reporting ---------------------------------------------
 

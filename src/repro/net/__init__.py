@@ -1,11 +1,11 @@
 """Interconnect & directory timing subsystem.
 
-Replaces the paper's fixed 50-cycle miss penalty with a cycle-
-approximate, contention-aware model: messages route over a configurable
-topology (crossbar or k-ary 2D mesh) with per-link FIFO queueing and
-finite bandwidth, and per-line directory home nodes serialize coherence
-requests.  ``build_network("ideal", ...)`` returns None — the original
-constant-penalty fast path, kept as the default backend.
+Re-times the misses of replayed traces with a cycle-approximate,
+contention-aware model in place of the paper's fixed 50-cycle penalty:
+messages route over a configurable topology (crossbar or k-ary 2D mesh)
+with per-link FIFO queueing and finite bandwidth, and per-line directory
+home nodes serialize requests.  ``build_network("ideal", ...)`` returns
+None — the fixed penalty, kept as the default backend.
 """
 
 from .directory import DirectoryModel

@@ -4,9 +4,9 @@ Every cache line has a *home node* (``line % n_nodes``) whose directory
 controller is the serialization point for coherence on that line.  The
 controller handles one request at a time: each request occupies it for
 ``occupancy`` cycles, and a request arriving while the controller is
-busy queues behind the earlier one.  This is where racing upgrades to
-the same line become visible as latency — the second writer's request
-sits in the home node's queue until the first finishes.
+busy queues behind the earlier one.  This is where misses racing to the
+same home become visible as latency — the second request sits in the
+home node's queue until the first finishes.
 
 The model is deliberately coarse (one free-time per node, not per line):
 it captures directory *occupancy* and *queueing*, the two terms the

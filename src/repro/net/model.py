@@ -1,50 +1,33 @@
 """Contention-aware network/directory timing model.
 
 `ContentionNetwork` replaces the fixed ``miss_penalty`` constant with a
-cycle-approximate transaction model.  Every miss becomes a sequence of
-messages over a :class:`~repro.net.topology.Topology` plus a lookup at
-the line's :class:`~repro.net.directory.DirectoryModel` home node:
+cycle-approximate model of one miss: a request over a
+:class:`~repro.net.topology.Topology` to the line's
+:class:`~repro.net.directory.DirectoryModel` home node, the directory's
+occupancy, the memory access and the data reply::
 
-* read miss, line at memory::
-
-      request (cpu -> home) + directory occupancy
-      + memory latency + data reply (home -> cpu)
-
-* read miss, line dirty in a remote cache::
-
-      request + directory occupancy + intervention (home -> owner)
-      + remote cache lookup + cache-to-cache reply (owner -> cpu)
-
-* write miss / upgrade with sharers::
-
-      request + directory occupancy
-      + invalidations fanned out (home -> each sharer)
-      + acks collected at the requester; data from memory in parallel
-      (an upgrade skips the data transfer — the requester already holds
-      the line)
+    request (cpu -> home) + directory occupancy
+    + memory latency + data reply (home -> cpu)
 
 Each message walks its route's links: a link is busy for
-``link_occupancy`` cycles per message (finite bandwidth), so a burst of
-overlapped misses from a dynamically scheduled processor queues at its
-injection port and at hot directory nodes — the contention the paper's
-fixed-latency assumption explicitly sets aside.
+``link_occupancy`` cycles per control message and ``data_occupancy``
+per line-sized reply (finite bandwidth), so a burst of overlapped misses
+from a dynamically scheduled processor queues at its injection port and
+at hot directory nodes — the contention the paper's fixed-latency
+assumption explicitly sets aside.
 
-The model is *queried* synchronously: `read_miss`/`write_miss` return
-the full miss latency immediately, mutating link/directory free-times so
-later misses observe the congestion earlier ones created.  A message
-sent on its own (every leg of a read or replayed miss, the request leg
-of a write miss) is timed in closed form, link by link; only a write
-miss's racing data reply, invalidations and acks are ordered, on a
-per-transaction ``(time, seq)`` heap that jumps from event to event.
-Message timestamps come from per-CPU virtual clocks, which are only
-near-sorted globally; the heap clamps stragglers to the present,
-keeping the model deterministic for a fixed arrival order.
+The model is *queried* synchronously: `replay_miss` returns the full
+miss latency immediately, mutating link/directory free-times so later
+misses observe the congestion earlier ones created.  The processor
+models call it at the cycle each miss issues — one processor alone on a
+fresh fabric (:func:`repro.cosim.replay_solo`) or every processor on one
+shared fabric (:func:`repro.cosim.run_cosim`).  Traces themselves are
+always built with the fixed penalty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
 
 from .directory import DirectoryModel
 from .topology import Crossbar, Mesh, Topology
@@ -64,7 +47,6 @@ class NetworkConfig:
     data_occupancy: int | None = None
     dir_occupancy: int = 4  # directory controller lookup time
     memory_latency: int = 30  # DRAM access at the home node
-    remote_cache_latency: int = 6  # remote cache lookup (intervention)
     mesh_width: int | None = None  # mesh columns; None = near-square
 
 
@@ -91,11 +73,6 @@ class ContentionNetwork:
                 1, line_size // 4
             )
         self._link_free = [0] * topology.n_links
-        # Fan-out scheduler: pending hops as (time, seq, route, index,
-        # occupancy, on_arrive), and the time of the hop fired last.
-        self._events: list[tuple] = []
-        self._seq = 0
-        self._now = 0
         #: observed miss latencies, in query order
         self.latencies: list[int] = []
         # Per-link queue-depth samples: every hop observes how many
@@ -122,7 +99,6 @@ class ContentionNetwork:
         """Fresh timing state and stats (used between per-model runs)."""
         n_links = self.topology.n_links
         self._link_free = [0] * n_links
-        self._now = 0
         self._link_samples = [0] * n_links
         self._link_depth_sum = [0] * n_links
         self._link_depth_max = [0] * n_links
@@ -166,78 +142,18 @@ class ContentionNetwork:
     def _send(
         self, src: int, dst: int, start: int, data: bool = False
     ) -> int:
-        """Deliver one message synchronously; returns its arrival.
+        """Deliver one message; returns its arrival.
 
-        With nothing else in flight there is nothing to order, so the
-        message just walks its route — control messages hold each link
-        for ``link_occupancy``, data replies for the line-sized
-        ``data_occupancy``.  Exactly what `_chain` + `_run` do with a
-        single message, the present they leave behind included.
+        The message walks its route link by link — control messages
+        hold each link for ``link_occupancy``, data replies for the
+        line-sized ``data_occupancy``.
         """
-        route = self.topology.route(src, dst)
-        if not route:
-            return start
         occupancy = self._data_occ if data else self.config.link_occupancy
         hop = self._hop
         t = start
-        for link in route:
-            now = t
+        for link in self.topology.route(src, dst):
             t = hop(link, t, occupancy)
-        self._now = now
         return t
-
-    def _chain(
-        self, src: int, dst: int, start: int, on_arrive, data: bool = False
-    ) -> None:
-        """Queue one message's walk for `_run`; ``on_arrive(time)``
-        fires at the destination.
-
-        Queueing several messages before running lets concurrent ones
-        (data reply racing invalidation/ack fan-out) acquire shared
-        links in timestamp order, not call order.  A start in the past
-        clamps to the present while anything is in flight; an idle
-        fabric rewinds instead — every transaction is resolved to
-        quiescence, so a later query carrying an earlier per-CPU
-        timestamp starts a fresh, correctly-timed run.  (The public
-        transactions never reach the clamp: each starts idle and fans
-        out at or after its directory time.  It is the contract of the
-        event wheel this seam replaced.)
-        """
-        route = self.topology.route(src, dst)
-        if not route:
-            on_arrive(start)
-            return
-        if start < self._now:
-            if self._events:
-                start = self._now
-            else:
-                self._now = start
-        occupancy = self._data_occ if data else self.config.link_occupancy
-        self._seq += 1
-        heappush(
-            self._events, (start, self._seq, route, 0, occupancy, on_arrive)
-        )
-
-    def _run(self) -> None:
-        """Fire every queued hop in time order, ties in queueing order."""
-        events = self._events
-        while events:
-            # The hop stays queued while it fires, so whatever its
-            # callback sends clamps to the present rather than rewinds;
-            # nothing queued meanwhile can sort ahead of it.
-            t, _, route, i, occupancy, on_arrive = events[0]
-            self._now = t
-            arrive = self._hop(route[i], t, occupancy)
-            i += 1
-            if i < len(route):
-                self._seq += 1
-                heapreplace(
-                    events,
-                    (arrive, self._seq, route, i, occupancy, on_arrive),
-                )
-            else:
-                on_arrive(arrive)
-                heappop(events)
 
     def _record(
         self, start: int, done: int, cpu: int = -1, kind: str = "miss"
@@ -260,70 +176,7 @@ class ContentionNetwork:
             )
         return latency
 
-    # -- coherence transactions ----------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        return addr // self.line_size
-
-    def read_miss(
-        self, cpu: int, line: int, owner: int | None, now: int
-    ) -> int:
-        """Latency of a read miss on ``line`` issued by ``cpu``.
-
-        ``owner`` is the node holding the line dirty (intervention +
-        cache-to-cache reply) or None when memory at the home supplies
-        the data.
-        """
-        home = self.directory.home(line)
-        t = self._send(cpu, home, now)
-        t = self.directory.serve(home, t)
-        if owner is not None and owner != cpu:
-            t = self._send(home, owner, t)
-            t += self.config.remote_cache_latency
-            t = self._send(owner, cpu, t, data=True)
-        else:
-            t += self.config.memory_latency
-            t = self._send(home, cpu, t, data=True)
-        return self._record(now, t, cpu, "read_miss")
-
-    def write_miss(
-        self,
-        cpu: int,
-        line: int,
-        sharers: tuple[int, ...] = (),
-        now: int = 0,
-        upgrade: bool = False,
-    ) -> int:
-        """Latency of a write miss / ownership upgrade on ``line``.
-
-        Invalidations fan out from the home node to every sharer; the
-        requester collects the acks.  Data comes from memory at the
-        home in parallel unless this is an ``upgrade`` (the requester
-        already holds the line shared, so only acks gate the write).
-        """
-        home = self.directory.home(line)
-        t = self.directory.serve(home, self._send(cpu, home, now))
-        done = [t]
-
-        def extend(arrive: int) -> None:
-            if arrive > done[0]:
-                done[0] = arrive
-
-        if not upgrade:
-            self._chain(
-                home, cpu, t + self.config.memory_latency, extend, data=True
-            )
-        for sharer in sharers:
-            if sharer == cpu:
-                continue
-
-            def invalidated(arrive: int, s: int = sharer) -> None:
-                ack_start = arrive + self.config.remote_cache_latency
-                self._chain(s, cpu, ack_start, extend)
-
-            self._chain(home, sharer, t, invalidated)
-        self._run()
-        return self._record(now, done[0], cpu, "write_miss")
+    # -- miss timing ---------------------------------------------------
 
     def replay_miss(
         self, cpu: int, addr: int, is_write: bool, now: int
@@ -389,8 +242,7 @@ class ContentionNetwork:
         """Push miss-latency and link-queue stats into a metrics registry.
 
         This is the surfacing path for the per-link queue-depth samples
-        accumulated in :meth:`_hop` — the registry (and the
-        ``contention`` report) are the only consumers.
+        accumulated in :meth:`_hop`; :meth:`link_summary` is the other.
         """
         if not metrics.enabled:
             return
@@ -422,19 +274,16 @@ NETWORK_KINDS = ("ideal", "crossbar", "mesh")
 
 
 def build_network(
-    kind: str,
-    n_nodes: int,
-    line_size: int,
-    config: NetworkConfig | None = None,
+    kind: str, n_nodes: int, line_size: int
 ) -> ContentionNetwork | None:
     """Construct the network backend named by ``kind``.
 
-    ``"ideal"`` returns None — the fixed-``miss_penalty`` fast path in
-    `CoherentMemorySystem`, byte-identical to the pre-network simulator.
+    ``"ideal"`` returns None: every miss then costs the trace's baked
+    fixed penalty, exactly as in the paper.
     """
     if kind == "ideal":
         return None
-    config = config or NetworkConfig()
+    config = NetworkConfig()
     if kind == "crossbar":
         topo: Topology = Crossbar(n_nodes)
     elif kind == "mesh":

@@ -9,7 +9,7 @@ and an optional :class:`~repro.obs.tracer.ChromeTracer` and is accepted
   processors' host timelines for the tracer;
 * :class:`repro.mem.CoherentMemorySystem` — per-miss latency histograms
   and coherence-event counters (miss paths only; hits stay untouched);
-* :class:`repro.net.ContentionNetwork` — per-transaction network spans,
+* :class:`repro.net.ContentionNetwork` — per-miss network spans,
   per-hop queue-wait events, link-queue-depth publication;
 * every CPU model in :mod:`repro.cpu` — occupancy histograms, stall
   attribution, per-instruction pipeline spans (DS).
@@ -116,9 +116,6 @@ class Probe:
         """Publish an executor :class:`~repro.tango.RunResult`."""
         self.publish_run_stats(result.stats)
         self.publish_cache_stats(result.memsys)
-        network = getattr(result.memsys, "network", None)
-        if network is not None:
-            network.publish(self.metrics, prefix="tango.net")
         if self.tracer is not None:
             for cpu, trace in sorted(result.traces.items()):
                 self.trace_host_timeline(trace, cpu)

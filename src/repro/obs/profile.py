@@ -7,8 +7,8 @@ combination:
    :class:`~repro.experiments.runner.TraceStore` (generated on first
    use, cached after);
 2. the chosen processor kind is replayed under **all four consistency
-   models** (fresh network each, contention-style) for the
-   stall-attribution table;
+   models**, each alone on a fresh network
+   (:func:`repro.cosim.replay_solo`), for the stall-attribution table;
 3. the primary (kind, model) run is replayed once more with a
    :class:`~repro.obs.Probe` attached, filling occupancy histograms
    (reorder buffer, store buffer, per-link queues), miss-latency
@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..cpu import ProcessorConfig, simulate
-from ..net import build_network
+from ..cosim import replay_solo
+from ..cpu import ProcessorConfig
 from .manifest import build_manifest, validate_manifest, write_manifest
 from .metrics import MetricsRegistry, format_histogram
 from .probe import Probe
@@ -65,10 +65,6 @@ class ProfileResult:
         return not self.errors
 
 
-def _fresh_network(network: str, store):
-    return build_network(network, store.n_procs, store.line_size)
-
-
 def run_profile(
     app: str,
     store,
@@ -98,22 +94,19 @@ def run_profile(
     run = store.get(app)
     timings["trace_generation"] = time.perf_counter() - t0
 
+    def solo(cfg: ProcessorConfig, probe=None):
+        return replay_solo(
+            run.trace, cfg, network, store.n_procs, store.line_size,
+            probe=probe,
+        )
+
     # -- stall attribution per consistency class -----------------------
     t0 = time.perf_counter()
-    if kind == "base":
-        sweep = [simulate(
-            run.trace, ProcessorConfig(kind="base", window=window),
-            network=_fresh_network(network, store),
-        )]
-    else:
-        sweep = [
-            simulate(
-                run.trace,
-                ProcessorConfig(kind=kind, model=m, window=window),
-                network=_fresh_network(network, store),
-            )
-            for m in PROFILE_MODELS
-        ]
+    models = ("RC",) if kind == "base" else PROFILE_MODELS
+    sweep = [
+        solo(ProcessorConfig(kind=kind, model=m, window=window))[0]
+        for m in models
+    ]
     timings["model_sweep"] = time.perf_counter() - t0
 
     # -- the instrumented primary run ----------------------------------
@@ -121,13 +114,10 @@ def run_profile(
     registry = MetricsRegistry(enabled=True)
     tracer = ChromeTracer() if trace else None
     probe = Probe(metrics=registry, tracer=tracer)
-    net = _fresh_network(network, store)
-    if net is not None:
-        net.attach_probe(probe)
     primary_cfg = ProcessorConfig(
         kind=kind, model="RC" if kind == "base" else model, window=window
     )
-    primary = simulate(run.trace, primary_cfg, network=net, probe=probe)
+    primary, net = solo(primary_cfg, probe)
     if net is not None:
         net.publish(registry, prefix="net")
         series = registry.reservoir("net.miss_latency_series")

@@ -65,8 +65,8 @@ def run_sweep_job(job: SweepJob, store):
     imports :mod:`repro.experiments` at module level (the experiments
     layer imports the pool, and cycles must stay one-directional).
     """
-    from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
-    from ..net import build_network
+    from ..cosim import replay_solo, run_cosim
+    from ..cpu import ExecutionBreakdown, ProcessorConfig
 
     if job.kind == "cosim":
         # Co-simulate the DS multiprocessor: every processor on one
@@ -74,8 +74,6 @@ def run_sweep_job(job: SweepJob, store):
         # (summed per-processor components) so the standard results
         # table renders it; per-processor cycles and the fabric's
         # miss-latency summary ride along in ``extras``.
-        from ..cosim import run_cosim
-
         crun = store.get_cosim(job.app)
         cfg = ProcessorConfig(
             kind="ds", model=job.model, window=job.window
@@ -105,10 +103,11 @@ def run_sweep_job(job: SweepJob, store):
         model=job.model if job.kind != "base" else "RC",
         window=job.window,
     )
-    # Like the contention experiment: traces come from the shared ideal
-    # cache; a non-ideal backend re-times misses at replay.
-    network = build_network(job.network, job.procs, store.line_size)
-    return simulate(run.trace, cfg, network=network)
+    # Traces carry the fixed penalty; a non-ideal backend re-times
+    # misses at replay, the processor alone on a fresh fabric.
+    return replay_solo(
+        run.trace, cfg, job.network, job.procs, store.line_size
+    )[0]
 
 
 def _sweep_worker(

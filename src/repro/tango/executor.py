@@ -12,11 +12,9 @@ Architecture modelled (paper §3.2):
   write's *miss penalty* is still recorded in the trace for the downstream
   processor models;
 * per-processor direct-mapped write-back caches, invalidation coherence,
-  1-cycle hits, and a fixed miss penalty with no network contention by
-  default (``network="ideal"``); with ``network="crossbar"``/``"mesh"``
-  the :mod:`repro.net` subsystem times each miss through a contended
-  interconnect and directory instead, and the variable latencies land
-  in the traces' ``stall`` column;
+  1-cycle hits, and a fixed miss penalty with no network contention (a
+  contended fabric re-times the misses only when a processor model
+  replays the trace: :mod:`repro.net`, :mod:`repro.cosim`);
 * ANL-macro synchronization handled by :class:`~repro.sync.SyncManager`.
 
 Scheduling uses per-thread virtual time.  The reference engine keeps a
@@ -85,7 +83,6 @@ from ..isa.compiled import (
 )
 from ..mem import CoherentMemorySystem, MemoryError_, SharedMemory
 from ..mem.cache import EXCLUSIVE, MODIFIED
-from ..net import build_network
 from ..sync import SyncManager, Wakeup
 from .interp import ExecutionError, ThreadState, execute_instruction
 from .stats import CpuStats, RunStats
@@ -128,11 +125,6 @@ class MultiprocessorConfig:
     #: Latency of touching a (remote) synchronization variable; the paper
     #: charges one memory latency.  ``None`` means "same as miss_penalty".
     sync_access_latency: int | None = None
-    #: Interconnect timing backend: "ideal" (fixed miss_penalty, the
-    #: paper's model), "crossbar", or "mesh" (repro.net contention).
-    network: str = "ideal"
-    #: Optional repro.net.NetworkConfig overriding the timing defaults.
-    network_config: object | None = None
     #: Which processors get a full trace (all get statistics).
     trace_cpus: tuple[int, ...] = (0,)
     #: Record the synchronization schedule (lock handoffs, event grants,
@@ -195,18 +187,11 @@ class TangoExecutor:
             )
         self.compiled = compiled
         self.memory = memory if memory is not None else SharedMemory()
-        self.network = build_network(
-            self.config.network,
-            self.config.n_cpus,
-            self.config.line_size,
-            self.config.network_config,
-        )
         self.memsys = CoherentMemorySystem(
             n_cpus=self.config.n_cpus,
             cache_size=self.config.cache_size,
             line_size=self.config.line_size,
             miss_penalty=self.config.miss_penalty,
-            network=self.network,
         )
         self.sync = SyncManager(self.config.n_cpus)
         self.sync_recorder = None
@@ -245,8 +230,6 @@ class TangoExecutor:
         self.probe = probe if probe is not None and probe.enabled else None
         if self.probe is not None:
             self.memsys.attach_probe(self.probe)
-            if self.network is not None:
-                self.network.attach_probe(self.probe)
 
     # -- trace helpers ------------------------------------------------------
 

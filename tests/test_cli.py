@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -117,35 +119,32 @@ class TestExecution:
 
 class TestNetworkFlag:
     def test_network_defaults_to_ideal(self):
-        args = build_parser().parse_args(["run", "lu"])
-        assert args.network == "ideal"
+        for command in ("cosim", "profile"):
+            args = build_parser().parse_args([command, "lu"])
+            assert args.network == "ideal"
 
     def test_network_choices(self):
         parser = build_parser()
-        for kind in ("ideal", "crossbar", "mesh"):
-            args = parser.parse_args(["--network", kind, "run", "lu"])
-            assert args.network == kind
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--network", "torus", "run", "lu"])
+        for command in ("cosim", "profile"):
+            for kind in ("ideal", "crossbar", "mesh"):
+                args = parser.parse_args([command, "lu", "--network", kind])
+                assert args.network == kind
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "lu", "--network", "torus"])
 
-    def test_contention_subcommand_parses(self):
-        args = build_parser().parse_args(
-            ["--procs", "4", "--preset", "tiny", "contention",
-             "--apps", "lu", "ocean"]
-        )
-        assert args.command == "contention"
-        assert args.apps == ["lu", "ocean"]
+    def test_global_network_and_contention_are_gone(self):
+        # Traces are built with the fixed penalty only; a contended
+        # fabric is a choice of the commands that replay them, and the
+        # solo replay is the cosim report's solo line.
+        for argv in (["--network", "mesh", "run", "lu"], ["contention"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_verify_ooo_flag(self):
         parser = build_parser()
         assert parser.parse_args(["verify", "lb"]).ooo is False
         assert parser.parse_args(["verify", "lb", "--ooo"]).ooo is True
-
-    def test_run_with_mesh_network(self, capsys):
-        rc = main(["--procs", "2", "--preset", "tiny",
-                   "--network", "mesh", "run", "lu"])
-        assert rc == 0
-        assert "functional verification OK" in capsys.readouterr().out
 
     def test_verify_ooo_litmus_end_to_end(self, capsys):
         rc = main(["verify", "lb", "--model", "rc",
@@ -325,11 +324,11 @@ class TestProfileCommand:
             ["profile", "lu", "--network", "mesh"]
         )
         assert args.network == "mesh"
-        # The global flag still applies when the local one is omitted.
-        args = build_parser().parse_args(
-            ["--network", "crossbar", "profile", "lu"]
-        )
-        assert args.network == "crossbar"
+        # Before the subcommand there is no such flag any more.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--network", "crossbar", "profile", "lu"]
+            )
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
@@ -355,3 +354,25 @@ class TestProfileCommand:
         assert (
             tmp_path / "profiles" / "lu-ds-rc-mesh-w64" / "trace.json"
         ).exists()
+
+
+class TestManifestCommand:
+    def test_cosim_and_profile_commands_replay(self, capsys, tmp_path):
+        # A run manifest's command must parse as the run it records.
+        for argv in (
+            ["cosim", "lu", "--kind", "base", "--network", "mesh"],
+            ["profile", "lu", "--kind", "base", "--network", "mesh"],
+        ):
+            out = tmp_path / argv[0]
+            rc = main(["--procs", "4", "--preset", "tiny",
+                       "--cache-dir", str(tmp_path / "traces"),
+                       *argv, "--out", str(out)])
+            assert rc == 0
+            (path,) = out.glob("*/manifest.json")
+            words = shlex.split(json.loads(path.read_text())["command"])
+            assert words[:3] == ["python", "-m", "repro"]
+            args = build_parser().parse_args(words[3:])
+            assert (args.command, args.app, args.kind, args.network) == (
+                argv[0], "lu", "base", "mesh"
+            )
+            assert (args.procs, args.preset) == (4, "tiny")

@@ -6,16 +6,16 @@ Covers the acceptance criteria of the co-simulation engine:
   the existing fixed-penalty per-model cycle counts exactly, for every
   processor kind, for the product's nodes and for oracle-built ones;
 * **live feedback** — under a shared mesh, per-access latencies differ
-  from the post-hoc ``contention`` replay of the same trace (the fabric
-  carries all processors' load at once, so feedback is live);
+  from the post-hoc solo replay of the same trace (the fabric carries
+  all processors' load at once, so feedback is live);
 * **determinism** — same config ⇒ byte-identical per-processor cycle
   counts and miss-latency sequences across repeated runs, and against
   nodes built from the scalar oracles (``tests/oracles.py``), under
   replayed and live sync on every fabric;
 * the live sync mode (schedule-resolved waits), the multicontext
-  stepper's cosim participation, the ``contention`` experiment's reuse
-  of the solo-replay path, the ``cosim`` batch job kind, and the CLI
-  subcommand's manifest validation.
+  stepper's cosim participation, the solo replay behind the report's
+  solo line, the ``cosim`` batch job kind, and the CLI subcommand's
+  manifest validation.
 """
 
 import json
@@ -390,8 +390,9 @@ class TestMultiContext:
 
 class TestContentionReuse:
     def test_replay_solo_matches_direct_simulation(self, cosim_store):
-        """The contention experiment's solo replay goes through the
-        cosim engine yet stays byte-identical to the direct call."""
+        """The solo replay (the cosim report's solo line, ``profile``,
+        the service's sweep jobs) stays byte-identical to the direct
+        call."""
         from repro.net import build_network
 
         run = cosim_store.get("lu")
@@ -406,25 +407,33 @@ class TestContentionReuse:
             if net is not None:
                 assert net.latencies == solo_net.latencies
 
-    def test_contention_report_columns_unchanged(self, cosim_store):
-        from repro.experiments.contention import (
-            _app_contention,
-            _ideal_summary,
-        )
+    def test_solo_line_reproduces_the_solo_replay(self, cosim_store):
+        """On a contended fabric the cosim report carries the traced
+        processor's solo replay: the numbers the contention experiment
+        printed for it (tiny/4 lu, cpu0 on a fresh mesh), with its
+        link queueing.  The shared run's own numbers do not move."""
+        from repro.cosim import run_cosim_app
 
-        per_net = _app_contention(
-            cosim_store, "lu", ("ideal", "mesh"), None
-        )
-        run = cosim_store.get("lu")
-        # Ideal rows keep the synthetic fixed-penalty summary.
-        for _, summary in per_net["ideal"]:
-            assert summary == _ideal_summary(
-                run.trace, cosim_store.miss_penalty
+        solo_rows = {
+            "base": "cpu0   24085     172      44.6   46   50     0.0      0",
+            "ds": "cpu0   18058     172      45.3   46   56     0.0      1",
+        }
+        shared_cpu0 = {"base": 26818, "ds": 20866}
+        for kind, row in solo_rows.items():
+            app = run_cosim_app("lu", cosim_store, kind=kind, network="mesh")
+            lines = app.report.splitlines()
+            at = lines.index("solo (cpu0 alone on a fresh 'mesh' fabric)")
+            assert lines[at + 1].split() == [
+                "node", "cycles", "misses", "lat", "mean", "p50", "p99",
+                "q", "mean", "q", "max",
+            ]
+            assert lines[at + 3] == row
+            assert app.result.cycles()[0] == shared_cpu0[kind]
+        for kind, network in (("base", "ideal"), ("mc", "mesh")):
+            app = run_cosim_app(
+                "lu", cosim_store, kind=kind, network=network, contexts=2
             )
-        # Network rows carry the observed distribution and queueing.
-        for _, summary in per_net["mesh"]:
-            assert summary["count"] > 0
-            assert "q_mean" in summary and "q_max" in summary
+            assert "solo (" not in app.report
 
 
 class TestServiceJobKind:
@@ -467,8 +476,8 @@ class TestCosimCLI:
         rc = main([
             "--procs", str(N_PROCS), "--preset", "tiny",
             "--cache-dir", str(cosim_store.cache_dir),
-            "--network", "crossbar",
-            "cosim", "lu", "--kind", "ds", "--out", str(tmp_path),
+            "cosim", "lu", "--kind", "ds", "--network", "crossbar",
+            "--out", str(tmp_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -484,9 +493,10 @@ class TestCosimCLI:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "--network", "mesh", "cosim", "lu",
+            "cosim", "lu", "--network", "mesh",
             "--kind", "mc", "--contexts", "2", "--sync", "replay",
         ])
         assert args.command == "cosim"
+        assert args.network == "mesh"
         assert args.kind == "mc"
         assert args.contexts == 2

@@ -69,9 +69,9 @@ def _ds_oracle(trace, config, network=None, probe=None):
     )
 
 
-def _run(app: str, compiled: bool, network: str = "ideal", probe=None):
+def _run(app: str, compiled: bool, probe=None):
     workload = build_app(app, preset="tiny")
-    config = MultiprocessorConfig(trace_cpus=(0, 1), network=network)
+    config = MultiprocessorConfig(trace_cpus=(0, 1))
     result = TangoExecutor(
         workload.programs, config, memory=workload.memory,
         compiled=compiled, probe=probe,
@@ -242,7 +242,6 @@ def shared_programs(draw):
     config = dict(
         miss_penalty=draw(st.sampled_from([5, 50])),
         sync_access_latency=draw(st.sampled_from([None, 0, 3])),
-        network=draw(st.sampled_from(["ideal", "crossbar"])),
     )
     return spec, sets, config
 
@@ -545,12 +544,10 @@ class TestProbeByteIdentity:
     def _probe():
         return Probe(metrics=MetricsRegistry(), tracer=ChromeTracer())
 
-    @pytest.mark.parametrize("network", ("ideal", "mesh"))
-    def test_executor_results_unchanged(self, network):
+    def test_executor_results_unchanged(self):
         probe = self._probe()
-        instrumented = _run("lu", compiled=True, network=network,
-                            probe=probe)
-        bare = _run("lu", compiled=True, network=network)
+        instrumented = _run("lu", compiled=True, probe=probe)
+        bare = _run("lu", compiled=True)
         assert instrumented.stats == bare.stats
         for cpu in (0, 1):
             assert instrumented.trace(cpu) == bare.trace(cpu)

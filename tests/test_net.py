@@ -1,14 +1,10 @@
 """Tests for the interconnect/directory timing subsystem (repro.net).
 
-Covers the fan-out scheduler (ordering, FIFO ties, jumps over idle
-time, idle clock rewind, busy clamp), the topologies (crossbar port
-serialization, mesh X-Y routes), the directory's request serialization,
-transaction-level latencies, fabric timing pinned against the event-wheel
-model this one replaced (seeded random streams, the carried clock, the
-single-message walk against the scheduler), the
-ideal-backend equivalence of the executor on every application, the
-compiled-vs-reference differential under a real network, the faulting-PC
-annotation on misaligned accesses, and the contention experiment's
+Covers the topologies (crossbar port serialization, mesh X-Y routes),
+the directory's request serialization, miss-latency summaries, fabric
+timing pinned on seeded replay streams, the executor's fixed-penalty
+traces and their ideal-backend replay on every application, the
+faulting-PC annotation on misaligned accesses, and the solo replay's
 headline effect (overlapped DS misses see a more loaded network than
 BASE's serial ones).
 """
@@ -18,11 +14,13 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
 from repro.apps import APP_NAMES
 from repro.asm import AsmBuilder
+from repro.cosim import replay_solo
+from repro.cpu import ProcessorConfig, simulate
+from repro.isa import MemClass
 from repro.mem import CoherentMemorySystem, MemoryError_
 from repro.net import (
     NETWORK_KINDS,
@@ -30,83 +28,8 @@ from repro.net import (
     Crossbar,
     DirectoryModel,
     Mesh,
-    NetworkConfig,
     build_network,
 )
-
-
-def _crossbar(n_nodes=8):
-    # Defaults: 2-cycle hops, 2-cycle control occupancy; every crossbar
-    # route is inject + eject, so an uncontended message lands at +4.
-    return ContentionNetwork(Crossbar(n_nodes), line_size=16)
-
-
-class TestFanOutScheduler:
-    """The `_chain`/`_run` seam that orders a write miss's racing
-    messages: what used to be stated against the event wheel."""
-
-    def test_messages_land_in_time_order(self):
-        net = _crossbar()
-        landed = []
-        net._chain(0, 1, 5, lambda t: landed.append(("a", t)))
-        net._chain(2, 3, 3, lambda t: landed.append(("b", t)))
-        net._chain(4, 5, 9, lambda t: landed.append(("c", t)))
-        net._run()
-        assert landed == [("b", 7), ("a", 9), ("c", 13)]
-
-    def test_same_cycle_messages_take_a_link_fifo(self):
-        net = _crossbar()
-        landed = []
-        for name in "abc":
-            net._chain(0, 1, 7, lambda t, n=name: landed.append((n, t)))
-        net._run()
-        assert landed == [("a", 11), ("b", 13), ("c", 15)]
-
-    def test_far_future_message_is_reached_by_a_jump(self):
-        net = _crossbar()
-        landed = []
-        net._chain(0, 1, 2, landed.append)
-        net._chain(2, 3, 10**12, landed.append)
-        net._run()
-        assert landed == [6, 10**12 + 4]
-
-    def test_callback_may_send_at_current_time(self):
-        net = _crossbar()
-        landed = []
-        net._chain(
-            0, 1, 4, lambda t: net._chain(2, 3, net._now, landed.append)
-        )
-        net._run()  # one pass delivers the follow-up too
-        assert landed == [10]  # last hop fired at 6, +4
-
-    def test_idle_scheduler_rewinds_for_earlier_transaction(self):
-        # Per-CPU virtual clocks restart at 0 between model replays; an
-        # idle fabric must accept the earlier timestamp verbatim instead
-        # of clamping it to the old present.
-        net = _crossbar()
-        landed = []
-        net._chain(0, 1, 100, landed.append)
-        net._run()
-        net._chain(2, 3, 10, landed.append)
-        net._run()
-        assert landed == [104, 14]
-        # The single-message walk moves the present the same way.
-        assert net._send(4, 5, 200) == 204
-        net._chain(6, 7, 10, landed.append)
-        net._run()
-        assert landed[-1] == 14
-
-    def test_busy_scheduler_clamps_stragglers_to_present(self):
-        net = _crossbar()
-        landed = []
-
-        def first(t):
-            landed.append(t)
-            net._chain(2, 3, 2, landed.append)  # in the fabric's past
-
-        net._chain(0, 1, 6, first)
-        net._run()
-        assert landed == [10, 12]  # restarted at 8, the last hop's time
 
 
 class TestTopologies:
@@ -154,13 +77,14 @@ class TestDirectory:
         d = DirectoryModel(4, occupancy=4)
         assert [d.home(line) for line in range(6)] == [0, 1, 2, 3, 0, 1]
 
-    def test_racing_upgrades_serialize_at_home(self):
-        # Two CPUs upgrade the same line at the same instant: the
+    def test_racing_misses_serialize_at_home(self):
+        # Two CPUs miss on the same line at the same instant: the
         # directory's occupancy forces one to wait for the other.
         net = ContentionNetwork(Crossbar(4), line_size=16)
-        lat0 = net.write_miss(0, line=5, sharers=(1,), now=0, upgrade=True)
-        lat1 = net.write_miss(1, line=5, sharers=(0,), now=0, upgrade=True)
+        lat0 = net.replay_miss(0, addr=5 * 16, is_write=True, now=0)
+        lat1 = net.replay_miss(2, addr=5 * 16, is_write=True, now=0)
         assert lat1 > lat0
+        assert net.directory.summary()["max_wait"] > 0
 
     def test_distinct_homes_do_not_serialize(self):
         net = ContentionNetwork(Crossbar(8), line_size=16)
@@ -170,25 +94,6 @@ class TestDirectory:
 
 
 class TestTransactions:
-    def test_remote_dirty_line_costs_three_legs(self):
-        cfg = NetworkConfig()
-        net = ContentionNetwork(Crossbar(4), line_size=16, config=cfg)
-        from_owner = net.read_miss(0, line=1, owner=2, now=0)
-        net.reset()
-        from_memory = net.read_miss(0, line=1, owner=None, now=0)
-        # Memory is slower than a cache but two legs beat three plus a
-        # lookup only through the latency parameters, not by fiat.
-        assert from_owner != from_memory
-        assert net.latencies == [from_memory]
-
-    def test_upgrade_waits_for_ack_not_data(self):
-        net = ContentionNetwork(Crossbar(4), line_size=16)
-        upgrade = net.write_miss(0, line=1, sharers=(2,), now=0,
-                                 upgrade=True)
-        net.reset()
-        full = net.write_miss(0, line=1, sharers=(2,), now=0)
-        assert upgrade <= full
-
     def test_summary_percentiles(self):
         net = ContentionNetwork(Crossbar(4), line_size=16)
         assert net.summary()["count"] == 0
@@ -210,8 +115,8 @@ class TestTransactions:
 
 
 def _fabric_stream(kind, n_nodes, seed, n_ops=1500):
-    """Every latency a seeded random transaction stream returns, plus
-    the three summaries at the mid-stream reset and at the end."""
+    """Every latency a seeded random replay stream returns, plus the
+    three summaries at the mid-stream reset and at the end."""
     rng = random.Random(seed)
     net = build_network(kind, n_nodes, 16)
 
@@ -229,94 +134,36 @@ def _fabric_stream(kind, n_nodes, seed, n_ops=1500):
             clocks = [0] * n_nodes
         cpu = rng.randrange(n_nodes)
         clocks[cpu] += rng.randrange(0, 60)
-        now = clocks[cpu]
         line = rng.randrange(0, 64)
         if rng.random() < 0.25:
             line = cpu + n_nodes * rng.randrange(0, 4)  # cpu == home
-        op = rng.randrange(4)
-        if op == 0:
-            lat = net.replay_miss(
-                cpu, line * 16 + rng.randrange(16), rng.random() < 0.3, now
-            )
-        elif op == 1:
-            owner = rng.randrange(n_nodes) if rng.random() < 0.5 else None
-            lat = net.read_miss(cpu, line, owner, now)
-        else:
-            sharers = tuple(rng.sample(range(n_nodes), rng.randrange(0, 5)))
-            lat = net.write_miss(
-                cpu, line, sharers, now, upgrade=rng.random() < 0.4
-            )
-        out.append(lat)
+        out.append(net.replay_miss(
+            cpu, line * 16 + rng.randrange(16), rng.random() < 0.3,
+            clocks[cpu],
+        ))
     out.append(summaries())
     return out
 
 
 class TestTimingPinned:
-    """Fabric timing is part of every committed contention/co-simulation
-    number; these pins were generated with the event-wheel model this
-    one replaced and must never be regenerated to make a change pass."""
+    """Fabric timing is part of every committed solo and co-simulation
+    number.  These pins were generated on the model that still timed
+    coherence transactions at trace build, before that path was
+    deleted, and must never be regenerated to make a change pass."""
 
     @pytest.mark.parametrize("kind,n_nodes,seed,digest", [
-        ("mesh", 9, 1, "2b386d06f9907e53"),
-        ("mesh", 9, 2, "2492c4da92f979d5"),
-        ("mesh", 16, 1, "5ea6f79c764dc9a5"),
-        ("mesh", 16, 2, "894ed9d0a50d27eb"),
-        ("crossbar", 9, 1, "fd5becd8e24eb537"),
-        ("crossbar", 9, 2, "5fa0236420e7ef93"),
-        ("crossbar", 16, 1, "51d4d9cd10caaa20"),
-        ("crossbar", 16, 2, "6d6ae4e83df464e3"),
+        ("mesh", 9, 1, "2f374d1ee6d3ede0"),
+        ("mesh", 9, 2, "8293c93b238f3f25"),
+        ("mesh", 16, 1, "2b258cf0c2cda031"),
+        ("mesh", 16, 2, "a2d1f9f0e272079e"),
+        ("crossbar", 9, 1, "12975995369abb17"),
+        ("crossbar", 9, 2, "f29dd96f4091d376"),
+        ("crossbar", 16, 1, "4e4f6fe18d87f344"),
+        ("crossbar", 16, 2, "dfe33120bac1db7b"),
     ])
     def test_random_stream_digest(self, kind, n_nodes, seed, digest):
         blob = json.dumps(_fabric_stream(kind, n_nodes, seed), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
-
-    def test_carried_clock_does_not_leak_between_transactions(self):
-        # The scheduler's present persists across transactions.  A write
-        # miss whose requester is the home node sends no request, so
-        # nothing moves the present before its invalidations fan out;
-        # and a single-message transaction must move it, or the next
-        # fan-out clamps to a stale future.  Every transaction below
-        # uses links of its own, so each must cost what it costs on an
-        # idle fabric.
-        net = build_network("crossbar", 16, 16)
-        assert net.write_miss(0, line=1, sharers=(2, 3), now=400) == 42
-        # requester is home, not an upgrade, sharers, and the previous
-        # transaction ended (~440) after this one starts
-        assert net.write_miss(4, line=4, sharers=(5, 6), now=100) == 34
-        assert net.write_miss(0, line=1, sharers=(2, 3), now=900) == 42
-        assert net.replay_miss(7, addr=8 * 16, is_write=False, now=50) == 42
-        assert net.write_miss(9, line=10, sharers=(11, 12), now=60) == 42
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    kind=st.sampled_from(["crossbar", "mesh"]),
-    src=st.integers(0, 8),
-    dst=st.integers(0, 8),
-    start=st.integers(0, 500),
-    data=st.booleans(),
-    link_free=st.lists(st.integers(0, 600), min_size=60, max_size=60),
-    present=st.integers(0, 600),
-)
-def test_single_message_walk_equals_fan_out_alone(
-    kind, src, dst, start, data, link_free, present
-):
-    """`_send`'s closed-form walk and the fan-out scheduler time one
-    message identically from any link state: same arrival, same link
-    reservations, same queue-depth statistics, same present after."""
-    walked = build_network(kind, 9, 16)
-    queued = build_network(kind, 9, 16)
-    n_links = walked.topology.n_links
-    for net in (walked, queued):
-        net._link_free = link_free[:n_links]
-        net._now = present
-    landed = []
-    queued._chain(src, dst, start, landed.append, data)
-    queued._run()
-    assert [walked._send(src, dst, start, data)] == landed
-    for state in ("_link_free", "_link_samples", "_link_depth_sum",
-                  "_link_depth_max", "_now"):
-        assert getattr(walked, state) == getattr(queued, state), state
 
 
 class TestCoherenceIntegration:
@@ -325,40 +172,14 @@ class TestCoherenceIntegration:
         hit, stall = mem.access_ht(0, 0x100, False)
         assert (hit, stall) == (False, 50)
 
-    def test_network_path_varies_latency(self):
-        net = build_network("crossbar", 2, 16)
-        mem = CoherentMemorySystem(n_cpus=2, miss_penalty=50, network=net)
-        _, first = mem.access_ht(0, 0x100, False, 0)
-        _, second = mem.access_ht(1, 0x200, True, 0)
-        assert first != 50 or second != 50
-        assert len(net.latencies) == 2
 
-    def test_invalidation_acks_charged_to_writer(self):
-        # Upgrades carry no data, so their latency is the invalidation/
-        # ack round trip — it must grow with the sharer count.
-        net = build_network("crossbar", 4, 16)
-        mem = CoherentMemorySystem(n_cpus=4, miss_penalty=50, network=net)
-        for cpu in range(4):
-            mem.access_ht(cpu, 0x100, False, 0)
-        net.reset()
-        _, with_sharers = mem.access_ht(3, 0x100, True, 0)
-        net2 = build_network("crossbar", 4, 16)
-        mem2 = CoherentMemorySystem(n_cpus=4, miss_penalty=50, network=net2)
-        mem2.access_ht(3, 0x100, False, 0)
-        net2.reset()
-        _, unshared = mem2.access_ht(3, 0x100, True, 0)
-        assert with_sharers > unshared
-
-
-def _run_app(app, network, compiled=True, n_procs=4):
+def _run_app(app, n_procs=4):
     workload = build_app(app, n_procs=n_procs, preset="tiny")
     config = MultiprocessorConfig(
-        n_cpus=n_procs, network=network,
-        trace_cpus=tuple(range(n_procs)),
+        n_cpus=n_procs, trace_cpus=tuple(range(n_procs)),
     )
     result = TangoExecutor(
         workload.programs, config, memory=workload.memory,
-        compiled=compiled,
     ).run()
     workload.verify(result.memory)
     return result
@@ -367,20 +188,24 @@ def _run_app(app, network, compiled=True, n_procs=4):
 class TestExecutorIntegration:
     @pytest.mark.parametrize("app", APP_NAMES)
     def test_ideal_backend_matches_default(self, app):
-        default = _run_app(app, "ideal")
-        explicit = _run_app(app, NETWORK_KINDS[0])
-        assert default.stats.total_cycles == explicit.stats.total_cycles
+        # Traces are built with the fixed penalty only: every miss the
+        # executor records costs exactly miss_penalty, and replaying on
+        # the ideal backend is the plain replay.
+        result = _run_app(app)
+        cfg = ProcessorConfig(kind="ds", model="RC", window=64)
         for cpu in range(4):
-            assert (default.trace(cpu).columns()
-                    == explicit.trace(cpu).columns())
-
-    @pytest.mark.parametrize("network", ("crossbar", "mesh"))
-    def test_compiled_matches_reference_under_network(self, network):
-        fast = _run_app("lu", network, compiled=True)
-        slow = _run_app("lu", network, compiled=False)
-        assert fast.stats.total_cycles == slow.stats.total_cycles
-        for cpu in range(4):
-            assert fast.trace(cpu).columns() == slow.trace(cpu).columns()
+            trace = result.trace(cpu)
+            stalls = {
+                stall
+                for cls, stall in zip(trace.mem_class, trace.stall)
+                if cls in (MemClass.READ, MemClass.WRITE) and stall
+            }
+            assert stalls == {result.config.miss_penalty}
+            breakdown, net = replay_solo(trace, cfg, NETWORK_KINDS[0], 4, 16)
+            assert net is None
+            assert breakdown.components() == simulate(
+                trace, cfg
+            ).components()
 
     @pytest.mark.parametrize("compiled", (True, False))
     def test_misaligned_access_reports_thread_and_pc(self, compiled):
@@ -412,39 +237,64 @@ class TestExecutorIntegration:
 
 
 class TestContentionExperiment:
-    @pytest.fixture(scope="class")
-    def results(self, tmp_path_factory):
-        from repro.experiments import TraceStore, run_contention
+    """The solo column of the fixed / solo / shared comparison: each
+    model replays the traced processor alone on a fresh fabric
+    (:func:`repro.cosim.replay_solo`, the ``cosim`` report's solo
+    line)."""
 
-        store = TraceStore(
+    CONFIGS = (
+        ProcessorConfig(kind="base"),
+        ProcessorConfig(kind="ssbr", model="RC"),
+        ProcessorConfig(kind="ds", model="RC", window=64),
+        ProcessorConfig(kind="ds", model="RC", window=256),
+    )
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        from repro.experiments import TraceStore
+
+        return TraceStore(
             n_procs=4, preset="tiny",
             cache_dir=tmp_path_factory.mktemp("traces"),
         )
-        return run_contention(
-            store, apps=("lu",), networks=("ideal", "mesh")
-        )
 
-    def test_ideal_rows_report_fixed_penalty(self, results):
-        for _, summary in results["lu"]["ideal"]:
+    @pytest.fixture(scope="class")
+    def results(self, store):
+        trace = store.get("lu").trace
+        return [
+            replay_solo(trace, cfg, "mesh", 4, store.line_size)
+            for cfg in self.CONFIGS
+        ]
+
+    def test_ideal_rows_report_fixed_penalty(self, store):
+        from repro.cosim import run_cosim
+
+        result = run_cosim(
+            store.get_cosim("lu"), self.CONFIGS[0],
+            line_size=store.line_size,
+        )
+        for cpu in range(4):
+            summary = result.node_miss_summary(cpu)
             assert summary["mean"] == 50.0
             assert summary["p50"] == summary["p99"] == 50
 
     def test_ds_sees_more_contention_than_base(self, results):
-        rows = results["lu"]["mesh"]
-        base_summary = rows[0][1]
-        ds_summary = rows[-1][1]
+        base_summary = results[0][1].summary()
+        ds_summary = results[2][1].summary()
         assert ds_summary["mean"] > base_summary["mean"]
         assert ds_summary["p99"] > base_summary["p99"]
 
     def test_ds_still_fastest_overall(self, results):
-        rows = results["lu"]["mesh"]
-        totals = [breakdown.total for breakdown, _ in rows]
+        totals = [breakdown.total for breakdown, _ in results]
         assert min(totals[1:]) < totals[0]
 
-    def test_formatting_lists_all_backends(self, results):
-        from repro.experiments import format_contention
+    def test_formatting_lists_all_backends(self, store):
+        from repro.cosim import run_cosim_app
 
-        text = format_contention(results)
-        assert "Contention — LU" in text
-        assert "ideal" in text and "mesh" in text
-        assert "p99" in text
+        for kind in NETWORK_KINDS:
+            text = run_cosim_app(
+                "lu", store, kind="base", network=kind
+            ).report
+            assert f"'{kind}' fabric" in text
+            assert ("solo (cpu0 alone" in text) == (kind != "ideal")
+            assert "p99" in text

@@ -5,8 +5,8 @@ reservoir's deterministic decimation), the Chrome trace_event tracer
 (schema validation, span-nesting invariants, byte determinism), the run
 manifest, the profile pipeline end-to-end over every processor kind and
 network backend, and the satellite fixes: per-link queue-depth columns
-in the contention report and the shared execution-breakdown component
-table.
+in the cosim report's solo line and the shared execution-breakdown
+component table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.cpu.results import (
     ExecutionBreakdown,
 )
 from repro.experiments import TraceStore
-from repro.experiments.contention import format_contention, run_contention
 from repro.experiments.report import format_breakdowns, format_stacked_bars
 from repro.obs import (
     ChromeTracer,
@@ -242,19 +241,24 @@ class TestContentionQueueColumns:
     """Satellite: per-link queue-depth samples surface in the report."""
 
     def test_queue_depth_in_summaries_and_table(self, store):
-        results = run_contention(
-            store, apps=("lu",), networks=("ideal", "mesh")
-        )
-        for kind, pairs in results["lu"].items():
-            for _, summary in pairs:
-                assert "q_mean" in summary and "q_max" in summary
-                if kind == "ideal":
-                    assert summary["q_max"] == 0
+        from repro.cosim import replay_solo, run_cosim_app
+        from repro.cpu import ProcessorConfig
+
+        trace = store.get("lu").trace
+        depths = []
+        for window in (64, 256):
+            cfg = ProcessorConfig(kind="ds", model="RC", window=window)
+            _, net = replay_solo(
+                trace, cfg, "mesh", store.n_procs, store.line_size
+            )
+            links = net.link_summary()
+            assert "mean_depth" in links and "max_depth" in links
+            depths.append(links["max_depth"])
         # The DS rows under a real network must have observed queueing.
-        mesh_q = [s["q_max"] for _, s in results["lu"]["mesh"]]
-        assert any(q > 0 for q in mesh_q)
-        text = format_contention(results)
-        assert "q mean" in text and "q max" in text
+        assert any(q > 0 for q in depths)
+        text = run_cosim_app("lu", store, kind="ds", network="mesh").report
+        solo = text[text.index("solo (cpu0"):]
+        assert "q mean" in solo and "q max" in solo
 
 
 class TestProfile:
@@ -273,6 +277,11 @@ class TestProfile:
         manifest = json.loads(result.outputs["manifest"].read_text())
         assert validate_manifest(manifest) == []
         assert manifest["config"]["network"] == network
+        # The profiled replay's fabric emits into the same probe.
+        events = json.loads(result.outputs["trace"].read_text())
+        assert any(
+            e.get("cat") == "net" for e in events["traceEvents"]
+        ) == (network != "ideal")
         assert "stall attribution" in result.report
         assert "reorder-buffer occupancy" in result.report
         metrics = json.loads(result.outputs["metrics"].read_text())
