@@ -136,12 +136,19 @@ def test_perf_smoke():
     )
 
     # Vectorized engines vs. their scalar oracles, on the same trace.
-    # SS is the static model with the most per-row work; DS pairs the
-    # event-driven engine against the per-cycle reference.
+    # SS is the static model with the most per-row work; SSBR runs the
+    # same loop with blocking reads, and must keep the gain of skipping
+    # what a blocking read makes dead (read buffer, pending registers,
+    # read order); DS pairs the event-driven engine against the
+    # per-cycle reference.
     rc = get_model("RC")
     static_fast_s, static_scalar_s = _race(
         lambda: simulate(trace, ProcessorConfig(kind="ss", model="RC")),
         lambda: simulate_ss(trace, rc),
+    )
+    ssbr_fast_s, ssbr_scalar_s = _race(
+        lambda: simulate(trace, ProcessorConfig(kind="ssbr", model="RC")),
+        lambda: simulate_ssbr(trace, rc),
     )
     ds_fast_s, ds_scalar_s = _race(
         lambda: simulate(trace, ds_cfg),
@@ -254,8 +261,10 @@ def test_perf_smoke():
     all_cpu_ratio = all_s / one_s
     assert all_cpu_ratio <= 1.4, f"all_cpu_trace_ratio {all_cpu_ratio:.2f}"
     static_speedup = static_scalar_s / static_fast_s
+    ssbr_speedup = ssbr_scalar_s / ssbr_fast_s
     ds_event_speedup = ds_scalar_s / ds_fast_s
     assert static_speedup >= 2.3, f"static_speedup {static_speedup:.2f}"
+    assert ssbr_speedup >= 2.3, f"ssbr_speedup {ssbr_speedup:.2f}"
     assert ds_event_speedup >= 1.6, f"ds_event_speedup {ds_event_speedup:.2f}"
     # Sharing one contended mesh costs ~1.4x the solo ideal-fabric runs;
     # fabric timing that ticked through every queueing wait would double

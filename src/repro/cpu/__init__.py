@@ -10,8 +10,8 @@ traces produced by :mod:`repro.tango`:
 
 Each model has one implementation: the event-driven resumable steppers
 (:mod:`repro.cpu.requests`) of :mod:`repro.cpu.static_fast` —
-:func:`base_fast_stepper`, :func:`ssbr_fast_stepper`,
-:func:`ss_fast_stepper` — and :mod:`repro.cpu.ds.event_engine` —
+:func:`base_fast_stepper`, and :func:`ss_fast_stepper` for SS and, with
+blocking reads, SSBR — and :mod:`repro.cpu.ds.event_engine` —
 :func:`ds_fast_stepper`.  :func:`make_stepper` maps a
 :class:`ProcessorConfig` onto one of them, and :func:`simulate` is the
 one standalone entry point that drives it to completion.
@@ -32,12 +32,7 @@ from .multicontext import (
 from .requests import MemRequest, ReleaseNotify, SyncRequest, drive
 from .scheduling import ScheduleStats, schedule_reads_early
 from .results import ExecutionBreakdown
-from .static_fast import (
-    WriteBuffer,
-    base_fast_stepper,
-    ss_fast_stepper,
-    ssbr_fast_stepper,
-)
+from .static_fast import WriteBuffer, base_fast_stepper, ss_fast_stepper
 
 
 @dataclass
@@ -120,10 +115,10 @@ def make_stepper(
     if kind == "base":
         return base_fast_stepper(trace, label=label, clamp_time=coupled)
     if kind == "ssbr" or kind == "ss":
-        stepper = ssbr_fast_stepper if kind == "ssbr" else ss_fast_stepper
-        return stepper(
+        return ss_fast_stepper(
             trace, get_model(config.model), label=label,
             clamp_time=coupled, probe=probe,
+            blocking_reads=kind == "ssbr",
         )
     if kind != "ds":
         raise ValueError(f"unknown processor kind {config.kind!r}")

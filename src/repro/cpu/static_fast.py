@@ -4,15 +4,17 @@ The in-order processors of the paper's §4.1:
 
 * **BASE** — no overlap at all: each operation completes before the
   next one starts (the normalisation reference).
-* **SSBR** — blocking reads.  Writes go to a 16-deep write buffer whose
-  behaviour the consistency model governs: under SC the buffer must
-  drain before a read may be serviced; under PC reads bypass pending
-  writes but buffered writes still retire one at a time; under WO/RC
-  buffered writes retire overlapped (:class:`WriteBuffer`).
-* **SS** — non-blocking reads: a read miss stalls the processor only at
-  the first *use* of its value, and a 16-deep read buffer bounds the
-  outstanding reads.  Under SC and PC reads stay serialized with
-  respect to previous reads.
+* **SSBR** and **SS** — one statically scheduled processor with a
+  16-deep write buffer whose behaviour the consistency model governs:
+  under SC the buffer must drain before a read may be serviced; under
+  PC reads bypass pending writes but buffered writes still retire one
+  at a time; under WO/RC buffered writes retire overlapped
+  (:class:`WriteBuffer`).  The two differ only in where a read miss
+  stalls: at issue (SSBR, blocking reads) or at the first *use* of its
+  value (SS), where a 16-deep read buffer bounds the outstanding reads
+  and, where Figure 1 orders a read before a later read (SC, PC),
+  reads stay serialized.  :func:`ss_fast_stepper` runs both;
+  ``blocking_reads`` picks SSBR.
 
 Each retires one instruction per cycle plus stalls, so ``busy`` equals
 the instruction count.  The loops are exact to a scalar row-by-row
@@ -31,22 +33,23 @@ move time, built on two observations about the in-order machines:
    form.  Skipped hit-writes are folded lazily: when the next real event
    arrives, the buffer state is reconstructed as if the last skipped
    write had just been pushed, which is exactly what the scalar model's
-   lazy drain would have left behind.  Under SC/PC the last skipped
-   hit-read folds into ``last_read_perform`` the same way.
+   lazy drain would have left behind.  Where reads serialize, the last
+   skipped hit-read folds into ``last_read_perform`` the same way.
 
-Whenever the clean-buffer invariant breaks — a write miss leaves
-``last_free > t``, serialization leaves ``last_perform > t``, or a
-negative synchronization wait jumps time backwards — the loop drops into
+Whenever the clean-buffer invariant breaks — a write miss or a negative
+synchronization wait leaves ``last_free > t`` — the loop drops into
 *dense* mode and runs the exact scalar body over every memory row until
 the buffer is clean again.
 
-For SS, rows that can stall on a pending register (operand use of an
-outstanding load), reads forced by SC/PC read serialization, and reads
+Under SS, rows that can stall on a pending register (operand use of an
+outstanding load), reads inside a read-serialization window, and reads
 that may find the read buffer full are discovered dynamically: each is
 bounded by a ``perform - t`` window (t advances at least one cycle per
 row), so candidate rows come from ``bisect`` over precomputed sorted
 index lists and merge into the event stream through small heaps.  A
 synchronization row that moves ``t`` backwards re-arms the windows.
+Under SSBR a read miss moves ``t`` to its perform time, so none of
+these windows ever opens.
 
 All trace-derived indices (event rows, per-register use lists, last
 write/read scans) depend only on the trace contents, so they are built
@@ -74,7 +77,7 @@ formulations are the differential oracle — see
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 import numpy as np
@@ -327,164 +330,57 @@ def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
         buf._pending_addrs[addr] = buf._pending_addrs.get(addr, 0) + 1
 
 
-def ssbr_fast_stepper(
-    trace: Trace,
-    model: ConsistencyModel,
-    label: str | None = None,
-    clamp_time: bool = False,
-    probe=None,
-):
-    """SSBR over sparse events only, as a resumable stepper.
-
-    Suspends at every miss (the answer re-times it) and every acquire
-    (the answer is the wait), and announces each release's perform time.
-    ``clamp_time`` keeps the clock from running backwards on a negative
-    sync wait — the behaviour required when a stateful network consumes
-    the request times.  ``probe`` samples write-buffer depth per push;
-    it never alters timing."""
-    cpu = trace.cpu
-    buf = WriteBuffer(model)
-    wb_hist = _buffer_histogram(
-        probe, "static.write_buffer_depth", WRITE_BUFFER_DEPTH
-    )
-    pushes = 0  # pushes observed inline; the skipped rest observe 1
-    n = len(trace)
-    t = 0
-    busy = n  # one busy cycle per retired row, unconditionally
-    sync = read = write = 0
-    last_release_perform = 0
-    bypass = model.reads_bypass_writes
-    wo_rc = model.name in ("WO", "RC")
-    req_rel_acq = model.requires(MemClass.RELEASE, MemClass.ACQUIRE)
-    if n:
-        idx = _trace_index(trace)
-        ev_l, cls_l, stall_l = idx.ev_l, idx.cls_l, idx.stall_l
-        wait_l, addr_l, sp_l = idx.wait_l, idx.addr_l, idx.sp_l
-        write_pos_l, sync_ord = idx.write_pos_l, idx.sync_ord
-        n_ev, n_sp = idx.n_ev, idx.n_sp
-        pos = 0   # first unprocessed event position (dense cursor)
-        si = 0    # sparse cursor
-        prev = -1
-        while True:
-            if buf.last_free > t or buf.last_perform > t:
-                # Dirty buffer: every memory row matters until it drains.
-                if pos >= n_ev:
-                    break
-                p = pos
-            else:
-                while si < n_sp and sp_l[si] < pos:
-                    si += 1
-                if si >= n_sp:
-                    break
-                p = sp_l[si]
-                si += 1
-                if p > pos:
-                    lwp = write_pos_l[p - 1]
-                    if lwp >= pos:
-                        # Fold the skipped clean hit-writes at linear
-                        # time: each skipped row advanced t by one.
-                        _fold_skipped_writes(
-                            buf, t + (ev_l[lwp] - prev), addr_l[lwp]
-                        )
-            i = ev_l[p]
-            t += i - prev
-            prev = i
-            pos = p + 1
-            cls = cls_l[p]
-            stall = stall_l[p]
-            if cls == _MC_READ:
-                if not bypass:
-                    drained = buf.drain_time()
-                    if drained > t:
-                        write += drained - t
-                        t = drained
-                if stall and not buf.holds_addr(addr_l[p], t):
-                    stall = yield MemRequest(addr_l[p], False, t, stall)
-                    read += stall
-                    t += stall
-            elif cls == _MC_WRITE or cls == _MC_RELEASE:
-                floor = 0
-                if cls == _MC_RELEASE and wo_rc:
-                    floor = buf.last_perform
-                if stall and cls == _MC_WRITE:
-                    stall = yield MemRequest(addr_l[p], True, t, stall)
-                t, full_stall = buf.push(
-                    t, stall, addr_l[p], perform_floor=floor
-                )
-                write += full_stall
-                if wb_hist is not None:
-                    wb_hist.observe(len(buf._entries))
-                    pushes += 1
-                if cls == _MC_RELEASE:
-                    last_release_perform = max(
-                        last_release_perform, buf.last_perform
-                    )
-                    yield ReleaseNotify(
-                        cpu, sync_ord[p], buf.last_perform, addr_l[p]
-                    )
-            else:  # acquire or barrier
-                if cls == _MC_BARRIER or not bypass:
-                    drained = buf.drain_time()
-                    if drained > t:
-                        write += drained - t
-                        t = drained
-                elif req_rel_acq and last_release_perform > t:
-                    write += last_release_perform - t
-                    t = last_release_perform
-                w = yield SyncRequest(
-                    cpu, sync_ord[p], cls, t, wait_l[p], stall, addr_l[p]
-                )
-                sync += w + stall
-                if not clamp_time or w + stall > 0:
-                    t += w + stall
-        # Rows after the last processed event advance time one cycle
-        # each; trailing clean hit-writes free before the end of trace,
-        # so the final drain below sees them already retired.
-        t += (n - 1) - prev
-        if wb_hist is not None and idx.n_stores > pushes:
-            wb_hist.observe(1, idx.n_stores - pushes)
-    drained = buf.drain_time()
-    if drained > t:
-        write += drained - t
-        t = drained
-    return ExecutionBreakdown(
-        label=label or f"SSBR-{model.name}",
-        busy=busy, sync=sync, read=read, write=write,
-        instructions=n,
-    )
-
-
 def ss_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
     clamp_time: bool = False,
     probe=None,
+    blocking_reads: bool = False,
 ):
-    """SS over sparse + dynamically discovered events, as a resumable
-    stepper (see :func:`ssbr_fast_stepper` for the protocol).  A read
-    miss is requested at its *start* cycle — after read serialization
-    under SC/PC — which may lie ahead of the processor's own clock."""
+    """SS, or SSBR with ``blocking_reads``, over sparse and dynamically
+    discovered events, as a resumable stepper.
+
+    Suspends at every miss (the answer re-times it) and every acquire
+    (the answer is the wait), and announces each release's perform time.
+    ``clamp_time`` keeps the clock from running backwards on a negative
+    sync wait — the behaviour required when a stateful network consumes
+    the request times.  ``probe`` samples the write-buffer depth per
+    push and, for SS, the read-buffer depth per outstanding read; it
+    never alters timing.
+
+    The two processors differ only in where a read miss stalls.  SS
+    requests it at its *start* cycle — after read serialization where
+    the model orders read before read — which may lie ahead of the
+    processor's own clock, and stalls at the first use of its value.
+    SSBR stalls at issue: ``perform - t`` is charged to ``read`` at
+    once, so no read is ever outstanding, no register pending, and
+    reads never serialize — not even after a negative sync wait moves
+    ``t`` back behind the last read's perform time."""
     cpu = trace.cpu
     buf = WriteBuffer(model)
     wb_hist = _buffer_histogram(
         probe, "static.write_buffer_depth", WRITE_BUFFER_DEPTH
     )
-    rb_hist = _buffer_histogram(
-        probe, "static.read_buffer_depth", READ_BUFFER_DEPTH
-    )
+    rb_hist = None
+    if not blocking_reads:
+        rb_hist = _buffer_histogram(
+            probe, "static.read_buffer_depth", READ_BUFFER_DEPTH
+        )
     pushes = 0  # pushes observed inline; the skipped rest observe 1
     n = len(trace)
     reg_ready: dict[int, int] = {}
     outstanding: deque[int] = deque()
     t = 0
-    busy = n
+    busy = n  # one busy cycle per retired row, unconditionally
     sync = read = write = 0
     last_read_perform = 0
     last_release_perform = 0
-    serialize_reads = model.name in ("SC", "PC")
+    serialize_reads = (
+        model.requires(MemClass.READ, MemClass.READ) and not blocking_reads
+    )
     bypass = model.reads_bypass_writes
-    wo_rc = model.name in ("WO", "RC")
+    writes_overlap = model.writes_overlap
     req_rel_acq = model.requires(MemClass.RELEASE, MemClass.ACQUIRE)
     if n:
         idx = _trace_index(trace)
@@ -499,7 +395,7 @@ def ss_fast_stepper(
         # Non-memory rows that may stall on a pending register.
         dyn: list[int] = []
         # Event-array positions forced to run their full body: memory
-        # rows with a possibly-pending operand, reads inside an SC/PC
+        # rows with a possibly-pending operand, reads inside a read
         # serialization window, reads that may find the buffer full.
         forced: list[int] = []
         # Highest read row already pushed to ``forced`` by a window —
@@ -508,8 +404,8 @@ def ss_fast_stepper(
         # Registers with possibly-pending ready times (backjump re-arm).
         armed: dict[int, int] = {}
 
-        def arm(reg: int, perform: int, row: int) -> None:
-            # Only the FIRST use inside the stall window can block:
+        def arm(reg: int, perform: int, row: int, horizon: int) -> None:
+            # Only the FIRST use in (row, row+horizon] can block:
             # processing it advances t to at least ``perform``, after
             # which every later use of the register sees a ready value.
             # (A backward time jump re-arms, so the window re-opens.)
@@ -521,7 +417,7 @@ def ss_fast_stepper(
             if lo >= len(use):
                 return
             j = use[lo]
-            if j > row + (perform - t):
+            if j > row + horizon:
                 return
             pj = pos_of_row[j]
             if pj >= 0:
@@ -541,66 +437,63 @@ def ss_fast_stepper(
                 heapq.heappush(forced, fp)
             forced_hi = end
 
+        # Every position before ``pos`` is consumed: its row is at or
+        # before ``prev``, every later position's row is after it.
         pos = 0
         si = 0
         prev = -1
-        n_reads = len(read_rows_l)
-
-        def next_sparse_row() -> int:
-            nonlocal si
-            while si < n_sp and sp_l[si] < pos:
-                si += 1
-            return ev_l[sp_l[si]] if si < n_sp else n
-
-        def fold_to(row: int) -> None:
-            """Consume the skipped clean positions whose row precedes
-            ``row``: reconstruct the buffer after their last hit-write
-            and (under SC/PC) the serialization point after their last
-            hit-read, both at linear time — every skipped row advances
-            ``t`` exactly one cycle from ``(prev, t)``."""
-            nonlocal pos, last_read_perform
-            lo = pos
-            while pos < n_ev and ev_l[pos] < row:
-                pos += 1
-            if pos == lo:
-                return
-            lwp = write_pos_l[pos - 1]
-            if lwp >= lo:
-                _fold_skipped_writes(
-                    buf, t + (ev_l[lwp] - prev), addr_l[lwp]
-                )
-            if serialize_reads:
-                lrpp = read_posm_l[pos - 1]
-                if lrpp >= lo:
-                    tau = t + (ev_l[lrpp] - prev)
-                    if tau > last_read_perform:
-                        last_read_perform = tau
 
         while True:
             while dyn and dyn[0] <= prev:
                 heapq.heappop(dyn)
-            while forced and ev_l[forced[0]] <= prev:
+            while forced and forced[0] < pos:
                 heapq.heappop(forced)
-            dense = buf.last_free > t or buf.last_perform > t
-            if dense:
-                p = pos if pos < n_ev else -1
+            # ``last_free >= last_perform`` always, so this is the
+            # dirty-buffer test: every memory row matters until it
+            # drains.  On a clean buffer only sparse and forced rows do.
+            if buf.last_free > t:
+                p = pos
             else:
                 while si < n_sp and sp_l[si] < pos:
                     si += 1
-                p = sp_l[si] if si < n_sp else -1
-                if forced and (p < 0 or ev_l[forced[0]] < ev_l[p]):
+                p = sp_l[si] if si < n_sp else n_ev
+                if forced and forced[0] < p:
                     p = forced[0]
-            nxt_m = ev_l[p] if p >= 0 else n
-            nxt_d = dyn[0] if dyn else n
-            if nxt_m >= n and nxt_d >= n:
-                break
-            if nxt_d < nxt_m:
+            if dyn and (p >= n_ev or dyn[0] < ev_l[p]):
                 # A non-memory row that may stall on a pending operand.
                 i = heapq.heappop(dyn)
-                if not dense and pos < n_ev and ev_l[pos] < i:
-                    fold_to(i)
-                t += i - prev
-                prev = i
+                q = bisect_left(ev_l, i, pos, p)
+                p = -1
+            elif p < n_ev:
+                # A memory row (dense walk, sparse event, or forced row).
+                i = ev_l[p]
+                q = p
+            else:
+                break
+            if q > pos:
+                # Fold the skipped clean positions at linear time —
+                # each advanced ``t`` exactly one cycle from ``(prev,
+                # t)``: the buffer after their last hit-write and, when
+                # reads serialize, the serialization point after their
+                # last hit-read.
+                lwp = write_pos_l[q - 1]
+                if lwp >= pos:
+                    _fold_skipped_writes(
+                        buf, t + (ev_l[lwp] - prev), addr_l[lwp]
+                    )
+                if serialize_reads:
+                    lrpp = read_posm_l[q - 1]
+                    if lrpp >= pos:
+                        tau = t + (ev_l[lrpp] - prev)
+                        if tau > last_read_perform:
+                            last_read_perform = tau
+                pos = q
+            t += i - prev
+            prev = i
+            if reg_ready:
+                # Operand availability: only loads produce late values
+                # on an in-order machine, so operand waits are read
+                # stalls.
                 avail = t
                 r = rs1_l[i]
                 if r >= 0:
@@ -615,149 +508,55 @@ def ss_fast_stepper(
                 if avail > t:
                     read += avail - t
                     t = avail
+            if p < 0:
                 continue
-            # A memory row (dense walk, sparse event, or forced row).
-            i = ev_l[p]
-            if not dense:
-                if p > pos:
-                    fold_to(i)
-                if si < n_sp and sp_l[si] == p:
-                    si += 1
-            t += i - prev
-            prev = i
             pos = p + 1
-            avail = t
-            r = rs1_l[i]
-            if r >= 0:
-                v = reg_ready.get(r, 0)
-                if v > avail:
-                    avail = v
-            r = rs2_l[i]
-            if r >= 0:
-                v = reg_ready.get(r, 0)
-                if v > avail:
-                    avail = v
-            if avail > t:
-                read += avail - t
-                t = avail
             cls = cls_l[p]
             stall = stall_l[p]
             if cls == _MC_READ:
-                while outstanding and outstanding[0] <= t:
-                    outstanding.popleft()
-                if len(outstanding) >= READ_BUFFER_DEPTH:
-                    stall_until = outstanding[0]
-                    read += stall_until - t
-                    t = stall_until
+                if outstanding:
                     while outstanding and outstanding[0] <= t:
                         outstanding.popleft()
-                start = t
+                    if len(outstanding) >= READ_BUFFER_DEPTH:
+                        stall_until = outstanding[0]
+                        read += stall_until - t
+                        t = stall_until
+                        while outstanding and outstanding[0] <= t:
+                            outstanding.popleft()
                 if not bypass:
-                    start = max(start, buf.drain_time())
-                    if start > t:
-                        write += start - t
-                        t = start
-                if serialize_reads and last_read_perform > start:
+                    drained = buf.drain_time()
+                    if drained > t:
+                        write += drained - t
+                        t = drained
+                start = t
+                if serialize_reads and last_read_perform > t:
                     start = last_read_perform
                 if stall and not buf.holds_addr(addr_l[p], t):
                     stall = yield MemRequest(addr_l[p], False, start, stall)
                     perform = start + stall
                 else:
                     perform = start
-                last_read_perform = max(last_read_perform, perform)
+                if perform > last_read_perform:
+                    last_read_perform = perform
                 if perform > t:
-                    outstanding.append(perform)
-                    if rb_hist is not None:
-                        rb_hist.observe(len(outstanding))
-                    rd = rd_l[p]
-                    if rd >= 0:
-                        reg_ready[rd] = perform
-                        arm(rd, perform, i)
-                    if len(outstanding) >= READ_BUFFER_DEPTH:
-                        arm_reads(i, max(outstanding) - t)
-                if serialize_reads and last_read_perform > t:
-                    if buf.last_free > t or buf.last_perform > t:
-                        # Dense mode visits every read anyway; the
-                        # window only needs covering past the drain.
-                        arm_reads(i, last_read_perform - t)
+                    if blocking_reads:
+                        read += perform - t
+                        t = perform
                     else:
-                        # Chain walk: process the serialization window's
-                        # reads inline — each hit read in the window
-                        # starts at last_read_perform, so they chain
-                        # back-to-back until the window closes, the
-                        # read buffer fills (jumping t forward), or
-                        # another event interleaves.
-                        ri = bisect_right(read_rows_l, i)
-                        while last_read_perform > t and ri < n_reads:
-                            rrow = read_rows_l[ri]
-                            if t + (rrow - prev) >= last_read_perform:
-                                break  # window closes before this read
-                            while dyn and dyn[0] <= prev:
-                                heapq.heappop(dyn)
-                            while forced and ev_l[forced[0]] <= prev:
-                                heapq.heappop(forced)
-                            if (
-                                rrow >= next_sparse_row()
-                                or (dyn and dyn[0] < rrow)
-                                or (forced and ev_l[forced[0]] < rrow)
-                            ):
-                                break  # another event comes first
-                            rp = read_pos_l[ri]
-                            ri += 1
-                            if ev_l[pos] < rrow:
-                                fold_to(rrow)
-                            t += rrow - prev
-                            prev = rrow
-                            pos = rp + 1
-                            avail = t
-                            r = rs1_l[rrow]
-                            if r >= 0:
-                                v = reg_ready.get(r, 0)
-                                if v > avail:
-                                    avail = v
-                            r = rs2_l[rrow]
-                            if r >= 0:
-                                v = reg_ready.get(r, 0)
-                                if v > avail:
-                                    avail = v
-                            if avail > t:
-                                read += avail - t
-                                t = avail
-                            while outstanding and outstanding[0] <= t:
-                                outstanding.popleft()
-                            if len(outstanding) >= READ_BUFFER_DEPTH:
-                                stall_until = outstanding[0]
-                                read += stall_until - t
-                                t = stall_until
-                                while outstanding and outstanding[0] <= t:
-                                    outstanding.popleft()
-                            start = t
-                            if not bypass:
-                                start = max(start, buf.drain_time())
-                                if start > t:
-                                    write += start - t
-                                    t = start
-                            if last_read_perform > start:
-                                start = last_read_perform
-                            # Non-sparse rows are hits (stall == 0).
-                            perform = start
-                            if perform > last_read_perform:
-                                last_read_perform = perform
-                            if perform > t:
-                                outstanding.append(perform)
-                                if rb_hist is not None:
-                                    rb_hist.observe(len(outstanding))
-                                rd = rd_l[rp]
-                                if rd >= 0:
-                                    reg_ready[rd] = perform
-                                    arm(rd, perform, rrow)
-                                if len(outstanding) >= READ_BUFFER_DEPTH:
-                                    arm_reads(rrow, max(outstanding) - t)
-                        if last_read_perform > t:
-                            arm_reads(prev, last_read_perform - t)
+                        outstanding.append(perform)
+                        if rb_hist is not None:
+                            rb_hist.observe(len(outstanding))
+                        rd = rd_l[p]
+                        if rd >= 0:
+                            reg_ready[rd] = perform
+                            arm(rd, perform, i, perform - t)
+                        if len(outstanding) >= READ_BUFFER_DEPTH:
+                            arm_reads(i, max(outstanding) - t)
+                        if serialize_reads:
+                            arm_reads(i, last_read_perform - t)
             elif cls == _MC_WRITE or cls == _MC_RELEASE:
                 floor = 0
-                if cls == _MC_RELEASE and wo_rc:
+                if cls == _MC_RELEASE and writes_overlap:
                     floor = max(
                         buf.last_perform,
                         max(outstanding) if outstanding else 0,
@@ -812,10 +611,13 @@ def ss_fast_stepper(
                             ):
                                 del armed[reg]
                             else:
-                                arm(reg, perform, i)
+                                arm(reg, perform, i, perform - t)
                         if serialize_reads and last_read_perform > t:
                             arm_reads(i, last_read_perform - t)
                 outstanding.clear()
+        # Rows after the last processed event advance time one cycle
+        # each; trailing clean hit-writes free before the end of trace,
+        # so the final drain below sees them already retired.
         t += (n - 1) - prev
         if wb_hist is not None and idx.n_stores > pushes:
             wb_hist.observe(1, idx.n_stores - pushes)
@@ -828,7 +630,7 @@ def ss_fast_stepper(
         write += drained - t
         t = drained
     return ExecutionBreakdown(
-        label=label or f"SS-{model.name}",
+        label=label or f"{'SSBR' if blocking_reads else 'SS'}-{model.name}",
         busy=busy, sync=sync, read=read, write=write,
         instructions=n,
     )

@@ -1,9 +1,10 @@
 """Statically scheduled processors: SSBR and SS (paper §4.1), row by row.
 
 The scalar oracles of :mod:`repro.cpu.static_fast`'s
-``ssbr_fast_stepper`` and ``ss_fast_stepper``: two in-order models
-sharing the product's consistency-aware write buffer.  Unlike the
-product they keep the buffer depths as parameters.
+``ss_fast_stepper``, which runs both models in one loop (SSBR with
+``blocking_reads``).  Here they stay two independent row-by-row
+references sharing only the product's consistency-aware write buffer;
+unlike the product they keep the buffer depths as parameters.
 
 * **SSBR** — blocking reads.  The processor stalls for every read miss.
   Writes go to a 16-deep write buffer whose behaviour the consistency

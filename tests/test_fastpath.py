@@ -596,6 +596,34 @@ class TestStaticFastEngines:
         assert (simulate(lu_trace, ss, network=net())
                 == simulate_ss(lu_trace, model, network=net()))
 
+    def test_blocking_reads_never_serialize(self):
+        """SSBR and SS run one loop, but only SS serializes reads.  A
+        negative wait moves ``t`` back behind the first miss's perform
+        time: SSBR issues the second miss at once, where SS under SC/PC
+        starts it behind the first (and its use stalls until then)."""
+        tb = TraceBuilder()
+        tb.load(rd=2, addr=0x1000, stall=60)
+        tb.acquire(stall=0, wait=-40)
+        tb.load(rd=3, addr=0x1100, stall=30)
+        tb.alu(rd=4, rs1=3)
+        tb.load(rd=5, addr=0x1200)
+        trace = tb.build()
+        for model_name in MODELS:
+            model = get_model(model_name)
+            for network in ("ideal", "mesh"):
+                for kind, oracle in (
+                    ("ssbr", simulate_ssbr),
+                    ("ss", simulate_ss),
+                ):
+                    config = ProcessorConfig(kind=kind, model=model_name)
+                    fast = simulate(
+                        trace, config, network=build_network(network, 16, 16)
+                    )
+                    ref = oracle(
+                        trace, model, network=build_network(network, 16, 16)
+                    )
+                    assert fast == ref, (kind, model_name, network)
+
 
 # -- one program per precondition of the DS streak's proofs -------------
 #
