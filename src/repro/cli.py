@@ -385,8 +385,7 @@ def cmd_submit(args) -> int:
         # Shard dispatch: partition the expanded grid across daemons
         # and merge the per-shard results back into grid order.
         report = service.dispatch(
-            args.endpoint, payload,
-            timeout=timeout, interval=args.interval, trace=trace,
+            args.endpoint, payload, timeout=timeout, trace=trace,
         )
         print(report.format_summary())
         if report.results:
@@ -413,9 +412,7 @@ def cmd_submit(args) -> int:
         )
         if not args.wait and trace is None:
             return EXIT_OK
-        final = client.wait(
-            accepted["id"], timeout=timeout, interval=args.interval
-        )
+        final = client.wait(accepted["id"], timeout=timeout)
         rows = client.results(accepted["id"]).get("results", [])
         spans = (
             client.trace_spans(trace.trace_id) if trace is not None else []
@@ -468,25 +465,17 @@ def _format_subrun_timing(final: dict) -> str | None:
 
 
 def cmd_watch(args) -> int:
-    last = None
-
     def on_poll(job: dict) -> None:
-        nonlocal last
         counts = ", ".join(
             f"{k}={v}" for k, v in sorted(job.get("counts", {}).items())
         )
-        line = f"job {job['id']} {job['state']}" + (
-            f" ({counts})" if counts else ""
-        )
-        if line != last:
-            print(line, flush=True)
-            last = line
+        suffix = f" ({counts})" if counts else ""
+        print(f"job {job['id']} {job['state']}{suffix}", flush=True)
 
     with service.DaemonClient(args.endpoint) as client:
         final = client.wait(
             args.id,
             timeout=args.timeout if args.timeout > 0 else None,
-            interval=args.interval,
             on_poll=on_poll,
         )
     timing = _format_subrun_timing(final)
@@ -980,12 +969,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--priority", type=int, default=0,
                           help="queue priority (lower runs earlier)")
     p_submit.add_argument("--wait", action="store_true",
-                          help="poll until the submission finishes and "
+                          help="wait until the submission finishes and "
                                "print its results")
     p_submit.add_argument("--timeout", type=float, default=0.0,
                           help="max seconds to wait (0 = unlimited)")
-    p_submit.add_argument("--interval", type=float, default=0.2,
-                          help="poll interval in seconds")
     p_submit.add_argument("--trace-out", default=None, metavar="PATH",
                           help="mint a distributed trace id for the "
                                "submission, collect every endpoint's "
@@ -1003,8 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="daemon base URL")
     p_watch.add_argument("--timeout", type=float, default=0.0,
                          help="max seconds to wait (0 = unlimited)")
-    p_watch.add_argument("--interval", type=float, default=0.2,
-                         help="poll interval in seconds")
     p_watch.set_defaults(func=cmd_watch)
 
     p_status = sub.add_parser(

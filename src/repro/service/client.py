@@ -1,11 +1,12 @@
 """HTTP client and multi-endpoint shard dispatcher for the daemon.
 
 :class:`DaemonClient` is a stdlib (``http.client``) JSON client for
-one daemon endpoint — submit, poll, fetch results — used by the
+one daemon endpoint — submit, wait, fetch results — used by the
 ``submit``, ``watch`` and ``top`` CLI subcommands and by ``batch
---endpoint``.  Each calling thread keeps one persistent HTTP/1.1
-connection and reuses it for every call, so a poll loop pays no TCP
-connect and the daemon no handler-thread start per request.  A reused
+--endpoint``.  The daemon holds a status call until the job is
+terminal or :data:`HOLD_S` seconds pass, so a waiter hears of the
+finish when it happens and never sleeps.  Each calling thread keeps
+one persistent HTTP/1.1 connection and reuses it for every call.  A reused
 connection the daemon has meanwhile closed (its idle timeout, see
 :mod:`repro.service.http`) is detected before any response byte
 arrives, and the request is sent once more on a fresh connection;
@@ -32,10 +33,11 @@ from dataclasses import asdict, dataclass, field
 from ..obs.context import HEADER as TRACE_HEADER
 from .errors import ServiceError
 from .jobs import shard, sweep_from_request
-from .queue import JOB_CANCELLED, JOB_DONE, JOB_FAILED
+from .queue import JOB_DONE, TERMINAL_STATES
 
-#: Submission states a poll loop treats as final.
-TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
+#: Seconds one status call asks the daemon to hold: half the default
+#: socket timeout, and under the daemon's cap (``http.MAX_HOLD_S``).
+HOLD_S = 15.0
 
 
 class ClientError(ServiceError):
@@ -170,8 +172,12 @@ class DaemonClient:
         )
         return self._request("POST", "/v1/jobs", payload, headers=headers)
 
-    def job(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait: float = HOLD_S) -> dict:
+        """Job state once terminal or after ``wait`` seconds (at most
+        half the socket timeout); ``wait=0`` is a snapshot."""
+        wait = min(wait, self.timeout / 2)
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")
 
     def results(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/results/{job_id}")
@@ -194,26 +200,30 @@ class DaemonClient:
         self,
         job_id: str,
         timeout: float | None = None,
-        interval: float = 0.2,
+        interval: float = HOLD_S,
         on_poll=None,
     ) -> dict:
-        """Poll until the submission reaches a terminal state."""
+        """Hold status calls until the submission reaches a terminal
+        state: each holds at most ``interval`` seconds (the longest gap
+        between ``on_poll`` calls), the last only until ``timeout``."""
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
+        hold = interval
         while True:
-            job = self.job(job_id)
+            if deadline is not None:
+                hold = min(interval, max(0.0, deadline - time.monotonic()))
+            job = self.job(job_id, wait=hold)
             if on_poll is not None:
                 on_poll(job)
             if job.get("state") in TERMINAL_STATES:
                 return job
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ClientError(
                     f"timed out waiting for job {job_id} "
                     f"(last state {job.get('state')!r})",
                     body=job,
                 )
-            time.sleep(interval)
 
 
 @dataclass
@@ -248,7 +258,6 @@ def dispatch(
     payload: dict,
     *,
     timeout: float | None = None,
-    interval: float = 0.2,
     client_factory=DaemonClient,
     trace=None,
 ) -> DispatchReport:
@@ -293,7 +302,7 @@ def dispatch(
             submissions.append((client, client.base_url, accepted["id"]))
 
         for client, endpoint, job_id in submissions:
-            final = client.wait(job_id, timeout=timeout, interval=interval)
+            final = client.wait(job_id, timeout=timeout)
             report.shards.append({
                 "endpoint": endpoint,
                 "id": job_id,

@@ -48,7 +48,6 @@ from .queue import (
     JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
-    JOB_RUNNING,
     JobQueue,
     QueuedJob,
 )
@@ -152,6 +151,9 @@ class Daemon:
         self._h_run = m.histogram(
             "daemon.job_run_seconds", bounds=SECONDS_BOUNDS
         )
+        self._h_hold = m.histogram(
+            "daemon.http_hold_seconds", bounds=SECONDS_BOUNDS
+        )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -228,6 +230,17 @@ class Daemon:
 
     def job(self, job_id: str) -> QueuedJob | None:
         return self.queue.get(job_id)
+
+    def status(self, job_id: str, wait: float = 0.0) -> dict | None:
+        """One submission's state as JSON (None if unknown), held up to
+        ``wait`` seconds for it to turn terminal (see
+        :meth:`JobQueue.status`); holds feed ``daemon.http_hold_seconds``.
+        """
+        t0 = time.monotonic()
+        status = self.queue.status(job_id, wait)
+        if wait > 0 and status is not None:
+            self._h_hold.observe(time.monotonic() - t0)
+        return status
 
     def results(self, job_id: str) -> dict | None:
         """Completed sub-run breakdowns of one submission, as JSON."""
@@ -314,21 +327,19 @@ class Daemon:
         log = self.log.bind(job=qjob.id)
         if trace_id:
             log = log.bind(trace=trace_id)
-        qjob.state = JOB_RUNNING
-        qjob.started_at = time.time()
+        records = sweep_records(self.store, qjob.sweep, qjob.submitted_at)
+        if not self.queue.start(qjob, records):
+            return  # cancelled by stop() since the pop
         log.info(
             "daemon.sweep_start", n_subruns=len(qjob.sweep),
             wait_s=round(qjob.started_at - qjob.submitted_at, 6),
         )
         t0 = time.monotonic()
-        records = qjob.records = sweep_records(
-            self.store, qjob.sweep, qjob.submitted_at,
-        )
         sweep_ctx = (
             TraceContext(trace_id, os.urandom(4).hex()) if trace_id else None
         )
         self._core.run(qjob.sweep, records, trace=sweep_ctx)
-        qjob.finished_at = time.time()
+        finished_at = time.time()
         self.queue.note_duration(time.monotonic() - t0)
         for record in records:
             wait = record.queue_latency
@@ -340,12 +351,12 @@ class Daemon:
         # An interrupted run always leaves a cancelled record.
         states = {record.state for record in records}
         if STATE_CANCELLED in states:
-            qjob.state = JOB_CANCELLED
+            state = JOB_CANCELLED
         elif STATE_FAILED in states:
-            qjob.state = JOB_FAILED
+            state = JOB_FAILED
             self._c_jobs_failed.inc()
         else:
-            qjob.state = JOB_DONE
+            state = JOB_DONE
             self._c_jobs_done.inc()
         if trace_id:
             parent_id = trace.get("parent_id")
@@ -358,14 +369,17 @@ class Daemon:
             self.spans.record(Span(
                 trace_id, sweep_ctx.span_id, parent_id,
                 f"sweep {qjob.id}", "daemon", "scheduler",
-                qjob.started_at, qjob.finished_at,
-                args={"job": qjob.id, "state": qjob.state},
+                qjob.started_at, finished_at,
+                args={"job": qjob.id, "state": state},
             ))
         log.info(
-            "daemon.sweep_done", state=qjob.state,
-            seconds=round(qjob.finished_at - qjob.started_at, 6),
+            "daemon.sweep_done", state=state,
+            seconds=round(finished_at - qjob.started_at, 6),
             counts=qjob.counts(),
         )
+        # Last, so a waiter woken here finds the job's metrics and
+        # spans already recorded.
+        self.queue.finish(qjob, state, finished_at)
 
 
 def serve(

@@ -13,7 +13,11 @@ POST   ``/v1/jobs``          submit a sweep (grid or explicit-jobs
                              ``Retry-After``), 503 draining
 GET    ``/v1/jobs/{id}``     submission state: per-sub-run states,
                              queued/started/finished timestamps,
-                             queue latency
+                             queue latency; ``?wait=S`` holds the
+                             answer until the submission is terminal
+                             or S seconds pass (S capped at
+                             :data:`MAX_HOLD_S`; 400 if not a number
+                             >= 0)
 GET    ``/v1/results/{id}``  completed sub-run breakdowns
 GET    ``/v1/trace/{id}``    every span this daemon holds for one
                              distributed trace id (JSON span list)
@@ -31,7 +35,10 @@ served back by ``GET /v1/trace/{id}``.
 
 Handler threads only ever touch the daemon's thread-safe surface
 (queue submit/lookup and the result store), so a slow simulation never
-blocks health checks or status polls.
+blocks health checks or status calls.  A held status call parks its
+handler thread on the queue's condition, which every terminal
+transition notifies, so the answer leaves when the job finishes;
+``daemon.http_hold_seconds`` records how long each hold lasted.
 
 Connections persist (HTTP/1.1 keep-alive): one handler thread serves
 every request a client sends on its connection, and closes it after
@@ -62,6 +69,10 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Seconds a keep-alive connection may sit idle before its handler
 #: thread closes it (read when the connection is accepted).
 IDLE_TIMEOUT_S = 30.0
+
+#: Longest hold of ``GET /v1/jobs/{id}?wait=S``: below
+#: :data:`IDLE_TIMEOUT_S` and below the client's 30 s socket timeout.
+MAX_HOLD_S = 20.0
 
 
 class DaemonHTTPServer(ThreadingHTTPServer):
@@ -206,11 +217,22 @@ class _Handler(BaseHTTPRequestHandler):
                 "spans": [span.to_dict() for span in spans],
             })
         elif path.startswith("/v1/jobs/"):
-            job = daemon.job(path.rsplit("/", 1)[1])
-            if job is None:
+            try:
+                wait = float(query.get("wait", ["0"])[0])
+            except ValueError:
+                wait = -1.0
+            if not wait >= 0:  # also rejects nan
+                self._send_json(
+                    400, {"error": "wait must be a number of seconds >= 0"}
+                )
+                return
+            status = daemon.status(
+                path.rsplit("/", 1)[1], min(wait, MAX_HOLD_S)
+            )
+            if status is None:
                 self._send_json(404, {"error": "unknown job id"})
             else:
-                self._send_json(200, job.to_dict())
+                self._send_json(200, status)
         elif path.startswith("/v1/results/"):
             results = daemon.results(path.rsplit("/", 1)[1])
             if results is None:

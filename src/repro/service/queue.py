@@ -20,8 +20,17 @@ untrusted traffic:
   accepting submissions (:class:`QueueClosed`, HTTP 503) and lets the
   scheduler drain or cancel what is left.
 
-All methods are thread-safe; the HTTP front end calls ``submit`` from
-handler threads while the scheduler pops from its own.
+A submission changes state only under the queue's lock, together with
+its timestamps and sub-run records (:meth:`JobQueue.start`,
+:meth:`JobQueue.finish`, :meth:`JobQueue.close`), and
+:meth:`JobQueue.status` reads it under the same lock, so no reader sees
+``running`` without ``started_at`` or ``finished_at`` on a job that is
+not yet terminal.  ``status(..., wait=S)`` holds the reader on one
+condition, notified by every terminal transition, until the submission
+is terminal or S seconds pass.
+
+All methods are thread-safe; the HTTP front end calls ``submit`` and
+``status`` from handler threads while the scheduler pops from its own.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
+
+#: States a submission never leaves.
+TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
 #: States in which a resubmission dedups onto the existing job.  A
 #: failed or cancelled job is *not* sticky: resubmitting retries it.
@@ -136,6 +148,7 @@ class JobQueue:
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        self._settled = threading.Condition(self._lock)
         self._closed = False
         # EWMA of sweep execution time, fed back by the daemon after
         # each job; sizes the Retry-After hint under backpressure.
@@ -243,6 +256,26 @@ class JobQueue:
                         if not self._heap:
                             return None
 
+    def start(self, job: QueuedJob, records: list) -> bool:
+        """Mark a popped submission running with its sub-run records.
+
+        False if it was cancelled (by :meth:`close`) since the pop.
+        """
+        with self._lock:
+            if job.state != JOB_QUEUED:
+                return False
+            job.state = JOB_RUNNING
+            job.started_at = time.time()
+            job.records = records
+            return True
+
+    def finish(self, job: QueuedJob, state: str, finished_at: float) -> None:
+        """Make a running submission terminal and wake its waiters."""
+        with self._lock:
+            job.state = state
+            job.finished_at = finished_at
+            self._settled.notify_all()
+
     def note_duration(self, seconds: float) -> None:
         """Feed one sweep's execution time into the drain-rate EWMA."""
         with self._lock:
@@ -262,6 +295,22 @@ class JobQueue:
     def get(self, job_id: str) -> QueuedJob | None:
         with self._lock:
             return self.jobs.get(job_id)
+
+    def status(self, job_id: str, wait: float = 0.0) -> dict | None:
+        """A consistent snapshot of one submission (None if unknown).
+
+        With ``wait > 0`` the call first holds until the submission is
+        terminal or ``wait`` seconds pass; an unknown id never holds.
+        """
+        with self._lock:
+            job = self.jobs.get(job_id)
+            if job is None:
+                return None
+            if wait > 0:
+                self._settled.wait_for(
+                    lambda: job.state in TERMINAL_STATES, wait
+                )
+            return job.to_dict()
 
     def depth(self) -> int:
         with self._lock:
@@ -288,5 +337,6 @@ class JobQueue:
             self._heap.clear()
             self._depth.set(0)
             self._not_empty.notify_all()
+            self._settled.notify_all()
             self.log.info("queue.closed", cancelled=len(cancelled))
             return cancelled

@@ -256,6 +256,20 @@ class TestServiceCommands:
         assert args.id == "deadbeef01234567"
         assert args.endpoint == "http://127.0.0.1:8631"
 
+    def test_only_top_takes_an_interval(self):
+        # submit and watch are answered when the job finishes: no poll
+        # interval; top still refreshes on one.
+        for argv in (["submit", "--endpoint", "http://a:1"],
+                     ["watch", "deadbeef01234567",
+                      "--endpoint", "http://a:1"]):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(argv + ["--interval", "1"])
+            assert exc_info.value.code == 2
+        args = build_parser().parse_args(
+            ["top", "--endpoint", "http://a:1", "--interval", "1"]
+        )
+        assert args.interval == 1.0
+
     def test_batch_accepts_endpoint_flag(self):
         args = build_parser().parse_args(
             ["batch", "--apps", "lu", "--endpoint", "http://a:1"]

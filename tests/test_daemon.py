@@ -17,6 +17,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -120,6 +121,15 @@ class TestJobQueue:
         with pytest.raises(QueueClosed):
             q.submit(_sweep(penalties=(25,)))
         assert q.pop(timeout=0.1) is None
+
+    def test_job_cancelled_between_pop_and_start_never_runs(self):
+        q = JobQueue(maxsize=4)
+        job, _ = q.submit(_sweep())
+        assert q.pop(timeout=0) is job
+        q.close()
+        assert not q.start(job, [])
+        assert job.state == JOB_CANCELLED
+        assert job.started_at is None
 
 
 class TestSweepFromRequest:
@@ -310,6 +320,47 @@ class TestDaemonLifecycle:
         assert elapsed < 2 * grace + 1.0
         assert [r.state for r in job.records] == ["cancelled"] * 2
         assert job.state == JOB_CANCELLED
+
+    def test_status_snapshots_are_never_mixed(
+        self, tmp_path, monkeypatch
+    ):
+        """A reader racing both transitions sees each one whole: the
+        records are built and the run time is noted slowly, inside what
+        used to be the windows of a half-made transition."""
+        from repro.service import daemon as daemon_mod
+
+        records = daemon_mod.sweep_records
+
+        def slow_records(*args):
+            time.sleep(0.05)
+            return records(*args)
+
+        monkeypatch.setattr(daemon_mod, "sweep_records", slow_records)
+        d = Daemon(store_dir=tmp_path / "store",
+                   executor=lambda job: sleep_job(0.05, fake_executor(job)))
+        note = d.queue.note_duration
+        d.queue.note_duration = lambda s: (time.sleep(0.05), note(s))
+        job, _ = d.submit({"apps": ["lu"], "kinds": ["base", "ds"],
+                           "windows": [16], "procs": 4, "preset": "tiny"})
+        d.start()
+        seen = []
+        deadline = time.monotonic() + 10.0
+        try:
+            while not seen or seen[-1]["state"] in ("queued", "running"):
+                assert time.monotonic() < deadline, seen[-1]
+                seen.append(d.status(job.id))
+        finally:
+            d.stop()
+        for snap in seen:
+            stamps = (snap["started_at"] is not None,
+                      snap["finished_at"] is not None,
+                      len(snap["subruns"]))
+            assert stamps == {
+                "queued": (False, False, 0),
+                "running": (True, False, 2),
+                "done": (True, True, 2),
+            }[snap["state"]], snap
+        assert {s["state"] for s in seen} >= {"running", "done"}
 
     def test_stop_cancels_queued_submissions(self, tmp_path):
         d = Daemon(store_dir=tmp_path / "store", executor=fake_executor)
@@ -558,6 +609,178 @@ class TestPersistentConnection:
             DaemonClient(f"http://{host}:{port}", timeout=2).healthz()
         assert down.value.status == 0
         assert "unreachable" in str(down.value)
+
+
+@contextmanager
+def _served(daemon):
+    """A client on ``daemon``'s HTTP front end (scheduler not started)."""
+    server = make_server(daemon)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    try:
+        with DaemonClient(f"http://{host}:{port}") as client:
+            yield client
+    finally:
+        server.shutdown()
+        daemon.stop()
+        server.server_close()
+
+
+def _gated_daemon(tmp_path, gate, started):
+    def gated(job):
+        started.set()
+        gate.wait(10.0)
+        return fake_executor(job)
+
+    return Daemon(store_dir=tmp_path / "store", executor=gated)
+
+
+class TestHeldStatus:
+    """``GET /v1/jobs/{id}?wait=S`` answers when the job is terminal."""
+
+    def test_held_get_returns_within_50ms_of_finish(self, tmp_path):
+        d = Daemon(store_dir=tmp_path / "store",
+                   executor=lambda job: sleep_job(0.3, fake_executor(job)))
+        with _served(d) as client:
+            d.start()
+            accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                      "preset": "tiny"})
+            t0 = time.monotonic()
+            body = client.job(accepted["id"])
+            returned = time.time()
+            assert body["state"] == "done"
+            assert time.monotonic() - t0 >= 0.2  # it held, not polled
+            assert returned - body["finished_at"] < 0.05
+            hold = d.metrics.get("daemon.http_hold_seconds")
+            assert hold.count == 1
+
+    def test_hold_returns_when_stop_cancels_queued_job(self, tmp_path):
+        d = Daemon(store_dir=tmp_path / "store", executor=fake_executor)
+        with _served(d) as client:
+            # Never started: the job stays queued until stop().
+            accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                      "preset": "tiny"})
+            answers = []
+            waiter = threading.Thread(
+                target=lambda: answers.append(client.job(accepted["id"]))
+            )
+            waiter.start()
+            time.sleep(0.2)
+            t0 = time.monotonic()
+            d.stop()
+            waiter.join(5.0)
+            assert time.monotonic() - t0 < 1.0
+            assert [a["state"] for a in answers] == ["cancelled"]
+
+    def test_wait_zero_returns_running_snapshot_at_once(self, tmp_path):
+        gate, started = threading.Event(), threading.Event()
+        d = _gated_daemon(tmp_path, gate, started)
+        with _served(d) as client:
+            d.start()
+            accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                      "preset": "tiny"})
+            assert started.wait(5.0)
+            t0 = time.monotonic()
+            body = client.job(accepted["id"], wait=0)
+            assert time.monotonic() - t0 < 0.1
+            assert body["state"] == "running"
+            gate.set()
+
+    def test_wait_is_capped_and_bad_values_are_400(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import http
+
+        monkeypatch.setattr(http, "MAX_HOLD_S", 0.2)
+        gate, started = threading.Event(), threading.Event()
+        d = _gated_daemon(tmp_path, gate, started)
+        with _served(d) as client:
+            d.start()
+            accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                      "preset": "tiny"})
+            assert started.wait(5.0)
+            path = f"/v1/jobs/{accepted['id']}"
+            t0 = time.monotonic()
+            body = client._request("GET", path + "?wait=3600")
+            assert 0.15 < time.monotonic() - t0 < 1.0
+            assert body["state"] == "running"
+            for bad in ("soon", "-1", "nan"):
+                with pytest.raises(ClientError) as exc_info:
+                    client._request("GET", f"{path}?wait={bad}")
+                assert exc_info.value.status == 400
+            gate.set()
+
+    def test_unknown_id_is_404_without_holding(self, http_daemon):
+        _, client = http_daemon
+        t0 = time.monotonic()
+        with pytest.raises(ClientError) as exc_info:
+            client.job("feedface00000000")
+        assert exc_info.value.status == 404
+        assert time.monotonic() - t0 < 0.5
+
+    def test_daemon_killed_mid_hold_is_unreachable(self, tmp_path):
+        script = (
+            "import functools, sys\n"
+            "from repro.service import Daemon, serve, sleep_job\n"
+            "d = Daemon(store_dir=sys.argv[1],\n"
+            "           executor=functools.partial(sleep_job, 60.0))\n"
+            "serve(d, banner=lambda line: print(line, flush=True))\n"
+        )
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(repo_src))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            match = re.search(r"http://[\d.]+:\d+",
+                              proc.stdout.readline().decode())
+            assert match
+            with DaemonClient(match.group(0)) as client:
+                accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                          "preset": "tiny"})
+                errors = []
+
+                def hold():
+                    try:
+                        client.job(accepted["id"])
+                    except ClientError as exc:
+                        errors.append(exc)
+
+                waiter = threading.Thread(target=hold)
+                waiter.start()
+                time.sleep(0.3)
+                proc.kill()
+                waiter.join(5.0)
+                assert not waiter.is_alive()
+        finally:
+            proc.kill()
+            proc.wait()
+        assert [e.status for e in errors] == [0]
+        assert "unreachable" in str(errors[0])
+
+    def test_wait_keeps_its_interval_keyword(self, tmp_path):
+        d = Daemon(store_dir=tmp_path / "store",
+                   executor=lambda job: sleep_job(0.3, fake_executor(job)))
+        with _served(d) as client:
+            d.start()
+            accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                      "preset": "tiny"})
+            seen = []
+            final = client.wait(accepted["id"], timeout=10,
+                                interval=0.05, on_poll=seen.append)
+            assert final["state"] == "done"
+            # Each call held at most 0.05 s of the 0.3 s run.
+            assert len(seen) >= 3
+
+    def test_wait_is_one_held_call(self, http_daemon):
+        daemon, client = http_daemon
+        before = _count(daemon, "daemon.http_requests")
+        accepted = client.submit({"apps": ["lu"], "procs": 4,
+                                  "preset": "tiny"})
+        assert client.wait(accepted["id"], timeout=10)["state"] == "done"
+        client.results(accepted["id"])
+        assert _count(daemon, "daemon.http_requests") - before == 3
 
 
 class TestDaemonTracing:
