@@ -51,6 +51,9 @@ _PRESETS: dict[str, dict[str, dict]] = {
     },
 }
 
+#: The size presets, smallest first.
+PRESETS = tuple(_PRESETS)
+
 
 def build_app(
     name: str,

@@ -52,7 +52,7 @@ from pathlib import Path
 
 from . import MultiprocessorConfig, TangoExecutor, build_app
 from . import service
-from .apps import APP_NAMES
+from .apps import APP_NAMES, PRESETS
 from .net import NETWORK_KINDS
 from . import experiments as exp
 
@@ -165,20 +165,13 @@ def cmd_cosim(args) -> int:
         f"--window {args.window} --network {args.network} "
         f"--sync {args.sync}"
     )
-    result = cosim.run_cosim_app(
+    return _report_run(cosim.run_cosim_app(
         args.app, store,
         kind=args.kind, model=args.model, window=args.window,
         network=args.network, sync_mode=args.sync,
         contexts=args.contexts, trace=args.trace,
         out_dir=args.out, command=argv_echo,
-    )
-    print(result.report)
-    if result.errors:
-        print()
-        for err in result.errors:
-            print(f"VALIDATION FAILED: {err}")
-        return EXIT_FAILURE
-    return EXIT_OK
+    ))
 
 
 def cmd_profile(args) -> int:
@@ -192,20 +185,24 @@ def cmd_profile(args) -> int:
         f"profile {args.app} --kind {args.kind} --model {args.model} "
         f"--window {args.window} --network {args.network}"
     )
-    result = obs.run_profile(
+    return _report_run(obs.run_profile(
         args.app, store,
         kind=args.kind, model=args.model, window=args.window,
-        network=args.network,
-        trace=args.trace, metrics=args.metrics,
+        network=args.network, trace=args.trace,
         out_dir=args.out, command=argv_echo,
-    )
+    ))
+
+
+def _report_run(result) -> int:
+    """Print a ``cosim``/``profile`` report; fail on any artifact that
+    did not validate."""
     print(result.report)
     if result.errors:
         print()
         for err in result.errors:
             print(f"VALIDATION FAILED: {err}")
-        return 1
-    return 0
+        return EXIT_FAILURE
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -272,7 +269,7 @@ def _chaos_from_args(args) -> service.ChaosSpec | None:
 
 
 def _grid_payload(args) -> dict:
-    """The JSON request body equivalent of the batch/submit grid flags."""
+    """The JSON request body equivalent of the submit grid flags."""
     payload = {
         "kinds": list(args.kinds),
         "models": [m.upper() for m in args.models],
@@ -284,9 +281,8 @@ def _grid_payload(args) -> dict:
     }
     if args.apps:
         payload["apps"] = list(args.apps)
-    priority = getattr(args, "priority", 0)
-    if priority:
-        payload["priority"] = priority
+    if args.priority:
+        payload["priority"] = args.priority
     return payload
 
 
@@ -554,17 +550,6 @@ def cmd_top(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    if args.endpoint:
-        # Thin-client mode: hand the grid to one or more daemons (warm
-        # caches, shared store) instead of running a cold local pool.
-        report = service.dispatch(args.endpoint, _grid_payload(args))
-        print(report.format_summary())
-        if report.results:
-            print()
-            print(_format_remote_results(
-                report.results, "Daemon batch — completed results"
-            ))
-        return EXIT_OK if report.ok else EXIT_PARTIAL
     grid = service.expand_grid(
         apps=tuple(args.apps) if args.apps else APP_NAMES,
         kinds=tuple(args.kinds),
@@ -667,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--penalty", type=int, default=50,
                         help="cache miss penalty in cycles")
     parser.add_argument("--preset", default="default",
-                        choices=("tiny", "default", "large"),
+                        choices=PRESETS,
                         help="application size preset")
     parser.add_argument("--cache-dir", default=exp.runner.DEFAULT_CACHE_DIR,
                         help="trace cache directory")
@@ -769,12 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interconnect backend for the profiled run")
     p_prof.add_argument("--trace", action="store_true",
                         help="emit a Chrome trace_event JSON timeline")
-    p_prof.add_argument("--metrics", action="store_true", default=True,
-                        help="write the metrics registry snapshot "
-                             "(metrics.json; on by default)")
-    p_prof.add_argument("--no-metrics", dest="metrics",
-                        action="store_false",
-                        help="skip writing metrics.json")
     p_prof.add_argument("--out", default="results/profiles",
                         help="output directory for profile artifacts")
     p_prof.set_defaults(func=cmd_profile)
@@ -871,11 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"fault injection (testing): {what} for scheduled job "
                  f"IDX on its first N attempts (default: all attempts)",
         )
-    p_batch.add_argument("--endpoint", nargs="*", default=None,
-                         metavar="URL",
-                         help="submit the grid to running daemon(s) "
-                              "instead of a local pool; several URLs "
-                              "shard the grid across them")
     p_batch.add_argument("--trace", action="store_true",
                          help="record a distributed trace of the batch "
                               "(supervisor, per-job, per-attempt and "

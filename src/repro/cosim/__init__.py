@@ -25,11 +25,10 @@ The moving parts:
 """
 
 from .engine import CosimEngine, CosimNode, CosimResult
-from .report import CosimAppResult, format_cosim_report, run_cosim_app
+from .report import format_cosim_report, run_cosim_app
 from .run import build_node, replay_solo, run_cosim
 
 __all__ = [
-    "CosimAppResult",
     "CosimEngine",
     "CosimNode",
     "CosimResult",

@@ -18,30 +18,15 @@ artifacts of the ``profile`` subcommand — a Perfetto-loadable
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..cpu import ProcessorConfig
 from .run import replay_solo, run_cosim
 
-
-@dataclass
-class CosimAppResult:
-    """Everything one co-simulated run produced."""
-
-    app: str
-    config: dict
-    result: object  # CosimResult
-    report: str
-    out_dir: Path | None = None
-    outputs: dict[str, Path] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+if TYPE_CHECKING:  # repro.obs imports this package: import it lazily
+    from ..obs import RunResult
 
 
 def run_cosim_app(
@@ -54,10 +39,9 @@ def run_cosim_app(
     sync_mode: str = "replay",
     contexts: int = 1,
     trace: bool = False,
-    metrics: bool = True,
     out_dir: Path | str | None = None,
     command: str = "",
-) -> CosimAppResult:
+) -> RunResult:
     """Co-simulate ``app`` and (optionally) write run artifacts.
 
     ``store`` is a :class:`~repro.experiments.runner.TraceStore`; the
@@ -70,10 +54,8 @@ def run_cosim_app(
         ChromeTracer,
         MetricsRegistry,
         Probe,
-        build_manifest,
-        validate_manifest,
-        validate_trace,
-        write_manifest,
+        RunResult,
+        write_run_artifacts,
     )
 
     kind = kind.lower()
@@ -125,53 +107,24 @@ def run_cosim_app(
         "miss_penalty": store.miss_penalty,
         "preset": store.preset,
         "trace": trace,
-        "metrics": metrics,
     }
-    errors: list[str] = []
     outputs: dict[str, Path] = {}
+    errors: list[str] = []
     run_id = (
         f"{app}-cosim-{kind}-{model.lower()}-{network}-{sync_mode}"
     )
-
+    out_path = None
     if write_artifacts:
         out_path = Path(out_dir) / run_id
-        out_path.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        if tracer is not None:
-            trace_path = out_path / "trace.json"
-            tracer.write(trace_path, other_data={"run_id": run_id})
-            outputs["trace"] = trace_path
-            errors += [
-                f"trace: {e}"
-                for e in validate_trace(json.loads(trace_path.read_text()))
-            ]
-        if metrics:
-            metrics_path = out_path / "metrics.json"
-            metrics_path.write_text(json.dumps(
-                registry.snapshot(), sort_keys=True, indent=1,
-            ) + "\n")
-            outputs["metrics"] = metrics_path
-        manifest_path = out_path / "manifest.json"
-        manifest = build_manifest(
-            command or f"python -m repro cosim {app}",
-            config_dict, timings | {"write": time.perf_counter() - t0},
-            outputs,
+        outputs, errors = write_run_artifacts(
+            out_path, run_id, command or f"python -m repro cosim {app}",
+            config_dict, timings, registry, tracer,
         )
-        write_manifest(manifest_path, manifest)
-        outputs["manifest"] = manifest_path
-        errors += [
-            f"manifest: {e}"
-            for e in validate_manifest(
-                json.loads(manifest_path.read_text())
-            )
-        ]
-    else:
-        out_path = None
 
     report = format_cosim_report(run_id, label, result, outputs, solo)
-    return CosimAppResult(
-        app=app, config=config_dict, result=result, report=report,
-        out_dir=out_path, outputs=outputs, errors=errors,
+    return RunResult(
+        app=app, config=config_dict, report=report, out_dir=out_path,
+        outputs=outputs, errors=errors, result=result,
     )
 
 

@@ -7,8 +7,9 @@ counter.  A conditional branch that misses in the BTB is predicted
 not-taken; an indirect jump that misses is a misprediction by definition
 (its target is unknown at decode).  Replacement is LRU within a set.
 
-The same model serves two places: inside the dynamically scheduled
-processor, and standalone to produce Table 3's prediction statistics.
+The dynamically scheduled processor replays it over a whole trace once
+(:func:`repro.cpu.kernels.control_mispredicts`); Table 3 reports the
+same outcome column.
 """
 
 from __future__ import annotations
@@ -85,27 +86,3 @@ class BranchTargetBuffer:
         ways.remove(entry)
         ways.insert(0, entry)
 
-
-def predicted_correctly(
-    btb: BranchTargetBuffer,
-    op: Op,
-    pc: int,
-    next_pc: int,
-) -> bool:
-    """Predict-then-update convenience; True if the prediction was right.
-
-    ``next_pc`` is the actual dynamic successor from the trace.
-    """
-    fallthrough = pc + 1
-    prediction = btb.predict(op, pc, fallthrough)
-    taken = next_pc != fallthrough
-    if op in (Op.J, Op.JAL):
-        correct = True
-    elif prediction == -2:
-        correct = True
-    elif prediction == -1:
-        correct = False
-    else:
-        correct = prediction == next_pc
-    btb.update(op, pc, taken, next_pc)
-    return correct

@@ -157,16 +157,13 @@ def _compact(buf: list, head: int) -> int:
 class DSConfig:
     """Configuration of the dynamically scheduled processor."""
 
-    window: int = 64
-    issue_width: int = 1
-    #: Store buffer entries; ``None`` sizes it with the window (the paper
+    #: Reorder-buffer entries; the store buffer has as many (the paper
     #: notes the DS processor uses a larger write buffer than the static
     #: processors' 16 entries).
-    store_buffer_depth: int | None = None
+    window: int = 64
+    issue_width: int = 1
     perfect_branch_prediction: bool = False
     ignore_data_dependences: bool = False
-    btb_entries: int = 2048
-    btb_assoc: int = 4
     #: Collect per-read-miss issue-delay samples (§4.1.3 analysis).
     collect_miss_stats: bool = False
     #: [8]-style non-binding prefetch: a memory operation whose issue is
@@ -182,18 +179,12 @@ class DSConfig:
     speculative_loads: bool = False
 
     def __post_init__(self) -> None:
-        # A zero-entry window, port or buffer never retires anything:
-        # the cycle loop would spin forever instead of failing.
-        for name in ("window", "issue_width", "btb_entries", "btb_assoc",
-                     "store_buffer_depth"):
+        # A zero-entry window or port never retires anything: the cycle
+        # loop would spin forever instead of failing.
+        for name in ("window", "issue_width"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-
-    def resolved_store_depth(self) -> int:
-        return self.window if self.store_buffer_depth is None else (
-            self.store_buffer_depth
-        )
 
 
 _N_CLS = max(_MEM_CLASSES) + 1
@@ -209,7 +200,7 @@ class _DSIndex:
     Attached to the shared per-trace cache
     (:class:`repro.cpu.static_fast._TraceIndex`), so one instance serves
     every consistency model, window size, and network over the same
-    trace.  Branch-prediction outcome columns are cached per BTB shape.
+    trace, and Table 3 reads its branch-prediction outcome column.
     """
 
     __slots__ = (
@@ -252,20 +243,16 @@ class _DSIndex:
                 np.nonzero(mc_np >= _MC_ACQUIRE)[0].tolist()
             )
         }
-        self._misp = {}
+        self._misp = None
 
-    def mispredicts(self, trace: Trace, entries: int, assoc: int) -> list:
-        """Full-length misprediction column for one BTB shape."""
-        key = (entries, assoc)
-        misp = self._misp.get(key)
-        if misp is None:
+    def mispredicts(self, trace: Trace) -> list:
+        """Full-length misprediction column of the paper's BTB."""
+        if self._misp is None:
             cols = trace.np_columns()
-            misp = control_mispredicts(
-                cols[0], cols[1], cols[2],
-                BranchTargetBuffer(entries, assoc),
+            self._misp = control_mispredicts(
+                cols[0], cols[1], cols[2], BranchTargetBuffer(),
             ).tolist()
-            self._misp[key] = misp
-        return misp
+        return self._misp
 
 
 def _ds_index(trace: Trace) -> _DSIndex:
@@ -303,7 +290,7 @@ def ds_fast_stepper(
     idx = _ds_index(trace)
     n = idx.n
     window = cfg.window
-    store_depth = cfg.resolved_store_depth()
+    store_depth = window
     iw = cfg.issue_width
     ignore_deps = cfg.ignore_data_dependences
     speculative = cfg.speculative_loads
@@ -325,7 +312,7 @@ def ds_fast_stepper(
     if cfg.perfect_branch_prediction:
         misp_l = bytes(n)
     else:
-        misp_l = idx.mispredicts(trace, cfg.btb_entries, cfg.btb_assoc)
+        misp_l = idx.mispredicts(trace)
 
     # Observability, with the per-retire track()/f-string lookups
     # hoisted into a lane-handle cache.

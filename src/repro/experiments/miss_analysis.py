@@ -37,12 +37,6 @@ class MissAnalysis:
         late = sum(1 for d in self.issue_delays if d > threshold)
         return late / len(self.issue_delays)
 
-    def frac_distance_in(self, lo: int, hi: int) -> float:
-        if not self.distances:
-            return 0.0
-        within = sum(1 for d in self.distances if lo <= d <= hi)
-        return within / len(self.distances)
-
     def median_distance(self) -> float:
         if not self.distances:
             return 0.0

@@ -7,19 +7,27 @@ average distance between mispredictions.
 
 Following the paper, "branches" here are the control-transfer
 instructions whose outcome prediction matters: conditional branches and
-indirect jumps.  Direct jumps always predict correctly.
+indirect jumps.  Direct jumps always predict correctly.  The outcomes
+are the DS processor's own: the misprediction column its engine caches
+per trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cpu import BranchTargetBuffer
-from ..cpu.ds.btb import predicted_correctly
+import numpy as np
+
+from ..cpu.ds.event_engine import _ds_index
 from ..isa import Op, is_cond_branch
 from ..tango import Trace
 from .report import format_table
 from .runner import TraceStore, default_store
+
+#: Opcode-indexed mask of the rows Table 3 counts as branches.
+_IS_BRANCH = np.zeros(max(Op) + 1, dtype=bool)
+for _op in Op:
+    _IS_BRANCH[_op] = is_cond_branch(_op) or _op is Op.JR
 
 
 @dataclass
@@ -47,22 +55,15 @@ class Table3Row:
         return self.instructions / missed if missed else float("inf")
 
 
-def analyze_trace(app: str, trace: Trace,
-                  btb_entries: int = 2048, btb_assoc: int = 4) -> Table3Row:
-    btb = BranchTargetBuffer(btb_entries, btb_assoc)
-    branches = 0
-    predicted = 0
-    for record in trace:
-        op = record.op
-        if is_cond_branch(op) or op is Op.JR:
-            branches += 1
-            if predicted_correctly(btb, op, record.pc, record.next_pc):
-                predicted += 1
+def analyze_trace(app: str, trace: Trace) -> Table3Row:
+    branch = _IS_BRANCH[trace.np_columns()[0]]
+    misp = np.array(_ds_index(trace).mispredicts(trace), dtype=bool)
+    branches = int(branch.sum())
     return Table3Row(
         app=app,
         instructions=len(trace),
         branches=branches,
-        predicted=predicted,
+        predicted=branches - int((misp & branch).sum()),
     )
 
 

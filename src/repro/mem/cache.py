@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 INVALID = 0
 SHARED = 1
 EXCLUSIVE = 2
@@ -104,30 +102,6 @@ class Cache:
 
     def holds(self, addr: int) -> bool:
         return self.state_of(addr) != INVALID
-
-    # -- batch lookups ------------------------------------------------------
-
-    def batch_states(self, addrs) -> np.ndarray:
-        """MESI states for a whole address column at once.
-
-        Vectorizes the set-index/tag-match of :meth:`state_of` over an
-        ``int64`` address array: one division for the line addresses, one
-        mask for the set indices, one gather + compare against the tag
-        array.  The cache is not mutated — this answers "which of these
-        accesses would hit *right now*", which is what trace-locality
-        analysis and the perf smoke measure.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        lines = addrs // self.line_size
-        idx = lines % self.num_lines
-        tags = np.asarray(self._line_addr, dtype=np.int64)
-        states = np.asarray(self._state, dtype=np.uint8)
-        return np.where(tags[idx] == lines, states[idx],
-                        np.uint8(INVALID))
-
-    def batch_hits(self, addrs) -> np.ndarray:
-        """Boolean hit mask for a whole address column (see batch_states)."""
-        return self.batch_states(addrs) != INVALID
 
     # -- local transitions (driven by the coherence controller) ------------
 

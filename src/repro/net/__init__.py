@@ -9,12 +9,7 @@ None — the fixed penalty, kept as the default backend.
 """
 
 from .directory import DirectoryModel
-from .model import (
-    NETWORK_KINDS,
-    ContentionNetwork,
-    NetworkConfig,
-    build_network,
-)
+from .model import NETWORK_KINDS, ContentionNetwork, build_network
 from .topology import Crossbar, Mesh, Topology
 
 __all__ = [
@@ -23,7 +18,6 @@ __all__ = [
     "Crossbar",
     "DirectoryModel",
     "Mesh",
-    "NetworkConfig",
     "Topology",
     "build_network",
 ]

@@ -3,7 +3,7 @@
 Every cache line has a *home node* (``line % n_nodes``) whose directory
 controller is the serialization point for coherence on that line.  The
 controller handles one request at a time: each request occupies it for
-``occupancy`` cycles, and a request arriving while the controller is
+``DIR_OCCUPANCY`` cycles, and a request arriving while the controller is
 busy queues behind the earlier one.  This is where misses racing to the
 same home become visible as latency — the second request sits in the
 home node's queue until the first finishes.
@@ -16,17 +16,17 @@ transient directory states.
 
 from __future__ import annotations
 
+#: Cycles the directory controller spends looking up one request.
+DIR_OCCUPANCY = 4
+
 
 class DirectoryModel:
     """Per-node directory controllers with FIFO occupancy."""
 
-    def __init__(self, n_nodes: int, occupancy: int) -> None:
+    def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ValueError("directory needs at least one node")
-        if occupancy < 0:
-            raise ValueError("directory occupancy must be >= 0")
         self.n_nodes = n_nodes
-        self.occupancy = occupancy
         self._free = [0] * n_nodes  # controller free-time per node
         # Occupancy statistics: per-node serve counts and queue waits
         # (cycles a request sat behind earlier ones at its home node).
@@ -51,7 +51,7 @@ class DirectoryModel:
             if wait > self._wait_max:
                 self._wait_max = wait
         self._serves[node] += 1
-        done = start + self.occupancy
+        done = start + DIR_OCCUPANCY
         self._free[node] = done
         return done
 
@@ -73,10 +73,3 @@ class DirectoryModel:
             "hottest_node": hottest,
             "hottest_serves": hottest_serves,
         }
-
-    def reset_timing(self) -> None:
-        """Forget queueing state (used between per-model replays)."""
-        self._free = [0] * self.n_nodes
-        self._serves = [0] * self.n_nodes
-        self._wait_sum = [0] * self.n_nodes
-        self._wait_max = 0

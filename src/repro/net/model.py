@@ -10,8 +10,8 @@ occupancy, the memory access and the data reply::
     + memory latency + data reply (home -> cpu)
 
 Each message walks its route's links: a link is busy for
-``link_occupancy`` cycles per control message and ``data_occupancy``
-per line-sized reply (finite bandwidth), so a burst of overlapped misses
+``LINK_OCCUPANCY`` cycles per control message and that per flit of a
+line-sized reply (finite bandwidth), so a burst of overlapped misses
 from a dynamically scheduled processor queues at its injection port and
 at hot directory nodes — the contention the paper's fixed-latency
 assumption explicitly sets aside.
@@ -27,51 +27,30 @@ always built with the fixed penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .directory import DirectoryModel
 from .topology import Crossbar, Mesh, Topology
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Timing parameters for the interconnect/directory model."""
-
-    hop_latency: int = 2  # cycles for a message to traverse one link
-    link_occupancy: int = 2  # cycles a control message keeps a link busy
-    #: cycles a *data* message (a full cache line of flits) keeps each
-    #: link busy; None derives it as link_occupancy x line-size flits.
-    #: This is what makes overlapped misses contend: every reply ejects
-    #: at the requester's port, so a burst of outstanding misses
-    #: serializes there even when their homes differ.
-    data_occupancy: int | None = None
-    dir_occupancy: int = 4  # directory controller lookup time
-    memory_latency: int = 30  # DRAM access at the home node
-    mesh_width: int | None = None  # mesh columns; None = near-square
+#: Cycles for a message to traverse one link.
+HOP_LATENCY = 2
+#: Cycles a control message keeps a link busy.  A *data* message (a
+#: full cache line of 4-byte flits) keeps each link busy this long per
+#: flit.  This is what makes overlapped misses contend: every reply
+#: ejects at the requester's port, so a burst of outstanding misses
+#: serializes there even when their homes differ.
+LINK_OCCUPANCY = 2
+#: DRAM access at the home node.
+MEMORY_LATENCY = 30
 
 
 class ContentionNetwork:
     """Topology + directory timing with per-link FIFO queueing."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        line_size: int,
-        config: NetworkConfig | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology, line_size: int) -> None:
         self.topology = topology
         self.line_size = line_size
-        self.config = config or NetworkConfig()
-        self.directory = DirectoryModel(
-            topology.n_nodes, self.config.dir_occupancy
-        )
-        if self.config.data_occupancy is not None:
-            self._data_occ = self.config.data_occupancy
-        else:
-            # A data message carries the whole line as 4-byte flits.
-            self._data_occ = self.config.link_occupancy * max(
-                1, line_size // 4
-            )
+        self.directory = DirectoryModel(topology.n_nodes)
+        self._data_occ = LINK_OCCUPANCY * max(1, line_size // 4)
         self._link_free = [0] * topology.n_links
         #: observed miss latencies, in query order
         self.latencies: list[int] = []
@@ -95,16 +74,6 @@ class ContentionNetwork:
             probe is not None and probe.tracer is not None
         ) else None
 
-    def reset(self) -> None:
-        """Fresh timing state and stats (used between per-model runs)."""
-        n_links = self.topology.n_links
-        self._link_free = [0] * n_links
-        self._link_samples = [0] * n_links
-        self._link_depth_sum = [0] * n_links
-        self._link_depth_max = [0] * n_links
-        self.directory.reset_timing()
-        self.latencies = []
-
     # -- message timing ------------------------------------------------
 
     def _hop(self, link: int, t: int, occupancy: int) -> int:
@@ -113,7 +82,7 @@ class ContentionNetwork:
 
         The message departs when both it has arrived and the link is
         free, occupies the link for ``occupancy`` cycles and arrives
-        ``hop_latency`` later.
+        ``HOP_LATENCY`` later.
         """
         free = self._link_free[link]
         if t >= free:
@@ -137,7 +106,7 @@ class ContentionNetwork:
                 "hop", "net", pid, tid, depart,
                 args={"link": link, "queue_depth": depth},
             )
-        return depart + self.config.hop_latency
+        return depart + HOP_LATENCY
 
     def _send(
         self, src: int, dst: int, start: int, data: bool = False
@@ -145,10 +114,10 @@ class ContentionNetwork:
         """Deliver one message; returns its arrival.
 
         The message walks its route link by link — control messages
-        hold each link for ``link_occupancy``, data replies for the
-        line-sized ``data_occupancy``.
+        hold each link for ``LINK_OCCUPANCY``, data replies for the
+        line-sized data occupancy.
         """
-        occupancy = self._data_occ if data else self.config.link_occupancy
+        occupancy = self._data_occ if data else LINK_OCCUPANCY
         hop = self._hop
         t = start
         for link in self.topology.route(src, dst):
@@ -193,7 +162,7 @@ class ContentionNetwork:
         home = self.directory.home(line)
         t = self._send(cpu, home, now)
         t = self.directory.serve(home, t)
-        t += self.config.memory_latency
+        t += MEMORY_LATENCY
         t = self._send(home, cpu, t, data=True)
         return self._record(
             now, t, cpu, "replay_write" if is_write else "replay_read"
@@ -283,14 +252,13 @@ def build_network(
     """
     if kind == "ideal":
         return None
-    config = NetworkConfig()
     if kind == "crossbar":
         topo: Topology = Crossbar(n_nodes)
     elif kind == "mesh":
-        topo = Mesh(n_nodes, config.mesh_width)
+        topo = Mesh(n_nodes)
     else:
         raise ValueError(
             f"unknown network kind {kind!r}; expected one of "
             f"{', '.join(NETWORK_KINDS)}"
         )
-    return ContentionNetwork(topo, line_size, config)
+    return ContentionNetwork(topo, line_size)

@@ -87,12 +87,10 @@ class Mesh(Topology):
 
     kind = "mesh"
 
-    def __init__(self, n_nodes: int, width: int | None = None) -> None:
+    def __init__(self, n_nodes: int) -> None:
         super().__init__(n_nodes)
-        if width is None:
-            width = max(1, math.isqrt(n_nodes - 1) + 1) if n_nodes > 1 else 1
-        if width < 1:
-            raise ValueError("mesh width must be positive")
+        # Near-square: the narrowest width whose square holds every node.
+        width = math.isqrt(n_nodes - 1) + 1 if n_nodes > 1 else 1
         self.width = width
         self.height = (n_nodes + width - 1) // width
         self._inject = [self._new_link() for _ in range(n_nodes)]

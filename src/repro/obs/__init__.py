@@ -32,10 +32,12 @@ from .log import LEVELS as LOG_LEVELS
 from .log import NULL_LOG, JsonLogger
 from .manifest import (
     MANIFEST_SCHEMA,
+    RunResult,
     build_manifest,
     git_revision,
     validate_manifest,
     write_manifest,
+    write_run_artifacts,
 )
 from .metrics import (
     LATENCY_BOUNDS,
@@ -51,7 +53,7 @@ from .metrics import (
     occupancy_bounds,
 )
 from .probe import Probe
-from .profile import PROFILE_MODELS, ProfileResult, run_profile
+from .profile import PROFILE_MODELS, run_profile
 from .prom import PROM_CONTENT_TYPE, prom_name, render_prometheus
 from .spans import (
     CAT_SERVICE,
@@ -90,8 +92,8 @@ __all__ = [
     "PROFILE_MODELS",
     "PROM_CONTENT_TYPE",
     "Probe",
-    "ProfileResult",
     "Reservoir",
+    "RunResult",
     "SECONDS_BOUNDS",
     "Span",
     "SpanSink",
@@ -110,5 +112,6 @@ __all__ = [
     "validate_manifest",
     "validate_trace",
     "write_manifest",
+    "write_run_artifacts",
     "write_spans",
 ]

@@ -1,11 +1,13 @@
-"""Machine-readable run manifests for profiled runs.
+"""Run artifacts: machine-readable manifests and the files beside them.
 
-Every ``python -m repro profile`` invocation writes a ``manifest.json``
-next to its trace/metrics outputs recording exactly what produced them:
-the resolved configuration, the git revision, wall-clock timings per
-phase, and the emitted files with sizes.  The manifest is metadata — it
-carries timestamps and timings and is *not* required to be
-deterministic; the trace and metrics files are.
+Every ``python -m repro profile`` run, and every ``cosim`` run with an
+output directory, writes a ``manifest.json`` next to its trace/metrics
+outputs recording exactly what produced them: the resolved
+configuration, the git revision, wall-clock timings per phase, and the
+emitted files with sizes.  The manifest is metadata — it carries
+timestamps and timings and is *not* required to be deterministic; the
+trace and metrics files are.  :func:`write_run_artifacts` writes and
+validates all three; :class:`RunResult` is what such a run returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+
+from .tracer import validate_trace
 
 MANIFEST_SCHEMA = "repro-profile-manifest/1"
 
@@ -97,3 +102,65 @@ def validate_manifest(obj) -> list[str]:
         if not isinstance(entry, dict) or "path" not in entry:
             errors.append(f"output {label!r} has no path")
     return errors
+
+
+@dataclass
+class RunResult:
+    """Everything one reported run (``profile`` or ``cosim``) produced."""
+
+    app: str
+    config: dict
+    report: str
+    out_dir: Path | None = None
+    outputs: dict[str, Path] = field(default_factory=dict)
+    errors: list[str] = field(default_factory=list)
+    #: the run's own result object (a co-simulation's CosimResult)
+    result: object = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+
+def write_run_artifacts(
+    out_dir: Path,
+    run_id: str,
+    command: str,
+    config: dict,
+    timings: dict,
+    registry,
+    tracer=None,
+) -> tuple[dict[str, Path], list[str]]:
+    """Write ``trace.json`` (with a tracer), ``metrics.json`` and
+    ``manifest.json`` under ``out_dir``, re-reading the trace and the
+    manifest to validate them.  Returns the outputs by label and the
+    validation failures (empty == ok)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    errors: list[str] = []
+    outputs: dict[str, Path] = {}
+    if tracer is not None:
+        trace_path = out_dir / "trace.json"
+        tracer.write(trace_path, other_data={"run_id": run_id})
+        outputs["trace"] = trace_path
+        errors += [
+            f"trace: {e}"
+            for e in validate_trace(json.loads(trace_path.read_text()))
+        ]
+    metrics_path = out_dir / "metrics.json"
+    metrics_path.write_text(json.dumps(
+        registry.snapshot(), sort_keys=True, indent=1,
+    ) + "\n")
+    outputs["metrics"] = metrics_path
+    manifest_path = out_dir / "manifest.json"
+    manifest = build_manifest(
+        command, config, timings | {"write": time.perf_counter() - t0},
+        outputs,
+    )
+    write_manifest(manifest_path, manifest)
+    outputs["manifest"] = manifest_path
+    errors += [
+        f"manifest: {e}"
+        for e in validate_manifest(json.loads(manifest_path.read_text()))
+    ]
+    return outputs, errors

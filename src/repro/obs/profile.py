@@ -14,7 +14,8 @@ combination:
    (reorder buffer, store buffer, per-link queues), miss-latency
    distributions, and — with tracing on — per-instruction retire spans
    plus network transaction spans;
-4. everything lands under ``results/profiles/<run-id>/``: a Perfetto-
+4. everything lands under ``results/profiles/<run-id>/``
+   (:func:`~repro.obs.manifest.write_run_artifacts`): a Perfetto-
    loadable ``trace.json`` (opt-in), a deterministic ``metrics.json``,
    and a ``manifest.json`` recording config, git revision and timings.
 
@@ -24,17 +25,15 @@ the same configuration; only the manifest carries wall-clock data.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cosim import replay_solo
 from ..cpu import ProcessorConfig
-from .manifest import build_manifest, validate_manifest, write_manifest
+from .manifest import RunResult, write_run_artifacts
 from .metrics import MetricsRegistry, format_histogram
 from .probe import Probe
-from .tracer import ChromeTracer, validate_trace
+from .tracer import ChromeTracer
 
 #: Consistency models swept for the stall-attribution table.
 PROFILE_MODELS = ("SC", "PC", "WO", "RC")
@@ -49,22 +48,6 @@ _OCCUPANCY_HISTS = (
 )
 
 
-@dataclass
-class ProfileResult:
-    """Everything one profile run produced."""
-
-    app: str
-    config: dict
-    report: str
-    out_dir: Path
-    outputs: dict[str, Path] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def run_profile(
     app: str,
     store,
@@ -73,17 +56,16 @@ def run_profile(
     window: int = 64,
     network: str = "ideal",
     trace: bool = True,
-    metrics: bool = True,
     out_dir: Path | str = "results/profiles",
     command: str = "",
-) -> ProfileResult:
+) -> RunResult:
     """Profile ``app`` and write trace/metrics/manifest under ``out_dir``.
 
     ``store`` is a :class:`~repro.experiments.runner.TraceStore`
     (it pins processor count, miss penalty, preset and cache dir).
-    ``trace``/``metrics`` gate the two instrumentation
-    channels; the report always renders (from an in-memory registry).
-    Returns a :class:`ProfileResult`; ``errors`` carries any
+    ``trace`` gates the timeline; the metrics are always written and
+    the report always renders.  Returns a
+    :class:`~repro.obs.manifest.RunResult`; ``errors`` carries any
     trace/manifest validation failures.
     """
     kind = kind.lower()
@@ -132,7 +114,6 @@ def run_profile(
     # -- outputs -------------------------------------------------------
     run_id = f"{app}-{kind}-{model.lower()}-{network}-w{window}"
     out_dir = Path(out_dir) / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "app": app,
         "kind": kind,
@@ -143,42 +124,16 @@ def run_profile(
         "miss_penalty": store.miss_penalty,
         "preset": store.preset,
         "trace": trace,
-        "metrics": metrics,
     }
-    errors: list[str] = []
-    outputs: dict[str, Path] = {}
-
-    t0 = time.perf_counter()
-    if tracer is not None:
-        trace_path = out_dir / "trace.json"
-        tracer.write(trace_path, other_data={"run_id": run_id})
-        outputs["trace"] = trace_path
-        errors += [
-            f"trace: {e}"
-            for e in validate_trace(json.loads(trace_path.read_text()))
-        ]
-    if metrics:
-        metrics_path = out_dir / "metrics.json"
-        metrics_path.write_text(json.dumps(
-            registry.snapshot(), sort_keys=True, indent=1,
-        ) + "\n")
-        outputs["metrics"] = metrics_path
-    manifest_path = out_dir / "manifest.json"
-    manifest = build_manifest(
-        command or f"python -m repro profile {app}",
-        config, timings | {"write": time.perf_counter() - t0}, outputs,
+    outputs, errors = write_run_artifacts(
+        out_dir, run_id, command or f"python -m repro profile {app}",
+        config, timings, registry, tracer,
     )
-    write_manifest(manifest_path, manifest)
-    outputs["manifest"] = manifest_path
-    errors += [
-        f"manifest: {e}"
-        for e in validate_manifest(json.loads(manifest_path.read_text()))
-    ]
 
     report = _format_report(
         run_id, run, sweep, primary, registry, net, tracer, outputs
     )
-    return ProfileResult(
+    return RunResult(
         app=app, config=config, report=report, out_dir=out_dir,
         outputs=outputs, errors=errors,
     )

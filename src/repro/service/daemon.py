@@ -54,6 +54,9 @@ from .queue import (
 from .store import ResultStore
 
 DEFAULT_DAEMON_DIR = Path("results") / "daemon"
+#: Result payloads the in-memory byte cache keeps, least recently used
+#: first out.
+RESULT_CACHE_SIZE = 4096
 
 
 def _validated_priority(payload: dict) -> int:
@@ -86,9 +89,7 @@ class Daemon:
         grace: float = 5.0,
         metrics: MetricsRegistry | None = None,
         log=None,
-        span_dir: Path | str | None = None,
         executor=None,
-        result_cache_size: int = 4096,
     ) -> None:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(enabled=True)
@@ -101,17 +102,13 @@ class Daemon:
         self.cache_dir = str(cache_dir) if cache_dir else None
         # Side-channel span collection: the daemon's own spans live in
         # the in-memory sink; worker processes append theirs as JSONL
-        # files under span_dir (a sibling of the store by default).
+        # files under span_dir, a sibling of the store.
         self.spans = SpanSink()
-        self.span_dir = (
-            Path(span_dir) if span_dir
-            else Path(store_dir).parent / "spans"
-        )
+        self.span_dir = Path(store_dir).parent / "spans"
         self.workers = workers
         self.grace = grace
         self.started_at = time.time()
         self._result_cache: OrderedDict[str, bytes] = OrderedDict()
-        self._result_cache_size = result_cache_size
         self._cache_lock = threading.Lock()
         self._thread: threading.Thread | None = None
         self._pool: SupervisedPool | None = None
@@ -305,7 +302,7 @@ class Daemon:
         with self._cache_lock:
             self._result_cache[key] = payload
             self._result_cache.move_to_end(key)
-            while len(self._result_cache) > self._result_cache_size:
+            while len(self._result_cache) > RESULT_CACHE_SIZE:
                 self._result_cache.popitem(last=False)
 
     # -- scheduler -----------------------------------------------------

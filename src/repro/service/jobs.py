@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps import APP_NAMES
+from ..apps import APP_NAMES, PRESETS
 
 #: ``cosim`` is the co-simulated DS multiprocessor (all processors on
 #: one shared fabric, :mod:`repro.cosim`); it keeps both the model and
 #: window axes, like ``ds``.
 KINDS = ("base", "ssbr", "ss", "ds", "cosim")
 MODELS = ("SC", "PC", "WO", "RC")
-PRESETS = ("tiny", "default", "large")
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,6 @@ class CpuStats:
     #: Final virtual clock of the thread.
     end_time: int = 0
 
-    def per_thousand(self, count: int) -> float:
-        """Rate of ``count`` per thousand instructions."""
-        if self.busy_cycles == 0:
-            return 0.0
-        return 1000.0 * count / self.busy_cycles
-
 
 @dataclass
 class RunStats:

@@ -310,10 +310,6 @@ class Trace:
         """Materialised record views (compatibility/debug helper)."""
         return list(self)
 
-    def to_records(self) -> list[TraceRecord]:
-        """Alias of :attr:`records` with method-call syntax."""
-        return list(self)
-
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self):
@@ -367,17 +363,3 @@ class Trace:
         cols = self.np_columns()
         cls, stall = cols[9], cols[7]
         return int(((cls == int(MemClass.WRITE)) & (stall > 0)).sum())
-
-    def total_read_stall(self) -> int:
-        if not len(self):
-            return 0
-        cols = self.np_columns()
-        cls, stall = cols[9], cols[7]
-        return int(stall[cls == int(MemClass.READ)].sum())
-
-    def total_write_stall(self) -> int:
-        if not len(self):
-            return 0
-        cols = self.np_columns()
-        cls, stall = cols[9], cols[7]
-        return int(stall[cls == int(MemClass.WRITE)].sum())

@@ -168,14 +168,15 @@ class DSProcessor:
         #: optional repro.obs.Probe — occupancy histograms + retire spans;
         #: purely observational, never alters timing.
         self.probe = probe if probe is not None and probe.enabled else None
-        self.btb = BranchTargetBuffer(
-            self.config.btb_entries, self.config.btb_assoc
-        )
+        self.btb = BranchTargetBuffer()
         #: Issue-delay (decode -> memory issue) of each read miss, and the
         #: dynamic distance between consecutive read misses, collected when
         #: config.collect_miss_stats is set.
         self.read_miss_issue_delays: list[int] = []
         self.read_miss_distances: list[int] = []
+        #: Cycles retirement stalled on a full store buffer, so tests can
+        #: show that a configuration reaches that stall.
+        self.full_store_buffer_cycles = 0
 
     def run(
         self, label: str | None = None, network=None
@@ -203,7 +204,7 @@ class DSProcessor:
          col_addr, col_stall, col_wait, col_mc) = self.trace.columns()
         n = len(col_op)
         window = cfg.window
-        store_depth = cfg.resolved_store_depth()
+        store_depth = window
         ignore_deps = cfg.ignore_data_dependences
         perfect_bp = cfg.perfect_branch_prediction
         net_cpu = self.trace.cpu
@@ -603,6 +604,7 @@ class DSProcessor:
                         stall_reason = "other"
                         break
                     if len(store_buffer) - store_head >= store_depth:
+                        self.full_store_buffer_cycles += 1
                         stall_reason = "write"
                         break
                     store_buffer.append(head)

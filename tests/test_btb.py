@@ -1,10 +1,22 @@
 """Tests for the branch target buffer."""
 
+import numpy as np
 import pytest
 
 from repro.cpu import BranchTargetBuffer
-from repro.cpu.ds.btb import predicted_correctly
+from repro.cpu.kernels import control_mispredicts
 from repro.isa import Op
+
+
+def _correct(ops, pc, next_pcs) -> list[bool]:
+    """Replay one control instruction at ``pc`` through a fresh BTB the
+    way the DS engine does; True where its prediction was right."""
+    n = len(next_pcs)
+    misp = control_mispredicts(
+        np.array([int(op) for op in ops]), np.full(n, pc),
+        np.array(next_pcs), BranchTargetBuffer(),
+    )
+    return (~misp).tolist()
 
 
 class TestPrediction:
@@ -68,25 +80,14 @@ class TestReplacement:
 
 class TestPredictedCorrectly:
     def test_loop_branch_accuracy(self):
-        btb = BranchTargetBuffer()
-        correct = 0
-        for i in range(100):
-            taken = i < 99
-            next_pc = 0 if taken else 7
-            if predicted_correctly(btb, Op.BNE, 6, next_pc):
-                correct += 1
+        next_pcs = [0 if i < 99 else 7 for i in range(100)]
+        correct = sum(_correct([Op.BNE] * 100, 6, next_pcs))
         # Misses only on warmup and the final exit.
         assert correct >= 97
 
     def test_alternating_branch_is_hard(self):
-        btb = BranchTargetBuffer()
-        correct = sum(
-            predicted_correctly(btb, Op.BNE, 6, 0 if i % 2 else 7)
-            for i in range(100)
-        )
-        assert correct <= 60
+        next_pcs = [0 if i % 2 else 7 for i in range(100)]
+        assert sum(_correct([Op.BNE] * 100, 6, next_pcs)) <= 60
 
     def test_direct_jump_always_correct(self):
-        btb = BranchTargetBuffer()
-        assert predicted_correctly(btb, Op.J, 3, 77)
-        assert predicted_correctly(btb, Op.JAL, 3, 77)
+        assert _correct([Op.J, Op.JAL], 3, [77, 77]) == [True, True]

@@ -270,12 +270,6 @@ class TestServiceCommands:
         )
         assert args.interval == 1.0
 
-    def test_batch_accepts_endpoint_flag(self):
-        args = build_parser().parse_args(
-            ["batch", "--apps", "lu", "--endpoint", "http://a:1"]
-        )
-        assert args.endpoint == ["http://a:1"]
-
     def test_unreachable_daemon_exits_io(self, capsys):
         rc = main(["submit", "--endpoint", "http://127.0.0.1:1",
                    "--apps", "lu"])
@@ -329,7 +323,6 @@ class TestProfileCommand:
         args = build_parser().parse_args(["profile", "lu"])
         assert args.command == "profile"
         assert (args.kind, args.model, args.window) == ("ds", "RC", 64)
-        assert args.metrics is True
         assert args.trace is False
         assert args.out == "results/profiles"
 
@@ -347,10 +340,10 @@ class TestProfileCommand:
     def test_flags_parse(self):
         args = build_parser().parse_args(
             ["profile", "ocean", "--kind", "ss", "--model", "wo",
-             "--window", "128", "--trace", "--no-metrics"]
+             "--window", "128", "--trace"]
         )
         assert (args.kind, args.model, args.window) == ("ss", "WO", 128)
-        assert args.trace is True and args.metrics is False
+        assert args.trace is True
 
     def test_bad_kind_rejected(self):
         with pytest.raises(SystemExit):
@@ -390,3 +383,150 @@ class TestManifestCommand:
                 argv[0], "lu", "base", "mesh"
             )
             assert (args.procs, args.preset) == (4, "tiny")
+
+
+#: Every option of every subcommand ("" = before the subcommand), by its
+#: first flag or positional name, the fields of the three configs and
+#: the daemon's arguments.  A new knob must show up here as a diff: add
+#: it only with a caller that varies it.
+_CLI_OPTIONS = {
+    "": ("--procs", "--penalty", "--preset", "--cache-dir"),
+    "run": ("app",),
+    "simulate": ("app", "--jobs"),
+    "table1": (), "table2": (), "table3": (), "headline": (),
+    "figure1": (), "figure3": ("--jobs",), "figure4": ("--jobs",),
+    "multi-issue": (), "miss-analysis": (), "sc-boost": (),
+    "contexts": (), "compiler-sched": (), "latency100": ("--jobs",),
+    "cosim": ("app", "--kind", "--model", "--window", "--network",
+              "--sync", "--contexts", "--trace", "--out"),
+    "profile": ("app", "--kind", "--model", "--window", "--network",
+                "--trace", "--out"),
+    "verify": ("target", "--model", "--schedules", "--seed", "--jobs",
+               "--ooo"),
+    "batch": ("--apps", "--kinds", "--models", "--windows", "--networks",
+              "--penalties", "--jobs", "--timeout", "--max-attempts",
+              "--seed", "--out", "--store", "--chaos-crash",
+              "--chaos-hang", "--chaos-corrupt", "--chaos-fail",
+              "--trace", "--log-file", "--log-level"),
+    "serve": ("--host", "--port", "--jobs", "--queue-depth", "--timeout",
+              "--max-attempts", "--seed", "--grace", "--store",
+              "--log-file", "--log-level"),
+    "submit": ("--endpoint", "--apps", "--kinds", "--models", "--windows",
+               "--networks", "--penalties", "--priority", "--wait",
+               "--timeout", "--trace-out"),
+    "watch": ("id", "--endpoint", "--timeout"),
+    "status": ("--id", "--out"),
+    "results": ("--id", "--out"),
+    "top": ("--endpoint", "--interval", "--once"),
+    "all": ("--output", "--jobs"),
+}
+_CONFIG_FIELDS = {
+    "ProcessorConfig": ("kind", "model", "window", "issue_width",
+                        "perfect_bp", "ignore_deps", "ds"),
+    "DSConfig": ("window", "issue_width", "perfect_branch_prediction",
+                 "ignore_data_dependences", "collect_miss_stats",
+                 "prefetch", "speculative_loads"),
+    "MultiprocessorConfig": ("n_cpus", "cache_size", "line_size",
+                             "miss_penalty", "sync_access_latency",
+                             "trace_cpus", "record_sync_schedule",
+                             "max_instructions"),
+}
+
+_DAEMON_ARGS = ("store_dir", "cache_dir", "workers", "queue_depth",
+                "timeout", "max_attempts", "seed", "grace", "metrics",
+                "log", "executor")
+
+
+def test_option_census():
+    import argparse
+    import inspect
+    from dataclasses import fields
+
+    from repro import MultiprocessorConfig
+    from repro.cpu import DSConfig, ProcessorConfig
+    from repro.service import Daemon
+
+    def options(parser):
+        return tuple(
+            a.option_strings[0] if a.option_strings else a.dest
+            for a in parser._actions
+            if not isinstance(
+                a, (argparse._HelpAction, argparse._SubParsersAction)
+            )
+        )
+
+    parser = build_parser()
+    (commands,) = (
+        a.choices for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    census = {"": options(parser)}
+    census.update((name, options(p)) for name, p in commands.items())
+    assert census == _CLI_OPTIONS
+    assert sum(map(len, census.values())) == 85
+    assert {
+        cls.__name__: tuple(f.name for f in fields(cls))
+        for cls in (ProcessorConfig, DSConfig, MultiprocessorConfig)
+    } == _CONFIG_FIELDS
+    daemon_args = tuple(inspect.signature(Daemon).parameters)
+    assert daemon_args == _DAEMON_ARGS
+
+
+_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+
+
+def _documented_commands() -> list[tuple[str, list[str]]]:
+    """Every ``python -m repro ...`` command in a fenced block of the
+    docs, as ``(where, argv)``: continued lines joined, ``$`` prompts
+    dropped, cut at the first shell operator or comment, and
+    ``<placeholders>`` filled in."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for doc in _DOCS:
+        fenced = False
+        pending = ""
+        for lineno, line in enumerate(
+            (root / doc).read_text().splitlines(), 1
+        ):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                pending = ""
+                continue
+            if not fenced:
+                continue
+            line = pending + line.strip()
+            if line.endswith("\\"):
+                pending = line[:-1] + " "
+                continue
+            pending = ""
+            line = line.removeprefix("$ ")
+            if not line.startswith("python -m repro"):
+                continue
+            lexer = shlex.shlex(
+                re.sub(r"<[\w-]+>", "x", line), posix=True,
+                punctuation_chars=True,
+            )
+            lexer.whitespace_split = True
+            argv = []
+            for token in lexer:
+                if set(token) <= set("();<>|&"):
+                    break
+                argv.append(token)
+            found.append((f"{doc}:{lineno}", argv[3:]))
+    return found
+
+
+def test_documented_commands_parse(capsys):
+    commands = _documented_commands()
+    assert len(commands) > 30
+    failures = []
+    for where, argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            failures.append(f"{where}: {shlex.join(argv)}")
+    capsys.readouterr()
+    assert not failures, "\n".join(failures)

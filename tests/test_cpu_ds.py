@@ -141,8 +141,14 @@ class TestStores:
         tb = TraceBuilder()
         for i in range(40):
             tb.store(stall=50, addr=0x1000 + 64 * i)
-        pc = ds(tb.build(), PC, window=16, store_buffer_depth=4)
-        rc = ds(tb.build(), RC, window=16, store_buffer_depth=4)
+        # The store buffer has the window's four entries.
+        trace = tb.build()
+        oracle = DSProcessor(trace, PC, DSConfig(window=4))
+        pc = ds(trace, PC, window=4)
+        assert pc == oracle.run()
+        assert oracle.full_store_buffer_cycles > 0
+        rc = ds(trace, RC, window=4)
+        assert rc == simulate_ds(trace, RC, DSConfig(window=4))
         assert pc.total > rc.total
 
     def test_store_to_load_forwarding(self):
@@ -263,13 +269,10 @@ class TestMultiIssue:
 
 
 class TestDegenerateConfigs:
-    """A window, width, BTB or store buffer with no entries can never
-    retire anything; construction refuses instead of the loop spinning."""
+    """A window or width with no entries can never retire anything;
+    construction refuses instead of the loop spinning."""
 
-    @pytest.mark.parametrize("field", (
-        "window", "issue_width", "btb_entries", "btb_assoc",
-        "store_buffer_depth",
-    ))
+    @pytest.mark.parametrize("field", ("window", "issue_width"))
     def test_rejected_at_construction(self, field):
         for bad in (0, -4):
             with pytest.raises(ValueError, match=field):
@@ -283,8 +286,6 @@ class TestDegenerateConfigs:
             ProcessorConfig(kind="ds", window=0)
         with pytest.raises(ValueError, match="issue_width"):
             ProcessorConfig(kind="ds", issue_width=0)
-        with pytest.raises(ValueError, match="store_buffer_depth"):
-            ProcessorConfig(kind="ds", ds={"store_buffer_depth": 0})
         # The window is not an input of the static models.
         assert ProcessorConfig(kind="ss", window=0).label() == "SS-RC"
 
@@ -339,11 +340,15 @@ class TestCompaction:
         baseline_fast = ds(trace, RC, window=16)
         assert baseline_scalar == baseline_fast
         monkeypatch.setattr(event_engine, "_COMPACT_FLOOR", floor)
+        full_store_buffer_cycles = 0
         for model in (SC, PC, RC):
-            for kw in (dict(window=16), dict(window=64),
-                       dict(window=16, store_buffer_depth=4)):
-                scalar = simulate_ds(trace, model, DSConfig(**kw))
-                fast = ds(trace, model, **kw)
-                assert scalar == fast, (floor, kw)
+            for window in (4, 16, 64):
+                oracle = DSProcessor(trace, model, DSConfig(window=window))
+                scalar = oracle.run()
+                fast = ds(trace, model, window=window)
+                assert scalar == fast, (floor, window)
+                full_store_buffer_cycles += oracle.full_store_buffer_cycles
+        # The four-entry store buffer of the four-entry window fills.
+        assert full_store_buffer_cycles > 0
         assert simulate_ds(trace, RC, DSConfig(window=16)) == baseline_scalar
         assert ds(trace, RC, window=16) == baseline_fast

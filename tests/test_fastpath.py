@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     DSProcessor,
@@ -698,8 +698,8 @@ def _port_contention() -> TraceBuilder:
 
 
 def _full_store_buffer() -> TraceBuilder:
-    # A missing store at the buffer head keeps two-entry buffers full
-    # while clean stores behind it retire.
+    # A missing store at the buffer head keeps a two-entry buffer (a
+    # two-entry window's) full while clean stores behind it retire.
     tb = TraceBuilder()
     _streaming(tb)
     for k in range(6):
@@ -779,8 +779,10 @@ _STREAK_PROGRAMS = {
     "hit_load_behind_read_sc": (_hit_load_behind_read, ("SC",), {}),
     "forwarding_load": (_forwarding_load, ("RC", "WO"), {}),
     "port_contention": (_port_contention, ("RC", "PC"), {}),
+    # The fuzzer's explicit example asserts that this one does fill the
+    # buffer.
     "full_store_buffer": (
-        _full_store_buffer, ("RC",), {"store_buffer_depth": 2},
+        _full_store_buffer, ("RC",), {"window": 2},
     ),
     "hit_load_after_mispredict": (_hit_load_after_mispredict, ("RC",), {}),
     "hit_load_beside_deferred_load": (
@@ -854,7 +856,7 @@ class TestDSEventEngine:
             dict(window=64, perfect_branch_prediction=True),
             dict(window=64, ignore_data_dependences=True),
             dict(window=32, issue_width=4),
-            dict(window=64, store_buffer_depth=4),
+            dict(window=4),
         ):
             def net():
                 return (None if network == "ideal"
@@ -894,9 +896,12 @@ class TestDSEventEngine:
     def test_streak_precondition(self, name):
         build, models, extra = _STREAK_PROGRAMS[name]
         trace = build().build()
+        windows = (extra["window"],) if "window" in extra else (8, 32)
         for model_name in models:
-            for window in (8, 32):
-                _ds_agrees(trace, model_name, DSConfig(window=window, **extra))
+            for window in windows:
+                _ds_agrees(
+                    trace, model_name, DSConfig(**{"window": window, **extra})
+                )
 
     @pytest.mark.parametrize("model_name", MODELS)
     def test_port_candidates_are_ready(self, lu_trace, model_name):
@@ -1195,11 +1200,17 @@ class TestStepperContract:
         assert any(h["count"] for h in fast[1]["histograms"].values())
 
 
+#: Always among the fuzzer's examples: it fills a two-entry window's
+#: store buffer under every model.
+_FULL_STORE_BUFFER_TRACE = _full_store_buffer().build()
+
+
 class TestFastpathFuzz:
     """Property-based differential: on arbitrary small traces, every
     fast engine must agree with its scalar oracle, for every model."""
 
     @given(trace=small_traces())
+    @example(trace=_FULL_STORE_BUFFER_TRACE)
     @settings(max_examples=60, deadline=None)
     def test_all_models_match_scalar(self, trace):
         assert simulate(trace, BASE) == simulate_base(trace)
@@ -1212,13 +1223,16 @@ class TestFastpathFuzz:
             for kw in (
                 dict(window=4),
                 dict(window=16, issue_width=2),
-                dict(window=8, store_buffer_depth=2),
+                dict(window=2),
                 dict(window=64, speculative_loads=True),
                 dict(window=32, prefetch=True),
             ):
                 config = model_config("ds", model, **kw)
-                fast = simulate(trace, config)
-                assert fast == _ds_oracle(trace, config), (name, kw)
+                oracle = DSProcessor(trace, model, config.ds_config())
+                ref = oracle.run(label=config.label())
+                assert simulate(trace, config) == ref, (name, kw)
+                if trace is _FULL_STORE_BUFFER_TRACE and kw["window"] == 2:
+                    assert oracle.full_store_buffer_cycles > 0, name
 
 
 class TestTraceRoundTrip:

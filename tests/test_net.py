@@ -43,7 +43,8 @@ class TestTopologies:
         assert xbar.route(0, 3)[0] != xbar.route(1, 3)[0]
 
     def test_mesh_xy_hop_counts(self):
-        mesh = Mesh(16, width=4)
+        mesh = Mesh(16)
+        assert (mesh.width, mesh.height) == (4, 4)  # near-square
         # Manhattan distance plus inject and eject.
         assert mesh.hops(0, 15) == 8
         assert mesh.hops(0, 1) == 3
@@ -51,13 +52,14 @@ class TestTopologies:
         assert mesh.hops(3, 0) == 5
 
     def test_mesh_xy_route_is_dimension_ordered(self):
-        mesh = Mesh(16, width=4)
+        mesh = Mesh(16)
         # 0 -> 10: X first (0->2), then Y (2->10); the X-leg links are
         # shared with the pure-horizontal route 0 -> 2.
         assert mesh.route(0, 10)[:3] == mesh.route(0, 2)[:3]
 
     def test_mesh_non_square_covers_all_nodes(self):
-        mesh = Mesh(6, width=3)
+        mesh = Mesh(6)
+        assert (mesh.width, mesh.height) == (3, 2)
         for src in range(6):
             for dst in range(6):
                 hops = mesh.hops(src, dst)
@@ -74,7 +76,7 @@ class TestTopologies:
 
 class TestDirectory:
     def test_home_distribution_round_robin(self):
-        d = DirectoryModel(4, occupancy=4)
+        d = DirectoryModel(4)
         assert [d.home(line) for line in range(6)] == [0, 1, 2, 3, 0, 1]
 
     def test_racing_misses_serialize_at_home(self):
@@ -116,7 +118,7 @@ class TestTransactions:
 
 def _fabric_stream(kind, n_nodes, seed, n_ops=1500):
     """Every latency a seeded random replay stream returns, plus the
-    three summaries at the mid-stream reset and at the end."""
+    three summaries at the mid-stream switch and at the end."""
     rng = random.Random(seed)
     net = build_network(kind, n_nodes, 16)
 
@@ -127,10 +129,10 @@ def _fabric_stream(kind, n_nodes, seed, n_ops=1500):
     out = []
     for i in range(n_ops):
         if i == n_ops // 2:
-            # Between per-model replays the fabric is reset and every
+            # The second half replays on a fresh fabric, and every
             # per-CPU clock restarts at 0.
             out.append(summaries())
-            net.reset()
+            net = build_network(kind, n_nodes, 16)
             clocks = [0] * n_nodes
         cpu = rng.randrange(n_nodes)
         clocks[cpu] += rng.randrange(0, 60)
