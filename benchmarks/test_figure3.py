@@ -9,20 +9,18 @@ import pytest
 from conftest import save_result
 
 from repro.apps import APP_NAMES
-from repro.experiments import format_figure3
-from repro.experiments.figure3 import run_figure3_app
+from repro.experiments import format_figure3, run_figure3
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_figure3(benchmark, store50, results_dir, app):
-    run = store50.get(app)
+    store50.get(app)  # build the trace outside the timed region
 
-    runs = benchmark.pedantic(
-        lambda: run_figure3_app(run), rounds=1, iterations=1
+    results = benchmark.pedantic(
+        lambda: run_figure3(store50, apps=(app,)), rounds=1, iterations=1
     )
-    save_result(
-        results_dir, f"figure3_{app}", format_figure3({app: runs})
-    )
+    save_result(results_dir, f"figure3_{app}", format_figure3(results))
+    runs = results[app]
 
     by_label = {r.label: r for r in runs}
     base = by_label["BASE"]

@@ -5,20 +5,18 @@ from conftest import save_result
 
 from repro.apps import APP_NAMES
 from repro.cpu import ProcessorConfig, simulate
-from repro.experiments import format_figure4
-from repro.experiments.figure4 import run_figure4_app
+from repro.experiments import format_figure4, run_figure4
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_figure4(benchmark, store50, results_dir, app):
     run = store50.get(app)
 
-    runs = benchmark.pedantic(
-        lambda: run_figure4_app(run), rounds=1, iterations=1
+    results = benchmark.pedantic(
+        lambda: run_figure4(store50, apps=(app,)), rounds=1, iterations=1
     )
-    save_result(
-        results_dir, f"figure4_{app}", format_figure4({app: runs})
-    )
+    save_result(results_dir, f"figure4_{app}", format_figure4(results))
+    runs = results[app]
 
     by_label = {r.label: r for r in runs}
     base = by_label["BASE"]

@@ -46,14 +46,3 @@ class Workload:
 
     def static_instructions(self) -> int:
         return sum(len(p) for p in self.programs)
-
-
-def owner_of(index: int, n_procs: int) -> int:
-    """Interleaved static assignment: element ``index`` belongs to CPU."""
-    return index % n_procs
-
-
-def first_owned(start: int, me: int, n_procs: int) -> int:
-    """Smallest ``j >= start`` with ``j % n_procs == me``."""
-    offset = (me - start) % n_procs
-    return start + offset

@@ -99,58 +99,56 @@ def cmd_run(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    store = _store(args)
-    results = exp.simulate_app_models(
-        store, exp.figure3_configs(), apps=(args.app,), jobs=args.jobs
-    )
-    runs = results[args.app]
-    print(exp.format_breakdowns(
-        f"{args.app.upper()} (percent of BASE, "
-        f"{args.penalty}-cycle miss)",
-        runs, runs[0],
+    print(exp.format_app_breakdowns(
+        exp.simulate_app_models(
+            _store(args), exp.figure3_configs(), apps=(args.app,),
+            jobs=args.jobs,
+        ),
+        f"{{APP}} (percent of BASE, {args.penalty}-cycle miss)",
+        bars=True,
     ))
-    print()
-    print(exp.format_stacked_bars("", runs, runs[0]))
 
 
-_SIMPLE = {
-    "table1": lambda s, j=1: exp.format_table1(exp.run_table1(s)),
-    "table2": lambda s, j=1: exp.format_table2(exp.run_table2(s)),
-    "table3": lambda s, j=1: exp.format_table3(exp.run_table3(s)),
-    "headline": lambda s, j=1: exp.format_headline(exp.run_headline(s)),
-    "figure1": lambda s, j=1: exp.format_figure1(exp.run_figure1()),
-    "figure3": lambda s, j=1: exp.format_figure3(
-        exp.run_figure3(s, jobs=j)
+def _sweep(run, fmt):
+    """An experiment whose model sweep fans out over ``jobs`` workers."""
+    return lambda store, jobs: fmt(run(store, jobs=jobs))
+
+
+def _serial(run, fmt):
+    """An experiment with no sweep over stored traces: ``all --jobs``
+    builds its traces on the pool before it runs."""
+    return lambda store, jobs: fmt(run(store))
+
+
+def _latency100(store: exp.TraceStore, jobs: int) -> str:
+    """latency100 replays the ``store``'s machine at a 100-cycle miss."""
+    store100 = exp.TraceStore(**{**store.spec(), "miss_penalty": 100})
+    return exp.format_latency100(exp.run_latency100(store100, jobs=jobs))
+
+
+#: Every experiment subcommand, rendered from a (store, jobs) pair.
+_EXPERIMENTS = {
+    "table1": _serial(exp.run_table1, exp.format_table1),
+    "table2": _serial(exp.run_table2, exp.format_table2),
+    "table3": _serial(exp.run_table3, exp.format_table3),
+    "headline": _sweep(exp.run_headline, exp.format_headline),
+    "figure1": lambda store, jobs: exp.format_figure1(exp.run_figure1()),
+    "figure3": _sweep(exp.run_figure3, exp.format_figure3),
+    "figure4": _sweep(exp.run_figure4, exp.format_figure4),
+    "multi-issue": _sweep(exp.run_multi_issue, exp.format_multi_issue),
+    "miss-analysis": _sweep(exp.run_miss_analysis, exp.format_miss_analysis),
+    "sc-boost": _sweep(exp.run_sc_boost, exp.format_sc_boost),
+    "contexts": _serial(exp.run_contexts, exp.format_contexts),
+    "compiler-sched": _serial(
+        exp.run_compiler_sched, exp.format_compiler_sched
     ),
-    "figure4": lambda s, j=1: exp.format_figure4(
-        exp.run_figure4(s, jobs=j)
-    ),
-    "multi-issue": lambda s, j=1: exp.format_multi_issue(
-        exp.run_multi_issue(s)
-    ),
-    "miss-analysis": lambda s, j=1: exp.format_miss_analysis(
-        exp.run_miss_analysis(s)
-    ),
-    "sc-boost": lambda s, j=1: exp.format_sc_boost(exp.run_sc_boost(s)),
-    "contexts": lambda s, j=1: exp.format_contexts(exp.run_contexts(s)),
-    "compiler-sched": lambda s, j=1: exp.format_compiler_sched(
-        exp.run_compiler_sched(s)
-    ),
+    "latency100": _latency100,
 }
 
 
 def cmd_experiment(args) -> None:
     jobs = getattr(args, "jobs", 1)
-    if args.command == "latency100":
-        store = exp.TraceStore(
-            n_procs=args.procs, miss_penalty=100, preset=args.preset,
-            cache_dir=args.cache_dir,
-        )
-        print(exp.format_latency100(
-            exp.run_latency100(store, jobs=jobs)
-        ))
-        return
-    print(_SIMPLE[args.command](_store(args), jobs))
+    print(_EXPERIMENTS[args.command](_store(args), jobs))
 
 
 def cmd_cosim(args) -> int:
@@ -269,7 +267,7 @@ def _chaos_from_args(args) -> service.ChaosSpec | None:
 
 
 def _grid_payload(args) -> dict:
-    """The JSON request body equivalent of the submit grid flags."""
+    """The JSON request body of the grid flags (``_add_grid_axes``)."""
     payload = {
         "kinds": list(args.kinds),
         "models": [m.upper() for m in args.models],
@@ -281,8 +279,6 @@ def _grid_payload(args) -> dict:
     }
     if args.apps:
         payload["apps"] = list(args.apps)
-    if args.priority:
-        payload["priority"] = args.priority
     return payload
 
 
@@ -370,6 +366,8 @@ def _write_submit_trace(path, trace, spans, t0, t1) -> int:
 
 def cmd_submit(args) -> int:
     payload = _grid_payload(args)
+    if args.priority:
+        payload["priority"] = args.priority
     timeout = args.timeout if args.timeout > 0 else None
     trace = None
     if args.trace_out:
@@ -550,16 +548,7 @@ def cmd_top(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    grid = service.expand_grid(
-        apps=tuple(args.apps) if args.apps else APP_NAMES,
-        kinds=tuple(args.kinds),
-        models=tuple(m.upper() for m in args.models),
-        windows=tuple(args.windows),
-        networks=tuple(args.networks),
-        penalties=tuple(args.penalties),
-        procs=args.procs,
-        preset=args.preset,
-    )
+    grid = service.sweep_from_request(_grid_payload(args))
     command = "python -m repro batch " + " ".join(
         f"--{k} {v}" for k, v in (
             ("jobs", args.jobs), ("timeout", args.timeout),
@@ -621,22 +610,40 @@ def cmd_all(args) -> None:
     if args.jobs > 1:
         # Warm the trace cache concurrently before the sweeps below.
         exp.generate_traces(store, jobs=args.jobs)
-    for name, fn in _SIMPLE.items():
+    for name, fn in _EXPERIMENTS.items():
         print(f"[{name}] ...", flush=True)
         (out / f"{name.replace('-', '_')}.txt").write_text(
             fn(store, args.jobs) + "\n"
         )
-    print("[latency100] ...", flush=True)
-    store100 = exp.TraceStore(
-        n_procs=args.procs, miss_penalty=100, preset=args.preset,
-        cache_dir=args.cache_dir,
-    )
-    (out / "latency100.txt").write_text(
-        exp.format_latency100(
-            exp.run_latency100(store100, jobs=args.jobs)
-        ) + "\n"
-    )
     print(f"wrote results to {out}/")
+
+
+def _add_grid_axes(p: argparse.ArgumentParser) -> None:
+    """The six config-grid axes of ``batch`` and ``submit``."""
+    p.add_argument("--apps", nargs="*", choices=APP_NAMES,
+                   help="applications to sweep (default: all)")
+    p.add_argument("--kinds", nargs="*", default=["ds"],
+                   choices=service.KINDS,
+                   help="processor kinds to sweep")
+    p.add_argument("--models", nargs="*", default=["RC"],
+                   type=lambda s: s.upper(), choices=service.MODELS,
+                   help="consistency models to sweep")
+    p.add_argument("--windows", nargs="*", type=int, default=[64],
+                   help="DS reorder-buffer windows to sweep")
+    p.add_argument("--networks", nargs="*", default=["ideal"],
+                   choices=NETWORK_KINDS,
+                   help="interconnect backends to sweep")
+    p.add_argument("--penalties", nargs="*", type=int, default=[50],
+                   help="miss penalties (cycles) to sweep")
+
+
+def _add_log_options(p: argparse.ArgumentParser, events: str) -> None:
+    """``--log-file`` / ``--log-level`` of ``batch`` and ``serve``."""
+    p.add_argument("--log-file", default=None, metavar="PATH",
+                   help=f"append structured JSONL logs ({events}) here")
+    p.add_argument("--log-level", default="info",
+                   choices=("debug", "info", "warning", "error"),
+                   help="minimum level written to --log-file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the model sweep")
     p_sim.set_defaults(func=cmd_simulate)
 
-    for name in list(_SIMPLE) + ["latency100"]:
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate {name}")
         if name in ("figure3", "figure4", "latency100"):
             p.add_argument("--jobs", type=int, default=1,
@@ -808,23 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
             "failure report and exiting with code 5."
         ),
     )
-    p_batch.add_argument("--apps", nargs="*", choices=APP_NAMES,
-                         help="applications to sweep (default: all)")
-    p_batch.add_argument("--kinds", nargs="*", default=["ds"],
-                         choices=service.KINDS,
-                         help="processor kinds to sweep")
-    p_batch.add_argument("--models", nargs="*", default=["RC"],
-                         type=lambda s: s.upper(),
-                         choices=service.MODELS,
-                         help="consistency models to sweep")
-    p_batch.add_argument("--windows", nargs="*", type=int, default=[64],
-                         help="DS reorder-buffer windows to sweep")
-    p_batch.add_argument("--networks", nargs="*", default=["ideal"],
-                         choices=NETWORK_KINDS,
-                         help="interconnect backends to sweep")
-    p_batch.add_argument("--penalties", nargs="*", type=int,
-                         default=[50],
-                         help="miss penalties (cycles) to sweep")
+    _add_grid_axes(p_batch)
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="supervised worker processes")
     p_batch.add_argument("--timeout", type=float, default=0.0,
@@ -855,12 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(supervisor, per-job, per-attempt and "
                               "worker spans) and write a stitched "
                               "Perfetto timeline to <batch>/trace.json")
-    p_batch.add_argument("--log-file", default=None, metavar="PATH",
-                         help="append structured JSONL logs (queue, "
-                              "pool, chaos, degradation events) here")
-    p_batch.add_argument("--log-level", default="info",
-                         choices=("debug", "info", "warning", "error"),
-                         help="minimum level written to --log-file")
+    _add_log_options(p_batch, "queue, pool, chaos, degradation events")
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = sub.add_parser(
@@ -903,12 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--store",
                          default=str(service.DEFAULT_DAEMON_DIR / "store"),
                          help="content-addressed result store directory")
-    p_serve.add_argument("--log-file", default=None, metavar="PATH",
-                         help="append structured JSONL logs (lifecycle, "
-                              "queue admission, pool supervision) here")
-    p_serve.add_argument("--log-level", default="info",
-                         choices=("debug", "info", "warning", "error"),
-                         help="minimum level written to --log-file")
+    _add_log_options(
+        p_serve, "lifecycle, queue admission, pool supervision"
+    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
@@ -928,18 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="URL",
                           help="daemon base URL(s), e.g. "
                                "http://127.0.0.1:8631")
-    p_submit.add_argument("--apps", nargs="*", choices=APP_NAMES,
-                          help="applications to sweep (default: all)")
-    p_submit.add_argument("--kinds", nargs="*", default=["ds"],
-                          choices=service.KINDS)
-    p_submit.add_argument("--models", nargs="*", default=["RC"],
-                          type=lambda s: s.upper(),
-                          choices=service.MODELS)
-    p_submit.add_argument("--windows", nargs="*", type=int, default=[64])
-    p_submit.add_argument("--networks", nargs="*", default=["ideal"],
-                          choices=NETWORK_KINDS)
-    p_submit.add_argument("--penalties", nargs="*", type=int,
-                          default=[50])
+    _add_grid_axes(p_submit)
     p_submit.add_argument("--priority", type=int, default=0,
                           help="queue priority (lower runs earlier)")
     p_submit.add_argument("--wait", action="store_true",
@@ -1012,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--output", default="results")
     p_all.add_argument("--jobs", type=int, default=1,
                        help="worker processes for trace generation "
-                            "and model sweeps")
+                            "and every model sweep")
     p_all.set_defaults(func=cmd_all)
     return parser
 

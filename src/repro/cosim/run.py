@@ -11,7 +11,6 @@ the "solo" column between the fixed penalty and the shared fabric.
 from __future__ import annotations
 
 from ..cpu import (
-    MultiContextConfig,
     MultiContextProcessor,
     ProcessorConfig,
     make_stepper,
@@ -51,16 +50,15 @@ def build_node(
     )
 
 
-def _build_mc_nodes(traces, contexts: int, switch_penalty: int):
+def _build_mc_nodes(traces, contexts: int):
     """Group the per-cpu traces into multicontext processors."""
     if contexts < 1:
         raise ValueError("need at least one context per processor")
-    mc_config = MultiContextConfig(switch_penalty=switch_penalty)
     nodes = []
     for node_idx, start in enumerate(range(0, len(traces), contexts)):
         group = traces[start:start + contexts]
         label = f"MC-k{contexts}"
-        gen = MultiContextProcessor(group, mc_config).steps(label=label)
+        gen = MultiContextProcessor(group).steps(label=label)
         nodes.append(
             CosimNode(gen, label=label, net_cpu=node_idx)
         )
@@ -74,7 +72,6 @@ def run_cosim(
     line_size: int = 4,
     sync_mode: str = "replay",
     contexts: int = 1,
-    switch_penalty: int = 4,
     probe=None,
 ) -> CosimResult:
     """Co-simulate every processor of ``crun`` on one shared fabric.
@@ -91,7 +88,7 @@ def run_cosim(
     if kind == "mc":
         if live:
             raise ValueError("multicontext nodes require --sync replay")
-        nodes = _build_mc_nodes(crun.traces, contexts, switch_penalty)
+        nodes = _build_mc_nodes(crun.traces, contexts)
     else:
         nodes = [
             build_node(

@@ -1,8 +1,13 @@
 """Experiment harness: one module per table/figure of the paper.
 
 See DESIGN.md's per-experiment index.  Each module exposes a ``run_*``
-function returning structured results and a ``format_*`` function
-rendering them as text.
+function that takes a :class:`TraceStore` and returns structured
+results, and a ``format_*`` function rendering them as text.
+
+Every model sweep (Figures 3 and 4, the headline, the 100-cycle,
+multi-issue and SC-boost extensions, the miss analysis) replays its
+processor configurations through :func:`simulate_app_models`, whose
+``jobs`` fans it out over the supervised pool.
 """
 
 from .compiler_sched import format_compiler_sched, run_compiler_sched
@@ -14,11 +19,15 @@ from .headline import PAPER_HIDDEN, format_headline, run_headline
 from .latency100 import format_latency100, run_latency100
 from .miss_analysis import format_miss_analysis, run_miss_analysis
 from .multi_issue import format_multi_issue, run_multi_issue
-from .report import format_breakdowns, format_stacked_bars, format_table
+from .report import (
+    format_app_breakdowns,
+    format_breakdowns,
+    format_stacked_bars,
+    format_table,
+)
 from .runner import (
     AppRun,
     TraceStore,
-    default_store,
     generate_traces,
     simulate_app_models,
 )
@@ -33,9 +42,9 @@ __all__ = [
     "PAPER_HIDDEN",
     "TraceStore",
     "analyze_trace",
-    "default_store",
     "figure3_configs",
     "figure4_configs",
+    "format_app_breakdowns",
     "format_breakdowns",
     "format_compiler_sched",
     "format_contexts",

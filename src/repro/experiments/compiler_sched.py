@@ -11,26 +11,16 @@ hardware the compiler is trying to substitute for.
 
 from __future__ import annotations
 
-from ..consistency import get_model
 from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
 from ..cpu.scheduling import ScheduleStats, schedule_reads_early
 from .report import format_breakdowns, format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore
 
 
-def run_compiler_sched(
-    store: TraceStore | None = None,
-    max_hoist: int = 32,
-    apps: tuple[str, ...] | None = None,
-) -> dict[str, dict]:
-    store = store or default_store()
+def run_compiler_sched(store: TraceStore) -> dict[str, dict]:
     result = {}
     for run in store.all_apps():
-        if apps is not None and run.app not in apps:
-            continue
-        rescheduled, stats = schedule_reads_early(
-            run.trace, max_hoist=max_hoist
-        )
+        rescheduled, stats = schedule_reads_early(run.trace)
         runs: list[ExecutionBreakdown] = [run.base]
         ss_orig = simulate(
             run.trace, ProcessorConfig(kind="ss", model="RC")

@@ -16,14 +16,13 @@ from ..cpu.multicontext import simulate_multicontext
 from ..tango import MultiprocessorConfig, TangoExecutor
 from ..apps import build_app
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore
 
 CONTEXT_COUNTS = (1, 2, 4, 8)
 
 
 def run_contexts(
-    store: TraceStore | None = None,
-    switch_penalty: int = 4,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
 ) -> dict[str, dict]:
     """Per app: efficiency by context count, plus DS-w64 efficiency.
@@ -31,7 +30,6 @@ def run_contexts(
     The context counts are those of :data:`CONTEXT_COUNTS` the machine
     has processors for: K contexts need K traced processors.
     """
-    store = store or default_store()
     counts = tuple(k for k in CONTEXT_COUNTS if k <= store.n_procs)
     result: dict[str, dict] = {}
     for run in store.all_apps():
@@ -55,9 +53,7 @@ def run_contexts(
 
         efficiency = {}
         for k in counts:
-            breakdown = simulate_multicontext(
-                traces[:k], switch_penalty=switch_penalty
-            )
+            breakdown = simulate_multicontext(traces[:k])
             efficiency[k] = breakdown.busy / breakdown.total
         ds = simulate(
             run.trace, ProcessorConfig(kind="ds", model="RC", window=64)

@@ -14,14 +14,9 @@ all at a 50-cycle miss penalty (the 100-cycle variant lives in
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
-from .report import format_breakdowns, format_stacked_bars
-from .runner import (
-    AppRun,
-    TraceStore,
-    default_store,
-    simulate_app_models,
-)
+from ..cpu import ExecutionBreakdown, ProcessorConfig
+from .report import format_app_breakdowns
+from .runner import TraceStore, simulate_app_models
 
 WINDOW_SIZES = (16, 32, 64, 128, 256)
 
@@ -39,31 +34,19 @@ def figure3_configs() -> list[ProcessorConfig]:
     return configs
 
 
-def run_figure3_app(run: AppRun) -> list[ExecutionBreakdown]:
-    """All Figure 3 bars for one application."""
-    return [simulate(run.trace, cfg) for cfg in figure3_configs()]
-
-
 def run_figure3(
-    store: TraceStore | None = None,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
     jobs: int = 1,
 ) -> dict[str, list[ExecutionBreakdown]]:
-    store = store or default_store()
     return simulate_app_models(
         store, figure3_configs(), apps=apps, jobs=jobs
     )
 
 
-def format_figure3(
-    results: dict[str, list[ExecutionBreakdown]],
-    bars: bool = True,
-) -> str:
-    sections = []
-    for app, runs in results.items():
-        base = runs[0]
-        title = f"Figure 3 — {app.upper()} (percent of BASE, 50-cycle miss)"
-        sections.append(format_breakdowns(title, runs, base))
-        if bars:
-            sections.append(format_stacked_bars("", runs, base))
-    return "\n\n".join(sections)
+def format_figure3(results: dict[str, list[ExecutionBreakdown]]) -> str:
+    return format_app_breakdowns(
+        results,
+        "Figure 3 — {APP} (percent of BASE, 50-cycle miss)",
+        bars=True,
+    )

@@ -9,15 +9,10 @@ specifies).
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
-from .report import format_breakdowns, format_stacked_bars
-from .runner import (
-    AppRun,
-    TraceStore,
-    default_store,
-    simulate_app_models,
-)
+from .report import format_app_breakdowns
+from .runner import TraceStore, simulate_app_models
 
 
 def figure4_configs() -> list[ProcessorConfig]:
@@ -38,33 +33,20 @@ def figure4_configs() -> list[ProcessorConfig]:
     return configs
 
 
-def run_figure4_app(run: AppRun) -> list[ExecutionBreakdown]:
-    return [simulate(run.trace, cfg) for cfg in figure4_configs()]
-
-
 def run_figure4(
-    store: TraceStore | None = None,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
     jobs: int = 1,
 ) -> dict[str, list[ExecutionBreakdown]]:
-    store = store or default_store()
     return simulate_app_models(
         store, figure4_configs(), apps=apps, jobs=jobs
     )
 
 
-def format_figure4(
-    results: dict[str, list[ExecutionBreakdown]],
-    bars: bool = True,
-) -> str:
-    sections = []
-    for app, runs in results.items():
-        base = runs[0]
-        title = (
-            f"Figure 4 — {app.upper()}: perfect branch prediction and "
-            f"ignored data dependences (DS under RC, percent of BASE)"
-        )
-        sections.append(format_breakdowns(title, runs, base))
-        if bars:
-            sections.append(format_stacked_bars("", runs, base))
-    return "\n\n".join(sections)
+def format_figure4(results: dict[str, list[ExecutionBreakdown]]) -> str:
+    return format_app_breakdowns(
+        results,
+        "Figure 4 — {APP}: perfect branch prediction and ignored data "
+        "dependences (DS under RC, percent of BASE)",
+        bars=True,
+    )

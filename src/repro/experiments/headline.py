@@ -12,30 +12,30 @@ applications.
 
 from __future__ import annotations
 
-from ..cpu import ProcessorConfig, simulate
+from ..cpu import ProcessorConfig
 from .figure3 import WINDOW_SIZES
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore, simulate_app_models
 
 PAPER_HIDDEN = {16: 0.33, 32: 0.63, 64: 0.81}
 
 
 def run_headline(
-    store: TraceStore | None = None,
+    store: TraceStore,
     windows: tuple[int, ...] = WINDOW_SIZES,
+    jobs: int = 1,
 ) -> dict[int, dict[str, float]]:
     """Fraction of read latency hidden, per window per app (+ 'avg')."""
-    store = store or default_store()
+    configs = [ProcessorConfig(kind="base")] + [
+        ProcessorConfig(kind="ds", model="RC", window=window)
+        for window in windows
+    ]
+    results = simulate_app_models(store, configs, jobs=jobs)
     result: dict[int, dict[str, float]] = {w: {} for w in windows}
-    for run in store.all_apps():
-        for window in windows:
-            ds = simulate(
-                run.trace,
-                ProcessorConfig(kind="ds", model="RC", window=window),
-            )
-            result[window][run.app] = ds.read_latency_hidden_vs(run.base)
-    for window in windows:
-        apps = result[window]
+    for app, (base, *runs) in results.items():
+        for window, ds in zip(windows, runs):
+            result[window][app] = ds.read_latency_hidden_vs(base)
+    for apps in result.values():
         apps["avg"] = sum(apps.values()) / len(apps)
     return result
 

@@ -5,16 +5,16 @@ The paper reports that with a 100-cycle miss penalty the trends match the
 than 64 (the window must exceed the latency to fully overlap it), and
 that the *relative* gain from hiding latency is consistently larger.
 
-This experiment regenerates the traces with ``miss_penalty=100`` and
+This experiment replays traces generated with ``miss_penalty=100`` and
 sweeps the DS/RC window sizes.
 """
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
-from .report import format_breakdowns
-from .runner import TraceStore, default_store, simulate_app_models
+from .report import format_app_breakdowns
+from .runner import TraceStore, simulate_app_models
 
 
 def latency100_configs() -> list[ProcessorConfig]:
@@ -27,11 +27,10 @@ def latency100_configs() -> list[ProcessorConfig]:
 
 
 def run_latency100(
-    store: TraceStore | None = None,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
     jobs: int = 1,
 ) -> dict[str, list[ExecutionBreakdown]]:
-    store = store or default_store(miss_penalty=100)
     if store.miss_penalty != 100:
         raise ValueError("latency100 requires a 100-cycle store")
     return simulate_app_models(
@@ -42,15 +41,6 @@ def run_latency100(
 def format_latency100(
     results: dict[str, list[ExecutionBreakdown]]
 ) -> str:
-    sections = []
-    for app, runs in results.items():
-        base = runs[0]
-        sections.append(
-            format_breakdowns(
-                f"100-cycle latency — {app.upper()} "
-                f"(DS under RC, percent of BASE)",
-                runs,
-                base,
-            )
-        )
-    return "\n\n".join(sections)
+    return format_app_breakdowns(
+        results, "100-cycle latency — {APP} (DS under RC, percent of BASE)"
+    )

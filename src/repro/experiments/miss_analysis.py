@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cpu import ProcessorConfig, simulate
+from ..cpu import ProcessorConfig
 from ..isa import MemClass
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore, simulate_app_models
 
 
 @dataclass
@@ -44,27 +44,30 @@ class MissAnalysis:
         return float(ordered[len(ordered) // 2])
 
 
+#: DS under RC at window 64 with perfect branch prediction, recording
+#: each read miss's decode-to-issue delay.
+_CONFIG = ProcessorConfig(
+    kind="ds", model="RC", window=64, perfect_bp=True,
+    ds={"collect_miss_stats": True},
+)
+
+
 def run_miss_analysis(
-    store: TraceStore | None = None,
-    window: int = 64,
+    store: TraceStore, jobs: int = 1
 ) -> list[MissAnalysis]:
-    store = store or default_store()
-    config = ProcessorConfig(
-        kind="ds", model="RC", window=window, perfect_bp=True,
-        ds={"collect_miss_stats": True},
-    )
     results = []
-    for run in store.all_apps():
-        breakdown = simulate(run.trace, config)
+    for app, (breakdown,) in simulate_app_models(
+        store, [_CONFIG], jobs=jobs
+    ).items():
         # The spacing is a property of the trace alone: every read miss
         # is decoded, in program order, whatever the timing.
-        cols = run.trace.np_columns()
+        cols = store.get(app).trace.np_columns()
         miss_rows = np.nonzero(
             (cols[9] == int(MemClass.READ)) & (cols[7] > 0)
         )[0]
         results.append(
             MissAnalysis(
-                app=run.app,
+                app=app,
                 issue_delays=breakdown.extras["read_miss_issue_delays"],
                 distances=np.diff(miss_rows).tolist(),
             )

@@ -8,50 +8,42 @@ RC, where single issue had levelled off at 64.
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
-from .report import format_breakdowns
-from .runner import TraceStore, default_store
+from .report import format_app_breakdowns
+from .runner import TraceStore, simulate_app_models
+
+#: The paper's multiple-issue machine.
+ISSUE_WIDTH = 4
+
+
+def multi_issue_configs() -> list[ProcessorConfig]:
+    configs = [ProcessorConfig(kind="base")]
+    for window in WINDOW_SIZES:
+        configs.append(
+            ProcessorConfig(
+                kind="ds", model="RC", window=window,
+                issue_width=ISSUE_WIDTH,
+            )
+        )
+    return configs
 
 
 def run_multi_issue(
-    store: TraceStore | None = None,
-    issue_width: int = 4,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
+    jobs: int = 1,
 ) -> dict[str, list[ExecutionBreakdown]]:
-    store = store or default_store()
-    result = {}
-    for run in store.all_apps():
-        if apps is not None and run.app not in apps:
-            continue
-        runs = [simulate(run.trace, ProcessorConfig(kind="base"))]
-        for window in WINDOW_SIZES:
-            runs.append(
-                simulate(
-                    run.trace,
-                    ProcessorConfig(
-                        kind="ds", model="RC", window=window,
-                        issue_width=issue_width,
-                    ),
-                )
-            )
-        result[run.app] = runs
-    return result
+    return simulate_app_models(
+        store, multi_issue_configs(), apps=apps, jobs=jobs
+    )
 
 
 def format_multi_issue(
-    results: dict[str, list[ExecutionBreakdown]],
-    issue_width: int = 4,
+    results: dict[str, list[ExecutionBreakdown]]
 ) -> str:
-    sections = []
-    for app, runs in results.items():
-        base = runs[0]
-        sections.append(
-            format_breakdowns(
-                f"{issue_width}-issue — {app.upper()} "
-                f"(DS under RC, percent of single-issue BASE)",
-                runs,
-                base,
-            )
-        )
-    return "\n\n".join(sections)
+    return format_app_breakdowns(
+        results,
+        f"{ISSUE_WIDTH}-issue — {{APP}} "
+        f"(DS under RC, percent of single-issue BASE)",
+    )

@@ -67,6 +67,25 @@ def format_breakdowns(
     return format_table(headers, breakdown_rows(runs, base), title=title)
 
 
+def format_app_breakdowns(
+    results: dict[str, list[ExecutionBreakdown]],
+    title: str,
+    bars: bool = False,
+) -> str:
+    """One :func:`format_breakdowns` table per application, each
+    normalised to its first run (BASE).  ``title`` names the
+    application as ``{APP}``; ``bars`` adds the stacked bars below
+    each table."""
+    sections = []
+    for app, runs in results.items():
+        sections.append(
+            format_breakdowns(title.format(APP=app.upper()), runs, runs[0])
+        )
+        if bars:
+            sections.append(format_stacked_bars("", runs, runs[0]))
+    return "\n\n".join(sections)
+
+
 def format_stacked_bars(
     title: str,
     runs: list[ExecutionBreakdown],

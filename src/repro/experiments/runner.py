@@ -16,11 +16,12 @@ penalty, and processor 0 as the traced processor.
 
 For multi-core hosts the module also provides process-pool fan-out:
 :func:`generate_traces` builds the five application traces concurrently
-and :func:`simulate_app_models` distributes independent (model, window)
-processor simulations across workers.  The fan-out runs on the
-supervised pool of :mod:`repro.service` — a worker that crashes, hangs,
-or returns a torn payload is restarted and its job retried instead of
-aborting the sweep.  Results are collected in submission order, so
+and :func:`simulate_app_models` — the one sweep behind every breakdown
+experiment — distributes independent processor simulations across
+workers.  The fan-out runs on the supervised pool of
+:mod:`repro.service` — a worker that crashes, hangs, or returns a torn
+payload is restarted and its job retried instead of aborting the
+sweep.  Results are collected in submission order, so
 output is byte-identical regardless of ``jobs``.
 """
 
@@ -110,21 +111,26 @@ class TraceStore:
         self._runs: dict[str, AppRun] = {}
         self._cosim_runs: dict[str, CosimRun] = {}
 
-    def _cache_path(self, app: str) -> Path | None:
+    def _cache_path(self, app: str, cosim: bool = False) -> Path | None:
+        """The pickle of ``app``'s run: the traced-cpu run by default,
+        the all-processor :class:`CosimRun` with ``cosim``."""
         if self.cache_dir is None:
             return None
         sync = (
             "auto" if self.sync_access_latency is None
             else str(self.sync_access_latency)
         )
+        prefix, suffix = (
+            ("cosim_", "") if cosim else ("", f"_t{self.trace_cpu}")
+        )
         name = (
-            f"{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
+            f"{prefix}{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
             f"_m{self.miss_penalty}_c{self.cache_size}_l{self.line_size}"
-            f"_s{sync}_{self.preset}_t{self.trace_cpu}.pkl"
+            f"_s{sync}_{self.preset}{suffix}.pkl"
         )
         return self.cache_dir / name
 
-    def _load(self, path: Path, cls=AppRun):
+    def _load(self, path: Path, cls):
         """Read a cached run; any stale/corrupt pickle means 'miss'."""
         try:
             with open(path, "rb") as f:
@@ -144,7 +150,7 @@ class TraceStore:
             return None
         return run
 
-    def _save(self, path: Path, run: AppRun) -> None:
+    def _save(self, path: Path, run) -> None:
         """Atomic write: concurrent workers never see a partial pickle."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -152,43 +158,71 @@ class TraceStore:
             pickle.dump(run, f, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
 
-    def get(self, app: str) -> AppRun:
-        """Return the cached run for ``app``, generating it if needed."""
+    def _cached(self, app: str, cosim: bool):
+        """``app``'s run from memory, else from disk, else built (and
+        written back): the one lookup behind :meth:`get` and
+        :meth:`get_cosim`."""
         if app not in APP_NAMES:
             raise ValueError(f"unknown application {app!r}")
-        run = self._runs.get(app)
+        memo, cls, build = (
+            (self._cosim_runs, CosimRun, self._build_cosim) if cosim
+            else (self._runs, AppRun, self._build)
+        )
+        run = memo.get(app)
         if run is not None:
             self.metrics.counter("trace.warm_hits").inc()
             return run
-        path = self._cache_path(app)
+        path = self._cache_path(app, cosim)
         if path is not None:
-            run = self._load(path)
+            run = self._load(path, cls)
             if run is not None:
                 self.metrics.counter("trace.disk_hits").inc()
-                self._runs[app] = run
+                memo[app] = run
                 return run
         self.metrics.counter("trace.builds").inc()
-        run = self._generate(app)
-        self._runs[app] = run
+        run = memo[app] = build(app)
         if path is not None:
             self._save(path, run)
         return run
 
-    def _generate(self, app: str) -> AppRun:
+    def get(self, app: str) -> AppRun:
+        """Return the cached run for ``app``, generating it if needed."""
+        return self._cached(app, cosim=False)
+
+    def get_cosim(self, app: str) -> CosimRun:
+        """The all-processor run for ``app``: every cpu's trace plus the
+        recorded sync schedule, generated (and disk-cached) on demand.
+        The underlying functional execution is identical to
+        :meth:`get` — the traced-cpu set and the schedule recording are
+        observational — so cpu ``trace_cpu``'s trace is byte-identical
+        to the single-trace cache's."""
+        return self._cached(app, cosim=True)
+
+    def _execute(
+        self, app: str, trace_cpus: tuple[int, ...],
+        record_sync_schedule: bool = False,
+    ):
+        """One verified functional run of ``app`` tracing ``trace_cpus``;
+        returns the workload and the executor's result."""
         workload = build_app(app, n_procs=self.n_procs, preset=self.preset)
-        config = MultiprocessorConfig(
+        mp_config = MultiprocessorConfig(
             n_cpus=self.n_procs,
             cache_size=self.cache_size,
             line_size=self.line_size,
             miss_penalty=self.miss_penalty,
             sync_access_latency=self.sync_access_latency,
-            trace_cpus=(self.trace_cpu,),
+            trace_cpus=trace_cpus,
+            record_sync_schedule=record_sync_schedule,
         )
         result = TangoExecutor(
-            workload.programs, config, memory=workload.memory
+            workload.programs, mp_config, memory=workload.memory
         ).run()
         if self.verify:
             workload.verify(result.memory)
+        return workload, result
+
+    def _build(self, app: str) -> AppRun:
+        workload, result = self._execute(app, (self.trace_cpu,))
         trace = result.trace(self.trace_cpu)
         return AppRun(
             app=app,
@@ -198,68 +232,14 @@ class TraceStore:
             params=dict(workload.params),
         )
 
-    # -- co-simulation inputs: all processors traced ---------------------
-
-    def _cosim_cache_path(self, app: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        sync = (
-            "auto" if self.sync_access_latency is None
-            else str(self.sync_access_latency)
+    def _build_cosim(self, app: str) -> CosimRun:
+        cpus = tuple(range(self.n_procs))
+        workload, result = self._execute(
+            app, cpus, record_sync_schedule=True
         )
-        name = (
-            f"cosim_{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
-            f"_m{self.miss_penalty}_c{self.cache_size}_l{self.line_size}"
-            f"_s{sync}_{self.preset}.pkl"
-        )
-        return self.cache_dir / name
-
-    def get_cosim(self, app: str) -> CosimRun:
-        """The all-processor run for ``app``: every cpu's trace plus the
-        recorded sync schedule, generated (and disk-cached) on demand.
-        The underlying functional execution is identical to
-        :meth:`get` — the traced-cpu set and the schedule recording are
-        observational — so cpu ``trace_cpu``'s trace is byte-identical
-        to the single-trace cache's."""
-        if app not in APP_NAMES:
-            raise ValueError(f"unknown application {app!r}")
-        run = self._cosim_runs.get(app)
-        if run is not None:
-            self.metrics.counter("trace.warm_hits").inc()
-            return run
-        path = self._cosim_cache_path(app)
-        if path is not None:
-            run = self._load(path, CosimRun)
-            if run is not None:
-                self.metrics.counter("trace.disk_hits").inc()
-                self._cosim_runs[app] = run
-                return run
-        self.metrics.counter("trace.builds").inc()
-        run = self._generate_cosim(app)
-        self._cosim_runs[app] = run
-        if path is not None:
-            self._save(path, run)
-        return run
-
-    def _generate_cosim(self, app: str) -> CosimRun:
-        workload = build_app(app, n_procs=self.n_procs, preset=self.preset)
-        config = MultiprocessorConfig(
-            n_cpus=self.n_procs,
-            cache_size=self.cache_size,
-            line_size=self.line_size,
-            miss_penalty=self.miss_penalty,
-            sync_access_latency=self.sync_access_latency,
-            trace_cpus=tuple(range(self.n_procs)),
-            record_sync_schedule=True,
-        )
-        result = TangoExecutor(
-            workload.programs, config, memory=workload.memory
-        ).run()
-        if self.verify:
-            workload.verify(result.memory)
         return CosimRun(
             app=app,
-            traces=[result.trace(cpu) for cpu in range(self.n_procs)],
+            traces=[result.trace(cpu) for cpu in cpus],
             schedule=result.sync_schedule,
             stats=result.stats,
             params=dict(workload.params),
@@ -288,7 +268,7 @@ class TraceStore:
 #: them through one shared store per spec keeps the in-memory trace and
 #: program caches warm across jobs, so a repeated sweep skips both
 #: regeneration and the disk-cache unpickle.
-_SHARED_STORES: dict[tuple, TraceStore] = {}
+_SHARED_BY_SPEC: dict[tuple, TraceStore] = {}
 
 
 def shared_store(spec: dict, metrics=None) -> TraceStore:
@@ -299,10 +279,10 @@ def shared_store(spec: dict, metrics=None) -> TraceStore:
     own so ``GET /v1/metrics`` reports warm hits.
     """
     key = tuple(sorted((k, str(v)) for k, v in spec.items()))
-    store = _SHARED_STORES.get(key)
+    store = _SHARED_BY_SPEC.get(key)
     if store is None:
         store = TraceStore(**spec)
-        _SHARED_STORES[key] = store
+        _SHARED_BY_SPEC[key] = store
     if metrics is not None:
         store.metrics = metrics
     return store
@@ -406,17 +386,3 @@ def simulate_app_models(
         a: [simulate(store.get(a).trace, cfg) for cfg in configs]
         for a in names
     }
-
-
-#: Process-wide default stores (50- and 100-cycle miss penalties), shared
-#: by the test suite and the benchmark harness so the expensive functional
-#: simulation happens once.
-_STORES: dict[int, TraceStore] = {}
-
-
-def default_store(miss_penalty: int = 50) -> TraceStore:
-    store = _STORES.get(miss_penalty)
-    if store is None:
-        store = TraceStore(miss_penalty=miss_penalty)
-        _STORES[miss_penalty] = store
-    return store

@@ -11,53 +11,45 @@ speculative loads, with both — alongside plain RC as the ceiling.
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
-from .report import format_breakdowns
-from .runner import TraceStore, default_store
+from ..cpu import ExecutionBreakdown, ProcessorConfig
+from .report import format_app_breakdowns
+from .runner import TraceStore, simulate_app_models
+
+WINDOW = 64
+
+#: (model, DS options, label suffix) of each DS bar after BASE.
+_BOOSTS = (
+    ("SC", {}, ""),
+    ("SC", {"prefetch": True}, "+pf"),
+    ("SC", {"speculative_loads": True}, "+spec"),
+    ("SC", {"prefetch": True, "speculative_loads": True}, "+pf+spec"),
+    ("RC", {}, ""),
+)
+
+
+def sc_boost_configs() -> list[ProcessorConfig]:
+    return [ProcessorConfig(kind="base")] + [
+        ProcessorConfig(kind="ds", model=model, window=WINDOW, ds=extra)
+        for model, extra, _ in _BOOSTS
+    ]
 
 
 def run_sc_boost(
-    store: TraceStore | None = None,
-    window: int = 64,
+    store: TraceStore,
     apps: tuple[str, ...] | None = None,
+    jobs: int = 1,
 ) -> dict[str, list[ExecutionBreakdown]]:
-    store = store or default_store()
-    result = {}
-    for run in store.all_apps():
-        if apps is not None and run.app not in apps:
-            continue
-        variants = [
-            ("BASE", None, {}),
-            (f"DS-SC-w{window}", "SC", {}),
-            (f"DS-SC-w{window}+pf", "SC", {"prefetch": True}),
-            (f"DS-SC-w{window}+spec", "SC", {"speculative_loads": True}),
-            (f"DS-SC-w{window}+pf+spec", "SC",
-             {"prefetch": True, "speculative_loads": True}),
-            (f"DS-RC-w{window}", "RC", {}),
-        ]
-        runs = []
-        for label, model, extra in variants:
-            if model is None:
-                runs.append(run.base)
-                continue
-            breakdown = simulate(run.trace, ProcessorConfig(
-                kind="ds", model=model, window=window, ds=extra
-            ))
-            breakdown.label = label  # names the boost, not just the model
-            runs.append(breakdown)
-        result[run.app] = runs
-    return result
+    results = simulate_app_models(
+        store, sc_boost_configs(), apps=apps, jobs=jobs
+    )
+    for runs in results.values():
+        for breakdown, (model, _, suffix) in zip(runs[1:], _BOOSTS):
+            # Names the boost, not just the model.
+            breakdown.label = f"DS-{model}-w{WINDOW}{suffix}"
+    return results
 
 
 def format_sc_boost(results: dict[str, list[ExecutionBreakdown]]) -> str:
-    sections = []
-    for app, runs in results.items():
-        sections.append(
-            format_breakdowns(
-                f"Boosting SC ([8]) — {app.upper()} "
-                f"(percent of BASE)",
-                runs,
-                runs[0],
-            )
-        )
-    return "\n\n".join(sections)
+    return format_app_breakdowns(
+        results, "Boosting SC ([8]) — {APP} (percent of BASE)"
+    )

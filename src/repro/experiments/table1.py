@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore
 
 
 @dataclass
@@ -39,8 +39,7 @@ class Table1Row:
         return 1000.0 * self.write_misses / self.busy_cycles
 
 
-def run_table1(store: TraceStore | None = None) -> list[Table1Row]:
-    store = store or default_store()
+def run_table1(store: TraceStore) -> list[Table1Row]:
     rows = []
     for run in store.all_apps():
         stats = run.stats.cpu(store.trace_cpu)

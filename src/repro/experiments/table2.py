@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore
 
 
 @dataclass
@@ -26,8 +26,7 @@ class Table2Row:
         return 1000.0 * count / self.busy_cycles
 
 
-def run_table2(store: TraceStore | None = None) -> list[Table2Row]:
-    store = store or default_store()
+def run_table2(store: TraceStore) -> list[Table2Row]:
     rows = []
     for run in store.all_apps():
         stats = run.stats.cpu(store.trace_cpu)

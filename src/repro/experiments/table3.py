@@ -22,7 +22,7 @@ from ..cpu.ds.event_engine import _ds_index
 from ..isa import Op, is_cond_branch
 from ..tango import Trace
 from .report import format_table
-from .runner import TraceStore, default_store
+from .runner import TraceStore
 
 #: Opcode-indexed mask of the rows Table 3 counts as branches.
 _IS_BRANCH = np.zeros(max(Op) + 1, dtype=bool)
@@ -67,8 +67,7 @@ def analyze_trace(app: str, trace: Trace) -> Table3Row:
     )
 
 
-def run_table3(store: TraceStore | None = None) -> list[Table3Row]:
-    store = store or default_store()
+def run_table3(store: TraceStore) -> list[Table3Row]:
     return [analyze_trace(run.app, run.trace) for run in store.all_apps()]
 
 

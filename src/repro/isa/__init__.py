@@ -8,7 +8,6 @@ from .ops import (
     fu_class,
     is_cond_branch,
     is_control,
-    is_jump,
     is_load,
     is_mem,
     is_store,
@@ -49,7 +48,6 @@ __all__ = [
     "is_cond_branch",
     "is_control",
     "is_fp",
-    "is_jump",
     "is_load",
     "is_mem",
     "is_store",

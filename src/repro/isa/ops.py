@@ -222,10 +222,6 @@ def is_cond_branch(op: Op) -> bool:
     return op in _COND_BRANCH_OPS
 
 
-def is_jump(op: Op) -> bool:
-    return op in _JUMP_OPS
-
-
 def is_control(op: Op) -> bool:
     return op in _COND_BRANCH_OPS or op in _JUMP_OPS or op is Op.HALT
 

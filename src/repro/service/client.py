@@ -2,16 +2,15 @@
 
 :class:`DaemonClient` is a stdlib (``http.client``) JSON client for
 one daemon endpoint — submit, wait, fetch results — used by the
-``submit``, ``watch`` and ``top`` CLI subcommands and by ``batch
---endpoint``.  The daemon holds a status call until the job is
-terminal or :data:`HOLD_S` seconds pass, so a waiter hears of the
-finish when it happens and never sleeps.  Each calling thread keeps
-one persistent HTTP/1.1 connection and reuses it for every call.  A reused
-connection the daemon has meanwhile closed (its idle timeout, see
-:mod:`repro.service.http`) is detected before any response byte
-arrives, and the request is sent once more on a fresh connection;
-nothing else is ever retried.  ``close()`` (or a ``with`` block)
-releases the connections.
+``submit``, ``watch`` and ``top`` CLI subcommands.  The daemon holds
+a status call until the job is terminal or :data:`HOLD_S` seconds
+pass, so a waiter hears of the finish when it happens and never
+sleeps.  Each calling thread keeps one persistent HTTP/1.1 connection
+and reuses it for every call.  A reused connection the daemon has
+meanwhile closed (its idle timeout, see :mod:`repro.service.http`) is
+detected before any response byte arrives, and the request is sent
+once more on a fresh connection; nothing else is ever retried.
+``close()`` (or a ``with`` block) releases the connections.
 
 :func:`dispatch` is the scale-out path: it expands a request grid
 *locally*, partitions the deduplicated jobs with the deterministic
@@ -258,7 +257,6 @@ def dispatch(
     payload: dict,
     *,
     timeout: float | None = None,
-    client_factory=DaemonClient,
     trace=None,
 ) -> DispatchReport:
     """Shard a grid request across daemon endpoints and merge results.
@@ -284,7 +282,7 @@ def dispatch(
         trace_id=trace.trace_id if trace is not None else None,
     )
 
-    clients = [client_factory(url) for url in endpoints]
+    clients = [DaemonClient(url) for url in endpoints]
     submissions: list[tuple[DaemonClient, str, str]] = []
     by_label: dict[str, dict] = {}
     try:

@@ -6,7 +6,6 @@ from .executor import (
     RunResult,
     StepLimitExceeded,
     TangoExecutor,
-    run_workload,
 )
 from .interp import ExecutionError, StepResult, ThreadState, execute_instruction
 from .stats import CpuStats, RunStats
@@ -33,5 +32,4 @@ __all__ = [
     "TraceFormatError",
     "TraceRecord",
     "execute_instruction",
-    "run_workload",
 ]

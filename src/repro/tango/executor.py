@@ -890,17 +890,3 @@ class TangoExecutor:
 
             if not blocked:
                 heapq.heappush(heap, (clock, tid))
-
-
-def run_workload(
-    programs: list[Program],
-    memory: SharedMemory,
-    config: MultiprocessorConfig | None = None,
-    compiled: bool = True,
-    probe=None,
-) -> RunResult:
-    """Convenience wrapper: build an executor and run it."""
-    return TangoExecutor(
-        programs, config=config, memory=memory, compiled=compiled,
-        probe=probe,
-    ).run()

@@ -16,7 +16,6 @@ Three layers (see ISSUE/ROADMAP and the paper's correctness concerns):
 from .checker import (
     CheckResult,
     Violation,
-    check_all_models,
     check_execution,
 )
 from .events import EventLog, MemEvent
@@ -51,7 +50,6 @@ __all__ = [
     "RelaxedEngine",
     "RelaxedExecutionError",
     "Violation",
-    "check_all_models",
     "check_execution",
     "format_litmus_report",
     "run_litmus",

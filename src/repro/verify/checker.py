@@ -321,8 +321,3 @@ def check_execution(log: EventLog, model) -> CheckResult:
         n_edges=graph.n_edges,
         violations=violations,
     )
-
-
-def check_all_models(log: EventLog, names=("SC", "PC", "WO", "RC")):
-    """Check one log against several models; dict name -> CheckResult."""
-    return {name: check_execution(log, name) for name in names}

@@ -432,6 +432,47 @@ _CONFIG_FIELDS = {
                              "max_instructions"),
 }
 
+#: The parameters of every experiment function (``=`` marks a default).
+#: Like the options above, a parameter no caller varies is deleted, not
+#: frozen here.
+_EXPERIMENT_PARAMS = {
+    "analyze_trace": ("app", "trace"),
+    "figure3_configs": (),
+    "figure4_configs": (),
+    "format_app_breakdowns": ("results", "title", "bars="),
+    "format_breakdowns": ("title", "runs", "base"),
+    "format_compiler_sched": ("result",),
+    "format_contexts": ("result",),
+    "format_figure1": ("result",),
+    "format_figure3": ("results",),
+    "format_figure4": ("results",),
+    "format_headline": ("result",),
+    "format_latency100": ("results",),
+    "format_miss_analysis": ("results",),
+    "format_multi_issue": ("results",),
+    "format_sc_boost": ("results",),
+    "format_stacked_bars": ("title", "runs", "base", "width="),
+    "format_table": ("headers", "rows", "title=", "float_fmt="),
+    "format_table1": ("rows",),
+    "format_table2": ("rows",),
+    "format_table3": ("rows",),
+    "generate_traces": ("store", "apps=", "jobs="),
+    "run_compiler_sched": ("store",),
+    "run_contexts": ("store", "apps="),
+    "run_figure1": (),
+    "run_figure3": ("store", "apps=", "jobs="),
+    "run_figure4": ("store", "apps=", "jobs="),
+    "run_headline": ("store", "windows=", "jobs="),
+    "run_latency100": ("store", "apps=", "jobs="),
+    "run_miss_analysis": ("store", "jobs="),
+    "run_multi_issue": ("store", "apps=", "jobs="),
+    "run_sc_boost": ("store", "apps=", "jobs="),
+    "run_table1": ("store",),
+    "run_table2": ("store",),
+    "run_table3": ("store",),
+    "simulate_app_models": ("store", "configs", "apps=", "jobs="),
+}
+
 _DAEMON_ARGS = ("store_dir", "cache_dir", "workers", "queue_depth",
                 "timeout", "max_attempts", "seed", "grace", "metrics",
                 "log", "executor")
@@ -470,6 +511,17 @@ def test_option_census():
     } == _CONFIG_FIELDS
     daemon_args = tuple(inspect.signature(Daemon).parameters)
     assert daemon_args == _DAEMON_ARGS
+
+    from repro import experiments
+
+    assert {
+        name: tuple(
+            p.name + ("=" if p.default is not p.empty else "")
+            for p in inspect.signature(fn).parameters.values()
+        )
+        for name in experiments.__all__
+        if inspect.isfunction(fn := getattr(experiments, name))
+    } == _EXPERIMENT_PARAMS
 
 
 _DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")

@@ -37,6 +37,7 @@ from repro.asm import AsmBuilder
 from repro.cli import main
 from repro.consistency import get_model
 from repro.cosim import build_node, run_cosim
+from repro import experiments as exp
 from repro.experiments import (
     TraceStore,
     figure3_configs,
@@ -534,6 +535,35 @@ class TestParallelFanOut:
         main(argv + ["figure3"])
         serial = capsys.readouterr().out
         assert first == second == serial
+
+    def test_breakdown_experiments_identical_across_jobs(self, cache_dir):
+        """Every breakdown sweep renders byte-identically on the pool."""
+        store = TraceStore(preset="tiny", n_procs=4, cache_dir=cache_dir)
+        store100 = TraceStore(
+            preset="tiny", n_procs=4, miss_penalty=100, cache_dir=cache_dir
+        )
+        sweeps = {
+            "figure3": lambda j: exp.format_figure3(
+                exp.run_figure3(store, jobs=j)
+            ),
+            "figure4": lambda j: exp.format_figure4(
+                exp.run_figure4(store, jobs=j)
+            ),
+            "latency100": lambda j: exp.format_latency100(
+                exp.run_latency100(store100, jobs=j)
+            ),
+            "multi-issue": lambda j: exp.format_multi_issue(
+                exp.run_multi_issue(store, jobs=j)
+            ),
+            "sc-boost": lambda j: exp.format_sc_boost(
+                exp.run_sc_boost(store, jobs=j)
+            ),
+            "headline": lambda j: exp.format_headline(
+                exp.run_headline(store, jobs=j)
+            ),
+        }
+        for name, sweep in sweeps.items():
+            assert sweep(1) == sweep(2), name
 
 
 class TestProbeByteIdentity:
