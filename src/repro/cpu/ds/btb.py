@@ -29,18 +29,18 @@ class BtbEntry:
 class BranchTargetBuffer:
     """2048-entry 4-way BTB with 2-bit saturating counters."""
 
-    def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
-        self.assoc = assoc
-        self.num_sets = entries // assoc
+    ENTRIES = 2048
+    ASSOC = 4
+    SETS = ENTRIES // ASSOC
+
+    def __init__(self) -> None:
         # Each set is a list ordered MRU-first.
         self._sets: list[list[BtbEntry]] = [
-            [] for _ in range(self.num_sets)
+            [] for _ in range(self.SETS)
         ]
 
     def _lookup(self, pc: int) -> BtbEntry | None:
-        ways = self._sets[pc % self.num_sets]
+        ways = self._sets[pc % self.SETS]
         for entry in ways:
             if entry.pc == pc:
                 return entry
@@ -62,7 +62,7 @@ class BranchTargetBuffer:
 
     def update(self, op: Op, pc: int, taken: bool, target: int) -> None:
         """Record the actual outcome of the branch at ``pc``."""
-        ways = self._sets[pc % self.num_sets]
+        ways = self._sets[pc % self.SETS]
         entry = self._lookup(pc)
         if entry is None:
             if not taken and is_cond_branch(op):
@@ -71,7 +71,7 @@ class BranchTargetBuffer:
                 return
             entry = BtbEntry(pc, target, 2 if taken else 1)
             ways.insert(0, entry)
-            if len(ways) > self.assoc:
+            if len(ways) > self.ASSOC:
                 ways.pop()
             return
         if is_cond_branch(op):

@@ -21,7 +21,7 @@ far toward the top of the block as its dependences allow:
   barrier, matching what a correct scheduler for SC/PC must do; under RC
   a data store could be crossed, but staying conservative keeps one
   transformation valid for every model);
-* the hoist distance is capped (``max_hoist``), modelling the scheduler's
+* the hoist distance is capped (``MAX_HOIST``), modelling the scheduler's
   limited scope.
 
 The transformed trace is then run through the SS processor (static
@@ -75,10 +75,11 @@ def _blocks(records: list[TraceRecord]):
         yield start, len(records)
 
 
-def schedule_reads_early(
-    trace: Trace,
-    max_hoist: int = 32,
-) -> tuple[Trace, ScheduleStats]:
+#: The furthest a load moves up its region (instructions).
+MAX_HOIST = 32
+
+
+def schedule_reads_early(trace: Trace) -> tuple[Trace, ScheduleStats]:
     """Hoist loads toward their region tops; returns a new trace.
 
     The returned trace preserves per-region instruction multisets and all
@@ -98,7 +99,7 @@ def schedule_reads_early(
             srcs = {r for r in (record.rs1, record.rs2) if r > 0}
             dest = record.rd
             j = i
-            while j > 0 and (i - j) < max_hoist:
+            while j > 0 and (i - j) < MAX_HOIST:
                 above = region[j - 1]
                 # Within a region only plain instructions and other loads
                 # occur (stores/sync/branches end regions); loads may

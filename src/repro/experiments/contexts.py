@@ -3,18 +3,16 @@
 The paper's discussion lists multiple-context processors among the
 alternative latency-hiding techniques.  This experiment runs the
 switch-on-miss multiple-context model over K traces of the same
-application (different processors of the multiprocessor run supply the
-independent streams) and reports the processor-efficiency curve
-(busy / total) versus K, next to the single-context BASE and the DS
-window-64 result.
+application (processors 0..K-1 of one functional run, made by the
+store's own verified run routine, supply the independent streams) and
+reports the processor-efficiency curve (busy / total) versus K, next
+to the single-context BASE and the DS window-64 result.
 """
 
 from __future__ import annotations
 
 from ..cpu import ProcessorConfig, simulate
 from ..cpu.multicontext import simulate_multicontext
-from ..tango import MultiprocessorConfig, TangoExecutor
-from ..apps import build_app
 from .report import format_table
 from .runner import TraceStore
 
@@ -35,22 +33,10 @@ def run_contexts(
     for run in store.all_apps():
         if apps is not None and run.app not in apps:
             continue
-        # Re-run the workload tracing the first max(K) processors so the
-        # contexts are genuinely independent streams of the same program.
-        workload = build_app(
-            run.app, n_procs=store.n_procs, preset=store.preset
-        )
-        config = MultiprocessorConfig(
-            n_cpus=store.n_procs,
-            cache_size=store.cache_size,
-            miss_penalty=store.miss_penalty,
-            trace_cpus=tuple(range(max(counts))),
-        )
-        mp = TangoExecutor(
-            workload.programs, config, memory=workload.memory
-        ).run()
-        traces = [mp.trace(c) for c in range(max(counts))]
-
+        # Not cached: only this experiment reads these traces, and the
+        # store's all-processor run would hold every processor's.
+        _, mp = store._execute(run.app, tuple(range(max(counts))))
+        traces = [mp.trace(cpu) for cpu in range(max(counts))]
         efficiency = {}
         for k in counts:
             breakdown = simulate_multicontext(traces[:k])

@@ -31,12 +31,12 @@ REQUIRED_FIELDS = (
 )
 
 
-def git_revision(repo_dir: Path | str | None = None) -> str | None:
+def git_revision() -> str | None:
     """The current git commit hash, or None outside a checkout."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=repo_dir or Path(__file__).resolve().parents[3],
+            cwd=Path(__file__).resolve().parents[3],
             capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.TimeoutExpired):

@@ -160,23 +160,19 @@ class Histogram:
 class Reservoir:
     """Bounded time series with deterministic stride decimation.
 
-    Keeps at most ``capacity`` ``(t, value)`` samples.  When full, every
-    other retained sample is dropped and the keep-stride doubles, so an
-    arbitrarily long run degrades into an evenly thinned series instead
-    of overflowing — and identically for identical runs.
+    Keeps fewer than ``CAPACITY`` ``(t, value)`` samples.  When full,
+    every other retained sample is dropped and the keep-stride doubles,
+    so an arbitrarily long run degrades into an evenly thinned series
+    instead of overflowing — and identically for identical runs.
     """
 
-    __slots__ = (
-        "name", "labels", "capacity", "times", "values",
-        "_stride", "_seen",
-    )
+    CAPACITY = 1024
 
-    def __init__(self, name: str, capacity: int = 1024) -> None:
-        if capacity < 2:
-            raise ValueError("reservoir capacity must be >= 2")
+    __slots__ = ("name", "labels", "times", "values", "_stride", "_seen")
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.labels: dict = {}
-        self.capacity = capacity
         self.times: list[int] = []
         self.values: list = []
         self._stride = 1
@@ -189,7 +185,7 @@ class Reservoir:
             return
         self.times.append(t)
         self.values.append(value)
-        if len(self.times) >= self.capacity:
+        if len(self.times) >= self.CAPACITY:
             self.times = self.times[::2]
             self.values = self.values[::2]
             self._stride *= 2
@@ -291,10 +287,9 @@ class MetricsRegistry:
         return self._get(name, Histogram, bounds, labels=labels)
 
     def reservoir(
-        self, name: str, capacity: int = 1024,
-        labels: dict | None = None,
+        self, name: str, labels: dict | None = None
     ) -> Reservoir:
-        return self._get(name, Reservoir, capacity, labels=labels)
+        return self._get(name, Reservoir, labels=labels)
 
     def get(self, name: str, labels: dict | None = None):
         """The registered instrument, or None."""
@@ -330,14 +325,14 @@ class MetricsRegistry:
 NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
-def format_histogram(hist: Histogram, width: int = 40) -> str:
+def format_histogram(hist: Histogram) -> str:
     """ASCII rendition of a histogram (one bar per bucket)."""
     lines = []
     peak = max(hist.counts) if hist.count else 0
     bounds = [str(b) for b in hist.bounds] + [f">{hist.bounds[-1]}"]
     label_w = max(len(b) for b in bounds)
     for bound, count in zip(bounds, hist.counts):
-        bar = "#" * (round(width * count / peak) if peak else 0)
+        bar = "#" * (round(40 * count / peak) if peak else 0)
         lines.append(f"  <= {bound.rjust(label_w)}  {bar} {count}")
     lines.append(
         f"  (count {hist.count}, mean {hist.mean():.1f}, max {hist.max})"

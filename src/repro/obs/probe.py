@@ -35,6 +35,11 @@ _MC_BARRIER = int(MemClass.BARRIER)
 
 _OP_NAME = {int(op): op.name for op in Op}
 
+#: Per-instruction spans and per-hop events a traced run emits before it
+#: only counts them (``trace.spans_dropped``).
+SPAN_LIMIT = 50_000
+HOP_LIMIT = 20_000
+
 #: CpuStats fields published as ``tango.cpu<N>.<field>`` counters.
 _CPU_STAT_FIELDS = (
     "busy_cycles", "reads", "writes", "read_misses", "write_misses",
@@ -51,8 +56,6 @@ class Probe:
         self,
         metrics: MetricsRegistry | None = None,
         tracer: ChromeTracer | None = None,
-        span_limit: int = 50_000,
-        hop_limit: int = 20_000,
     ) -> None:
         self.metrics = (
             metrics if metrics is not None
@@ -62,8 +65,8 @@ class Probe:
         #: Remaining per-instruction span / per-hop event budgets; once
         #: exhausted further events are counted, not emitted (the caps
         #: are reported, never silent — see ``trace.spans_dropped``).
-        self.span_budget = span_limit if tracer is not None else 0
-        self.hop_budget = hop_limit if tracer is not None else 0
+        self.span_budget = SPAN_LIMIT if tracer is not None else 0
+        self.hop_budget = HOP_LIMIT if tracer is not None else 0
         # (process, group) -> per-lane busy-until times, for laning
         # overlapping spans (e.g. a DS core's concurrent misses) onto
         # properly nesting tracks.

@@ -93,10 +93,10 @@ class SpanSink:
     the ones still being queried).
     """
 
-    def __init__(self, capacity: int = 20000) -> None:
-        if capacity < 2:
-            raise ValueError("span sink capacity must be >= 2")
-        self.capacity = capacity
+    #: Spans held before the oldest half is dropped.
+    CAPACITY = 20_000
+
+    def __init__(self) -> None:
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self.dropped = 0
@@ -104,7 +104,7 @@ class SpanSink:
     def record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-            if len(self._spans) > self.capacity:
+            if len(self._spans) > self.CAPACITY:
                 drop = len(self._spans) // 2
                 del self._spans[:drop]
                 self.dropped += drop

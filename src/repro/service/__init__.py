@@ -3,9 +3,10 @@
 The layer between "one CLI invocation" and "sustained sweep traffic":
 
 * :class:`SupervisedPool` / :func:`run_jobs` — process fan-out with
-  heartbeats, per-job wall-clock timeouts, automatic worker restart,
-  seeded exponential backoff + jitter retries, and a quarantine list
-  (the drop-in replacement for the repo's former bare
+  per-job wall-clock timeouts, automatic worker restart, seeded
+  exponential backoff + jitter retries and a quarantine list, on one
+  worker fleet that runs reuse until :meth:`SupervisedPool.close` (the
+  drop-in replacement for the repo's former bare
   ``ProcessPoolExecutor`` paths);
 * :mod:`~repro.service.jobs` — config-grid decomposition into
   deduplicated, shardable :class:`SweepJob`\\ s;

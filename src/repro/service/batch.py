@@ -532,19 +532,20 @@ def run_batch(
         max_attempts=max_attempts, chaos=chaos is not None,
     )
     batch_spans: list[Span] = []
+    pool = SupervisedPool(
+        workers=jobs,
+        timeout=timeout,
+        max_attempts=max_attempts,
+        seed=seed,
+        chaos=chaos,
+        metrics=m,
+        log=log,
+        install_signal_handlers=True,
+    )
     core = SweepCore(
         store,
         process="batch",
-        pool=SupervisedPool(
-            workers=jobs,
-            timeout=timeout,
-            max_attempts=max_attempts,
-            seed=seed,
-            chaos=chaos,
-            metrics=m,
-            log=log,
-            install_signal_handlers=True,
-        ),
+        pool=pool,
         cache_dir=str(cache_dir) if cache_dir else None,
         span_dir=span_dir,
         emit=batch_spans.append,
@@ -567,7 +568,10 @@ def run_batch(
         tmp.write_text(json.dumps(state, indent=2) + "\n")
         os.replace(tmp, state_path)
 
-    interrupted = core.run(sweep, records, trace=trace, on_change=persist)
+    with pool:
+        interrupted = core.run(
+            sweep, records, trace=trace, on_change=persist
+        )
 
     counters = {
         name: inst.value

@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 #: Attempt bound meaning "every attempt" (far above any max_attempts).
 ALWAYS = 1_000_000
 
+#: How long an injected hang sleeps (seconds).
+HANG_SECONDS = 3600.0
+
 
 class ChaosTransientError(RuntimeError):
     """The exception the ``fail`` injector raises inside a worker."""
@@ -35,15 +38,15 @@ class ChaosSpec:
     """Which jobs to sabotage, and for how many attempts.
 
     Every mapping is ``{job_index: n}``: the fault fires while the
-    job's attempt number (1-based) is ``<= n``.  ``hang_seconds`` only
-    bounds the injected sleep so a test without timeouts still ends.
+    job's attempt number (1-based) is ``<= n``.  An injected hang
+    sleeps ``HANG_SECONDS``: bounded, so a run without timeouts still
+    ends.
     """
 
     crash: dict[int, int] = field(default_factory=dict)
     hang: dict[int, int] = field(default_factory=dict)
     corrupt: dict[int, int] = field(default_factory=dict)
     fail: dict[int, int] = field(default_factory=dict)
-    hang_seconds: float = 3600.0
 
     def __bool__(self) -> bool:
         return bool(self.crash or self.hang or self.corrupt or self.fail)
@@ -53,7 +56,7 @@ class ChaosSpec:
         if attempt <= self.crash.get(index, 0):
             os.kill(os.getpid(), signal.SIGKILL)
         if attempt <= self.hang.get(index, 0):
-            time.sleep(self.hang_seconds)
+            time.sleep(HANG_SECONDS)
         if attempt <= self.fail.get(index, 0):
             raise ChaosTransientError(
                 f"injected transient failure (job {index}, "

@@ -5,10 +5,10 @@ service layer.  Where ``python -m repro batch`` pays a cold start per
 invocation — fresh worker processes, empty in-memory trace caches — the
 daemon keeps everything warm across requests:
 
-* a **persistent** :class:`~repro.service.pool.SupervisedPool` (with
-  ``--jobs > 1``): worker processes survive between submissions, so
-  their process-level shared :class:`~repro.experiments.runner.TraceStore`
-  caches do too;
+* one :class:`~repro.service.pool.SupervisedPool` (with
+  ``--jobs > 1``), closed only at :meth:`Daemon.stop`: worker processes
+  survive between submissions, so their process-level shared
+  :class:`~repro.experiments.runner.TraceStore` caches do too;
 * the scheduler's own warm trace/program stores (serial mode), shared
   across submissions via :func:`repro.experiments.runner.shared_store`;
 * an in-memory **result byte cache** in front of the content-addressed
@@ -18,7 +18,7 @@ Submissions arrive through :meth:`Daemon.submit` (the HTTP front end in
 :mod:`repro.service.http` is a thin adapter over it) and are executed
 one sweep at a time by a scheduler thread, priority-first, through the
 same :class:`~repro.service.batch.SweepCore` as a batch (on the
-persistent pool, or in that thread for ``workers=1`` and single
+pool, or in that thread for ``workers=1`` and single
 misses), so a result computed by the daemon is byte-for-byte the
 result a direct batch run would have produced.
 
@@ -155,11 +155,10 @@ class Daemon:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the warm worker fleet and the scheduler thread."""
+        """Start the scheduler thread; the pool spawns its workers at
+        the first pooled run and keeps them until :meth:`stop`."""
         if self._thread is not None:
             return
-        if self._pool is not None:
-            self._pool.start()
         self._thread = threading.Thread(
             target=self._loop, name="repro-daemon-scheduler", daemon=True
         )
@@ -385,7 +384,6 @@ def serve(
     port: int = 0,
     *,
     banner=None,
-    ready=None,
 ) -> int:
     """Run a daemon behind its HTTP front end until SIGTERM/SIGINT.
 
@@ -394,8 +392,7 @@ def serve(
     daemon drains its in-flight submission within the grace period,
     and the function returns 130 (the repo-wide interrupted exit
     code); a plain ``server.shutdown()`` from another thread returns
-    0.  ``ready`` (if given) is called with the bound server once it
-    is listening — used by tests to learn the ephemeral port.
+    0.
     """
     import signal
 
@@ -424,8 +421,6 @@ def serve(
                 f"(workers={daemon.workers}, "
                 f"queue_depth={daemon.queue.maxsize})"
             )
-        if ready is not None:
-            ready(server)
         server.serve_forever(poll_interval=0.1)
     finally:
         for signum, handler in previous.items():

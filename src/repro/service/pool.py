@@ -9,8 +9,8 @@ tuples, results in submission order" contract but survives all three:
 * **supervision** — every worker is a separate process with its *own*
   duplex pipe, so a worker killed mid-write can only corrupt its own
   channel (discarded on restart), never a shared queue lock; liveness
-  is tracked via ``Process.is_alive`` plus a heartbeat thread in each
-  worker, and dead workers are restarted automatically;
+  is ``Process.is_alive`` plus the job deadline below, and dead workers
+  are restarted automatically;
 * **timeouts** — each job carries a wall-clock budget; a worker that
   exceeds it is SIGKILLed and replaced, and the job is retried;
 * **retry with backoff** — failed attempts (crash / timeout / corrupt
@@ -20,11 +20,12 @@ tuples, results in submission order" contract but survives all three:
 * **integrity** — workers send ``(payload, sha256)`` pairs computed
   over the pickled result; a mismatch (torn write, bit flip, chaos
   corruption) is a retryable failure, not silent bad data;
-* **persistence** — :meth:`SupervisedPool.start` spawns the fleet
-  eagerly and keeps it alive across :meth:`SupervisedPool.run` calls
-  until :meth:`SupervisedPool.close`, so a long-lived daemon reuses
-  warm worker processes (their module-level caches included) instead
-  of paying a cold fork per request.
+* **one fleet lifecycle** — :meth:`SupervisedPool.run` tops the fleet
+  up to as many live workers as it has work for (at most ``workers``)
+  and leaves them running, so later runs reuse warm worker processes
+  (their module-level caches included) instead of paying a cold fork
+  each; :meth:`SupervisedPool.close` (also the ``with`` block's exit)
+  is the only teardown.
 
 Results are collected by job index, so the output order — and, for
 deterministic job functions, the output *bytes* — are identical to the
@@ -57,11 +58,13 @@ from .errors import (
     ServiceError,
 )
 
-#: How often worker heartbeat threads report in (seconds).
-HEARTBEAT_INTERVAL = 0.5
-
 #: Supervisor poll granularity (seconds) — bounds timeout detection lag.
 _POLL = 0.05
+
+#: Retry backoff: the first retry waits about ``BACKOFF_BASE`` seconds,
+#: each later one twice as long, never more than ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 STATE_PENDING = "pending"
 STATE_RUNNING = "running"
@@ -78,55 +81,41 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _worker_main(conn, chaos, hb_interval: float) -> None:
+def _worker_main(conn, chaos) -> None:
     """Worker loop: receive tasks, run them, send checksummed results.
 
     Runs in a child process.  SIGINT is ignored — shutdown is always
     driven by the supervisor (sentinel or SIGKILL), so a Ctrl-C at the
     terminal interrupts only the supervisor, which then tears the
-    workers down within its grace period.
+    workers down within its grace period.  SIGTERM gets its default
+    action back: a handler the supervisor had installed when it forked
+    would only touch the child's copy of the supervisor's state.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def _send(msg) -> None:
-        with send_lock:
-            conn.send(msg)
-
-    def _beat() -> None:
-        while not stop.wait(hb_interval):
-            try:
-                _send(("hb",))
-            except (OSError, ValueError):
-                return
-
-    threading.Thread(target=_beat, daemon=True).start()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         while True:
             task = conn.recv()
             if task is None:
                 return
-            index, attempt, fn, args, kwargs = task
-            _send(("start", index, attempt))
+            index, attempt, fn, args = task
+            conn.send(("start", index, attempt))
             try:
                 if chaos is not None:
                     chaos.before(index, attempt)
-                result = fn(*args, **(kwargs or {}))
+                result = fn(*args)
                 payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
                 checksum = _digest(payload)
                 if chaos is not None:
                     payload = chaos.after(index, attempt, payload)
-                _send(("done", index, attempt, payload, checksum))
+                conn.send(("done", index, attempt, payload, checksum))
             except BaseException as exc:  # noqa: BLE001 — report, don't die
                 detail = "".join(
                     traceback.format_exception_only(type(exc), exc)
                 ).strip()
-                _send(("error", index, attempt, detail))
+                conn.send(("error", index, attempt, detail))
     except (EOFError, OSError):
         return  # supervisor went away; nothing left to report to
-    finally:
-        stop.set()
 
 
 @dataclass
@@ -136,7 +125,6 @@ class Job:
     index: int
     fn: object
     args: tuple
-    kwargs: dict | None = None
     label: str = ""
     state: str = STATE_PENDING
     attempts: int = 0
@@ -156,29 +144,25 @@ class Job:
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
-    __slots__ = ("proc", "conn", "job", "started_at", "deadline", "last_hb")
+    __slots__ = ("proc", "conn", "job", "deadline")
 
     def __init__(self, ctx, chaos) -> None:
         ours, theirs = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_worker_main,
-            args=(theirs, chaos, HEARTBEAT_INTERVAL),
-            daemon=True,
+            target=_worker_main, args=(theirs, chaos), daemon=True,
         )
         self.proc.start()
         theirs.close()
         self.conn = ours
         self.job: Job | None = None
-        self.started_at = 0.0
         self.deadline: float | None = None
-        self.last_hb = time.monotonic()
 
     def dispatch(self, job: Job, timeout: float | None) -> None:
-        now = time.monotonic()
         self.job = job
-        self.started_at = now
-        self.deadline = None if timeout is None else now + timeout
-        self.conn.send((job.index, job.attempts, job.fn, job.args, job.kwargs))
+        self.deadline = (
+            None if timeout is None else time.monotonic() + timeout
+        )
+        self.conn.send((job.index, job.attempts, job.fn, job.args))
 
     def exitcode(self):
         try:
@@ -224,8 +208,6 @@ class SupervisedPool:
         *,
         timeout: float | None = None,
         max_attempts: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         seed: int = 0,
         chaos=None,
         metrics: MetricsRegistry | None = None,
@@ -240,8 +222,6 @@ class SupervisedPool:
         self.workers = workers
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.seed = seed
         self.chaos = chaos
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -250,32 +230,25 @@ class SupervisedPool:
         self.install_signal_handlers = install_signal_handlers
         self._interrupted: str | None = None
         self._fleet: list[_Worker] = []
-        self._persistent = False
         try:
             self._ctx = get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX fallback
             self._ctx = get_context()
 
-    # -- persistent fleet ----------------------------------------------
+    # -- fleet lifecycle -----------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the full worker fleet now and keep it across runs.
+    def __enter__(self) -> SupervisedPool:
+        return self
 
-        After ``start()``, :meth:`run` reuses the same worker processes
-        (restarting any that died between runs) and no longer tears
-        them down on return; call :meth:`close` to shut the fleet down.
-        """
-        if self._persistent:
-            return
-        self._persistent = True
-        self._fleet = [
-            _Worker(self._ctx, self.chaos) for _ in range(self.workers)
-        ]
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
-        """Tear a persistent fleet down within the shared grace budget."""
+        """Tear the fleet down within the shared grace budget: sentinel
+        every worker first, then give the whole fleet ``grace`` seconds
+        before SIGKILLing the stragglers, so shutdown is bounded however
+        many workers there are and however wedged they are."""
         fleet, self._fleet = self._fleet, []
-        self._persistent = False
         deadline = time.monotonic() + self.grace
         for worker in fleet:
             try:
@@ -298,8 +271,8 @@ class SupervisedPool:
         same sweep waits the exact same schedule.
         """
         rng = random.Random(self.seed * 1_000_003 + index * 1_009 + attempt)
-        raw = self.backoff_base * (2 ** (attempt - 1))
-        return min(self.backoff_cap, raw) * (0.5 + 0.5 * rng.random())
+        raw = BACKOFF_BASE * (2 ** (attempt - 1))
+        return min(BACKOFF_CAP, raw) * (0.5 + 0.5 * rng.random())
 
     # -- signal handling -----------------------------------------------
 
@@ -334,9 +307,9 @@ class SupervisedPool:
         """Run ``jobs`` until none is pending/running/retry-waiting.
 
         ``on_update(job)`` is invoked after every state change, letting
-        the batch runner persist live status.  Raises
-        :class:`BatchInterrupted` on SIGINT/SIGTERM (after tearing the
-        workers down within the grace period); job-level failures are
+        the batch runner persist live status.  The workers outlive the
+        run (see :meth:`close`).  Raises :class:`BatchInterrupted` on
+        SIGINT/SIGTERM or :meth:`interrupt`; job-level failures are
         recorded on the jobs, never raised from here.
         """
         m = self.metrics
@@ -360,15 +333,12 @@ class SupervisedPool:
         if not ready:
             return jobs
 
-        n_workers = (
-            self.workers if self._persistent
-            else min(self.workers, len(ready))
-        )
+        n_workers = min(self.workers, len(ready))
         # Backstop against a worker fleet dying in a loop outside any
         # job (every *job-attributed* death is already bounded by
         # max_attempts × jobs).
         restart_budget = 2 * n_workers + self.max_attempts * len(ready)
-        fleet: list[_Worker] = []
+        fleet = self._fleet
         previous_signals = self._install_signals()
 
         def fail_attempt(worker: _Worker, reason: str, detail: str) -> None:
@@ -426,20 +396,20 @@ class SupervisedPool:
                 )
 
         try:
-            if self._persistent:
-                # Reuse the warm fleet; replace any worker that died
-                # between runs (counted against this run's budget).
-                fleet = self._fleet
-                for i, worker in enumerate(fleet):
-                    if not worker.proc.is_alive():
-                        worker.kill()
-                        restart_budget -= 1
-                        fleet[i] = _Worker(self._ctx, self.chaos)
-            else:
-                fleet = [
-                    _Worker(self._ctx, self.chaos)
-                    for _ in range(n_workers)
-                ]
+            # Keep the idle live workers of earlier runs; one that died
+            # since, or still holds a job of an aborted run, goes.
+            live = []
+            for worker in fleet:
+                if (
+                    worker.job is None and worker.proc.is_alive()
+                    and not worker.conn.closed
+                ):
+                    live.append(worker)
+                else:
+                    worker.kill()
+            fleet[:] = live
+            while len(fleet) < n_workers:
+                fleet.append(_Worker(self._ctx, self.chaos))
             while any(j.state in LIVE_STATES for j in jobs):
                 if self._interrupted is not None:
                     raise BatchInterrupted(
@@ -531,25 +501,8 @@ class SupervisedPool:
             raise
         finally:
             g_busy.set(0)
-            g_idle.set(len(fleet) if self._persistent else 0)
+            g_idle.set(len(fleet))
             self._restore_signals(previous_signals)
-            if not self._persistent:
-                # Shared grace budget: sentinel everyone first, then
-                # give the whole fleet `grace` seconds before
-                # SIGKILLing the stragglers — shutdown is bounded
-                # regardless of fleet size or how wedged the workers
-                # are.  A persistent fleet stays up until close().
-                deadline = time.monotonic() + self.grace
-                for worker in fleet:
-                    try:
-                        worker.send_sentinel()
-                    except Exception:  # noqa: BLE001 — must not raise
-                        pass
-                for worker in fleet:
-                    try:
-                        worker.join_within(deadline)
-                    except Exception:  # noqa: BLE001
-                        pass
         return jobs
 
     # -- internals -----------------------------------------------------
@@ -574,9 +527,7 @@ class SupervisedPool:
                     pass
                 return
             kind = msg[0]
-            if kind == "hb":
-                worker.last_hb = time.monotonic()
-            elif kind == "start":
+            if kind == "start":
                 # The job left the worker's inbox; (re)base the
                 # wall-clock budget at actual start of execution.
                 if self.timeout is not None:
@@ -622,11 +573,6 @@ def run_jobs(
     argtuples,
     jobs: int = 1,
     *,
-    timeout: float | None = None,
-    max_attempts: int = 2,
-    seed: int = 0,
-    chaos=None,
-    metrics: MetricsRegistry | None = None,
     labels=None,
 ) -> list:
     """Map ``fn`` over ``argtuples`` with supervision; strict results.
@@ -634,11 +580,11 @@ def run_jobs(
     The drop-in replacement for the repo's former bare
     ``ProcessPoolExecutor`` fan-outs: ``jobs <= 1`` (or a single task)
     runs serially in-process with identical semantics, larger fan-outs
-    go through :class:`SupervisedPool` with one automatic retry by
-    default.  Results come back in submission order.  If any job
-    exhausts its attempts, a :class:`JobsFailedError` carrying the
-    structured failure records is raised — callers that want partial
-    results use the pool (or the batch layer) directly.
+    go through :class:`SupervisedPool` with one automatic retry.
+    Results come back in submission order.  If any job exhausts its
+    attempts, a :class:`JobsFailedError` carrying the structured
+    failure records is raised — callers that want partial results use
+    the pool (or the batch layer) directly.
     """
     argtuples = list(argtuples)
     if jobs <= 1 or len(argtuples) <= 1:
@@ -652,15 +598,8 @@ def run_jobs(
         )
         for i, args in enumerate(argtuples)
     ]
-    pool = SupervisedPool(
-        workers=jobs,
-        timeout=timeout,
-        max_attempts=max_attempts,
-        seed=seed,
-        chaos=chaos,
-        metrics=metrics,
-    )
-    pool.run(job_list)
+    with SupervisedPool(workers=jobs, max_attempts=2) as pool:
+        pool.run(job_list)
     failures = [j.failure() for j in job_list if j.state != STATE_DONE]
     if failures:
         raise JobsFailedError(failures)

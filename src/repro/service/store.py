@@ -46,16 +46,11 @@ def canonical_config_blob(config: dict) -> str:
         ) from exc
 
 
-def result_key(
-    config: dict,
-    *,
-    trace_version: int = TRACE_FORMAT_VERSION,
-    git_rev: str | None = None,
-) -> str:
+def result_key(config: dict, *, git_rev: str | None = None) -> str:
     """The content address for one sub-run's result."""
     material = "|".join((
         RESULT_STORE_SCHEMA,
-        f"trace-v{trace_version}",
+        f"trace-v{TRACE_FORMAT_VERSION}",
         git_rev or "unknown",
         canonical_config_blob(config),
     ))
@@ -69,13 +64,12 @@ class ResultStore:
         self,
         root: Path | str,
         *,
-        git_rev: str | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.root = Path(root)
         # Resolved once so every key minted through this store instance
         # is consistent, even if HEAD moves mid-run.
-        self.git_rev = git_rev if git_rev is not None else git_revision()
+        self.git_rev = git_revision()
         m = metrics if metrics is not None else NULL_REGISTRY
         self._hits = m.counter("service.store_hits")
         self._misses = m.counter("service.store_misses")

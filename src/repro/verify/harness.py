@@ -66,7 +66,6 @@ def verify_app(
     n_procs: int = 8,
     preset: str = "tiny",
     miss_penalty: int = 50,
-    compiled: bool = True,
 ) -> AppVerifyResult:
     """Record one application run and check it against ``models``."""
     workload = build_app(app, n_procs=n_procs, preset=preset)
@@ -78,7 +77,6 @@ def verify_app(
         workload.programs,
         config,
         memory=workload.memory,
-        compiled=compiled,
         recorder=recorder,
     )
     result = executor.run()

@@ -23,12 +23,12 @@ consistency model's ``requires`` matrix:
 * a load first snoops its own buffer (store-to-load forwarding, youngest
   matching entry) before reading the global store;
 * every buffered store draws a random *drain latency* (a variable miss
-  penalty): it becomes eligible to drain only after that many scheduler
-  steps.  Without this, back-to-back stores become drainable nearly
-  simultaneously and the tell-tale relaxed windows (message passing's
-  flag-before-data) are vanishingly rare; with it, one line's miss can
-  take much longer than another's, exactly the mechanism the paper's
-  relaxed models exploit.
+  penalty) of 0 to ``DRAIN_LATENCY_MAX`` steps: it becomes eligible to
+  drain only after that many scheduler steps.  Without this,
+  back-to-back stores become drainable nearly simultaneously and the
+  tell-tale relaxed windows (message passing's flag-before-data) are
+  vanishingly rare; with it, one line's miss can take much longer than
+  another's, exactly the mechanism the paper's relaxed models exploit.
 
 A seeded scheduler picks uniformly among all enabled actions (issue one
 instruction on some processor, or drain one buffered store), so running
@@ -40,16 +40,24 @@ drain, which is exactly the split the axiomatic checker needs.
 
 **Out-of-order issue** (``ooo=True``) models a dynamically scheduled
 processor on top of the store buffers: each thread decodes ahead into a
-small window of consecutive loads/stores (decode stops at ALU, branch,
-synchronization, halt, or a register dependence on a pending windowed
-load) and the scheduler may issue *any* window entry whose issue is not
-ordered after an earlier unissued entry by the model's ``requires``
-matrix or by a same-address dependence.  Windowed events claim their
-program-order slot at decode and resolve values at issue, so under
-WO/RC the engine generates the load-load and load-store reorderings
-(litmus ``lb`` (1,1), ``iriw`` (1,0,1,0)) that in-order issue can never
-expose, while under SC/PC the ``requires`` gate degenerates the window
-to program order.
+window of up to ``OOO_WINDOW`` consecutive loads/stores (decode stops
+at ALU, branch, synchronization, halt, or a register dependence on a
+pending windowed load) and the scheduler may issue *any* window entry
+whose issue is not ordered after an earlier unissued entry by the
+model's ``requires`` matrix or by a same-address dependence.  Windowed
+events claim their program-order slot at decode and resolve values at
+issue, so under WO/RC the engine generates the load-load and
+load-store reorderings (litmus ``lb`` (1,1), ``iriw`` (1,0,1,0)) that
+in-order issue can never expose, while under SC/PC the ``requires``
+gate degenerates the window to program order.
+
+The window, the drain-latency bound and the step limit are constants,
+not knobs.  A litmus program has a few accesses per thread, so a
+four-entry window and a 16-step drain bound already reach every
+reordering it can show: a violation, when there is one, has a witness
+of bounded size (the bounded-witness argument of Qadeer's
+SC-verification paper, PAPERS.md), and seeds, not wider bounds, are
+what explore the schedules.
 """
 
 from __future__ import annotations
@@ -68,6 +76,13 @@ _WRITE = int(MemClass.WRITE)
 _ACQUIRE = int(MemClass.ACQUIRE)
 _RELEASE = int(MemClass.RELEASE)
 _BARRIER = int(MemClass.BARRIER)
+
+#: Loads/stores a thread decodes ahead under ``ooo=True``.
+OOO_WINDOW = 4
+#: A buffered store's (and an OOO load's) random latency is 0..this.
+DRAIN_LATENCY_MAX = 16
+#: Scheduler steps before an execution counts as runaway.
+MAX_STEPS = 200_000
 
 
 class RelaxedExecutionError(Exception):
@@ -130,23 +145,16 @@ class RelaxedEngine:
     def __init__(
         self,
         programs,
-        memory: SharedMemory | None = None,
         model="SC",
         seed: int = 0,
-        recorder: ExecutionRecorder | None = None,
-        max_steps: int = 200_000,
-        drain_latency_max: int = 16,
         ooo: bool = False,
-        ooo_window: int = 4,
     ) -> None:
         if not isinstance(model, ConsistencyModel):
             model = get_model(model)
         self.model = model
-        self.memory = memory if memory is not None else SharedMemory()
-        self.recorder = recorder if recorder is not None else ExecutionRecorder()
+        self.memory = SharedMemory()
+        self.recorder = ExecutionRecorder()
         self.recorder.bind(len(programs))
-        self.max_steps = max_steps
-        self._lat_max = drain_latency_max
         self._rng = random.Random(seed)
         self.states = [
             ThreadState(tid=tid, program=prog.seal())
@@ -169,7 +177,6 @@ class RelaxedEngine:
         self._gated[int(MemClass.NONE)] = False
         self._fifo_drain = model.requires(MemClass.WRITE, MemClass.WRITE)
         self.ooo = ooo
-        self._ooo_window = max(1, int(ooo_window))
         #: per-thread decoded-but-unissued loads/stores (OOO mode only).
         self._windows: list[list[_WindowEntry]] = [[] for _ in programs]
         # Issue-order matrix between window entries (data classes only).
@@ -209,7 +216,7 @@ class RelaxedEngine:
         if state.halted or tid in self._blocked:
             return
         window = self._windows[tid]
-        while len(window) < self._ooo_window:
+        while len(window) < OOO_WINDOW:
             instr = state.program.instructions[state.pc]
             op = instr.op
             if op is Op.LW or op is Op.FLD:
@@ -245,7 +252,7 @@ class RelaxedEngine:
                 )
                 entry = _WindowEntry(
                     event, False, addr, wide, None, instr.rd,
-                    self.steps + self._rng.randint(0, self._lat_max),
+                    self.steps + self._rng.randint(0, DRAIN_LATENCY_MAX),
                 )
             window.append(entry)
             state.pc += 1
@@ -292,7 +299,7 @@ class RelaxedEngine:
             self._buffers[tid].append(
                 _BufferedStore(
                     entry.event, entry.addr, entry.wide, entry.value,
-                    self.steps + self._rng.randint(0, self._lat_max),
+                    self.steps + self._rng.randint(0, DRAIN_LATENCY_MAX),
                 )
             )
             return
@@ -393,9 +400,9 @@ class RelaxedEngine:
                     f"deadlock under {self.model.name}: "
                     f"blocked={blocked or self._blocked}"
                 )
-            if self.steps >= self.max_steps:
+            if self.steps >= MAX_STEPS:
                 raise RelaxedExecutionError(
-                    f"exceeded {self.max_steps} steps under "
+                    f"exceeded {MAX_STEPS} steps under "
                     f"{self.model.name}"
                 )
             kind, tid, idx = actions[self._rng.randrange(len(actions))]
@@ -477,7 +484,7 @@ class RelaxedEngine:
         self._buffers[state.tid].append(
             _BufferedStore(
                 event, addr, wide, value,
-                self.steps + self._rng.randint(0, self._lat_max),
+                self.steps + self._rng.randint(0, DRAIN_LATENCY_MAX),
             )
         )
         state.pc += 1

@@ -1,7 +1,6 @@
 """Tests for the branch target buffer."""
 
 import numpy as np
-import pytest
 
 from repro.cpu import BranchTargetBuffer
 from repro.cpu.kernels import control_mispredicts
@@ -60,22 +59,26 @@ class TestPrediction:
         btb = BranchTargetBuffer()
         assert btb.predict(Op.J, 10, fallthrough=11) == -2
 
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            BranchTargetBuffer(entries=10, assoc=4)
+    def test_paper_geometry(self):
+        # Paper section 3.1: 2048 entries, 4-way set-associative.
+        btb = BranchTargetBuffer()
+        assert (btb.ENTRIES, btb.ASSOC) == (2048, 4)
+        assert len(btb._sets) * btb.ASSOC == btb.ENTRIES
 
 
 class TestReplacement:
     def test_lru_within_set(self):
-        btb = BranchTargetBuffer(entries=8, assoc=2)  # 4 sets
-        # Three branches mapping to set 0 (pc % 4 == 0).
-        btb.update(Op.BNE, 0, taken=True, target=1)
-        btb.update(Op.BNE, 4, taken=True, target=2)
-        btb.update(Op.BNE, 0, taken=True, target=1)   # refresh pc 0
-        btb.update(Op.BNE, 8, taken=True, target=3)   # evicts pc 4
-        assert btb._lookup(0) is not None
-        assert btb._lookup(4) is None
-        assert btb._lookup(8) is not None
+        btb = BranchTargetBuffer()
+        # ASSOC + 1 branches mapping to set 0 (pc % SETS == 0).
+        pcs = [i * btb.SETS for i in range(btb.ASSOC + 1)]
+        for target, pc in enumerate(pcs[:-1]):
+            btb.update(Op.BNE, pc, taken=True, target=target)
+        btb.update(Op.BNE, pcs[0], taken=True, target=0)  # refresh pcs[0]
+        btb.update(Op.BNE, pcs[-1], taken=True, target=9)  # evicts pcs[1]
+        assert btb._lookup(pcs[0]) is not None
+        assert btb._lookup(pcs[1]) is None
+        for pc in pcs[2:]:
+            assert btb._lookup(pc) is not None
 
 
 class TestPredictedCorrectly:

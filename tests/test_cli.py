@@ -386,9 +386,8 @@ class TestManifestCommand:
 
 
 #: Every option of every subcommand ("" = before the subcommand), by its
-#: first flag or positional name, the fields of the three configs and
-#: the daemon's arguments.  A new knob must show up here as a diff: add
-#: it only with a caller that varies it.
+#: first flag or positional name.  A new knob must show up here as a
+#: diff: add it only with a caller that varies it.
 _CLI_OPTIONS = {
     "": ("--procs", "--penalty", "--preset", "--cache-dir"),
     "run": ("app",),
@@ -420,18 +419,6 @@ _CLI_OPTIONS = {
     "top": ("--endpoint", "--interval", "--once"),
     "all": ("--output", "--jobs"),
 }
-_CONFIG_FIELDS = {
-    "ProcessorConfig": ("kind", "model", "window", "issue_width",
-                        "perfect_bp", "ignore_deps", "ds"),
-    "DSConfig": ("window", "issue_width", "perfect_branch_prediction",
-                 "ignore_data_dependences", "collect_miss_stats",
-                 "prefetch", "speculative_loads"),
-    "MultiprocessorConfig": ("n_cpus", "cache_size", "line_size",
-                             "miss_penalty", "sync_access_latency",
-                             "trace_cpus", "record_sync_schedule",
-                             "max_instructions"),
-}
-
 #: The parameters of every experiment function (``=`` marks a default).
 #: Like the options above, a parameter no caller varies is deleted, not
 #: frozen here.
@@ -473,19 +460,292 @@ _EXPERIMENT_PARAMS = {
     "simulate_app_models": ("store", "configs", "apps=", "jobs="),
 }
 
-_DAEMON_ARGS = ("store_dir", "cache_dir", "workers", "queue_depth",
-                "timeout", "max_attempts", "seed", "grace", "metrics",
-                "log", "executor")
+#: The library packages whose public surface the census freezes.
+_LIBRARY_PACKAGES = (
+    "service", "obs", "cosim", "net", "tango", "verify", "cpu", "mem",
+    "sync", "apps",
+)
+
+#: Result and state records: their field defaults are initial values,
+#: not knobs, so the library census skips these dataclasses.
+_RECORD_DATACLASSES = frozenset({
+    "BatchReport", "CacheStats", "CosimResult", "CpuStats",
+    "DispatchReport", "EventLog", "ExecutionBreakdown", "Job",
+    "JobFailure", "JobRecord", "LitmusResult", "MemEvent", "QueuedJob",
+    "RunResult", "RunStats", "ScheduleStats", "Span", "StepResult",
+    "SyncSchedule", "ThreadState", "TraceRecord", "Violation", "Workload",
+})
+
+#: The parameters (``=`` marks a default) of every public function,
+#: class (its constructor) and public method of the library packages
+#: that has a defaulted one, by dotted name under ``repro.``; the three
+#: config dataclasses and ``Daemon`` are here too.  As above, a
+#: parameter no caller sets is deleted (its value becomes a constant),
+#: not frozen here.
+_LIBRARY_DEFAULTS = {
+    "apps.locus.build": ("n_procs=", "n_wires=", "rows=", "cols=", "seed="),
+    "apps.lu.build": ("n_procs=", "n=", "seed="),
+    "apps.mp3d.build": (
+        "n_procs=", "n_particles=", "steps=", "grid=", "seed=",
+    ),
+    "apps.ocean.build": ("n_procs=", "n=", "steps=", "seed="),
+    "apps.pthor.build": (
+        "n_procs=", "n_elements=", "n_inputs=", "clocks=", "window=",
+        "toggle_prob=", "seed=",
+    ),
+    "apps.registry.build_app": ("name", "n_procs=", "preset=", "overrides"),
+    "cosim.engine.CosimEngine": (
+        "nodes", "network=", "schedule=", "sync_mode=", "probe=",
+    ),
+    "cosim.engine.CosimNode": ("handle", "label=", "net_cpu=", "parkable="),
+    "cosim.report.format_cosim_report": (
+        "run_id", "label", "result", "outputs=", "solo=",
+    ),
+    "cosim.report.run_cosim_app": (
+        "app", "store", "kind=", "model=", "window=", "network=", "sync_mode=",
+        "contexts=", "trace=", "out_dir=", "command=",
+    ),
+    "cosim.run.build_node": (
+        "trace", "config", "has_network=", "live_sync=", "probe=",
+    ),
+    "cosim.run.replay_solo": (
+        "trace", "config", "network_kind", "n_nodes", "line_size", "probe=",
+    ),
+    "cosim.run.run_cosim": (
+        "crun", "config", "network_kind=", "line_size=", "sync_mode=",
+        "contexts=", "probe=",
+    ),
+    "cpu.ProcessorConfig": (
+        "kind=", "model=", "window=", "issue_width=", "perfect_bp=",
+        "ignore_deps=", "ds=",
+    ),
+    "cpu.ds.event_engine.DSConfig": (
+        "window=", "issue_width=", "perfect_branch_prediction=",
+        "ignore_data_dependences=", "collect_miss_stats=", "prefetch=",
+        "speculative_loads=",
+    ),
+    "cpu.ds.event_engine.ds_fast_stepper": (
+        "trace", "model", "config=", "label=", "probe=", "coupled=",
+        "live_sync=",
+    ),
+    "cpu.make_stepper": (
+        "trace", "config", "coupled=", "live_sync=", "probe=",
+    ),
+    "cpu.multicontext.MultiContextConfig": ("switch_penalty=",),
+    "cpu.multicontext.MultiContextProcessor": ("traces", "config="),
+    "cpu.multicontext.MultiContextProcessor.run": ("label=",),
+    "cpu.multicontext.MultiContextProcessor.steps": ("label=",),
+    "cpu.multicontext.simulate_multicontext": (
+        "traces", "switch_penalty=", "label=",
+    ),
+    "cpu.requests.drive": ("stepper", "network=", "cpu="),
+    "cpu.simulate": ("trace", "config", "network=", "probe="),
+    "cpu.static_fast.WriteBuffer": ("model", "depth="),
+    "cpu.static_fast.WriteBuffer.push": (
+        "now", "stall", "addr=", "perform_floor=",
+    ),
+    "cpu.static_fast.base_fast_stepper": ("trace", "label=", "clamp_time="),
+    "cpu.static_fast.ss_fast_stepper": (
+        "trace", "model", "label=", "clamp_time=", "probe=", "blocking_reads=",
+    ),
+    "mem.cache.Cache": ("size=", "line_size=", "stats="),
+    "mem.coherence.CoherentMemorySystem": (
+        "n_cpus", "cache_size=", "line_size=", "miss_penalty=",
+    ),
+    "mem.coherence.CoherentMemorySystem.access": (
+        "cpu", "addr", "is_write", "now=",
+    ),
+    "mem.coherence.CoherentMemorySystem.access_ht": (
+        "cpu", "addr", "is_write", "now=",
+    ),
+    "mem.memory.SegmentAllocator": ("base=",),
+    "mem.memory.SegmentAllocator.alloc": ("name", "nbytes", "align="),
+    "mem.memory.SegmentAllocator.alloc_doubles": ("name", "count", "align="),
+    "mem.memory.SegmentAllocator.alloc_words": ("name", "count", "align="),
+    "net.model.ContentionNetwork.publish": ("metrics", "prefix="),
+    "obs.log.JsonLogger": ("stream=", "level=", "fields=", "_shared="),
+    "obs.log.JsonLogger.to_path": ("path", "level="),
+    "obs.manifest.write_run_artifacts": (
+        "out_dir", "run_id", "command", "config", "timings", "registry",
+        "tracer=",
+    ),
+    "obs.metrics.Counter.inc": ("n=",),
+    "obs.metrics.Gauge.dec": ("n=",),
+    "obs.metrics.Gauge.inc": ("n=",),
+    "obs.metrics.Histogram": ("name", "bounds="),
+    "obs.metrics.Histogram.observe": ("value", "n="),
+    "obs.metrics.MetricsRegistry": ("enabled=",),
+    "obs.metrics.MetricsRegistry.counter": ("name", "labels="),
+    "obs.metrics.MetricsRegistry.gauge": ("name", "labels="),
+    "obs.metrics.MetricsRegistry.get": ("name", "labels="),
+    "obs.metrics.MetricsRegistry.histogram": ("name", "bounds=", "labels="),
+    "obs.metrics.MetricsRegistry.reservoir": ("name", "labels="),
+    "obs.probe.Probe": ("metrics=", "tracer="),
+    "obs.profile.run_profile": (
+        "app", "store", "kind=", "model=", "window=", "network=", "trace=",
+        "out_dir=", "command=",
+    ),
+    "obs.spans.SpanSink.spans": ("trace_id=",),
+    "obs.spans.read_spans": ("path", "trace_id="),
+    "obs.spans.stitch": ("spans", "other_data="),
+    "obs.tracer.ChromeTracer.complete": (
+        "name", "cat", "pid", "tid", "ts", "dur", "args=",
+    ),
+    "obs.tracer.ChromeTracer.dumps": ("other_data=",),
+    "obs.tracer.ChromeTracer.instant": (
+        "name", "cat", "pid", "tid", "ts", "args=",
+    ),
+    "obs.tracer.ChromeTracer.to_dict": ("other_data=",),
+    "obs.tracer.ChromeTracer.track": ("process", "thread="),
+    "obs.tracer.ChromeTracer.write": ("path", "other_data="),
+    "service.batch.SweepCore": (
+        "store", "process", "pool=", "inline_single=", "job_fn=", "cache_dir=",
+        "metrics=", "span_dir=", "lookup=", "on_computed=", "emit=",
+    ),
+    "service.batch.SweepCore.run": (
+        "sweep", "records", "trace=", "on_change=",
+    ),
+    "service.batch.find_batch": ("out_dir=", "batch_id="),
+    "service.batch.run_batch": (
+        "sweep", "jobs=", "cache_dir=", "out_dir=", "store_dir=", "timeout=",
+        "max_attempts=", "seed=", "chaos=", "metrics=", "log=", "trace=",
+        "command=",
+    ),
+    "service.chaos.ChaosSpec": ("crash=", "hang=", "corrupt=", "fail="),
+    "service.chaos.sleep_job": ("seconds", "value="),
+    "service.client.ClientError": ("message", "status=", "body="),
+    "service.client.DaemonClient": ("base_url", "timeout="),
+    "service.client.DaemonClient.job": ("job_id", "wait="),
+    "service.client.DaemonClient.submit": ("payload", "trace="),
+    "service.client.DaemonClient.wait": (
+        "job_id", "timeout=", "interval=", "on_poll=",
+    ),
+    "service.client.dispatch": ("endpoints", "payload", "timeout=", "trace="),
+    "service.daemon.Daemon": (
+        "store_dir", "cache_dir=", "workers=", "queue_depth=", "timeout=",
+        "max_attempts=", "seed=", "grace=", "metrics=", "log=", "executor=",
+    ),
+    "service.daemon.Daemon.status": ("job_id", "wait="),
+    "service.daemon.serve": ("daemon", "host=", "port=", "banner="),
+    "service.http.make_server": ("daemon", "host=", "port="),
+    "service.jobs.SweepJob": (
+        "app", "kind=", "model=", "window=", "network=", "penalty=", "procs=",
+        "preset=",
+    ),
+    "service.jobs.expand_grid": (
+        "apps", "kinds=", "models=", "windows=", "networks=", "penalties=",
+        "procs=", "preset=",
+    ),
+    "service.pool.SupervisedPool": (
+        "workers=", "timeout=", "max_attempts=", "seed=", "chaos=", "metrics=",
+        "log=", "grace=", "install_signal_handlers=",
+    ),
+    "service.pool.SupervisedPool.run": ("jobs", "on_update="),
+    "service.pool.run_jobs": ("fn", "argtuples", "jobs=", "labels="),
+    "service.queue.JobQueue": ("maxsize=", "metrics=", "log="),
+    "service.queue.JobQueue.pop": ("timeout=",),
+    "service.queue.JobQueue.retry_after": ("depth=",),
+    "service.queue.JobQueue.status": ("job_id", "wait="),
+    "service.queue.JobQueue.submit": ("sweep", "priority=", "trace="),
+    "service.store.ResultStore": ("root", "metrics="),
+    "service.store.ResultStore.put": ("key", "obj", "meta="),
+    "service.store.ResultStore.put_bytes": ("key", "payload", "meta="),
+    "service.store.result_key": ("config", "git_rev="),
+    "tango.executor.MultiprocessorConfig": (
+        "n_cpus=", "cache_size=", "line_size=", "miss_penalty=",
+        "sync_access_latency=", "trace_cpus=", "record_sync_schedule=",
+        "max_instructions=",
+    ),
+    "tango.executor.TangoExecutor": (
+        "programs", "config=", "memory=", "compiled=", "recorder=", "probe=",
+    ),
+    "tango.trace.Trace": ("cpu=",),
+    "tango.trace.Trace.from_records": ("records", "cpu="),
+    "verify.harness.verify_app": (
+        "app", "models=", "n_procs=", "preset=", "miss_penalty=",
+    ),
+    "verify.harness.verify_apps": (
+        "apps", "models=", "n_procs=", "preset=", "miss_penalty=", "jobs=",
+    ),
+    "verify.litmus.LitmusTest": (
+        "name", "title", "build", "outcome", "forbidden=", "expect_observed=",
+        "expect_observed_ooo=", "demo_outcome=", "expected_only=", "notes=",
+    ),
+    "verify.litmus.run_litmus": (
+        "test", "model=", "schedules=", "seed=", "ooo=",
+    ),
+    "verify.litmus.verify_litmus": (
+        "names=", "models=", "schedules=", "seed=", "jobs=", "ooo=",
+    ),
+    "verify.recorder.ExecutionRecorder.begin": (
+        "tid", "pc", "op", "cls", "addr", "value=", "wide=",
+    ),
+    "verify.recorder.ExecutionRecorder.perform_read": (
+        "ev", "value", "rf_event=",
+    ),
+    "verify.recorder.ExecutionRecorder.record": (
+        "tid", "pc", "op", "cls", "addr", "value=", "wide=", "rf_event=",
+    ),
+    "verify.relaxed.RelaxedEngine": ("programs", "model=", "seed=", "ooo="),
+}
+
+
+def _library_defaults() -> tuple[dict[str, tuple[str, ...]], set[str]]:
+    """The census of :data:`_LIBRARY_DEFAULTS`, plus the names of the
+    record dataclasses it skipped."""
+    import importlib
+    import inspect
+    import pkgutil
+    from dataclasses import is_dataclass
+
+    found: dict[str, tuple[str, ...]] = {}
+    skipped: set[str] = set()
+    for package in _LIBRARY_PACKAGES:
+        root = importlib.import_module(f"repro.{package}")
+        modules = [root] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(
+                root.__path__, f"{root.__name__}."
+            )
+        ]
+        for module in modules:
+            where = module.__name__.removeprefix("repro.")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or (
+                    getattr(obj, "__module__", None) != module.__name__
+                ):
+                    continue
+                if is_dataclass(obj) and name in _RECORD_DATACLASSES:
+                    skipped.add(name)
+                    continue
+                if inspect.isfunction(obj):
+                    members = [(name, obj)]
+                elif inspect.isclass(obj):
+                    members = [(name, obj)] + [
+                        (f"{name}.{attr}", getattr(obj, attr))
+                        for attr in vars(obj) if not attr.startswith("_")
+                    ]
+                else:
+                    continue
+                for qualname, member in members:
+                    try:
+                        params = inspect.signature(member).parameters
+                    except (TypeError, ValueError):
+                        continue  # not callable, or a builtin's own
+                    if any(
+                        p.default is not p.empty for p in params.values()
+                    ):
+                        found[f"{where}.{qualname}"] = tuple(
+                            p.name + ("=" if p.default is not p.empty
+                                      else "")
+                            for p in params.values() if p.name != "self"
+                        )
+    return found, skipped
 
 
 def test_option_census():
     import argparse
     import inspect
-    from dataclasses import fields
-
-    from repro import MultiprocessorConfig
-    from repro.cpu import DSConfig, ProcessorConfig
-    from repro.service import Daemon
 
     def options(parser):
         return tuple(
@@ -505,12 +765,10 @@ def test_option_census():
     census.update((name, options(p)) for name, p in commands.items())
     assert census == _CLI_OPTIONS
     assert sum(map(len, census.values())) == 85
-    assert {
-        cls.__name__: tuple(f.name for f in fields(cls))
-        for cls in (ProcessorConfig, DSConfig, MultiprocessorConfig)
-    } == _CONFIG_FIELDS
-    daemon_args = tuple(inspect.signature(Daemon).parameters)
-    assert daemon_args == _DAEMON_ARGS
+
+    library, skipped = _library_defaults()
+    assert library == _LIBRARY_DEFAULTS
+    assert skipped == _RECORD_DATACLASSES
 
     from repro import experiments
 
@@ -581,4 +839,93 @@ def test_documented_commands_parse(capsys):
         except SystemExit:
             failures.append(f"{where}: {shlex.join(argv)}")
     capsys.readouterr()
+    assert not failures, "\n".join(failures)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b`` names a module, or an attribute reached
+    from the longest importable module prefix."""
+    import importlib
+
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def _defines(path, symbols: list[str]) -> bool:
+    """Whether the Python file at ``path`` defines the nested
+    ``symbols`` (class, function, assignment or import; a pytest
+    ``[param]`` suffix is ignored)."""
+    import ast
+
+    body = ast.parse(path.read_text()).body
+    for symbol in symbols:
+        name = symbol.split("[")[0]
+        found = None
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", None)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            if name in names:
+                found = node
+                break
+        if found is None:
+            return False
+        body = getattr(found, "body", [])
+    return True
+
+
+def test_documented_names_resolve():
+    """Every back-ticked ``repro.…`` dotted name and ``file.py::symbol``
+    in the docs names something that exists: a deleted or renamed name
+    fails here instead of going stale silently."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    checked, failures = 0, []
+    for doc in _DOCS:
+        text = (root / doc).read_text()
+        # Fenced blocks hold commands (parsed above), not references.
+        text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+        for span in re.findall(r"`([^`]+)`", text):
+            for dotted in re.findall(
+                r"(?<![\w/.])repro(?:\.[A-Za-z_]\w*)+", span
+            ):
+                checked += 1
+                if not _resolves(dotted):
+                    failures.append(f"{doc}: {dotted}")
+            for path, chain in re.findall(
+                r"([\w./-]+\.py)((?:::[\w.\[\]-]+)+)", span
+            ):
+                checked += 1
+                symbols = [
+                    part for piece in chain.split("::")[1:]
+                    for part in piece.split(".")
+                ]
+                files = [
+                    base / path for base in (root, root / "src" / "repro")
+                    if (base / path).is_file()
+                ]
+                if not files or not _defines(files[0], symbols):
+                    failures.append(f"{doc}: {path}{chain}")
+    assert checked > 40
     assert not failures, "\n".join(failures)

@@ -159,10 +159,8 @@ class TestSharedFabric:
         spans dropped past a (here deliberately small) budget included
         — are engine-blind, under replayed and live sync."""
         def observe(cosim, sync_mode):
-            probe = Probe(
-                metrics=MetricsRegistry(), tracer=ChromeTracer(),
-                span_limit=2_000,
-            )
+            probe = Probe(metrics=MetricsRegistry(), tracer=ChromeTracer())
+            probe.span_budget = 2_000
             cosim(
                 lu_cosim, kind_config, network_kind=network_kind,
                 line_size=cosim_store.line_size, sync_mode=sync_mode,

@@ -321,6 +321,32 @@ class TestDaemonLifecycle:
         assert [r.state for r in job.records] == ["cancelled"] * 2
         assert job.state == JOB_CANCELLED
 
+    def test_sigterm_stops_a_daemon_worker(self, tmp_path):
+        """The fleet is forked at the first pooled run, after ``serve``
+        has installed its SIGTERM handler; a worker must not keep that
+        handler, so SIGTERM ends it."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        d = Daemon(store_dir=tmp_path / "store", workers=2, grace=1.0,
+                   executor=partial(sleep_job, 60.0))
+        try:
+            d.start()
+            job, _ = d.submit({"apps": ["lu"], "kinds": ["base", "ds"],
+                               "windows": [16], "procs": 4,
+                               "preset": "tiny"})
+            deadline = time.monotonic() + 10.0
+            while not any(r.state == "running" for r in job.records):
+                assert time.monotonic() < deadline, "pool never started"
+                time.sleep(0.01)
+            worker = d._pool._fleet[0].proc
+            os.kill(worker.pid, signal.SIGTERM)
+            deadline = time.monotonic() + 5.0
+            while worker.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert worker.exitcode == -signal.SIGTERM
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            d.stop()
+
     def test_status_snapshots_are_never_mixed(
         self, tmp_path, monkeypatch
     ):

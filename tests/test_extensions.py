@@ -5,6 +5,7 @@ import pytest
 
 from repro.consistency import RC, SC
 from repro.cpu import schedule_reads_early, simulate_multicontext
+from repro.cpu.scheduling import MAX_HOIST
 from repro.isa import MemClass
 
 from trace_helpers import TraceBuilder, alu_block, run_model
@@ -172,7 +173,7 @@ class TestCompilerScheduling:
 
     def test_max_hoist_cap(self):
         tb = TraceBuilder()
-        alu_block(tb, 30)
+        alu_block(tb, MAX_HOIST + 10)
         tb.load(rd=5, stall=50)
-        _, stats = schedule_reads_early(tb.build(), max_hoist=8)
-        assert stats.total_hoist == 8
+        _, stats = schedule_reads_early(tb.build())
+        assert stats.total_hoist == MAX_HOIST

@@ -1209,10 +1209,8 @@ class TestStepperContract:
         """Instrumented, the two sides also leave the same histogram
         snapshots, the same tracer events and the same span budget."""
         def observe(build):
-            probe = Probe(
-                metrics=MetricsRegistry(), tracer=ChromeTracer(),
-                span_limit=2_000,
-            )
+            probe = Probe(metrics=MetricsRegistry(), tracer=ChromeTracer())
+            probe.span_budget = 2_000
             stepper = build(
                 lu_trace, config, coupled=coupled, live_sync=live,
                 probe=probe,

@@ -97,16 +97,18 @@ class TestMetricsRegistry:
 
     def test_reservoir_decimates_deterministically(self):
         m = MetricsRegistry()
-        r = m.reservoir("r", capacity=8)
-        for t in range(100):
+        r = m.reservoir("r")
+        n = 12 * r.CAPACITY
+        for t in range(n):
             r.sample(t, t * 2)
-        assert len(r.times) < 8
+        assert len(r.times) < r.CAPACITY
+        assert r.snapshot()["stride"] > 1
         # Strides double, so retained times are evenly spaced.
         deltas = {b - a for a, b in zip(r.times, r.times[1:])}
         assert len(deltas) == 1
         m2 = MetricsRegistry()
-        r2 = m2.reservoir("r", capacity=8)
-        for t in range(100):
+        r2 = m2.reservoir("r")
+        for t in range(n):
             r2.sample(t, t * 2)
         assert r.snapshot() == r2.snapshot()
 

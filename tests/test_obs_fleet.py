@@ -81,10 +81,10 @@ class TestSpanTransport:
         assert again == span
 
     def test_sink_bounds_and_filters(self):
-        sink = SpanSink(capacity=10)
-        for i in range(25):
+        sink = SpanSink()
+        for i in range(sink.CAPACITY + 15):
             sink.record(_span(f"s{i}", trace_id=("ab" if i % 2 else "cd") * 8))
-        assert len(sink) <= 10
+        assert len(sink) <= sink.CAPACITY
         assert sink.dropped > 0
         assert all(
             s.trace_id == "ab" * 8 for s in sink.spans("ab" * 8)

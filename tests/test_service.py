@@ -18,6 +18,7 @@ from repro.experiments.runner import TraceStore
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     ALWAYS,
+    BatchInterrupted,
     ChaosSpec,
     Job,
     JobsFailedError,
@@ -32,7 +33,13 @@ from repro.service import (
     shard,
     square_job,
 )
-from repro.service.pool import STATE_DONE, STATE_FAILED
+from repro.service.pool import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    STATE_CANCELLED,
+    STATE_DONE,
+    STATE_FAILED,
+)
 
 
 class TestRunJobs:
@@ -49,121 +56,143 @@ class TestRunJobs:
         assert run_jobs(square_job, [(7,)], jobs=8) == [49]
 
     def test_error_raises_jobs_failed(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
         with pytest.raises(JobsFailedError) as exc_info:
-            run_jobs(
-                square_job, [("not-an-int",), (2,)], jobs=2,
-                max_attempts=2,
-            )
+            run_jobs(square_job, [("not-an-int",), (2,)], jobs=2)
         failures = exc_info.value.failures
         assert len(failures) == 1
         assert failures[0].index == 0
         assert failures[0].reason == "error"
         assert failures[0].attempts == 2
+        # The pool is closed on the way out: no worker outlives the call.
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_pooled_retry_succeeds(self, tmp_path):
+        # Job 0 raises on its first attempt only; run_jobs' one
+        # automatic retry turns that into the strict result list.
+        marker = tmp_path / "failed-once"
+        out = run_jobs(
+            _fail_first_attempt, [(str(marker), i) for i in range(4)],
+            jobs=2,
+        )
+        assert out == [0, 1, 4, 9]
+        assert marker.exists()
+
+
+def _fail_first_attempt(marker: str, i: int) -> int:
+    """``i * i``, except that job 0 raises once (the first time it runs,
+    which leaves ``marker`` behind)."""
+    if i == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("first attempt fails")
+    return i * i
+
+
+def _pool_run(fn, n, **pool_args) -> list[Job]:
+    """``fn(i)`` for every ``i < n`` on a two-worker pool; the jobs."""
+    jobs = [Job(index=i, fn=fn, args=(i,)) for i in range(n)]
+    with SupervisedPool(workers=2, **pool_args) as pool:
+        pool.run(jobs)
+    return jobs
 
 
 class TestChaosRecovery:
     def test_crash_retried(self):
         metrics = MetricsRegistry(enabled=True)
-        out = run_jobs(
-            square_job, [(i,) for i in range(4)], jobs=2,
-            chaos=ChaosSpec(crash={1: 1}), max_attempts=3,
+        jobs = _pool_run(
+            square_job, 4, chaos=ChaosSpec(crash={1: 1}), max_attempts=3,
             metrics=metrics,
         )
-        assert out == [0, 1, 4, 9]
+        assert [j.result for j in jobs] == [0, 1, 4, 9]
+        assert all(j.state == STATE_DONE for j in jobs)
         assert metrics.get("service.crashes").value == 1
         assert metrics.get("service.retries").value == 1
         assert metrics.get("service.worker_restarts").value >= 1
 
     def test_transient_exception_retried(self):
-        out = run_jobs(
-            echo_job, [(i,) for i in range(3)], jobs=2,
-            chaos=ChaosSpec(fail={0: 1}), max_attempts=2,
+        jobs = _pool_run(
+            echo_job, 3, chaos=ChaosSpec(fail={0: 1}), max_attempts=2,
         )
-        assert out == [0, 1, 2]
+        assert [j.result for j in jobs] == [0, 1, 2]
+        assert all(j.state == STATE_DONE for j in jobs)
 
     def test_corrupt_payload_retried(self):
         metrics = MetricsRegistry(enabled=True)
-        out = run_jobs(
-            echo_job, [(i,) for i in range(3)], jobs=2,
-            chaos=ChaosSpec(corrupt={2: 1}), max_attempts=2,
+        jobs = _pool_run(
+            echo_job, 3, chaos=ChaosSpec(corrupt={2: 1}), max_attempts=2,
             metrics=metrics,
         )
-        assert out == [0, 1, 2]
+        assert [j.result for j in jobs] == [0, 1, 2]
+        assert all(j.state == STATE_DONE for j in jobs)
         assert metrics.get("service.corrupt_payloads").value == 1
 
     def test_hang_killed_and_retried(self):
         metrics = MetricsRegistry(enabled=True)
         t0 = time.monotonic()
-        out = run_jobs(
-            echo_job, [(i,) for i in range(3)], jobs=2,
-            chaos=ChaosSpec(hang={1: 1}), timeout=0.5, max_attempts=2,
-            metrics=metrics,
+        jobs = _pool_run(
+            echo_job, 3, chaos=ChaosSpec(hang={1: 1}), timeout=0.5,
+            max_attempts=2, metrics=metrics,
         )
-        assert out == [0, 1, 2]
+        assert [j.result for j in jobs] == [0, 1, 2]
+        assert all(j.state == STATE_DONE for j in jobs)
         assert metrics.get("service.timeouts").value == 1
         # One injected hang must not cost more than ~one timeout budget.
         assert time.monotonic() - t0 < 10.0
 
     def test_persistent_crash_quarantined_others_survive(self):
-        with pytest.raises(JobsFailedError) as exc_info:
-            run_jobs(
-                square_job, [(i,) for i in range(4)], jobs=2,
-                chaos=ChaosSpec(crash={2: ALWAYS}), max_attempts=2,
-            )
-        failures = exc_info.value.failures
-        assert [f.index for f in failures] == [2]
-        assert failures[0].reason == "crash"
-        history = failures[0].to_dict()["history"]
+        jobs = _pool_run(
+            square_job, 4, chaos=ChaosSpec(crash={2: ALWAYS}),
+            max_attempts=2,
+        )
+        assert [j.state for j in jobs] == [
+            STATE_DONE, STATE_DONE, STATE_FAILED, STATE_DONE
+        ]
+        failure = jobs[2].failure()
+        assert failure.reason == "crash"
+        history = failure.to_dict()["history"]
         assert [h["attempt"] for h in history] == [1, 2]
 
 
 class TestSupervisedPool:
     def test_partial_results_never_raise(self):
-        pool = SupervisedPool(
-            workers=2, max_attempts=2, chaos=ChaosSpec(fail={1: ALWAYS})
+        jobs = _pool_run(
+            square_job, 4, max_attempts=2,
+            chaos=ChaosSpec(fail={1: ALWAYS}),
         )
-        jobs = [
-            Job(index=i, fn=square_job, args=(i,)) for i in range(4)
-        ]
-        pool.run(jobs)
         assert [j.state for j in jobs] == [
             STATE_DONE, STATE_FAILED, STATE_DONE, STATE_DONE
         ]
         assert jobs[1].failure().attempts == 2
 
     def test_backoff_is_deterministic_and_bounded(self):
-        pool_a = SupervisedPool(workers=1, seed=3, backoff_base=0.1,
-                                backoff_cap=1.0)
-        pool_b = SupervisedPool(workers=1, seed=3, backoff_base=0.1,
-                                backoff_cap=1.0)
+        pool_a = SupervisedPool(workers=1, seed=3)
+        pool_b = SupervisedPool(workers=1, seed=3)
         for index in range(4):
-            for attempt in range(1, 6):
+            for attempt in range(1, 10):
                 d = pool_a.backoff_delay(index, attempt)
                 assert d == pool_b.backoff_delay(index, attempt)
-                assert 0.0 < d <= 1.0
+                assert 0.0 < d <= BACKOFF_CAP
+        # Late attempts are capped: jitter keeps them in [cap/2, cap].
+        assert pool_a.backoff_delay(0, 9) >= BACKOFF_CAP / 2
         assert (
             pool_a.backoff_delay(0, 1)
             != SupervisedPool(workers=1, seed=4).backoff_delay(0, 1)
         )
 
     def test_backoff_grows_before_cap(self):
-        pool = SupervisedPool(workers=1, seed=0, backoff_base=0.05,
-                              backoff_cap=100.0)
+        pool = SupervisedPool(workers=1, seed=0)
         # Jitter is within [0.5, 1.0] x raw, so doubling the raw delay
         # always beats the previous attempt's upper bound... eventually.
         assert pool.backoff_delay(0, 3) < pool.backoff_delay(0, 5)
+        assert pool.backoff_delay(0, 1) <= BACKOFF_BASE
 
     def test_retry_success_byte_identical_to_first_try(self):
         """Property: a result that needed retries is byte-for-byte the
         result an unfaulted run produces."""
-        args = [(i,) for i in range(4)]
-
         def payloads(chaos):
-            jobs = [
-                Job(index=i, fn=square_job, args=a)
-                for i, a in enumerate(args)
-            ]
-            SupervisedPool(workers=2, max_attempts=3, chaos=chaos).run(jobs)
+            jobs = _pool_run(square_job, 4, max_attempts=3, chaos=chaos)
             assert all(j.state == STATE_DONE for j in jobs)
             return [j.payload for j in jobs]
 
@@ -176,6 +205,70 @@ class TestSupervisedPool:
             pickle.dumps(i * i, pickle.HIGHEST_PROTOCOL)
             for i in range(4)
         ]
+
+
+class TestPoolLifecycle:
+    """One fleet per pool: runs top it up and reuse it, ``close()`` (the
+    ``with`` block's exit) is the only teardown."""
+
+    @staticmethod
+    def _pids(pool, n):
+        jobs = [Job(index=i, fn=os.getpid, args=()) for i in range(n)]
+        pool.run(jobs)
+        assert all(j.state == STATE_DONE for j in jobs)
+        return {j.result for j in jobs}
+
+    def test_runs_reuse_the_same_workers(self):
+        with SupervisedPool(workers=2) as pool:
+            first = self._pids(pool, 4)
+            fleet = [w.proc for w in pool._fleet]
+            second = self._pids(pool, 4)
+            assert first == second == {p.pid for p in fleet}
+            assert [w.proc for w in pool._fleet] == fleet
+        assert not any(p.is_alive() for p in fleet)
+
+    def test_fleet_grows_to_the_work_and_replaces_the_dead(self):
+        with SupervisedPool(workers=2) as pool:
+            (lone,) = self._pids(pool, 1)  # one job, one worker
+            assert len(pool._fleet) == 1
+            both = self._pids(pool, 2)
+            assert lone in both and len(both) == 2
+            os.kill(lone, signal.SIGKILL)
+            next(
+                w for w in pool._fleet if w.proc.pid == lone
+            ).proc.join(5)
+            again = self._pids(pool, 2)
+            assert lone not in again and len(again) == 2
+            fleet = [w.proc for w in pool._fleet]
+        assert not any(p.is_alive() for p in fleet)
+
+    def test_close_after_interrupt_leaves_no_worker(self):
+        import threading
+
+        jobs = [Job(index=i, fn=echo_job, args=(i,)) for i in range(3)]
+        with pytest.raises(BatchInterrupted):
+            with SupervisedPool(
+                workers=2, chaos=ChaosSpec(hang={0: ALWAYS}), grace=0.5,
+            ) as pool:
+                threading.Timer(0.5, pool.interrupt).start()
+                try:
+                    pool.run(jobs)
+                finally:
+                    fleet = [w.proc for w in pool._fleet]
+        assert len(fleet) == 2
+        assert not any(p.is_alive() for p in fleet)
+        assert jobs[0].state == STATE_CANCELLED
+
+    def test_run_batch_leaves_no_worker(self, tmp_path, batch_env):
+        import multiprocessing
+
+        cache, sweep = batch_env
+        before = set(multiprocessing.active_children())
+        report = run_batch(
+            sweep, jobs=2, cache_dir=cache, out_dir=tmp_path / "out"
+        )
+        assert not report.partial
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestChaosSpec:
@@ -207,7 +300,7 @@ class TestChaosSpec:
 
 class TestResultStore:
     def test_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path, git_rev="abc")
+        store = ResultStore(tmp_path)
         key = store.key({"app": "lu", "kind": "ds"})
         store.put(key, {"total": 123}, meta={"label": "lu/ds"})
         assert store.get(key) == {"total": 123}
@@ -219,24 +312,26 @@ class TestResultStore:
         b = result_key({"window": 64, "app": "lu"}, git_rev="r")
         assert a == b
 
-    def test_key_varies_with_rev_and_schema_version(self):
+    def test_key_varies_with_rev_and_schema_version(self, monkeypatch):
+        import repro.service.store as store_module
+
         config = {"app": "lu"}
         assert result_key(config, git_rev="r1") != result_key(
             config, git_rev="r2"
         )
-        assert (
-            result_key(config, git_rev="r", trace_version=1)
-            != result_key(config, git_rev="r", trace_version=2)
-        )
+        monkeypatch.setattr(store_module, "TRACE_FORMAT_VERSION", 1)
+        v1 = result_key(config, git_rev="r")
+        monkeypatch.setattr(store_module, "TRACE_FORMAT_VERSION", 2)
+        assert result_key(config, git_rev="r") != v1
 
     def test_missing_key_is_miss(self, tmp_path):
-        store = ResultStore(tmp_path, git_rev="abc")
+        store = ResultStore(tmp_path)
         assert store.get_bytes("0" * 64) is None
 
     @pytest.mark.parametrize("mutation", ["truncate", "flip", "garbage"])
     def test_corruption_evicts_and_regenerates(self, tmp_path, mutation):
         metrics = MetricsRegistry(enabled=True)
-        store = ResultStore(tmp_path, git_rev="abc", metrics=metrics)
+        store = ResultStore(tmp_path, metrics=metrics)
         key = store.key({"app": "lu"})
         store.put(key, list(range(100)))
         path = store.path(key)
@@ -258,7 +353,7 @@ class TestResultStore:
         assert store.get(key) == list(range(100))
 
     def test_wrong_key_record_rejected(self, tmp_path):
-        store = ResultStore(tmp_path, git_rev="abc")
+        store = ResultStore(tmp_path)
         key_a = store.key({"app": "lu"})
         key_b = store.key({"app": "ocean"})
         store.put(key_a, "A")
@@ -501,3 +596,12 @@ class TestSignalShutdown:
         assert proc.returncode == 130, out.decode()
         assert elapsed < 10.0  # grace is 5s; teardown is bounded
         assert b"interrupted" in out
+        # The workers shared the batch's process group: none outlives it.
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            survivors = False
+        else:
+            survivors = True
+            os.killpg(proc.pid, signal.SIGKILL)
+        assert not survivors

@@ -258,15 +258,16 @@ class TestRelaxedEngine:
         with pytest.raises(RelaxedExecutionError, match="deadlock"):
             engine.run()
 
-    def test_runaway_execution_raises(self):
+    def test_runaway_execution_raises(self, monkeypatch):
+        from repro.verify import relaxed
+
+        monkeypatch.setattr(relaxed, "MAX_STEPS", 500)
         b = AsmBuilder("spin")
         top = b.label(b.newlabel("top"))
         b.j(top)
         b.halt()
-        engine = RelaxedEngine(
-            [b.build()], model="SC", seed=0, max_steps=500
-        )
-        with pytest.raises(RelaxedExecutionError, match="exceeded"):
+        engine = RelaxedEngine([b.build()], model="SC", seed=0)
+        with pytest.raises(RelaxedExecutionError, match="exceeded 500"):
             engine.run()
 
     def test_locks_serialize_increments_under_rc(self):
@@ -430,13 +431,9 @@ class TestOOOIssue:
         b1.sw(one, p)        # store through the loaded pointer
         b1.label(skip)
         b1.halt()
-        from repro.mem import SharedMemory
-
         for seed in range(60):
-            memory = SharedMemory()
             engine = RelaxedEngine(
-                [b0.build(), b1.build()], memory=memory, model="RC",
-                seed=seed, ooo=True,
+                [b0.build(), b1.build()], model="RC", seed=seed, ooo=True,
             )
             engine.run()  # would fault on a bogus address if reordered
 
