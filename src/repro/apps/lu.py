@@ -36,14 +36,13 @@ def _reference_lu(a: np.ndarray) -> np.ndarray:
     """
     a = a.copy()
     n = a.shape[0]
-    for k in range(n):
-        pivot = a[k, k]
-        for i in range(k + 1, n):
-            a[i, k] = a[i, k] / pivot
-        for j in range(k + 1, n):
-            m = a[k, j]
-            for i in range(k + 1, n):
-                a[i, j] = a[i, j] - a[i, k] * m
+    for k in range(n - 1):
+        # Within step k no element reads another one written in the same
+        # step, so whole-column and whole-block updates round exactly as
+        # the element loops do: one IEEE divide per element, then one
+        # multiply and one subtract.
+        a[k + 1 :, k] /= a[k, k]
+        a[k + 1 :, k + 1 :] -= np.multiply.outer(a[k + 1 :, k], a[k, k + 1 :])
     return a
 
 

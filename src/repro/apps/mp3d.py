@@ -42,22 +42,28 @@ def _reference_particles(pos, vel, steps, dims, obstacle):
     pos = pos.copy()
     vel = vel.copy()
     ox0, ox1, oy0, oy1, oz0, oz1 = obstacle
+    # Particles never interact, so each step runs over all of them at
+    # once; per element it is the same IEEE operations in the same order.
     for _ in range(steps):
-        for p in range(pos.shape[0]):
-            for axis in range(3):
-                pos[p, axis] = pos[p, axis] + vel[p, axis]
-            for axis, limit in enumerate(dims):
-                if pos[p, axis] < 0.0:
-                    pos[p, axis] = -pos[p, axis]
-                    vel[p, axis] = -vel[p, axis]
-                elif pos[p, axis] > limit:
-                    pos[p, axis] = 2.0 * limit - pos[p, axis]
-                    vel[p, axis] = -vel[p, axis]
-            if (ox0 < pos[p, 0] < ox1 and oy0 < pos[p, 1] < oy1
-                    and oz0 < pos[p, 2] < oz1):
-                vel[p, 0] = -vel[p, 0]
-                vel[p, 1] = -vel[p, 1]
-                vel[p, 2] = -vel[p, 2]
+        pos += vel
+        for axis, limit in enumerate(dims):
+            p, v = pos[:, axis], vel[:, axis]
+            low = p < 0.0
+            high = p > limit
+            p[low] = -p[low]
+            p[high] = 2.0 * limit - p[high]
+            bounced = low | high
+            v[bounced] = -v[bounced]
+        x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+        inside = (
+            (ox0 < x)
+            & (x < ox1)
+            & (oy0 < y)
+            & (y < oy1)
+            & (oz0 < z)
+            & (z < oz1)
+        )
+        vel[inside] = -vel[inside]
     return pos, vel
 
 

@@ -93,7 +93,7 @@ class Cache:
     # -- lookups ----------------------------------------------------------
 
     def state_of(self, addr: int) -> int:
-        """MSI state of the line holding ``addr`` (INVALID if absent)."""
+        """MESI state of the line holding ``addr`` (INVALID if absent)."""
         line = self.line_of(addr)
         idx = self.index_of(line)
         if self._line_addr[idx] == line:

@@ -2,16 +2,33 @@
 
 This is the memory-system model of the paper's §3.2: per-processor
 direct-mapped write-back caches kept coherent with an invalidation
-protocol (MSI), a 1-cycle hit time, and a *fixed* miss penalty — queueing
-and contention in the interconnect and at the memory modules are not
-modelled, exactly as in the paper.  A contended network re-times the
-misses later, when a processor model replays the trace
+protocol (MESI), a 1-cycle hit time, and a *fixed* miss penalty —
+queueing and contention in the interconnect and at the memory modules
+are not modelled, exactly as in the paper.  A contended network re-times
+the misses later, when a processor model replays the trace
 (:mod:`repro.net`, :mod:`repro.cosim`).
 
 Write misses include ownership upgrades (a write to a SHARED line must
 invalidate remote copies and therefore pays the full miss penalty), which
 is what makes write misses outnumber read misses in OCEAN-style
 read-modify-write stencil codes.
+
+Beside the caches, the controller keeps a presence mask per line, like
+the presence bits of a DASH-style directory: bit ``c`` of
+``_sharers[line]`` is set exactly when cache ``c`` holds the line in a
+valid state, and lines no cache holds have no entry.  A miss visits only
+the caches its line's mask names instead of scanning all P: a write miss
+invalidates them in ascending CPU order, and a read miss downgrades a
+remote copy only when it is the line's sole one, since an EXCLUSIVE or
+MODIFIED copy never coexists with another.  Only the miss paths change
+the mask: a read miss adds the requester, a write miss or an upgrade
+leaves the requester alone, and a fill that evicts a valid victim clears
+the victim line's bit.  Hits never touch it — a hit changes no holder
+(the silent EXCLUSIVE -> MODIFIED on a write keeps the copy valid), which
+is what lets the trace generator test hits inline against the tag/state
+arrays of :meth:`CoherentMemorySystem.hit_path`.
+``tests/oracles/coherence.py`` keeps the scanning controller as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +87,8 @@ class CoherentMemorySystem:
         # All caches share one geometry; precompute it so the hot lookup
         # avoids two method calls and two divisions per access.
         self._line_mask = self.caches[0].num_lines - 1
+        #: line -> bitmask of the CPUs holding it valid (module docstring).
+        self._sharers: dict[int, int] = {}
         self._listener = None
         #: optional repro.obs.Probe (miss-latency histograms + coherence
         #: counters); None keeps every miss path free of probe branches.
@@ -127,8 +146,12 @@ class CoherentMemorySystem:
                 cache._state[idx] = MODIFIED
                 return True, 0
             # SHARED needs an ownership upgrade; INVALID needs a full fill.
-            # Both invalidate every remote copy and pay the miss penalty.
-            self._invalidate_others(cpu, addr)
+            # Both invalidate every remote copy and pay the miss penalty,
+            # and leave the requester the line's only holder.
+            sharers = self._sharers
+            others = sharers.get(line, 0) & ~(1 << cpu)
+            if others:
+                self._invalidate(others, line, idx)
             if state == SHARED:
                 stats.upgrades += 1
                 cache._state[idx] = MODIFIED
@@ -137,13 +160,8 @@ class CoherentMemorySystem:
                 if self._obs is not None:
                     self._obs.on_coherence("upgrade", cpu, line, None)
             else:
-                cache.install(addr, MODIFIED)
-                if self._listener is not None:
-                    self._listener.coherence_event(
-                        "install", cpu, line, MODIFIED
-                    )
-                if self._obs is not None:
-                    self._obs.on_coherence("install", cpu, line, MODIFIED)
+                self._fill(cpu, addr, line, idx, MODIFIED)
+            sharers[line] = 1 << cpu
             stats.write_misses += 1
             stall = self.miss_penalty
             if self._obs is not None:
@@ -152,16 +170,17 @@ class CoherentMemorySystem:
         stats.reads += 1
         if state != INVALID:
             return True, 0
-        # Read miss: remote copies are downgraded to SHARED (a dirty one
+        # Read miss: a remote owner is downgraded to SHARED (a dirty one
         # is written back); the line installs SHARED if anyone else holds
-        # it, EXCLUSIVE otherwise.
-        shared = self._downgrade_others(cpu, addr)
-        new_state = SHARED if shared else EXCLUSIVE
-        cache.install(addr, new_state)
-        if self._listener is not None:
-            self._listener.coherence_event("install", cpu, line, new_state)
-        if self._obs is not None:
-            self._obs.on_coherence("install", cpu, line, new_state)
+        # it, EXCLUSIVE otherwise.  The requester's copy is INVALID, so
+        # its own bit is not in the mask, and only a sole holder can own
+        # the line: two or more holders all hold it SHARED.
+        sharers = self._sharers
+        others = sharers.get(line, 0)
+        if others and not others & (others - 1):
+            self._downgrade(others.bit_length() - 1, line, idx)
+        self._fill(cpu, addr, line, idx, SHARED if others else EXCLUSIVE)
+        sharers[line] = others | 1 << cpu
         stats.read_misses += 1
         stall = self.miss_penalty
         if self._obs is not None:
@@ -175,7 +194,8 @@ class CoherentMemorySystem:
         engine) and call :meth:`access_ht` only on a miss.  A hit taken
         that way must still do what :meth:`access_ht` does on one: count
         into the cache's ``stats.reads`` / ``stats.writes``, and turn an
-        EXCLUSIVE line MODIFIED on a write.
+        EXCLUSIVE line MODIFIED on a write.  It must change no other tag
+        or state: the sharer masks are kept on misses only.
         """
         return self.line_size, self._line_mask, [
             (cache._line_addr, cache._state) for cache in self.caches
@@ -190,63 +210,62 @@ class CoherentMemorySystem:
 
     # -- protocol helpers ---------------------------------------------------
 
-    def _invalidate_others(self, cpu: int, addr: int) -> None:
-        """Invalidate remote copies."""
-        line = addr // self.line_size
-        idx = line & self._line_mask
-        for other, cache in enumerate(self.caches):
-            if other != cpu and cache._line_addr[idx] == line:
-                state = cache._state[idx]
-                if state != INVALID:
-                    if state == MODIFIED:
-                        cache.stats.writebacks += 1
-                    cache._state[idx] = INVALID
-                    cache.stats.invalidations_received += 1
-                    if self._listener is not None:
-                        self._listener.coherence_event(
-                            "invalidate", other, line, state == MODIFIED
-                        )
-                    if self._obs is not None:
-                        self._obs.on_coherence(
-                            "invalidate", other, line, state == MODIFIED
-                        )
+    def _fill(self, cpu: int, addr: int, line: int, idx: int, state: int):
+        """Install ``line`` in ``cpu``'s cache; a valid victim in its set
+        loses ``cpu``'s bit (and its mask entry, once empty)."""
+        cache = self.caches[cpu]
+        victim = cache._line_addr[idx]
+        if victim != line and cache._state[idx] != INVALID:
+            sharers = self._sharers
+            left = sharers[victim] & ~(1 << cpu)
+            if left:
+                sharers[victim] = left
+            else:
+                del sharers[victim]
+        cache.install(addr, state)
+        if self._listener is not None:
+            self._listener.coherence_event("install", cpu, line, state)
+        if self._obs is not None:
+            self._obs.on_coherence("install", cpu, line, state)
 
-    def _downgrade_others(self, cpu: int, addr: int) -> bool:
-        """Downgrade remote copies to SHARED; returns whether any remote
-        copy existed."""
-        line = addr // self.line_size
-        idx = line & self._line_mask
-        shared = False
-        for other, cache in enumerate(self.caches):
-            if other != cpu and cache._line_addr[idx] == line:
-                state = cache._state[idx]
-                if state == MODIFIED:
-                    shared = True
-                    cache._state[idx] = SHARED
-                    stats = cache.stats
-                    stats.downgrades_received += 1
-                    stats.writebacks += 1
-                    if self._listener is not None:
-                        self._listener.coherence_event(
-                            "downgrade", other, line, True
-                        )
-                    if self._obs is not None:
-                        self._obs.on_coherence("downgrade", other, line, True)
-                elif state == EXCLUSIVE:
-                    shared = True
-                    cache._state[idx] = SHARED
-                    cache.stats.downgrades_received += 1
-                    if self._listener is not None:
-                        self._listener.coherence_event(
-                            "downgrade", other, line, False
-                        )
-                    if self._obs is not None:
-                        self._obs.on_coherence(
-                            "downgrade", other, line, False
-                        )
-                elif state == SHARED:
-                    shared = True
-        return shared
+    def _invalidate(self, holders: int, line: int, idx: int) -> None:
+        """Invalidate the copies of ``line`` in the caches of ``holders``
+        (a mask of CPUs), lowest CPU first."""
+        caches = self.caches
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            other = low.bit_length() - 1
+            cache = caches[other]
+            dirty = cache._state[idx] == MODIFIED
+            if dirty:
+                cache.stats.writebacks += 1
+            cache._state[idx] = INVALID
+            cache.stats.invalidations_received += 1
+            if self._listener is not None:
+                self._listener.coherence_event(
+                    "invalidate", other, line, dirty
+                )
+            if self._obs is not None:
+                self._obs.on_coherence("invalidate", other, line, dirty)
+
+    def _downgrade(self, owner: int, line: int, idx: int) -> None:
+        """Downgrade ``owner``'s copy of ``line`` to SHARED if it is
+        EXCLUSIVE or MODIFIED; a MODIFIED one is written back."""
+        cache = self.caches[owner]
+        state = cache._state[idx]
+        if state == SHARED:
+            return
+        dirty = state == MODIFIED
+        cache._state[idx] = SHARED
+        stats = cache.stats
+        stats.downgrades_received += 1
+        if dirty:
+            stats.writebacks += 1
+        if self._listener is not None:
+            self._listener.coherence_event("downgrade", owner, line, dirty)
+        if self._obs is not None:
+            self._obs.on_coherence("downgrade", owner, line, dirty)
 
     # -- invariants and reporting ---------------------------------------------
 

@@ -2,9 +2,11 @@
 tests: what ``repro.cpu.make_stepper`` builds from the fast engines,
 built from the row-by-row models of :mod:`oracles.base`,
 :mod:`oracles.static` and :mod:`oracles.ds` instead, plus drivers that
-answer both sides identically.  Imports run one way only: the oracles
-use the product's write buffer, ``DSConfig`` and opcode tables; nothing
-under ``src/`` imports this package."""
+answer both sides identically.  :mod:`oracles.coherence` is the
+scanning coherence controller, the oracle of the per-line sharer masks
+of :class:`repro.mem.CoherentMemorySystem`.  Imports run one way only:
+the oracles use the product's write buffer, ``DSConfig``, opcode tables
+and caches; nothing under ``src/`` imports this package."""
 
 from __future__ import annotations
 

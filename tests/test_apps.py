@@ -1,9 +1,10 @@
 """Application-level tests: functional verification and workload shape."""
 
+import numpy as np
 import pytest
 
 from repro import MultiprocessorConfig, TangoExecutor, build_app
-from repro.apps import APP_NAMES, lu, ocean
+from repro.apps import APP_NAMES, lu, mp3d, ocean
 
 
 class TestRegistry:
@@ -114,10 +115,84 @@ class TestOceanPartitioning:
 
 class TestLUReference:
     def test_reference_lu_reconstructs_matrix(self):
-        import numpy as np
         rng = np.random.default_rng(3)
         a = rng.uniform(0.5, 1.0, size=(8, 8)) + np.eye(8) * 8
         f = lu._reference_lu(a)
         lower = np.tril(f, -1) + np.eye(8)
         upper = np.triu(f)
         assert np.allclose(lower @ upper, a, rtol=1e-10)
+
+
+def _loop_lu(a):
+    """``lu._reference_lu`` element by element, as the kernels run it."""
+    a = a.copy()
+    n = a.shape[0]
+    for k in range(n):
+        pivot = a[k, k]
+        for i in range(k + 1, n):
+            a[i, k] = a[i, k] / pivot
+        for j in range(k + 1, n):
+            m = a[k, j]
+            for i in range(k + 1, n):
+                a[i, j] = a[i, j] - a[i, k] * m
+    return a
+
+
+def _loop_particles(pos, vel, steps, dims, obstacle):
+    """``mp3d._reference_particles`` particle by particle and axis by
+    axis, as the kernels run it."""
+    pos = pos.copy()
+    vel = vel.copy()
+    ox0, ox1, oy0, oy1, oz0, oz1 = obstacle
+    for _ in range(steps):
+        for p in range(pos.shape[0]):
+            for axis in range(3):
+                pos[p, axis] = pos[p, axis] + vel[p, axis]
+            for axis, limit in enumerate(dims):
+                if pos[p, axis] < 0.0:
+                    pos[p, axis] = -pos[p, axis]
+                    vel[p, axis] = -vel[p, axis]
+                elif pos[p, axis] > limit:
+                    pos[p, axis] = 2.0 * limit - pos[p, axis]
+                    vel[p, axis] = -vel[p, axis]
+            if (
+                ox0 < pos[p, 0] < ox1
+                and oy0 < pos[p, 1] < oy1
+                and oz0 < pos[p, 2] < oz1
+            ):
+                vel[p, 0] = -vel[p, 0]
+                vel[p, 1] = -vel[p, 1]
+                vel[p, 2] = -vel[p, 2]
+    return pos, vel
+
+
+class TestReferenceKernels:
+    """The array forms of the reference solutions round exactly as the
+    per-element loops of the assembly kernels do."""
+
+    @pytest.mark.parametrize("n,seed", [(7, 1), (40, 2)])
+    def test_lu_equals_loop_form(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(n, n)) + np.eye(n) * n
+        before = a.copy()
+        assert np.array_equal(lu._reference_lu(a), _loop_lu(a))
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize(
+        "n_particles,steps,grid,seed",
+        [(30, 6, (8, 4, 4), 3), (500, 4, (16, 8, 8), 4)],
+    )
+    def test_particles_equal_loop_form(self, n_particles, steps, grid, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(float(d) for d in grid)
+        pos = rng.uniform(0.0, 1.0, size=(n_particles, 3)) * np.array(dims)
+        # Fast enough that many particles bounce off a wall every step.
+        vel = rng.uniform(-3.0, 3.0, size=(n_particles, 3))
+        nx, ny, nz = grid
+        obstacle = (
+            nx * 0.3, nx * 0.45, ny * 0.25, ny * 0.75, nz * 0.25, nz * 0.75
+        )
+        got = mp3d._reference_particles(pos, vel, steps, dims, obstacle)
+        want = _loop_particles(pos, vel, steps, dims, obstacle)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

@@ -1,7 +1,11 @@
 """Tests for the multi-cache invalidation protocol."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.coherence import ReferenceMemorySystem
 
+from repro import MultiprocessorConfig, TangoExecutor, build_app
+from repro.apps import APP_NAMES
 from repro.mem import (
     CoherentMemorySystem,
     EXCLUSIVE,
@@ -9,6 +13,8 @@ from repro.mem import (
     MODIFIED,
     SHARED,
 )
+from repro.tango import executor
+from repro.verify import ExecutionRecorder
 
 
 def make_system(n=4, penalty=50):
@@ -150,3 +156,102 @@ def test_property_hit_stall_is_zero_miss_stall_is_penalty(ops):
     for cpu, line, is_write in ops:
         r = s.access(cpu, line * 16, is_write)
         assert r.stall == (0 if r.hit else 37)
+
+
+class _Recorder:
+    """A listener and an enabled probe that log every call in order."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def coherence_event(self, kind, cpu, line, extra):
+        self.events.append(("listener", kind, cpu, line, extra))
+
+    def on_coherence(self, kind, cpu, line, extra):
+        self.events.append(("probe", kind, cpu, line, extra))
+
+    def on_miss(self, cpu, is_write, stall, now):
+        self.events.append(("miss", cpu, is_write, stall, now))
+
+
+def _holders(system):
+    """line -> mask of the caches holding it valid, from the arrays."""
+    held = {}
+    for cpu, cache in enumerate(system.caches):
+        for line, state in zip(cache._line_addr, cache._state):
+            if state != INVALID:
+                held[line] = held.get(line, 0) | 1 << cpu
+    return held
+
+
+@st.composite
+def _access_streams(draw):
+    n_cpus = draw(st.integers(2, 16))
+    accesses = st.tuples(
+        st.integers(0, n_cpus - 1),
+        st.integers(0, 16 * 16 - 1),  # 16 lines over a 4-line cache
+        st.booleans(),
+    )
+    return n_cpus, draw(st.lists(accesses, max_size=200))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_access_streams())
+def test_sharer_masks_match_the_scanning_oracle(stream):
+    """The presence-mask controller and the scanning oracle agree on
+    every access, counter, tag, state and event, and every mask names
+    exactly the caches holding its line."""
+    n_cpus, accesses = stream
+    systems, logs = [], []
+    for cls in (CoherentMemorySystem, ReferenceMemorySystem):
+        system = cls(n_cpus=n_cpus, cache_size=64, miss_penalty=50)
+        log = _Recorder()
+        system.attach_listener(log)
+        system.attach_probe(log)
+        systems.append(system)
+        logs.append(log)
+    product, oracle = systems
+    for now, (cpu, addr, is_write) in enumerate(accesses):
+        assert product.access_ht(cpu, addr, is_write, now) == (
+            oracle.access_ht(cpu, addr, is_write, now)
+        )
+        assert product._sharers == _holders(product)
+        for mine, theirs in zip(product.caches, oracle.caches):
+            assert mine.stats == theirs.stats
+            assert mine._line_addr == theirs._line_addr
+            assert mine._state == theirs._state
+    assert logs[0].events == logs[1].events
+
+
+def _run_traced(app, preset, n_procs):
+    """Run ``app`` with every CPU traced and a recorder attached."""
+    workload = build_app(app, n_procs=n_procs, preset=preset)
+    recorder = ExecutionRecorder()
+    config = MultiprocessorConfig(
+        n_cpus=n_procs, trace_cpus=tuple(range(n_procs))
+    )
+    result = TangoExecutor(
+        workload.programs, config, memory=workload.memory, recorder=recorder
+    ).run()
+    log = recorder.log()
+    return (
+        result.traces,
+        result.stats,
+        [cache.stats for cache in result.memsys.caches],
+        log.coherence,
+        log.events,
+    )
+
+
+@pytest.mark.parametrize("app", APP_NAMES)
+def test_trace_generator_same_under_scanning_oracle(app, monkeypatch):
+    """Every trace, the RunStats, the per-cache counters and the recorded
+    coherence log come out the same when the trace generator's memory
+    system is the scanning oracle."""
+    product = _run_traced(app, "tiny", 4)
+    monkeypatch.setattr(
+        executor, "CoherentMemorySystem", ReferenceMemorySystem
+    )
+    assert _run_traced(app, "tiny", 4) == product
