@@ -36,7 +36,15 @@ objects.
   ROB collapses to two integers (head row, fetch row), and all mutable
   per-entry fields (``complete_time``, ``ready_time``, ``performed``,
   ``issued``, pending-source counts) become row-indexed lists and
-  bytearrays.  No ``_Entry`` is ever allocated.
+  bytearrays.  No ``_Entry`` is ever allocated.  The trace-derived
+  tables follow :mod:`repro.cpu.static_fast`'s column rule: addresses
+  and waits, whose values exceed 256, are typed ``array`` columns, 8
+  bytes per row for as long as the trace lives; small-valued columns
+  (opcodes, units, classes, stalls, flags) stay lists of cached small
+  ints, 8 bytes per row and a specialised subscript.  The producer
+  rows are the rule's one exception: every decode reads both, so they
+  stay lists.  Decode cycles are kept only when a tracer or
+  ``collect_miss_stats`` reads them.
 
 * **Cheap events.**  Single-cycle completions — FU results, cache-hit
   loads, clean store performs; the overwhelming majority of events —
@@ -111,7 +119,7 @@ from ...tango import Trace
 from ..kernels import _N_OPS, _OP_MEMBER, control_mispredicts, producer_rows
 from ..requests import MemRequest, ReleaseNotify, SyncRequest
 from ..results import ExecutionBreakdown
-from ..static_fast import _trace_index
+from ..static_fast import _trace_index, _typed
 from .btb import BranchTargetBuffer
 
 _MC_READ = 1
@@ -220,9 +228,12 @@ class _DSIndex:
         self.fu_l = _FU_NP[op_np].tolist()
         self.cls_l = mc_np.tolist()
         self.stall_l = stall_np.tolist()
-        self.wait_l = wait_np.tolist()
-        self.addr_l = addr_np.tolist()
+        self.wait_l = _typed(wait_np, "q")
+        self.addr_l = _typed(addr_np, "q")
         prod1, prod2 = producer_rows(rd_np, rs1_np, rs2_np)
+        # Producer rows stay lists despite their range: the decode path
+        # reads both for every row, and as typed arrays they slowed the
+        # 16-CPU co-simulation by about a tenth.
         self.prod1_l = prod1.tolist()
         self.prod2_l = prod2.tolist()
         store_like = np.zeros(_N_CLS, dtype=bool)
@@ -381,7 +392,10 @@ def ds_fast_stepper(
     # ---- flat per-row state --------------------------------------------
     complete_t = [-1] * n
     ready_t = [-1] * n
-    decode_t = [0] * n
+    # Decode cycles, kept only for what reads them: spans, miss delays.
+    decode_t = None
+    if tracer is not None or miss_delays is not None:
+        decode_t = [0] * n
     performed = bytearray(n)
     issued = bytearray(n)
     pending = bytearray(n)
@@ -576,7 +590,8 @@ def ds_fast_stepper(
                     issued[r] = 1
                     due_next.append(r)
                 if decode:
-                    decode_t[i] = t
+                    if decode_t is not None:
+                        decode_t[i] = t
                     ready_t[i] = t + 1
                     if not cls:
                         complete_t[i] = t + 2
@@ -792,7 +807,8 @@ def ds_fast_stepper(
         ):
             i = fetch_i
             cls = cls_l[i]
-            decode_t[i] = t
+            if decode_t is not None:
+                decode_t[i] = t
             fetch_i = i + 1
             decoded += 1
             progressed = True

@@ -54,7 +54,18 @@ these windows ever opens.
 All trace-derived indices (event rows, per-register use lists, last
 write/read scans) depend only on the trace contents, so they are built
 once and memoised on ``trace.fastpath_cache`` — a consistency-model
-sweep over one trace pays for them once.
+sweep over one trace pays for them once.  The memo lives as long as the
+trace, so its columns follow one rule: a column whose values can exceed
+256 (row numbers and event positions, addresses, waits) is a typed
+``array`` built straight from its numpy array, 4 or 8 bytes per element
+instead of an int object each; a small-valued column (opcodes, classes,
+units, register ids, stalls, flags) stays a list, whose elements are
+CPython's cached small ints — 8 bytes per row already — and whose
+subscripts the interpreter specialises in the hot loops.  A typed
+subscript builds an int object on every read, so a wide column read on
+every row of a hot loop is the exception: the DS engine's producer rows
+stay lists (:mod:`repro.cpu.ds.event_engine`).  This engine reads its
+typed columns only at processed events.
 
 Each model is a resumable stepper (:mod:`repro.cpu.requests`): it
 yields every miss as a :class:`~repro.cpu.requests.MemRequest`, every
@@ -77,6 +88,7 @@ formulations are the differential oracle — see
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 
@@ -166,6 +178,15 @@ class WriteBuffer:
         return self.last_free if self._entries else 0
 
 
+def _typed(values: np.ndarray, typecode: str) -> array:
+    """``values`` as a compact ``array(typecode)``: ``"i"`` for row
+    numbers and event positions, ``"q"`` for addresses and waits."""
+    col = array(typecode)
+    dtype = np.dtype(f"i{col.itemsize}")
+    col.frombytes(values.astype(dtype, copy=False).data.cast("B"))
+    return col
+
+
 def _buffer_histogram(probe, name: str, capacity: int):
     """The occupancy histogram for ``name``, or None when unprobed."""
     if probe is None or not probe.metrics.enabled:
@@ -202,20 +223,20 @@ class _TraceIndex:
         n_ev = len(ev)
         mc_ev = mc_np[ev]
         stall_ev = stall_np[ev]
-        self.ev_l = ev.tolist()
+        self.ev_l = _typed(ev, "i")
         self.n_ev = n_ev
         self.cls_l = mc_ev.tolist()
         self.stall_l = stall_ev.tolist()
-        self.wait_l = wait_np[ev].tolist()
-        self.addr_l = addr_np[ev].tolist()
+        self.wait_l = _typed(wait_np[ev], "q")
+        self.addr_l = _typed(addr_np[ev], "q")
         self.rd_l = rd_np[ev].tolist()
         self.rs1_l = rs1_np.tolist()
         self.rs2_l = rs2_np.tolist()
         # Sparse events: anything that can observably change state while
         # the write buffer is clean — misses, releases, sync.
-        self.sp_l = np.nonzero(
+        self.sp_l = _typed(np.nonzero(
             (stall_ev > 0) | (mc_ev >= _MC_ACQUIRE)
-        )[0].tolist()
+        )[0], "i")
         self.n_sp = len(self.sp_l)
         #: Event position -> ordinal among the synchronization-class
         #: rows, the key of the recorded sync schedule (sync rows only).
@@ -231,20 +252,20 @@ class _TraceIndex:
         positions = np.arange(n_ev)
         # Position of the last write / last read at or before each
         # position, for the lazy folds over skipped clean rows.
-        self.write_pos_l = np.maximum.accumulate(
+        self.write_pos_l = _typed(np.maximum.accumulate(
             np.where(mc_ev == _MC_WRITE, positions, -1)
-        ).tolist()
-        self.read_posm_l = np.maximum.accumulate(
+        ), "i")
+        self.read_posm_l = _typed(np.maximum.accumulate(
             np.where(mc_ev == _MC_READ, positions, -1)
-        ).tolist()
+        ), "i")
         read_pos = np.nonzero(mc_ev == _MC_READ)[0]
-        self.read_pos_l = read_pos.tolist()
-        self.read_rows_l = ev[read_pos].tolist()
+        self.read_pos_l = _typed(read_pos, "i")
+        self.read_rows_l = _typed(ev[read_pos], "i")
         pos_of_row = np.full(n, -1, dtype=np.int64)
         pos_of_row[ev] = positions
-        self.pos_of_row = pos_of_row.tolist()
+        self.pos_of_row = _typed(pos_of_row, "i")
         self.users = {
-            reg: rows.tolist()
+            reg: _typed(rows, "i")
             for reg, rows in reg_use_rows(rs1_np, rs2_np).items()
         }
 

@@ -103,7 +103,10 @@ class Cache:
     def holds(self, addr: int) -> bool:
         return self.state_of(addr) != INVALID
 
-    # -- local transitions (driven by the coherence controller) ------------
+    # -- fill (driven by the coherence controller) -------------------------
+    # Every other transition (upgrade, invalidate, downgrade) is written
+    # into the tag/state arrays by the controller itself, which keeps the
+    # per-line sharer masks in step with them.
 
     def install(self, addr: int, state: int) -> int | None:
         """Fill the line holding ``addr`` in ``state``.
@@ -125,47 +128,6 @@ class Cache:
         self._line_addr[idx] = line
         self._state[idx] = state
         return victim
-
-    def set_state(self, addr: int, state: int) -> None:
-        line = self.line_of(addr)
-        idx = self.index_of(line)
-        if self._line_addr[idx] != line:
-            raise ValueError(f"line {line:#x} not present")
-        self._state[idx] = state
-
-    def invalidate(self, addr: int) -> bool:
-        """Invalidate the line holding ``addr`` if present.
-
-        Returns True if a valid copy was dropped (the remote-write case the
-        invalidation protocol counts).
-        """
-        line = self.line_of(addr)
-        idx = self.index_of(line)
-        if self._line_addr[idx] == line and self._state[idx] != INVALID:
-            self._state[idx] = INVALID
-            self.stats.invalidations_received += 1
-            return True
-        return False
-
-    def downgrade(self, addr: int) -> bool:
-        """Downgrade an EXCLUSIVE/MODIFIED copy to SHARED (remote read).
-
-        Returns True if a writeback of dirty data was needed (the line was
-        MODIFIED); an EXCLUSIVE copy downgrades silently.
-        """
-        line = self.line_of(addr)
-        idx = self.index_of(line)
-        if self._line_addr[idx] != line:
-            return False
-        if self._state[idx] == MODIFIED:
-            self._state[idx] = SHARED
-            self.stats.downgrades_received += 1
-            self.stats.writebacks += 1
-            return True
-        if self._state[idx] == EXCLUSIVE:
-            self._state[idx] = SHARED
-            self.stats.downgrades_received += 1
-        return False
 
     def describe(self, addr: int) -> str:  # pragma: no cover - debugging aid
         return _STATE_NAMES[self.state_of(addr)]

@@ -54,43 +54,6 @@ class TestStates:
         assert victim == 0  # line address of the dirty victim
         assert c.stats.writebacks == 1
 
-    def test_set_state_requires_presence(self):
-        c = make_cache()
-        with pytest.raises(ValueError):
-            c.set_state(0x40, MODIFIED)
-
-    def test_invalidate(self):
-        c = make_cache()
-        c.install(0x40, SHARED)
-        assert c.invalidate(0x40)
-        assert c.state_of(0x40) == INVALID
-        assert c.stats.invalidations_received == 1
-
-    def test_invalidate_absent_line_is_noop(self):
-        c = make_cache()
-        assert not c.invalidate(0x40)
-        assert c.stats.invalidations_received == 0
-
-    def test_downgrade_modified_writes_back(self):
-        c = make_cache()
-        c.install(0x40, MODIFIED)
-        assert c.downgrade(0x40) is True
-        assert c.state_of(0x40) == SHARED
-        assert c.stats.writebacks == 1
-
-    def test_downgrade_exclusive_is_silent(self):
-        c = make_cache()
-        c.install(0x40, EXCLUSIVE)
-        assert c.downgrade(0x40) is False
-        assert c.state_of(0x40) == SHARED
-        assert c.stats.writebacks == 0
-
-    def test_downgrade_shared_is_noop(self):
-        c = make_cache()
-        c.install(0x40, SHARED)
-        assert c.downgrade(0x40) is False
-        assert c.state_of(0x40) == SHARED
-
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(

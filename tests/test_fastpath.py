@@ -13,6 +13,8 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,7 +50,8 @@ from repro.experiments import (
 )
 from repro.cpu import ProcessorConfig, drive, make_stepper, simulate
 from repro.cpu.ds import DSConfig
-from repro.cpu.ds.event_engine import ds_fast_stepper
+from repro.cpu.ds.event_engine import _DSIndex, ds_fast_stepper
+from repro.cpu.static_fast import _TraceIndex
 from repro.isa import Op
 from repro.mem import MemoryError_, SharedMemory
 from repro.net import build_network
@@ -1285,6 +1288,63 @@ class TestTraceRoundTrip:
         assert set(state) == {"version", "cpu", "columns"}
         clone = pickle.loads(pickle.dumps(lu_trace))
         assert clone.fastpath_cache is None
+
+
+class TestIndexFootprint:
+    """The memoised fast-path indexes live as long as their trace, so a
+    column whose values can exceed 256 is a typed array, not one int
+    object per element — except the DS producer rows, which every
+    decode reads (see ``repro.cpu.static_fast``'s docstring)."""
+
+    #: Retained bytes per row of ``_TraceIndex`` + ``_DSIndex`` + the
+    #: misprediction column at tiny/4: 170 (lu) and 177 (ocean)
+    #: measured, plus 10 %.  One int object per element measured 284
+    #: and 311.
+    BYTES_PER_ROW = {"lu": 187, "ocean": 195}
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        store = TraceStore(
+            preset="tiny", n_procs=4,
+            cache_dir=tmp_path_factory.mktemp("footprint"),
+        )
+        return {app: store.get(app).trace for app in self.BYTES_PER_ROW}
+
+    @staticmethod
+    def _build(trace):
+        idx = _TraceIndex(trace)
+        idx.ds = _DSIndex(trace)
+        idx.ds.mispredicts(trace)
+        return idx
+
+    def test_retained_bytes_per_row(self, traces):
+        # First builds import lazily; measure a warm one.
+        self._build(traces["lu"])
+        for app, trace in traces.items():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                idx = self._build(trace)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert idx.n == len(trace) > 0
+            assert held / len(trace) <= self.BYTES_PER_ROW[app], app
+
+    def test_wide_columns_are_typed_arrays(self, traces):
+        idx = self._build(traces["ocean"])
+        ds = idx.ds
+        rows = [
+            idx.ev_l, idx.sp_l, idx.write_pos_l, idx.read_posm_l,
+            idx.read_pos_l, idx.read_rows_l, idx.pos_of_row,
+            *idx.users.values(),
+        ]
+        wide = [idx.addr_l, idx.wait_l, ds.addr_l, ds.wait_l]
+        assert idx.users
+        for col in rows:
+            assert isinstance(col, array) and col.typecode == "i"
+        for col in wide:
+            assert isinstance(col, array) and col.typecode == "q"
 
 
 class TestCacheVersioning:
