@@ -8,24 +8,21 @@ future work).
 
 from conftest import save_result
 
-from repro.experiments import (
-    format_compiler_sched,
-    format_contexts,
-    format_sc_boost,
-    run_compiler_sched,
-    run_contexts,
-    run_sc_boost,
-)
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 def test_contexts(benchmark, store50, results_dir):
     store50.all_apps()
+    contexts = EXPERIMENTS["contexts"]
 
     result = benchmark.pedantic(
-        lambda: run_contexts(store50, apps=("mp3d", "lu", "ocean")),
+        lambda: run_experiments(
+            store50, [contexts], apps=("mp3d", "lu", "ocean")
+        )[0],
         rounds=1, iterations=1,
     )
-    save_result(results_dir, "contexts", format_contexts(result))
+    save_result(results_dir, "contexts", contexts.format(result))
 
     for app, data in result.items():
         eff = data["efficiency"]
@@ -40,11 +37,13 @@ def test_contexts(benchmark, store50, results_dir):
 
 def test_sc_boost(benchmark, store50, results_dir):
     store50.all_apps()
+    sc_boost = EXPERIMENTS["sc-boost"]
 
     result = benchmark.pedantic(
-        lambda: run_sc_boost(store50), rounds=1, iterations=1
+        lambda: run_experiments(store50, [sc_boost])[0],
+        rounds=1, iterations=1,
     )
-    save_result(results_dir, "sc_boost", format_sc_boost(result))
+    save_result(results_dir, "sc_boost", sc_boost.format(result))
 
     for app, runs in result.items():
         by_label = {r.label: r for r in runs}
@@ -70,12 +69,14 @@ def test_sc_boost(benchmark, store50, results_dir):
 
 def test_compiler_sched(benchmark, store50, results_dir):
     store50.all_apps()
+    compiler_sched = EXPERIMENTS["compiler-sched"]
 
     result = benchmark.pedantic(
-        lambda: run_compiler_sched(store50), rounds=1, iterations=1
+        lambda: run_experiments(store50, [compiler_sched])[0],
+        rounds=1, iterations=1,
     )
     save_result(results_dir, "compiler_sched",
-                format_compiler_sched(result))
+                compiler_sched.format(result))
 
     for app, data in result.items():
         runs = {r.label: r for r in data["runs"]}

@@ -5,17 +5,20 @@ from conftest import save_result
 
 from repro.apps import APP_NAMES
 from repro.cpu import ProcessorConfig, simulate
-from repro.experiments import format_figure4, run_figure4
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_figure4(benchmark, store50, results_dir, app):
     run = store50.get(app)
+    figure4 = EXPERIMENTS["figure4"]
 
     results = benchmark.pedantic(
-        lambda: run_figure4(store50, apps=(app,)), rounds=1, iterations=1
+        lambda: run_experiments(store50, [figure4], apps=(app,))[0],
+        rounds=1, iterations=1,
     )
-    save_result(results_dir, f"figure4_{app}", format_figure4(results))
+    save_result(results_dir, f"figure4_{app}", figure4.format(results))
     runs = results[app]
 
     by_label = {r.label: r for r in runs}

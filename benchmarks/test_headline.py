@@ -8,16 +8,19 @@ numbers depend on the exact workload scale.
 
 from conftest import save_result
 
-from repro.experiments import format_headline, run_headline
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 def test_headline(benchmark, store50, results_dir):
     store50.all_apps()
+    headline = EXPERIMENTS["headline"]
 
     result = benchmark.pedantic(
-        lambda: run_headline(store50), rounds=1, iterations=1
+        lambda: run_experiments(store50, [headline])[0],
+        rounds=1, iterations=1,
     )
-    save_result(results_dir, "headline", format_headline(result))
+    save_result(results_dir, "headline", headline.format(result))
 
     avg = {w: result[w]["avg"] for w in result}
     # Monotone increasing in window size.

@@ -11,20 +11,21 @@ from conftest import save_result
 
 from repro.apps import APP_NAMES
 from repro.cpu import ProcessorConfig, simulate
-from repro.experiments import format_latency100
-from repro.experiments.latency100 import run_latency100
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_latency100(benchmark, store50, store100, results_dir, app):
     run100 = store100.get(app)
+    latency100 = EXPERIMENTS["latency100"]
 
     results = benchmark.pedantic(
-        lambda: run_latency100(store100, apps=(app,)),
+        lambda: run_experiments(store100, [latency100], apps=(app,))[0],
         rounds=1, iterations=1,
     )
     save_result(results_dir, f"latency100_{app}",
-                format_latency100(results))
+                latency100.format(results))
 
     runs = results[app]
     base100 = runs[0]

@@ -2,17 +2,20 @@
 
 from conftest import save_result
 
-from repro.experiments import format_miss_analysis, run_miss_analysis
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 def test_miss_analysis(benchmark, store50, results_dir):
     store50.all_apps()
+    miss_analysis = EXPERIMENTS["miss-analysis"]
 
     results = benchmark.pedantic(
-        lambda: run_miss_analysis(store50), rounds=1, iterations=1
+        lambda: run_experiments(store50, [miss_analysis])[0],
+        rounds=1, iterations=1,
     )
     save_result(results_dir, "miss_analysis",
-                format_miss_analysis(results))
+                miss_analysis.format(results))
 
     by_app = {r.app: r for r in results}
     # LU and OCEAN: read misses issue almost immediately (independent

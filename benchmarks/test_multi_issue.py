@@ -11,20 +11,21 @@ from conftest import save_result
 
 from repro.apps import APP_NAMES
 from repro.cpu import ProcessorConfig, simulate
-from repro.experiments import format_multi_issue
-from repro.experiments.multi_issue import run_multi_issue
+from repro.experiments import EXPERIMENTS
+from repro.experiments.runner import run_experiments
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_multi_issue(benchmark, store50, results_dir, app):
     run = store50.get(app)
+    multi_issue = EXPERIMENTS["multi-issue"]
 
     results = benchmark.pedantic(
-        lambda: run_multi_issue(store50, apps=(app,)),
+        lambda: run_experiments(store50, [multi_issue], apps=(app,))[0],
         rounds=1, iterations=1,
     )
     save_result(results_dir, f"multi_issue_{app}",
-                format_multi_issue(results))
+                multi_issue.format(results))
 
     runs = results[app]
     sweep = {r.label: r for r in runs[1:]}

@@ -100,55 +100,18 @@ def cmd_run(args) -> None:
 
 def cmd_simulate(args) -> None:
     print(exp.format_app_breakdowns(
-        exp.simulate_app_models(
-            _store(args), exp.figure3_configs(), apps=(args.app,),
-            jobs=args.jobs,
-        ),
+        exp.run_figure3(_store(args), apps=(args.app,), jobs=args.jobs),
         f"{{APP}} (percent of BASE, {args.penalty}-cycle miss)",
         bars=True,
     ))
 
 
-def _sweep(run, fmt):
-    """An experiment whose model sweep fans out over ``jobs`` workers."""
-    return lambda store, jobs: fmt(run(store, jobs=jobs))
-
-
-def _serial(run, fmt):
-    """An experiment with no sweep over stored traces: ``all --jobs``
-    builds its traces on the pool before it runs."""
-    return lambda store, jobs: fmt(run(store))
-
-
-def _latency100(store: exp.TraceStore, jobs: int) -> str:
-    """latency100 replays the ``store``'s machine at a 100-cycle miss."""
-    store100 = exp.TraceStore(**{**store.spec(), "miss_penalty": 100})
-    return exp.format_latency100(exp.run_latency100(store100, jobs=jobs))
-
-
-#: Every experiment subcommand, rendered from a (store, jobs) pair.
-_EXPERIMENTS = {
-    "table1": _serial(exp.run_table1, exp.format_table1),
-    "table2": _serial(exp.run_table2, exp.format_table2),
-    "table3": _serial(exp.run_table3, exp.format_table3),
-    "headline": _sweep(exp.run_headline, exp.format_headline),
-    "figure1": lambda store, jobs: exp.format_figure1(exp.run_figure1()),
-    "figure3": _sweep(exp.run_figure3, exp.format_figure3),
-    "figure4": _sweep(exp.run_figure4, exp.format_figure4),
-    "multi-issue": _sweep(exp.run_multi_issue, exp.format_multi_issue),
-    "miss-analysis": _sweep(exp.run_miss_analysis, exp.format_miss_analysis),
-    "sc-boost": _sweep(exp.run_sc_boost, exp.format_sc_boost),
-    "contexts": _serial(exp.run_contexts, exp.format_contexts),
-    "compiler-sched": _serial(
-        exp.run_compiler_sched, exp.format_compiler_sched
-    ),
-    "latency100": _latency100,
-}
-
-
 def cmd_experiment(args) -> None:
-    jobs = getattr(args, "jobs", 1)
-    print(_EXPERIMENTS[args.command](_store(args), jobs))
+    experiment = exp.EXPERIMENTS[args.command]
+    (result,) = exp.runner.run_experiments(
+        _store(args), [experiment], jobs=getattr(args, "jobs", 1)
+    )
+    print(experiment.format(result))
 
 
 def cmd_cosim(args) -> int:
@@ -606,14 +569,13 @@ def cmd_results(args) -> int:
 def cmd_all(args) -> None:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    store = _store(args)
-    if args.jobs > 1:
-        # Warm the trace cache concurrently before the sweeps below.
-        exp.generate_traces(store, jobs=args.jobs)
-    for name, fn in _EXPERIMENTS.items():
+    results = exp.runner.run_experiments(
+        _store(args), list(exp.EXPERIMENTS.values()), jobs=args.jobs
+    )
+    for (name, experiment), result in zip(exp.EXPERIMENTS.items(), results):
         print(f"[{name}] ...", flush=True)
         (out / f"{name.replace('-', '_')}.txt").write_text(
-            fn(store, args.jobs) + "\n"
+            experiment.format(result) + "\n"
         )
     print(f"wrote results to {out}/")
 
@@ -677,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the model sweep")
     p_sim.set_defaults(func=cmd_simulate)
 
-    for name in _EXPERIMENTS:
+    for name in exp.EXPERIMENTS:
         p = sub.add_parser(name, help=f"regenerate {name}")
         if name in ("figure3", "figure4", "latency100"):
             p.add_argument("--jobs", type=int, default=1,

@@ -86,6 +86,10 @@ class ProcessorConfig:
                 name += "-pbp"
             if self.ignore_deps:
                 name += "-nodep"
+            if self.ds.get("prefetch"):
+                name += "+pf"
+            if self.ds.get("speculative_loads"):
+                name += "+spec"
         return name
 
 

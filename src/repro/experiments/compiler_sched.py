@@ -6,45 +6,41 @@ scheduled processor with non-blocking reads".  This experiment applies
 the :mod:`repro.cpu.scheduling` hoisting pass to each trace and re-runs
 the SS processor, comparing: SS on the original code, SS on the
 rescheduled code, and the DS processor with a small window — the
-hardware the compiler is trying to substitute for.
+hardware the compiler is trying to substitute for.  Only the
+rescheduled trace is simulated here; the runs on the original trace
+come from the shared sweep.
 """
 
 from __future__ import annotations
 
-from ..cpu import ExecutionBreakdown, ProcessorConfig, simulate
+from dataclasses import replace
+
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from ..cpu.scheduling import ScheduleStats, schedule_reads_early
+from . import runner
 from .report import format_breakdowns, format_table
-from .runner import TraceStore
+from .runner import Experiment, TraceStore
+
+_SS = ProcessorConfig(kind="ss", model="RC")
 
 
-def run_compiler_sched(store: TraceStore) -> dict[str, dict]:
+def _schedule(
+    store: TraceStore, results: dict[str, list[ExecutionBreakdown]]
+) -> dict[str, dict]:
     result = {}
-    for run in store.all_apps():
+    for app, (ss_orig, ds16, ds64) in results.items():
+        run = store.get(app)
         rescheduled, stats = schedule_reads_early(run.trace)
-        runs: list[ExecutionBreakdown] = [run.base]
-        ss_orig = simulate(
-            run.trace, ProcessorConfig(kind="ss", model="RC")
-        )
-        ss_orig.label = "SS-RC (original)"
-        runs.append(ss_orig)
-        ss_sched = simulate(
-            rescheduled, ProcessorConfig(kind="ss", model="RC")
-        )
-        ss_sched.label = "SS-RC (scheduled)"
-        runs.append(ss_sched)
-        runs.append(
-            simulate(
-                run.trace,
-                ProcessorConfig(kind="ds", model="RC", window=16),
-            )
-        )
-        runs.append(
-            simulate(
-                run.trace,
-                ProcessorConfig(kind="ds", model="RC", window=64),
-            )
-        )
-        result[run.app] = {"runs": runs, "stats": stats}
+        # Through the runner's `simulate`, like every sweep.
+        ss_sched = runner.simulate(rescheduled, _SS)
+        runs = [
+            run.base,
+            replace(ss_orig, label="SS-RC (original)"),
+            replace(ss_sched, label="SS-RC (scheduled)"),
+            ds16,
+            ds64,
+        ]
+        result[app] = {"runs": runs, "stats": stats}
     return result
 
 
@@ -76,3 +72,12 @@ def format_compiler_sched(result: dict[str, dict]) -> str:
         )
     )
     return "\n\n".join(sections)
+
+
+EXPERIMENT = Experiment(
+    (_SS,) + tuple(
+        ProcessorConfig(kind="ds", model="RC", window=w) for w in (16, 64)
+    ),
+    format_compiler_sched,
+    _schedule,
+)

@@ -11,17 +11,16 @@ to the single-context BASE and the DS window-64 result.
 
 from __future__ import annotations
 
-from ..cpu import ProcessorConfig, simulate
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from ..cpu.multicontext import simulate_multicontext
 from .report import format_table
-from .runner import TraceStore
+from .runner import Experiment, TraceStore
 
 CONTEXT_COUNTS = (1, 2, 4, 8)
 
 
-def run_contexts(
-    store: TraceStore,
-    apps: tuple[str, ...] | None = None,
+def _efficiencies(
+    store: TraceStore, results: dict[str, list[ExecutionBreakdown]]
 ) -> dict[str, dict]:
     """Per app: efficiency by context count, plus DS-w64 efficiency.
 
@@ -30,21 +29,17 @@ def run_contexts(
     """
     counts = tuple(k for k in CONTEXT_COUNTS if k <= store.n_procs)
     result: dict[str, dict] = {}
-    for run in store.all_apps():
-        if apps is not None and run.app not in apps:
-            continue
+    for app, (ds,) in results.items():
+        run = store.get(app)
         # Not cached: only this experiment reads these traces, and the
         # store's all-processor run would hold every processor's.
-        _, mp = store._execute(run.app, tuple(range(max(counts))))
+        _, mp = store._execute(app, tuple(range(max(counts))))
         traces = [mp.trace(cpu) for cpu in range(max(counts))]
         efficiency = {}
         for k in counts:
             breakdown = simulate_multicontext(traces[:k])
             efficiency[k] = breakdown.busy / breakdown.total
-        ds = simulate(
-            run.trace, ProcessorConfig(kind="ds", model="RC", window=64)
-        )
-        result[run.app] = {
+        result[app] = {
             "efficiency": efficiency,
             "ds_efficiency": ds.busy / ds.total,
             "base_efficiency": run.base.busy / run.base.total,
@@ -74,3 +69,10 @@ def format_contexts(result: dict[str, dict]) -> str:
             "(switch-on-miss) vs. dynamic scheduling"
         ),
     )
+
+
+EXPERIMENT = Experiment(
+    (ProcessorConfig(kind="ds", model="RC", window=64),),
+    format_contexts,
+    _efficiencies,
+)

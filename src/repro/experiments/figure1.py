@@ -19,6 +19,7 @@ from ..consistency import (
 )
 from ..isa import MemClass
 from .report import format_table
+from .runner import Experiment
 
 #: The access sequence sketched by the paper's Figure 1: data accesses,
 #: an acquire, more data accesses, a release, then trailing accesses.
@@ -75,3 +76,6 @@ def format_figure1(result: dict[str, dict]) -> str:
         arrows = " ".join(f"{i}->{j}" for i, j in data["edges"])
         detail.append(f"  {name}: {arrows}")
     return table + "\n" + "\n".join(detail)
+
+
+EXPERIMENT = Experiment((), format_figure1, lambda store, _: run_figure1())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .report import format_app_breakdowns
-from .runner import TraceStore, simulate_app_models
+from .runner import Experiment, TraceStore, simulate_app_models
 
 WINDOW_SIZES = (16, 32, 64, 128, 256)
 
@@ -50,3 +50,6 @@ def format_figure3(results: dict[str, list[ExecutionBreakdown]]) -> str:
         "Figure 3 — {APP} (percent of BASE, 50-cycle miss)",
         bars=True,
     )
+
+
+EXPERIMENT = Experiment(tuple(figure3_configs()), format_figure3)

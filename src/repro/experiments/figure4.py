@@ -12,35 +12,7 @@ from __future__ import annotations
 from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
 from .report import format_app_breakdowns
-from .runner import TraceStore, simulate_app_models
-
-
-def figure4_configs() -> list[ProcessorConfig]:
-    configs: list[ProcessorConfig] = [ProcessorConfig(kind="base")]
-    for window in WINDOW_SIZES:
-        configs.append(
-            ProcessorConfig(
-                kind="ds", model="RC", window=window, perfect_bp=True
-            )
-        )
-    for window in WINDOW_SIZES:
-        configs.append(
-            ProcessorConfig(
-                kind="ds", model="RC", window=window,
-                perfect_bp=True, ignore_deps=True,
-            )
-        )
-    return configs
-
-
-def run_figure4(
-    store: TraceStore,
-    apps: tuple[str, ...] | None = None,
-    jobs: int = 1,
-) -> dict[str, list[ExecutionBreakdown]]:
-    return simulate_app_models(
-        store, figure4_configs(), apps=apps, jobs=jobs
-    )
+from .runner import Experiment
 
 
 def format_figure4(results: dict[str, list[ExecutionBreakdown]]) -> str:
@@ -50,3 +22,16 @@ def format_figure4(results: dict[str, list[ExecutionBreakdown]]) -> str:
         "dependences (DS under RC, percent of BASE)",
         bars=True,
     )
+
+
+EXPERIMENT = Experiment(
+    (ProcessorConfig(kind="base"),) + tuple(
+        ProcessorConfig(
+            kind="ds", model="RC", window=window, perfect_bp=True,
+            ignore_deps=ignore_deps,
+        )
+        for ignore_deps in (False, True)
+        for window in WINDOW_SIZES
+    ),
+    format_figure4,
+)

@@ -14,28 +14,7 @@ from __future__ import annotations
 from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
 from .report import format_app_breakdowns
-from .runner import TraceStore, simulate_app_models
-
-
-def latency100_configs() -> list[ProcessorConfig]:
-    configs = [ProcessorConfig(kind="base")]
-    for window in WINDOW_SIZES:
-        configs.append(
-            ProcessorConfig(kind="ds", model="RC", window=window)
-        )
-    return configs
-
-
-def run_latency100(
-    store: TraceStore,
-    apps: tuple[str, ...] | None = None,
-    jobs: int = 1,
-) -> dict[str, list[ExecutionBreakdown]]:
-    if store.miss_penalty != 100:
-        raise ValueError("latency100 requires a 100-cycle store")
-    return simulate_app_models(
-        store, latency100_configs(), apps=apps, jobs=jobs
-    )
+from .runner import Experiment
 
 
 def format_latency100(
@@ -44,3 +23,13 @@ def format_latency100(
     return format_app_breakdowns(
         results, "100-cycle latency — {APP} (DS under RC, percent of BASE)"
     )
+
+
+EXPERIMENT = Experiment(
+    (ProcessorConfig(kind="base"),) + tuple(
+        ProcessorConfig(kind="ds", model="RC", window=window)
+        for window in WINDOW_SIZES
+    ),
+    format_latency100,
+    miss_penalty=100,
+)

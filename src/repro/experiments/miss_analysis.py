@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cpu import ProcessorConfig
-from ..isa import MemClass
+from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .report import format_table
-from .runner import TraceStore, simulate_app_models
+from .runner import Experiment, TraceStore
 
 
 @dataclass
@@ -52,27 +51,19 @@ _CONFIG = ProcessorConfig(
 )
 
 
-def run_miss_analysis(
-    store: TraceStore, jobs: int = 1
+def _analyse(
+    store: TraceStore, results: dict[str, list[ExecutionBreakdown]]
 ) -> list[MissAnalysis]:
-    results = []
-    for app, (breakdown,) in simulate_app_models(
-        store, [_CONFIG], jobs=jobs
-    ).items():
-        # The spacing is a property of the trace alone: every read miss
-        # is decoded, in program order, whatever the timing.
-        cols = store.get(app).trace.np_columns()
-        miss_rows = np.nonzero(
-            (cols[9] == int(MemClass.READ)) & (cols[7] > 0)
-        )[0]
-        results.append(
-            MissAnalysis(
-                app=app,
-                issue_delays=breakdown.extras["read_miss_issue_delays"],
-                distances=np.diff(miss_rows).tolist(),
-            )
+    # The spacing is a property of the trace alone: every read miss is
+    # decoded, in program order, whatever the timing.
+    return [
+        MissAnalysis(
+            app=app,
+            issue_delays=breakdown.extras["read_miss_issue_delays"],
+            distances=np.diff(store.get(app).trace.read_miss_rows()).tolist(),
         )
-    return results
+        for app, (breakdown,) in results.items()
+    ]
 
 
 def format_miss_analysis(results: list[MissAnalysis]) -> str:
@@ -95,3 +86,6 @@ def format_miss_analysis(results: list[MissAnalysis]) -> str:
             "perfect BP) and dynamic spacing between read misses"
         ),
     )
+
+
+EXPERIMENT = Experiment((_CONFIG,), format_miss_analysis, _analyse)

@@ -11,32 +11,10 @@ from __future__ import annotations
 from ..cpu import ExecutionBreakdown, ProcessorConfig
 from .figure3 import WINDOW_SIZES
 from .report import format_app_breakdowns
-from .runner import TraceStore, simulate_app_models
+from .runner import Experiment
 
 #: The paper's multiple-issue machine.
 ISSUE_WIDTH = 4
-
-
-def multi_issue_configs() -> list[ProcessorConfig]:
-    configs = [ProcessorConfig(kind="base")]
-    for window in WINDOW_SIZES:
-        configs.append(
-            ProcessorConfig(
-                kind="ds", model="RC", window=window,
-                issue_width=ISSUE_WIDTH,
-            )
-        )
-    return configs
-
-
-def run_multi_issue(
-    store: TraceStore,
-    apps: tuple[str, ...] | None = None,
-    jobs: int = 1,
-) -> dict[str, list[ExecutionBreakdown]]:
-    return simulate_app_models(
-        store, multi_issue_configs(), apps=apps, jobs=jobs
-    )
 
 
 def format_multi_issue(
@@ -47,3 +25,14 @@ def format_multi_issue(
         f"{ISSUE_WIDTH}-issue — {{APP}} "
         f"(DS under RC, percent of single-issue BASE)",
     )
+
+
+EXPERIMENT = Experiment(
+    (ProcessorConfig(kind="base"),) + tuple(
+        ProcessorConfig(
+            kind="ds", model="RC", window=window, issue_width=ISSUE_WIDTH
+        )
+        for window in WINDOW_SIZES
+    ),
+    format_multi_issue,
+)

@@ -18,18 +18,20 @@ For multi-core hosts the module also provides process-pool fan-out:
 :func:`generate_traces` builds the five application traces concurrently
 and :func:`simulate_app_models` — the one sweep behind every breakdown
 experiment — distributes independent processor simulations across
-workers.  The fan-out runs on the supervised pool of
-:mod:`repro.service` — a worker that crashes, hangs, or returns a torn
-payload is restarted and its job retried instead of aborting the
-sweep.  Results are collected in submission order, so
-output is byte-identical regardless of ``jobs``.
+workers; :func:`run_experiments` runs any set of :class:`Experiment`
+through it as one sweep, each distinct configuration once.  The
+fan-out runs on the supervised pool of :mod:`repro.service` — a worker
+that crashes, hangs, or returns a torn payload is restarted and its job
+retried instead of aborting the sweep.  Results are collected in
+submission order, so output is byte-identical regardless of ``jobs``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..apps import APP_NAMES, build_app
@@ -42,6 +44,7 @@ from ..tango import (
 )
 from ..obs.metrics import NULL_REGISTRY
 from ..service.pool import run_jobs
+from ..service.store import canonical_config_blob
 from ..tango.trace import TRACE_FORMAT_VERSION, TraceFormatError
 
 DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "traces"
@@ -362,7 +365,7 @@ def simulate_app_models(
     share in-memory traces); without one the sims run serially.
     """
     names = _select_apps(apps)
-    if jobs > 1 and store.cache_dir is not None and names:
+    if jobs > 1 and store.cache_dir is not None and names and configs:
         generate_traces(store, tuple(names), jobs)
         spec = store.spec()
         if len(names) > 1:
@@ -386,3 +389,61 @@ def simulate_app_models(
         a: [simulate(store.get(a).trace, cfg) for cfg in configs]
         for a in names
     }
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure.
+
+    ``configs`` are the processor configurations it replays over each
+    application's stored trace, generated at ``miss_penalty`` when set.
+    ``collect(store, results)`` turns their breakdowns, ``{app: [one per
+    config]}``, into its result; without it the result is those
+    breakdowns.  They are shared with the sweep's other experiments, so
+    ``collect`` never mutates them.  ``format`` renders the result.
+    """
+
+    configs: tuple[ProcessorConfig, ...]
+    format: Callable[[object], str]
+    collect: Callable[[TraceStore, dict], object] | None = None
+    miss_penalty: int | None = None
+
+
+def _config_key(config: ProcessorConfig) -> str:
+    """Every field of ``config``, ``ds`` items included, canonically."""
+    return canonical_config_blob(asdict(config))
+
+
+def run_experiments(
+    store: TraceStore,
+    experiments: list[Experiment],
+    apps: tuple[str, ...] | None = None,
+    jobs: int = 1,
+) -> list:
+    """Each experiment's result, in order, from one sweep per trace
+    store: the union of their config lists, repeats dropped by
+    :func:`_config_key`, simulated once through
+    :func:`simulate_app_models`."""
+    collected: list = [None] * len(experiments)
+    penalties = [e.miss_penalty or store.miss_penalty for e in experiments]
+    for penalty in dict.fromkeys(penalties):
+        target = store if penalty == store.miss_penalty else TraceStore(
+            **{**store.spec(), "miss_penalty": penalty}
+        )
+        group = [i for i, p in enumerate(penalties) if p == penalty]
+        union = {
+            _config_key(c): c for i in group for c in experiments[i].configs
+        }
+        slot = {key: n for n, key in enumerate(union)}
+        results = simulate_app_models(
+            target, list(union.values()), apps=apps, jobs=jobs
+        )
+        for i in group:
+            experiment = experiments[i]
+            slots = [slot[_config_key(c)] for c in experiment.configs]
+            runs = {a: [r[s] for s in slots] for a, r in results.items()}
+            collected[i] = (
+                experiment.collect(target, runs) if experiment.collect
+                else runs
+            )
+    return collected

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import format_table
-from .runner import TraceStore
+from .runner import Experiment, TraceStore
 
 
 @dataclass
@@ -75,3 +75,6 @@ def format_table1(rows: list[Table1Row]) -> str:
             "1000 instructions)"
         ),
     )
+
+
+EXPERIMENT = Experiment((), format_table1, lambda store, _: run_table1(store))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import format_table
-from .runner import TraceStore
+from .runner import Experiment, TraceStore
 
 
 @dataclass
@@ -64,3 +64,6 @@ def format_table2(rows: list[Table2Row]) -> str:
             "rates per 1000 instructions)"
         ),
     )
+
+
+EXPERIMENT = Experiment((), format_table2, lambda store, _: run_table2(store))

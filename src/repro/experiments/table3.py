@@ -22,7 +22,7 @@ from ..cpu.ds.event_engine import _ds_index
 from ..isa import Op, is_cond_branch
 from ..tango import Trace
 from .report import format_table
-from .runner import TraceStore
+from .runner import Experiment, TraceStore
 
 #: Opcode-indexed mask of the rows Table 3 counts as branches.
 _IS_BRANCH = np.zeros(max(Op) + 1, dtype=bool)
@@ -86,3 +86,6 @@ def format_table3(rows: list[Table3Row]) -> str:
         ],
         title="Table 3: branch behaviour (2048-entry 4-way BTB)",
     )
+
+
+EXPERIMENT = Experiment((), format_table3, lambda store, _: run_table3(store))

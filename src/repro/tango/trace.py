@@ -350,16 +350,20 @@ class Trace:
     def count(self, predicate) -> int:
         return sum(1 for r in self if predicate(r))
 
+    def _miss_rows(self, mem_class: MemClass) -> np.ndarray:
+        """Row numbers of the ``mem_class`` accesses that stalled (the
+        misses), ascending."""
+        return np.flatnonzero(
+            (_np_view(self.mem_class) == int(mem_class))
+            & (_np_view(self.stall) > 0)
+        )
+
+    def read_miss_rows(self) -> np.ndarray:
+        """Row numbers of the read misses, in program order."""
+        return self._miss_rows(MemClass.READ)
+
     def read_misses(self) -> int:
-        if not len(self):
-            return 0
-        cols = self.np_columns()
-        cls, stall = cols[9], cols[7]
-        return int(((cls == int(MemClass.READ)) & (stall > 0)).sum())
+        return len(self.read_miss_rows())
 
     def write_misses(self) -> int:
-        if not len(self):
-            return 0
-        cols = self.np_columns()
-        cls, stall = cols[9], cols[7]
-        return int(((cls == int(MemClass.WRITE)) & (stall > 0)).sum())
+        return len(self._miss_rows(MemClass.WRITE))

@@ -425,35 +425,18 @@ _CLI_OPTIONS = {
 _EXPERIMENT_PARAMS = {
     "analyze_trace": ("app", "trace"),
     "figure3_configs": (),
-    "figure4_configs": (),
     "format_app_breakdowns": ("results", "title", "bars="),
     "format_breakdowns": ("title", "runs", "base"),
-    "format_compiler_sched": ("result",),
-    "format_contexts": ("result",),
     "format_figure1": ("result",),
     "format_figure3": ("results",),
-    "format_figure4": ("results",),
-    "format_headline": ("result",),
-    "format_latency100": ("results",),
-    "format_miss_analysis": ("results",),
-    "format_multi_issue": ("results",),
-    "format_sc_boost": ("results",),
     "format_stacked_bars": ("title", "runs", "base", "width="),
     "format_table": ("headers", "rows", "title=", "float_fmt="),
     "format_table1": ("rows",),
     "format_table2": ("rows",),
     "format_table3": ("rows",),
     "generate_traces": ("store", "apps=", "jobs="),
-    "run_compiler_sched": ("store",),
-    "run_contexts": ("store", "apps="),
     "run_figure1": (),
     "run_figure3": ("store", "apps=", "jobs="),
-    "run_figure4": ("store", "apps=", "jobs="),
-    "run_headline": ("store", "windows=", "jobs="),
-    "run_latency100": ("store", "apps=", "jobs="),
-    "run_miss_analysis": ("store", "jobs="),
-    "run_multi_issue": ("store", "apps=", "jobs="),
-    "run_sc_boost": ("store", "apps=", "jobs="),
     "run_table1": ("store",),
     "run_table2": ("store",),
     "run_table3": ("store",),

@@ -1,29 +1,29 @@
 """Tests for the experiment harness (on tiny workloads)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cli import main
 from repro.experiments import (
+    EXPERIMENTS,
     TraceStore,
     analyze_trace,
     figure3_configs,
-    figure4_configs,
     format_breakdowns,
     format_figure1,
-    format_headline,
     format_stacked_bars,
     format_table,
     format_table1,
     format_table2,
     format_table3,
-    run_contexts,
     run_figure1,
     run_table1,
     run_table2,
     run_table3,
 )
 from repro.experiments.figure3 import run_figure3
-from repro.experiments.headline import run_headline
+from repro.experiments.runner import run_experiments
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ class TestFigures:
         assert len(labels) == 14
 
     def test_figure4_config_list(self):
-        labels = [c.label() for c in figure4_configs()]
+        labels = [c.label() for c in EXPERIMENTS["figure4"].configs]
         assert labels[0] == "BASE"
         assert sum("nodep" in l for l in labels) == 5
         assert sum("pbp" in l for l in labels) == 10
@@ -121,19 +121,21 @@ class TestFigures:
         assert "SC" in text and "->" in text
 
     def test_headline_math(self, tiny_store):
-        result = run_headline(tiny_store, windows=(16, 64))
+        (result,) = run_experiments(tiny_store, [EXPERIMENTS["headline"]])
         for window, apps in result.items():
             for app, frac in apps.items():
                 assert 0.0 <= frac <= 1.0
         assert result[64]["avg"] >= result[16]["avg"]
-        text = format_headline(result)
+        text = EXPERIMENTS["headline"].format(result)
         assert "paper avg" in text
 
     def test_contexts_below_eight_processors(self, tmp_path, capsys):
         """E11 on a machine smaller than its largest context count: the
         counts, and the table's columns, stop at the processors."""
         store = TraceStore(n_procs=4, preset="tiny", cache_dir=tmp_path)
-        result = run_contexts(store, apps=("lu",))
+        (result,) = run_experiments(
+            store, [EXPERIMENTS["contexts"]], apps=("lu",)
+        )
         assert set(result["lu"]["efficiency"]) == {1, 2, 4}
         assert main([
             "--procs", "4", "--preset", "tiny",
@@ -141,6 +143,54 @@ class TestFigures:
         ]) == 0
         out = capsys.readouterr().out
         assert "MC k=4" in out and "MC k=8" not in out
+
+
+class TestSweepUnion:
+    def test_all_simulates_each_config_once(self, tmp_path, monkeypatch):
+        """`all` is one sweep per trace store: every distinct config of
+        the 50-cycle experiments is simulated once per app (34; Figure 3
+        already holds the headline's, compiler-sched's and contexts'
+        bars), plus compiler-sched's rescheduled trace once per app and
+        latency100's six configs on the 100-cycle traces."""
+        from repro.experiments import runner
+
+        for penalty in (50, 100):
+            TraceStore(
+                n_procs=4, preset="tiny", miss_penalty=penalty,
+                cache_dir=tmp_path,
+            ).all_apps()  # built here, so `all` only loads them
+        calls = []
+        simulate = runner.simulate
+
+        def counting(trace, config):
+            calls.append((trace, config))
+            return simulate(trace, config)
+
+        monkeypatch.setattr(runner, "simulate", counting)
+        assert main([
+            "--procs", "4", "--preset", "tiny", "--cache-dir",
+            str(tmp_path), "all", "--output", str(tmp_path / "out"),
+            "--jobs", "1",
+        ]) == 0
+        by_trace: dict[int, Counter] = {}
+        for trace, config in calls:  # `calls` keeps every trace alive
+            by_trace.setdefault(id(trace), Counter())[
+                runner._config_key(config)
+            ] += 1
+        assert all(n == 1 for c in by_trace.values() for n in c.values())
+        assert sorted(sum(c.values()) for c in by_trace.values()) == (
+            [1] * 5 + [6] * 5 + [34] * 5
+        )
+        union50 = {
+            runner._config_key(config)
+            for experiment in EXPERIMENTS.values()
+            if experiment.miss_penalty is None
+            for config in experiment.configs
+        }
+        assert len(union50) == 34
+        assert all(
+            set(c) == union50 for c in by_trace.values() if len(c) == 34
+        )
 
 
 class TestFormatting:

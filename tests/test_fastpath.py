@@ -44,10 +44,9 @@ from repro.experiments import (
     TraceStore,
     figure3_configs,
     generate_traces,
-    run_miss_analysis,
-    run_sc_boost,
     simulate_app_models,
 )
+from repro.experiments.runner import run_experiments
 from repro.cpu import ProcessorConfig, drive, make_stepper, simulate
 from repro.cpu.ds import DSConfig
 from repro.cpu.ds.event_engine import _DSIndex, ds_fast_stepper
@@ -540,33 +539,21 @@ class TestParallelFanOut:
         assert first == second == serial
 
     def test_breakdown_experiments_identical_across_jobs(self, cache_dir):
-        """Every breakdown sweep renders byte-identically on the pool."""
+        """Every experiment that sweeps stored traces renders
+        byte-identically on the pool."""
         store = TraceStore(preset="tiny", n_procs=4, cache_dir=cache_dir)
-        store100 = TraceStore(
-            preset="tiny", n_procs=4, miss_penalty=100, cache_dir=cache_dir
-        )
-        sweeps = {
-            "figure3": lambda j: exp.format_figure3(
-                exp.run_figure3(store, jobs=j)
-            ),
-            "figure4": lambda j: exp.format_figure4(
-                exp.run_figure4(store, jobs=j)
-            ),
-            "latency100": lambda j: exp.format_latency100(
-                exp.run_latency100(store100, jobs=j)
-            ),
-            "multi-issue": lambda j: exp.format_multi_issue(
-                exp.run_multi_issue(store, jobs=j)
-            ),
-            "sc-boost": lambda j: exp.format_sc_boost(
-                exp.run_sc_boost(store, jobs=j)
-            ),
-            "headline": lambda j: exp.format_headline(
-                exp.run_headline(store, jobs=j)
-            ),
-        }
-        for name, sweep in sweeps.items():
-            assert sweep(1) == sweep(2), name
+        for name in (
+            "figure3", "figure4", "latency100", "multi-issue", "sc-boost",
+            "headline", "compiler-sched", "miss-analysis", "contexts",
+        ):
+            experiment = exp.EXPERIMENTS[name]
+            serial, pooled = (
+                experiment.format(
+                    run_experiments(store, [experiment], jobs=j)[0]
+                )
+                for j in (1, 2)
+            )
+            assert serial == pooled, name
 
 
 class TestProbeByteIdentity:
@@ -1103,8 +1090,14 @@ class TestEngineSelection:
                 "lu", store, kind=kind, out_dir=tmp_path / "profiles"
             )
             assert profile.ok, profile.errors
-        assert all(r.issue_delays for r in run_miss_analysis(store))
-        assert len(run_sc_boost(store, apps=("lu",))["lu"]) == 6
+        (analysis,) = run_experiments(
+            store, [exp.EXPERIMENTS["miss-analysis"]]
+        )
+        assert all(r.issue_delays for r in analysis)
+        (boost,) = run_experiments(
+            store, [exp.EXPERIMENTS["sc-boost"]], apps=("lu",)
+        )
+        assert len(boost["lu"]) == 6
 
 
 @st.composite
