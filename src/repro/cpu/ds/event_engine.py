@@ -36,15 +36,24 @@ objects.
   ROB collapses to two integers (head row, fetch row), and all mutable
   per-entry fields (``complete_time``, ``ready_time``, ``performed``,
   ``issued``, pending-source counts) become row-indexed lists and
-  bytearrays.  No ``_Entry`` is ever allocated.  The trace-derived
-  tables follow :mod:`repro.cpu.static_fast`'s column rule: addresses
-  and waits, whose values exceed 256, are typed ``array`` columns, 8
-  bytes per row for as long as the trace lives; small-valued columns
-  (opcodes, units, classes, stalls, flags) stay lists of cached small
-  ints, 8 bytes per row and a specialised subscript.  The producer
-  rows are the rule's one exception: every decode reads both, so they
-  stay lists.  Decode cycles are kept only when a tracer or
-  ``collect_miss_stats`` reads them.
+  bytearrays.  No ``_Entry`` is ever allocated.  A row holds cycle
+  numbers only while it is in flight: at retire its completion and
+  ready cycles become the cached int ``0`` (exact, since a retired row
+  completed at or before now, and every later read asks only "unknown
+  or in the future?"), except a store's ready cycle, which the
+  prefetch adjustment reads when the store issues from the buffer and
+  which is cleared then; a row's dependent list is dropped once it has
+  woken them.  The trace-derived tables follow
+  :mod:`repro.cpu.static_fast`'s column rule: addresses and waits,
+  whose values exceed 256, are typed ``array`` columns, 8 bytes per
+  row for as long as the trace lives; small-valued columns (opcodes,
+  units, classes, stalls) stay lists of cached small ints, 8 bytes per
+  row and a specialised subscript, and the 0/1 flags (mispredictions,
+  head-waiting acquires) are ``bytes``.  Each source's producer is
+  stored as its distance back from the consumer (0 for none), nearly
+  always a cached small int, so every decode reads the two columns as
+  lists without one int object per row.  Decode cycles are kept only
+  when a tracer or ``collect_miss_stats`` reads them.
 
 * **Cheap events.**  Single-cycle completions — FU results, cache-hit
   loads, clean store performs; the overwhelming majority of events —
@@ -107,6 +116,7 @@ per-cycle formulation is the differential oracle — see
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -213,7 +223,7 @@ class _DSIndex:
 
     __slots__ = (
         "n", "op_l", "fu_l", "cls_l", "stall_l", "wait_l", "addr_l",
-        "prod1_l", "prod2_l", "store_like_l", "acq_l", "acq_wait_l",
+        "dist1_l", "dist2_l", "store_like_l", "acq_l", "acq_wait_l",
         "sync_ord", "_misp",
     )
 
@@ -230,23 +240,29 @@ class _DSIndex:
         self.stall_l = stall_np.tolist()
         self.wait_l = _typed(wait_np, "q")
         self.addr_l = _typed(addr_np, "q")
-        prod1, prod2 = producer_rows(rd_np, rs1_np, rs2_np)
-        # Producer rows stay lists despite their range: the decode path
-        # reads both for every row, and as typed arrays they slowed the
-        # 16-CPU co-simulation by about a tenth.
-        self.prod1_l = prod1.tolist()
-        self.prod2_l = prod2.tolist()
+        # Each source's producer as a distance back from its consumer,
+        # 0 for none (a producer is always an earlier row).  Nearly every
+        # distance is at most 256, so the lists hold cached small ints,
+        # and they stay lists: every decode reads both, and a typed
+        # subscript builds an int object on each read.  Distances are
+        # exact, never capped, since ``DSConfig.window`` has no upper
+        # bound.
+        rows = np.arange(self.n, dtype=np.int64)
+        self.dist1_l, self.dist2_l = (
+            np.where(prod >= 0, rows - prod, 0).tolist()
+            for prod in producer_rows(rd_np, rs1_np, rs2_np)
+        )
         store_like = np.zeros(_N_CLS, dtype=bool)
         store_like[list(_STORE_LIKE)] = True
         acq = np.zeros(_N_CLS, dtype=bool)
         acq[list(_ACQ)] = True
         self.store_like_l = store_like[mc_np].tolist()
         # Rows that wait at the reorder-buffer head: under replayed sync
-        # the contended acquires, under live sync every acquire (a byte
-        # mask: only live runs read it).
+        # the contended acquires, under live sync every acquire.  Both
+        # are 0/1 byte masks, like the misprediction column.
         is_acq = acq[mc_np]
         self.acq_l = is_acq.tobytes()
-        self.acq_wait_l = (is_acq & (wait_np > 0)).tolist()
+        self.acq_wait_l = (is_acq & (wait_np > 0)).tobytes()
         #: Row -> ordinal among the synchronization-class rows, the key
         #: of the recorded sync schedule (sparse: sync rows only).
         self.sync_ord = {
@@ -256,13 +272,14 @@ class _DSIndex:
         }
         self._misp = None
 
-    def mispredicts(self, trace: Trace) -> list:
-        """Full-length misprediction column of the paper's BTB."""
+    def mispredicts(self, trace: Trace) -> bytes:
+        """Full-length misprediction column of the paper's BTB, one 0/1
+        byte per row."""
         if self._misp is None:
             cols = trace.np_columns()
             self._misp = control_mispredicts(
                 cols[0], cols[1], cols[2], BranchTargetBuffer(),
-            ).tolist()
+            ).tobytes()
         return self._misp
 
 
@@ -314,8 +331,8 @@ def ds_fast_stepper(
     stall_l = idx.stall_l
     wait_l = idx.wait_l
     addr_l = idx.addr_l
-    prod1_l = idx.prod1_l
-    prod2_l = idx.prod2_l
+    dist1_l = idx.dist1_l
+    dist2_l = idx.dist2_l
     store_like_l = idx.store_like_l
     head_wait_l = idx.acq_l if live_sync else idx.acq_wait_l
     sync_ord = idx.sync_ord
@@ -370,7 +387,7 @@ def ds_fast_stepper(
             # engine interleaves miss spans and budget consumption
             # mid-run, so spans stay inline then.
             if not coupled:
-                retire_t = [0] * n
+                retire_t = array("q", [0]) * n
     spans_dropped = 0
 
     # Unperformed memory rows, one idx-ordered deque per distinct set of
@@ -393,9 +410,11 @@ def ds_fast_stepper(
     complete_t = [-1] * n
     ready_t = [-1] * n
     # Decode cycles, kept only for what reads them: spans, miss delays.
+    # Written once per row and read only by those, so a typed array,
+    # like retire_t: no int object per row.
     decode_t = None
     if tracer is not None or miss_delays is not None:
-        decode_t = [0] * n
+        decode_t = array("q", [0]) * n
     performed = bytearray(n)
     issued = bytearray(n)
     pending = bytearray(n)
@@ -492,7 +511,9 @@ def ds_fast_stepper(
         ready_mask bits of the heaps they joined."""
         has_deps[i] = 0
         bits = 0
-        for j in deps_l[i]:
+        deps = deps_l[i]
+        deps_l[i] = None
+        for j in deps:
             p = pending[j] - 1
             pending[j] = p
             if not p:
@@ -558,13 +579,15 @@ def ds_fast_stepper(
                 if decode:
                     if misp_l[i]:
                         break
-                    p = prod1_l[i]
-                    if p >= 0:
+                    d = dist1_l[i]
+                    if d:
+                        p = i - d
                         ct = complete_t[p]
                         if ct < 0 or (ct > t and store_like_l[p]):
                             break
-                    p = prod2_l[i]
-                    if p >= 0:
+                    d = dist2_l[i]
+                    if d:
+                        p = i - d
                         ct = complete_t[p]
                         if ct < 0 or (ct > t and store_like_l[p]):
                             break
@@ -612,6 +635,10 @@ def ds_fast_stepper(
                                     pending_stores[a] = dq = deque()
                                 dq.append(i)
                     fetch_i = i + 1
+                # Retired rows hold nothing (module docstring).  A store
+                # keeps its ready cycle until it issues from the buffer,
+                # unless the claimed port, which never reads it, takes it.
+                complete_t[h] = 0
                 if store_like_l[h]:
                     store_buffer.append(h)
                     dq = blocking_q[cls_l[h]]
@@ -619,7 +646,10 @@ def ds_fast_stepper(
                         port_gen = t + 1
                         port_row = h
                         store_scan += 1
+                        ready_t[h] = 0
                     sb_tail += 1
+                else:
+                    ready_t[h] = 0
                 if tracer is not None:
                     if retire_t is not None:
                         retire_t[h] = t
@@ -755,6 +785,7 @@ def ds_fast_stepper(
                     stall = yield MemRequest(addr_l[i], True, t, stall)
                 if prefetch and stall > 0 and ready_t[i] >= 0:
                     stall = max(0, stall - max(0, t - ready_t[i]))
+                ready_t[i] = 0  # its last read: the store has retired
                 if stall:
                     heappush(events, (t + 1 + stall, i))
                     if t + 1 + stall < ev_t:
@@ -829,8 +860,9 @@ def ds_fast_stepper(
                 # unknown completions and store-like producers (which
                 # wake dependents at their perform, not their
                 # completion) defer the consumer.
-                p = prod1_l[i]
-                if p >= 0:
+                d = dist1_l[i]
+                if d:
+                    p = i - d
                     ct = complete_t[p]
                     if ct < 0 or (ct > t and store_like_l[p]):
                         ps = 1
@@ -839,8 +871,9 @@ def ds_fast_stepper(
                         else:
                             has_deps[p] = 1
                             deps_l[p] = [i]
-                p = prod2_l[i]
-                if p >= 0:
+                d = dist2_l[i]
+                if d:
+                    p = i - d
                     ct = complete_t[p]
                     if ct < 0 or (ct > t and store_like_l[p]):
                         ps += 1
@@ -947,6 +980,8 @@ def ds_fast_stepper(
                     else:
                         stall_reason = "other"
                     break
+                ready_t[h] = 0
+            complete_t[h] = 0
             if tracer is not None:
                 if retire_t is not None:
                     retire_t[h] = t

@@ -61,11 +61,13 @@ trace, so its columns follow one rule: a column whose values can exceed
 instead of an int object each; a small-valued column (opcodes, classes,
 units, register ids, stalls, flags) stays a list, whose elements are
 CPython's cached small ints — 8 bytes per row already — and whose
-subscripts the interpreter specialises in the hot loops.  A typed
-subscript builds an int object on every read, so a wide column read on
-every row of a hot loop is the exception: the DS engine's producer rows
-stay lists (:mod:`repro.cpu.ds.event_engine`).  This engine reads its
-typed columns only at processed events.
+subscripts the interpreter specialises in the hot loops; a 0/1 flag
+column is ``bytes``.  A typed subscript builds an int object on every
+read, so a wide column that a hot loop reads on every row is recast
+as small values instead: the DS engine stores each producer row as its
+distance back from the consumer, a list of nearly all cached small
+ints (:mod:`repro.cpu.ds.event_engine`).  This engine reads its typed
+columns only at processed events.
 
 Each model is a resumable stepper (:mod:`repro.cpu.requests`): it
 yields every miss as a :class:`~repro.cpu.requests.MemRequest`, every

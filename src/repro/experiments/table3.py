@@ -57,7 +57,7 @@ class Table3Row:
 
 def analyze_trace(app: str, trace: Trace) -> Table3Row:
     branch = _IS_BRANCH[trace.np_columns()[0]]
-    misp = np.array(_ds_index(trace).mispredicts(trace), dtype=bool)
+    misp = np.frombuffer(_ds_index(trace).mispredicts(trace), dtype=bool)
     branches = int(branch.sum())
     return Table3Row(
         app=app,

@@ -50,6 +50,7 @@ from repro.experiments.runner import run_experiments
 from repro.cpu import ProcessorConfig, drive, make_stepper, simulate
 from repro.cpu.ds import DSConfig
 from repro.cpu.ds.event_engine import _DSIndex, ds_fast_stepper
+from repro.cpu.kernels import producer_rows
 from repro.cpu.static_fast import _TraceIndex
 from repro.isa import Op
 from repro.mem import MemoryError_, SharedMemory
@@ -1283,25 +1284,38 @@ class TestTraceRoundTrip:
         assert clone.fastpath_cache is None
 
 
+@pytest.fixture(scope="module")
+def tiny4_traces(tmp_path_factory):
+    """{app: CPU 0 trace} of every application at tiny/4."""
+    store = TraceStore(
+        preset="tiny", n_procs=4,
+        cache_dir=tmp_path_factory.mktemp("tiny4"),
+    )
+    return {app: store.get(app).trace for app in APP_NAMES}
+
+
 class TestIndexFootprint:
     """The memoised fast-path indexes live as long as their trace, so a
     column whose values can exceed 256 is a typed array, not one int
-    object per element — except the DS producer rows, which every
-    decode reads (see ``repro.cpu.static_fast``'s docstring)."""
+    object per element; the DS producer columns are distances, nearly
+    all cached small ints (see ``repro.cpu.static_fast``'s docstring).
+    A DS run holds cycle numbers only for the rows in flight."""
 
     #: Retained bytes per row of ``_TraceIndex`` + ``_DSIndex`` + the
-    #: misprediction column at tiny/4: 170 (lu) and 177 (ocean)
+    #: misprediction column at tiny/4: 124 (lu) and 127 (ocean)
     #: measured, plus 10 %.  One int object per element measured 284
-    #: and 311.
-    BYTES_PER_ROW = {"lu": 187, "ocean": 195}
+    #: and 311; absolute producer rows, 170 and 177.
+    BYTES_PER_ROW = {"lu": 137, "ocean": 141}
+
+    #: tracemalloc peak of a second DS-RC-w64 ``simulate`` per trace
+    #: row at tiny/4: 30 (lu) and 31 (ocean) measured, plus 10 %.  With
+    #: every row's cycle numbers and dependent list kept to the end of
+    #: the run it measured 98 and 100.
+    RUN_BYTES_PER_ROW = {"lu": 33, "ocean": 35}
 
     @pytest.fixture(scope="class")
-    def traces(self, tmp_path_factory):
-        store = TraceStore(
-            preset="tiny", n_procs=4,
-            cache_dir=tmp_path_factory.mktemp("footprint"),
-        )
-        return {app: store.get(app).trace for app in self.BYTES_PER_ROW}
+    def traces(self, tiny4_traces):
+        return {app: tiny4_traces[app] for app in self.BYTES_PER_ROW}
 
     @staticmethod
     def _build(trace):
@@ -1324,8 +1338,23 @@ class TestIndexFootprint:
             assert idx.n == len(trace) > 0
             assert held / len(trace) <= self.BYTES_PER_ROW[app], app
 
+    def test_run_state_bytes_per_row(self, traces):
+        config = ProcessorConfig(kind="ds", model="RC", window=64)
+        for app, trace in traces.items():
+            # The first run builds the index and imports lazily.
+            expected = simulate(trace, config)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert simulate(trace, config) == expected
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak / len(trace) <= self.RUN_BYTES_PER_ROW[app], app
+
     def test_wide_columns_are_typed_arrays(self, traces):
-        idx = self._build(traces["ocean"])
+        trace = traces["ocean"]
+        idx = self._build(trace)
         ds = idx.ds
         rows = [
             idx.ev_l, idx.sp_l, idx.write_pos_l, idx.read_posm_l,
@@ -1338,6 +1367,75 @@ class TestIndexFootprint:
             assert isinstance(col, array) and col.typecode == "i"
         for col in wide:
             assert isinstance(col, array) and col.typecode == "q"
+        for flags in (ds.mispredicts(trace), ds.acq_wait_l, ds.acq_l):
+            assert type(flags) is bytes and len(flags) == len(trace)
+
+
+def _far_producer() -> TraceBuilder:
+    """Consumers decoded further behind their producer than the paper's
+    largest (256-entry) window: a distance capped there would let them
+    issue, and the misses that depend on them, before the producer's
+    miss returns."""
+    tb = TraceBuilder()
+    # Decoded by the general loop: a 1000-cycle load's consumers 300
+    # rows (rs1) and 310 rows (rs2) later.
+    tb.load(rd=2, addr=0x8000, stall=1000)
+    alu_block(tb, 299)
+    tb.load(rd=3, rs1=2, addr=0x1000, stall=40)
+    alu_block(tb, 9)
+    tb.alu(rd=4, rs2=2)
+    tb.load(rd=5, rs1=4, addr=0x1100, stall=40)
+    tb.alu(rd=6, rs1=3, rs2=5)
+    tb.store(rs2=6, addr=0x1200, stall=20)
+    alu_block(tb, 20)
+    # Decoded by the streak: a 1000-cycle load heads a full 512-entry
+    # window, and as the rows behind it retire, one a cycle, the streak
+    # decodes ops 419 (rs1) and 421 (rs2) rows behind a 2000-cycle load
+    # still in flight.
+    tb.load(addr=0x9000, stall=1000)
+    alu_block(tb, 100)
+    tb.load(rd=7, addr=0xA000, stall=2000)
+    alu_block(tb, 418)
+    tb.alu(rd=8, rs1=7)
+    tb.load(rd=9, rs1=8, addr=0x1300, stall=40)
+    # On the FP unit: the deferred ALU op above keeps the streak from
+    # proving another ALU op.
+    tb.fp(rd=10, rs2=7)
+    tb.load(rd=11, rs1=10, addr=0x1400, stall=40)
+    alu_block(tb, 20)
+    return tb
+
+
+class TestProducerDistances:
+    """``_DSIndex`` stores each source's producer as a distance back from
+    its consumer; the distances rebuild the absolute rows exactly."""
+
+    @staticmethod
+    def _assert_rebuilds(trace) -> None:
+        cols = trace.np_columns()
+        ds = _DSIndex(trace)
+        expected = producer_rows(cols[3], cols[4], cols[5])
+        for dist, prod in zip((ds.dist1_l, ds.dist2_l), expected):
+            rows = [i - d if d else -1 for i, d in enumerate(dist)]
+            assert rows == prod.tolist()
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_rebuild_producer_rows_on_apps(self, tiny4_traces, app):
+        self._assert_rebuilds(tiny4_traces[app])
+
+    @given(trace=small_traces())
+    @settings(max_examples=100, deadline=None)
+    def test_rebuild_producer_rows_on_arbitrary_traces(self, trace):
+        self._assert_rebuilds(trace)
+
+    def test_producer_beyond_the_largest_paper_window(self):
+        trace = _far_producer().build()
+        ds = _DSIndex(trace)
+        for model_name in ("SC", "RC"):
+            _ds_agrees(trace, model_name, DSConfig(window=512))
+        assert ds.dist1_l[300] == 300 and ds.dist2_l[310] == 310
+        assert ds.dist1_l[-24] == 419 and ds.dist2_l[-22] == 421
+        self._assert_rebuilds(trace)
 
 
 class TestCacheVersioning:
