@@ -45,15 +45,22 @@ objects.
   which is cleared then; a row's dependent list is dropped once it has
   woken them.  The trace-derived tables follow
   :mod:`repro.cpu.static_fast`'s column rule: addresses and waits,
-  whose values exceed 256, are typed ``array`` columns, 8 bytes per
-  row for as long as the trace lives; small-valued columns (opcodes,
-  units, classes, stalls) stay lists of cached small ints, 8 bytes per
-  row and a specialised subscript, and the 0/1 flags (mispredictions,
-  head-waiting acquires) are ``bytes``.  Each source's producer is
-  stored as its distance back from the consumer (0 for none), nearly
-  always a cached small int, so every decode reads the two columns as
-  lists without one int object per row.  Decode cycles are kept only
-  when a tracer or ``collect_miss_stats`` reads them.
+  whose values exceed 256, are typed ``array`` columns, 4 bytes per
+  row (the trace's own width) for as long as the trace lives;
+  small-valued columns (opcodes, units, classes, stalls) stay lists of
+  cached small ints, 8 bytes per row and a specialised subscript, and
+  the 0/1 flags (mispredictions, head-waiting acquires) are ``bytes``.
+  Decode never subscripts the misprediction column: mispredictions are
+  sparse, so it compares the row with the next mispredicted one, found
+  with ``bytes.find`` as each is decoded.  A row's ready cycle is
+  written at decode only if something can read it: a row queued for a
+  unit or the port, or a store, whose buffered issue the prefetch
+  adjustment times from it; a preset op and a streak-proven hit load
+  never queue.  Each source's producer is stored as its distance back
+  from the consumer (0 for none), nearly always a cached small int, so
+  every decode reads the two columns as lists without one int object
+  per row.  Decode cycles are kept only when a tracer or
+  ``collect_miss_stats`` reads them.
 
 * **Cheap events.**  Single-cycle completions — FU results, cache-hit
   loads, clean store performs; the overwhelming majority of events —
@@ -238,8 +245,8 @@ class _DSIndex:
         self.fu_l = _FU_NP[op_np].tolist()
         self.cls_l = mc_np.tolist()
         self.stall_l = stall_np.tolist()
-        self.wait_l = _typed(wait_np, "q")
-        self.addr_l = _typed(addr_np, "q")
+        self.wait_l = _typed(wait_np)
+        self.addr_l = _typed(addr_np)
         # Each source's producer as a distance back from its consumer,
         # 0 for none (a producer is always an earlier row).  Nearly every
         # distance is at most 256, so the lists hold cached small ints,
@@ -337,10 +344,14 @@ def ds_fast_stepper(
     head_wait_l = idx.acq_l if live_sync else idx.acq_wait_l
     sync_ord = idx.sync_ord
     miss_delays = [] if cfg.collect_miss_stats else None
-    if cfg.perfect_branch_prediction:
-        misp_l = bytes(n)
-    else:
-        misp_l = idx.mispredicts(trace)
+    misp_l = (
+        b"" if cfg.perfect_branch_prediction else idx.mispredicts(trace)
+    )
+    # The next mispredicted row (n: none left), advanced as each one
+    # decodes.
+    next_misp = misp_l.find(1)
+    if next_misp < 0:
+        next_misp = n
 
     # Observability, with the per-retire track()/f-string lookups
     # hoisted into a lane-handle cache.
@@ -577,7 +588,7 @@ def ds_fast_stepper(
                 i = fetch_i
                 decode = i < n and i - rob_head < window
                 if decode:
-                    if misp_l[i]:
+                    if i == next_misp:
                         break
                     d = dist1_l[i]
                     if d:
@@ -615,7 +626,6 @@ def ds_fast_stepper(
                 if decode:
                     if decode_t is not None:
                         decode_t[i] = t
-                    ready_t[i] = t + 1
                     if not cls:
                         complete_t[i] = t + 2
                         fu_taken_gen[fu] = t + 1
@@ -627,6 +637,7 @@ def ds_fast_stepper(
                             port_gen = t + 1
                             port_row = i
                         else:
+                            ready_t[i] = t + 1
                             complete_t[i] = t + 1
                             a = addr_l[i]
                             if a >= 0:
@@ -885,14 +896,15 @@ def ds_fast_stepper(
                 pending[i] = ps
             if ps == 0:
                 # Inlined wake(i, t + 1) — the per-instruction hot path.
-                ready_t[i] = t + 1
                 if store_like_l[i]:
+                    ready_t[i] = t + 1
                     complete_t[i] = t + 1
                 else:
                     fu = fu_l[i]
                     if fu == _FU_LOAD_STORE:
                         # i is the largest row yet: appending keeps the
                         # heap ordered.
+                        ready_t[i] = t + 1
                         k = _N_FU + cls
                         ready_heaps[k].append(i)
                         ready_mask |= 1 << k
@@ -901,7 +913,7 @@ def ds_fast_stepper(
                         and iw == 1
                         and not ready_heaps[fu]
                         and not fu_pending[fu]
-                        and not misp_l[i]
+                        and i != next_misp
                     ):
                         # Preset: ready at t+1, class idle and no older
                         # op can wake before then, single issue slot is
@@ -909,12 +921,16 @@ def ds_fast_stepper(
                         complete_t[i] = t + 2
                         fu_taken_gen[fu] = t + 1
                     else:
+                        ready_t[i] = t + 1
                         heappush(ready_heaps[fu], i)
                         ready_mask |= 1 << fu
             elif not store_like_l[i]:
                 fu_pending[fu_l[i]] += 1
-            if misp_l[i]:
+            if i == next_misp:
                 fetch_stalled = i
+                next_misp = misp_l.find(1, i + 1)
+                if next_misp < 0:
+                    next_misp = n
                 break
 
         # Phase 4: retire in order.

@@ -57,8 +57,9 @@ once and memoised on ``trace.fastpath_cache`` — a consistency-model
 sweep over one trace pays for them once.  The memo lives as long as the
 trace, so its columns follow one rule: a column whose values can exceed
 256 (row numbers and event positions, addresses, waits) is a typed
-``array`` built straight from its numpy array, 4 or 8 bytes per element
-instead of an int object each; a small-valued column (opcodes, classes,
+``array('i')`` built straight from its numpy array, 4 bytes per element
+(the trace's own width for addresses and waits) instead of an int
+object each; a small-valued column (opcodes, classes,
 units, register ids, stalls, flags) stays a list, whose elements are
 CPython's cached small ints — 8 bytes per row already — and whose
 subscripts the interpreter specialises in the hot loops; a 0/1 flag
@@ -180,12 +181,12 @@ class WriteBuffer:
         return self.last_free if self._entries else 0
 
 
-def _typed(values: np.ndarray, typecode: str) -> array:
-    """``values`` as a compact ``array(typecode)``: ``"i"`` for row
-    numbers and event positions, ``"q"`` for addresses and waits."""
-    col = array(typecode)
-    dtype = np.dtype(f"i{col.itemsize}")
-    col.frombytes(values.astype(dtype, copy=False).data.cast("B"))
+def _typed(values: np.ndarray) -> array:
+    """``values`` as a compact ``array("i")``: row numbers, event
+    positions, and the trace's addresses and waits, which its columns
+    already hold as int32 (``repro.tango.trace.TRACE_COLUMNS``)."""
+    col = array("i")
+    col.frombytes(values.astype(np.int32, copy=False).data.cast("B"))
     return col
 
 
@@ -225,12 +226,12 @@ class _TraceIndex:
         n_ev = len(ev)
         mc_ev = mc_np[ev]
         stall_ev = stall_np[ev]
-        self.ev_l = _typed(ev, "i")
+        self.ev_l = _typed(ev)
         self.n_ev = n_ev
         self.cls_l = mc_ev.tolist()
         self.stall_l = stall_ev.tolist()
-        self.wait_l = _typed(wait_np[ev], "q")
-        self.addr_l = _typed(addr_np[ev], "q")
+        self.wait_l = _typed(wait_np[ev])
+        self.addr_l = _typed(addr_np[ev])
         self.rd_l = rd_np[ev].tolist()
         self.rs1_l = rs1_np.tolist()
         self.rs2_l = rs2_np.tolist()
@@ -238,7 +239,7 @@ class _TraceIndex:
         # the write buffer is clean — misses, releases, sync.
         self.sp_l = _typed(np.nonzero(
             (stall_ev > 0) | (mc_ev >= _MC_ACQUIRE)
-        )[0], "i")
+        )[0])
         self.n_sp = len(self.sp_l)
         #: Event position -> ordinal among the synchronization-class
         #: rows, the key of the recorded sync schedule (sync rows only).
@@ -256,18 +257,18 @@ class _TraceIndex:
         # position, for the lazy folds over skipped clean rows.
         self.write_pos_l = _typed(np.maximum.accumulate(
             np.where(mc_ev == _MC_WRITE, positions, -1)
-        ), "i")
+        ))
         self.read_posm_l = _typed(np.maximum.accumulate(
             np.where(mc_ev == _MC_READ, positions, -1)
-        ), "i")
+        ))
         read_pos = np.nonzero(mc_ev == _MC_READ)[0]
-        self.read_pos_l = _typed(read_pos, "i")
-        self.read_rows_l = _typed(ev[read_pos], "i")
+        self.read_pos_l = _typed(read_pos)
+        self.read_rows_l = _typed(ev[read_pos])
         pos_of_row = np.full(n, -1, dtype=np.int64)
         pos_of_row[ev] = positions
-        self.pos_of_row = _typed(pos_of_row, "i")
+        self.pos_of_row = _typed(pos_of_row)
         self.users = {
-            reg: _typed(rows, "i")
+            reg: _typed(rows)
             for reg, rows in reg_use_rows(rs1_np, rs2_np).items()
         }
 

@@ -7,8 +7,11 @@ this module provides :class:`TraceStore` — an in-memory plus on-disk
 cache keyed by every parameter that shapes the trace (application,
 processor count, miss penalty, cache size, line size, sync latency,
 preset, traced processor) plus the on-disk trace schema version
-(:data:`repro.tango.trace.TRACE_FORMAT_VERSION`).  Stale or unreadable
-pickles are regenerated, never trusted.
+(:data:`repro.tango.trace.TRACE_FORMAT_VERSION`).  A cached run is a
+small pickled header followed by every trace's columns as raw bytes,
+written from and read into the columns' own buffers, so saving or
+loading a run never holds a second copy of its traces.  Stale, torn or
+foreign files are regenerated, never trusted.
 
 The defaults mirror the paper's simulation parameters: 16 processors,
 64 KB direct-mapped write-back caches with 16-byte lines, a 50-cycle miss
@@ -30,8 +33,9 @@ from __future__ import annotations
 
 import os
 import pickle
+from array import array
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..apps import APP_NAMES, build_app
@@ -45,7 +49,7 @@ from ..tango import (
 from ..obs.metrics import NULL_REGISTRY
 from ..service.pool import run_jobs
 from ..service.store import canonical_config_blob
-from ..tango.trace import TRACE_FORMAT_VERSION, TraceFormatError
+from ..tango.trace import TRACE_COLUMNS, TRACE_FORMAT_VERSION
 
 DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "traces"
 
@@ -82,6 +86,37 @@ class CosimRun:
     params: dict = field(default_factory=dict)
 
 
+#: The fields of a cached run that hold its traces.
+_TRACE_FIELDS = ("trace", "traces")
+_ROW_BYTES = sum(array(code).itemsize for _, code in TRACE_COLUMNS)
+
+
+def _read_run(f, cls):
+    """The run of type ``cls`` in the open cache file ``f``: the header,
+    then each trace's columns read into preallocated arrays.  A file
+    that is not one whole run of that type raises ``ValueError``."""
+    kind, values, shapes = pickle.load(f)
+    if kind != cls.__name__:
+        raise ValueError(f"{kind} file where a {cls.__name__} was wanted")
+    body = sum(rows for _, rows in shapes) * _ROW_BYTES
+    if (any(rows < 0 for _, rows in shapes)
+            or os.fstat(f.fileno()).st_size - f.tell() != body):
+        raise ValueError("columns torn or followed by stray bytes")
+    traces = []
+    for cpu, rows in shapes:
+        trace = Trace(cpu=cpu)
+        for name, code in TRACE_COLUMNS:
+            col = array(code, [0]) * rows
+            if f.readinto(col) != rows * col.itemsize:
+                raise ValueError(f"column {name!r} cut short")
+            setattr(trace, name, col)
+        traces.append(trace)
+    if cls is CosimRun:
+        return cls(traces=traces, **values)
+    (values["trace"],) = traces
+    return cls(**values)
+
+
 class TraceStore:
     """Builds, runs, verifies and caches application traces."""
 
@@ -115,8 +150,8 @@ class TraceStore:
         self._cosim_runs: dict[str, CosimRun] = {}
 
     def _cache_path(self, app: str, cosim: bool = False) -> Path | None:
-        """The pickle of ``app``'s run: the traced-cpu run by default,
-        the all-processor :class:`CosimRun` with ``cosim``."""
+        """The file of ``app``'s run: the traced-cpu run by default, the
+        all-processor :class:`CosimRun` with ``cosim``."""
         if self.cache_dir is None:
             return None
         sync = (
@@ -129,36 +164,44 @@ class TraceStore:
         name = (
             f"{prefix}{app}_v{TRACE_FORMAT_VERSION}_p{self.n_procs}"
             f"_m{self.miss_penalty}_c{self.cache_size}_l{self.line_size}"
-            f"_s{sync}_{self.preset}{suffix}.pkl"
+            f"_s{sync}_{self.preset}{suffix}.run"
         )
         return self.cache_dir / name
 
     def _load(self, path: Path, cls):
-        """Read a cached run; any stale/corrupt pickle means 'miss'."""
+        """Read a cached run of type ``cls`` (module docstring); a
+        missing file is a miss, and so is a torn, stale or foreign one,
+        which is removed."""
         try:
             with open(path, "rb") as f:
-                run = pickle.load(f)
+                return _read_run(f, cls)
         except FileNotFoundError:
             return None
-        except (TraceFormatError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError, ValueError,
-                TypeError):
-            # A schema bump or a truncated/foreign pickle: regenerate.
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError, ValueError, TypeError):
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        if not isinstance(run, cls):
-            return None
-        return run
 
     def _save(self, path: Path, run) -> None:
-        """Atomic write: concurrent workers never see a partial pickle."""
+        """Write the header, then each trace's column buffers as they
+        are; atomic, so concurrent workers never see a partial file."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        traces = run.traces if isinstance(run, CosimRun) else [run.trace]
+        header = (
+            type(run).__name__,
+            {f.name: getattr(run, f.name) for f in fields(run)
+             if f.name not in _TRACE_FIELDS},
+            [(trace.cpu, len(trace)) for trace in traces],
+        )
         with open(tmp, "wb") as f:
-            pickle.dump(run, f, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(header, f, protocol=pickle.HIGHEST_PROTOCOL)
+            for trace in traces:
+                for col in trace.columns():
+                    f.write(col)
         os.replace(tmp, path)
 
     def _cached(self, app: str, cosim: bool):
@@ -270,7 +313,7 @@ class TraceStore:
 #: persistent daemon worker serves many jobs over its lifetime; routing
 #: them through one shared store per spec keeps the in-memory trace and
 #: program caches warm across jobs, so a repeated sweep skips both
-#: regeneration and the disk-cache unpickle.
+#: regeneration and the disk-cache load.
 _SHARED_BY_SPEC: dict[tuple, TraceStore] = {}
 
 

@@ -106,6 +106,14 @@ _OP_SW = int(Op.SW)
 _INF = float("inf")
 
 
+def _unloggable(addr: int) -> OverflowError:
+    """The fault of a shared row whose address, stall or wait does not
+    fit its trace column (``repro.tango.trace.TRACE_COLUMNS``)."""
+    return OverflowError(
+        f"the row at address {addr:#x} does not fit the trace's columns"
+    )
+
+
 class DeadlockError(Exception):
     """All runnable threads are blocked on synchronization."""
 
@@ -254,12 +262,15 @@ class TangoExecutor:
             x = self._single_rows[key] = self.templates.add(
                 [(op, pc, next_pc, rd, rs1, rs2, mem_class)]
             )
-        log.ids.append(x)
         if mem_class != _MC_NONE:
-            log.addrs.append(addr)
-            log.stalls.append(stall)
-            if mem_class > _MC_WRITE:
-                log.waits.append(wait)
+            try:
+                log.addrs.append(addr)
+                log.stalls.append(stall)
+                if mem_class > _MC_WRITE:
+                    log.waits.append(wait)
+            except OverflowError:
+                self._fault(_unloggable(addr), tid, pc)
+        log.ids.append(x)
 
     def _expand_logs(self) -> None:
         """Build every trace from its thread's log (module docstring)."""
@@ -639,9 +650,13 @@ class TangoExecutor:
                             c[6] += stall
                         nx = q + 1
                     if put is not None:
-                        put(x)
-                        put_addr(addr)
+                        # Values before the id (trace.EmissionLog).
+                        try:
+                            put_addr(addr)
+                        except OverflowError:
+                            self._fault(_unloggable(addr), tid, spc)
                         put_stall(stall)
+                        put(x)
                     if rec is not None:
                         op = meta[spc][0]
                         mc = _MC_READ if kind == K_LOAD else _MC_WRITE

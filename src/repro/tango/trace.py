@@ -13,10 +13,12 @@ need (§3.2 of the paper):
   operations.
 
 Storage is **columnar**: one flat :mod:`array` of machine integers per
-field instead of a Python object per record.  That shrinks the on-disk
-pickles by ~10x, makes loading them near-instant (one ``frombytes`` per
-column), and lets the processor models iterate over plain ints instead of
-chasing attribute lookups through millions of heap objects.
+field instead of a Python object per record, each at the narrowest width
+its values need (25 bytes a row).  A column's buffer is what the trace
+cache writes to disk and reads back into (``repro.experiments.runner``),
+with no copy in between, and the processor models iterate over plain
+ints instead of chasing attribute lookups through millions of heap
+objects.
 :class:`TraceRecord` remains available as a materialised *view* of one
 row for tests, debugging and the (cold) trace-transformation passes.
 
@@ -40,28 +42,31 @@ import numpy as np
 
 from ..isa import MemClass, Op
 
-#: Bump whenever the pickle layout of :class:`Trace` (or anything reachable
-#: from a cached ``AppRun``) changes.  The trace cache includes this in the
-#: cache key, so stale pickles are never even opened.
-TRACE_FORMAT_VERSION = 2
+#: Bump whenever the column layout of :class:`Trace` (or anything stored
+#: with it in a cached run) changes.  The trace cache includes this in the
+#: cache key, so stale files are never even opened.
+TRACE_FORMAT_VERSION = 3
 
 #: numpy dtype corresponding to each array typecode used by the columns.
-_NP_DTYPES = {"B": np.uint8, "h": np.int16, "i": np.int32, "q": np.int64}
+_NP_DTYPES = {
+    "B": np.uint8, "b": np.int8, "i": np.int32, "q": np.int64,
+}
 
 #: (field name, array typecode) for every column, in row order.
-#: Narrow typecodes keep pickles small: opcodes and memory classes fit a
-#: byte, register ids a short, pc/stall an int32; addresses and waits get
-#: the full 64 bits.
+#: Opcodes and memory classes fit an unsigned byte, register ids (-1 or
+#: below 64) a signed one; pcs, addresses, stalls and waits an int32.  A
+#: value outside its column's range raises ``OverflowError`` when it is
+#: logged, never wraps.
 TRACE_COLUMNS = (
     ("op", "B"),
     ("pc", "i"),
     ("next_pc", "i"),
-    ("rd", "h"),
-    ("rs1", "h"),
-    ("rs2", "h"),
-    ("addr", "q"),
+    ("rd", "b"),
+    ("rs1", "b"),
+    ("rs2", "b"),
+    ("addr", "i"),
     ("stall", "i"),
-    ("wait", "q"),
+    ("wait", "i"),
     ("mem_class", "B"),
 )
 
@@ -140,7 +145,9 @@ class RowTemplates:
                 ("wait", 0, offsets[kinds & _SYNC != 0], log.waits),
             ):
                 col = np.full(n, fill, _NP_DTYPES[values.typecode])
-                col[at] = _np_view(values)
+                # A run that faulted mid-row logged no id for that row's
+                # values (EmissionLog), so only the first len(at) count.
+                col[at] = _np_view(values)[: len(at)]
                 cols[name] = col
             jumps = ends[kinds & _FOLLOW != 0] - 1
             if len(jumps):
@@ -156,7 +163,12 @@ class RowTemplates:
 class EmissionLog:
     """One traced thread's rows, by reference, until the run ends: a
     :class:`RowTemplates` id per run of rows (``ids``), the address and
-    stall of each shared row and the wait of each synchronization row."""
+    stall of each shared row and the wait of each synchronization row.
+
+    The columns have the trace's widths, so a value out of range raises
+    as it is logged.  A row's values are logged before its id: a run
+    that stops there leaves at most some values without an id, which
+    :meth:`RowTemplates.expand` ignores."""
 
     __slots__ = ("ids", "addrs", "stalls", "waits")
 
@@ -310,7 +322,8 @@ class Trace:
         """Materialised record views (compatibility/debug helper)."""
         return list(self)
 
-    # -- pickling ------------------------------------------------------------
+    # -- pickling (process-pool IPC; the trace cache writes the column
+    # buffers itself: repro.experiments.runner) ------------------------------
 
     def __getstate__(self):
         return {

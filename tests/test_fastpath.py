@@ -58,7 +58,7 @@ from repro.net import build_network
 from repro.obs import ChromeTracer, MetricsRegistry, Probe, run_profile
 from repro.service import sweep_from_request
 from repro.tango import ExecutionError, StepLimitExceeded
-from repro.tango.trace import TRACE_FORMAT_VERSION
+from repro.tango.trace import TRACE_COLUMNS, TRACE_FORMAT_VERSION
 from repro.verify import ExecutionRecorder
 
 MODELS = ("SC", "PC", "WO", "RC")
@@ -208,6 +208,37 @@ class TestEmissionLog:
                     assert (got == want[:len(trace)]).all(), (budget, cpu)
                 ends_in_jr += len(trace) and trace.op[-1] == Op.JR
         assert ends_in_jr
+
+    @pytest.mark.parametrize("shared", ("sw", "lock"))
+    def test_address_beyond_the_columns_faults(self, shared):
+        """A traced row whose address does not fit the int32 ``addr``
+        column is a fault naming the thread and pc in both engines, by
+        a store (logged in the run-ahead loop) or a lock (logged by the
+        shared sync path); the rows before it are still expanded."""
+        messages = []
+        for compiled in (True, False):
+            ok, bad = AsmBuilder("ok"), AsmBuilder("bad")
+            ok.halt()
+            a, x = bad.ireg(), bad.ireg()
+            bad.li(x, 7)
+            bad.li(a, 2**31)
+            if shared == "sw":
+                bad.sw(x, a, 0)
+            else:
+                bad.lock(a)
+            bad.addi(x, x, 1)
+            bad.halt()
+            config = MultiprocessorConfig(n_cpus=2, trace_cpus=(0, 1))
+            executor = TangoExecutor(
+                [ok.build(), bad.build()], config, compiled=compiled
+            )
+            with pytest.raises(ExecutionError) as exc:
+                executor.run()
+            messages.append(str(exc.value))
+            assert len(executor.traces[1]) == 2
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("thread 1: fault at pc 2 ")
+        assert "0x80000000 does not fit" in messages[0]
 
 
 # Address map of the generated scheduler programs.
@@ -1302,10 +1333,11 @@ class TestIndexFootprint:
     A DS run holds cycle numbers only for the rows in flight."""
 
     #: Retained bytes per row of ``_TraceIndex`` + ``_DSIndex`` + the
-    #: misprediction column at tiny/4: 124 (lu) and 127 (ocean)
-    #: measured, plus 10 %.  One int object per element measured 284
-    #: and 311; absolute producer rows, 170 and 177.
-    BYTES_PER_ROW = {"lu": 137, "ocean": 141}
+    #: misprediction column at tiny/4: 113 (lu) and 116 (ocean)
+    #: measured, plus 10 %.  Addresses and waits as int64 measured 124
+    #: and 127; one int object per element, 284 and 311; absolute
+    #: producer rows, 170 and 177.
+    BYTES_PER_ROW = {"lu": 125, "ocean": 128}
 
     #: tracemalloc peak of a second DS-RC-w64 ``simulate`` per trace
     #: row at tiny/4: 30 (lu) and 31 (ocean) measured, plus 10 %.  With
@@ -1356,17 +1388,17 @@ class TestIndexFootprint:
         trace = traces["ocean"]
         idx = self._build(trace)
         ds = idx.ds
-        rows = [
+        # Row numbers and event positions, then the trace's own int32
+        # addresses and waits.
+        typed = [
             idx.ev_l, idx.sp_l, idx.write_pos_l, idx.read_posm_l,
             idx.read_pos_l, idx.read_rows_l, idx.pos_of_row,
             *idx.users.values(),
+            idx.addr_l, idx.wait_l, ds.addr_l, ds.wait_l,
         ]
-        wide = [idx.addr_l, idx.wait_l, ds.addr_l, ds.wait_l]
         assert idx.users
-        for col in rows:
+        for col in typed:
             assert isinstance(col, array) and col.typecode == "i"
-        for col in wide:
-            assert isinstance(col, array) and col.typecode == "q"
         for flags in (ds.mispredicts(trace), ds.acq_wait_l, ds.acq_l):
             assert type(flags) is bytes and len(flags) == len(trace)
 
@@ -1439,7 +1471,167 @@ class TestProducerDistances:
 
 
 class TestCacheVersioning:
-    """Trace pickles carry their schema + simulation parameters."""
+    """Cached runs carry their schema + simulation parameters in their
+    names; a file that is not one whole run of the wanted type is a
+    miss, removed and regenerated."""
+
+    @pytest.fixture(scope="class")
+    def tiny4_cache(self, tmp_path_factory):
+        """A tiny/4 cache holding lu's run and ocean's all-CPU run."""
+        cache = tmp_path_factory.mktemp("tiny4_cache")
+        store = TraceStore(preset="tiny", n_procs=4, cache_dir=cache)
+        return cache, store.get("lu"), store.get_cosim("ocean")
+
+    @staticmethod
+    def _store(cache):
+        return TraceStore(preset="tiny", n_procs=4, cache_dir=cache)
+
+    @staticmethod
+    def _no_builds(monkeypatch):
+        def build(self, app):
+            raise AssertionError(f"{app} rebuilt instead of loaded")
+
+        monkeypatch.setattr(TraceStore, "_build", build)
+        monkeypatch.setattr(TraceStore, "_build_cosim", build)
+
+    @staticmethod
+    def _header_bytes(path) -> int:
+        with open(path, "rb") as f:
+            pickle.load(f)
+            return f.tell()
+
+    @staticmethod
+    def _assert_columns_equal(got, want) -> None:
+        assert got == want
+        assert [c.typecode for c in got.columns()] == [
+            code for _, code in TRACE_COLUMNS
+        ]
+
+    def test_row_width(self):
+        assert sum(array(code).itemsize for _, code in TRACE_COLUMNS) == 25
+
+    def test_app_run_round_trip(self, tiny4_cache, monkeypatch):
+        cache, run, _ = tiny4_cache
+        self._no_builds(monkeypatch)
+        again = self._store(cache).get("lu")
+        self._assert_columns_equal(again.trace, run.trace)
+        assert again.trace.cpu == run.trace.cpu == 0
+        assert again.stats == run.stats
+        assert again.base == run.base
+        assert again.params == run.params and again.app == "lu"
+
+    def test_cosim_run_round_trip(self, tiny4_cache, monkeypatch):
+        cache, _, run = tiny4_cache
+        self._no_builds(monkeypatch)
+        again = self._store(cache).get_cosim("ocean")
+        assert len(again.traces) == len(run.traces) == 4
+        for cpu, (got, want) in enumerate(zip(again.traces, run.traces)):
+            self._assert_columns_equal(got, want)
+            assert got.cpu == cpu
+        assert again.schedule == run.schedule
+        assert again.stats == run.stats
+        assert again.params == run.params and again.app == "ocean"
+
+    @pytest.mark.parametrize("damage", ("cut", "trailing", "foreign"))
+    def test_damaged_file_regenerates(
+        self, tiny4_cache, tmp_path, monkeypatch, damage
+    ):
+        """A file cut inside a column block, one with a trailing byte,
+        and lu's single-CPU file under lu's all-CPU name are each
+        removed and regenerated, and the new file loads."""
+        source, run, _ = tiny4_cache
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        store = self._store(cache)
+        lu_path = store._cache_path("lu")
+        raw = (source / lu_path.name).read_bytes()
+        if damage == "cut":
+            header = self._header_bytes(source / lu_path.name)
+            assert header < len(raw) // 2
+            lu_path.write_bytes(raw[: (header + len(raw)) // 2])
+        elif damage == "trailing":
+            lu_path.write_bytes(raw + b"\0")
+        else:
+            lu_path = store._cache_path("lu", cosim=True)
+            lu_path.write_bytes(raw)
+        removed = []
+        unlink = Path.unlink
+
+        def spy(path, *args, **kwargs):
+            removed.append(path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", spy)
+        if damage == "foreign":
+            regen = store.get_cosim("lu").traces[0]
+        else:
+            regen = store.get("lu").trace
+        assert removed == [lu_path]
+        assert regen == run.trace
+        self._no_builds(monkeypatch)
+        if damage == "foreign":
+            assert self._store(cache).get_cosim("lu").traces[0] == run.trace
+        else:
+            assert self._store(cache).get("lu").trace == run.trace
+
+    def test_older_version_never_opened(
+        self, tiny4_cache, tmp_path, monkeypatch
+    ):
+        """A ``_v2_`` file of the same key, even one in today's layout,
+        is neither served nor opened nor removed: the run is built."""
+        source, run, _ = tiny4_cache
+        store = self._store(tmp_path)
+        path = store._cache_path("lu")
+        old = path.with_name(
+            path.name.replace(f"_v{TRACE_FORMAT_VERSION}_", "_v2_")
+        )
+        assert old != path
+        old.write_bytes((source / path.name).read_bytes())
+        built = []
+
+        def build(self, app):
+            built.append(app)
+            return run
+
+        monkeypatch.setattr(TraceStore, "_build", build)
+        assert store.get("lu") is run
+        assert built == ["lu"]
+        assert old.read_bytes() == (source / path.name).read_bytes()
+        assert path.is_file()
+
+    def test_load_and_save_hold_no_column_copy(self, tiny4_cache, tmp_path):
+        """Loading ocean's all-CPU run peaks at its column bytes plus
+        the header (the pickled header and ``frombytes`` copies peaked
+        at about twice the columns), and saving it at the header plus a
+        small fraction of the columns (``tobytes`` copies: about 1.1x)."""
+        cache, _, run = tiny4_cache
+        columns = sum(
+            len(col) * col.itemsize
+            for trace in run.traces for col in trace.columns()
+        )
+        path = self._store(cache)._cache_path("ocean", cosim=True)
+        header = self._header_bytes(path)
+        assert (
+            path.stat().st_size == header + columns
+            == header + 25 * sum(len(t) for t in run.traces)
+        )
+        # Warm up (lazy imports), then measure a fresh store's load.
+        self._store(cache).get_cosim("ocean")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            again = self._store(cache).get_cosim("ocean")
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            self._store(cache)._save(tmp_path / "copy.run", run)
+            save_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert again.traces == run.traces
+        assert load_peak <= 1.1 * columns + header, load_peak / columns
+        assert save_peak <= 0.1 * columns + header, save_peak / columns
+        assert (tmp_path / "copy.run").read_bytes() == path.read_bytes()
 
     def test_key_covers_all_parameters(self, tmp_path):
         base = TraceStore(preset="tiny", cache_dir=tmp_path)
