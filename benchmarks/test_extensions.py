@@ -1,38 +1,13 @@
-"""Benchmarks E11-E13 — the extension experiments.
+"""Benchmarks E12-E13 — the extension experiments.
 
-E11: multiple hardware contexts vs. dynamic scheduling (§5's competing
-technique).  E12: boosting SC with prefetch + speculative loads ([8]).
-E13: compiler read scheduling for the SS processor (the paper's stated
-future work).
+E12: boosting SC with prefetch + speculative loads ([8]).  E13: compiler
+read scheduling for the SS processor (the paper's stated future work).
 """
 
 from conftest import save_result
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.runner import run_experiments
-
-
-def test_contexts(benchmark, store50, results_dir):
-    store50.all_apps()
-    contexts = EXPERIMENTS["contexts"]
-
-    result = benchmark.pedantic(
-        lambda: run_experiments(
-            store50, [contexts], apps=("mp3d", "lu", "ocean")
-        )[0],
-        rounds=1, iterations=1,
-    )
-    save_result(results_dir, "contexts", contexts.format(result))
-
-    for app, data in result.items():
-        eff = data["efficiency"]
-        # More contexts -> higher processor efficiency, monotonically.
-        assert eff[2] >= eff[1] - 0.02
-        assert eff[4] >= eff[2] - 0.02
-        # One context is (roughly) the BASE processor with hidden writes,
-        # so it beats BASE but not the 4-context machine.
-        assert eff[1] >= data["base_efficiency"] - 0.02
-        assert eff[4] > data["base_efficiency"]
 
 
 def test_sc_boost(benchmark, store50, results_dir):

@@ -7,7 +7,7 @@ Commands:
 * ``simulate <app>`` — run one application and sweep the processor
   models over its trace (one Figure-3 column set).
 * ``table1|table2|table3|headline|figure1|figure3|figure4|latency100|
-  multi-issue|miss-analysis|sc-boost|contexts|compiler-sched`` —
+  multi-issue|miss-analysis|sc-boost|compiler-sched`` —
   regenerate a specific table/figure/extension experiment and print it.
 * ``profile <app>`` — instrumented run of one model/window/network
   combination: occupancy histograms, stall attribution per consistency
@@ -130,7 +130,7 @@ def cmd_cosim(args) -> int:
         args.app, store,
         kind=args.kind, model=args.model, window=args.window,
         network=args.network, sync_mode=args.sync,
-        contexts=args.contexts, trace=args.trace,
+        trace=args.trace,
         out_dir=args.out, command=argv_echo,
     ))
 
@@ -667,10 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cosim.add_argument("app", choices=APP_NAMES)
     p_cosim.add_argument("--kind", default="ds",
-                         choices=("base", "ssbr", "ss", "ds", "mc"),
+                         choices=("base", "ssbr", "ss", "ds"),
                          help="processor model co-simulated on every "
-                              "node (mc groups --contexts traces per "
-                              "node)")
+                              "node")
     p_cosim.add_argument("--model", default="RC",
                          type=lambda s: s.upper(),
                          choices=("SC", "PC", "WO", "RC"),
@@ -686,8 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sync waits: trace-baked (replay) or "
                               "resolved live from the recorded "
                               "schedule")
-    p_cosim.add_argument("--contexts", type=int, default=1,
-                         help="contexts per node for --kind mc")
     p_cosim.add_argument("--trace", action="store_true",
                          help="emit a Chrome trace_event JSON timeline "
                               "(requires --out)")

@@ -52,14 +52,15 @@ PENDING = -1
 
 @dataclass
 class CosimNode:
-    """One processor (or multicontext processor) on the fabric."""
+    """One processor on the fabric.
+
+    The engine's ``nodes`` are indexed by cpu id, so a node's index is
+    also its source node on the fabric.
+    """
 
     #: The model's stepper generator (:func:`repro.cpu.make_stepper`).
     handle: object
     label: str = ""
-    #: Source node id on the fabric (the trace's cpu for single-context
-    #: nodes, the physical node index for multicontext groups).
-    net_cpu: int = 0
     #: Whether the stepper may be suspended indefinitely at a live sync
     #: request.  False for the DS models: their store buffer must keep
     #: draining while an acquire waits (a parked DS stepper could hold
@@ -216,12 +217,11 @@ class CosimEngine:
     # -- memory -------------------------------------------------------
 
     def _serve_mem(self, idx: int, request: MemRequest) -> int:
-        node = self.nodes[idx]
         if self.network is None:
             latency = request.stall
         else:
             latency = self.network.replay_miss(
-                node.net_cpu, request.addr, request.is_write, request.time
+                idx, request.addr, request.is_write, request.time
             )
         self.miss_latencies[idx].append(latency)
         probe = self.probe
@@ -230,7 +230,7 @@ class CosimEngine:
                 probe.span_budget -= 1
                 end = request.time + max(1, latency)
                 pid, tid = probe.span_track(
-                    f"cosim/cpu{node.net_cpu}", "miss", request.time, end
+                    f"cosim/cpu{idx}", "miss", request.time, end
                 )
                 probe.tracer.complete(
                     "wr_miss" if request.is_write else "rd_miss",

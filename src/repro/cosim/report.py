@@ -37,7 +37,6 @@ def run_cosim_app(
     window: int = 64,
     network: str = "ideal",
     sync_mode: str = "replay",
-    contexts: int = 1,
     trace: bool = False,
     out_dir: Path | str | None = None,
     command: str = "",
@@ -79,13 +78,12 @@ def run_cosim_app(
         network_kind=network,
         line_size=store.line_size,
         sync_mode=sync_mode,
-        contexts=contexts,
         probe=probe if write_artifacts else None,
     )
     timings["cosim_run"] = time.perf_counter() - t0
 
     solo = None
-    if network != "ideal" and kind != "mc":
+    if network != "ideal":
         t0 = time.perf_counter()
         cpu = store.trace_cpu
         solo = (cpu, *replay_solo(
@@ -94,7 +92,6 @@ def run_cosim_app(
         ))
         timings["solo_replay"] = time.perf_counter() - t0
 
-    label = f"MC-k{contexts}" if kind == "mc" else config.label()
     config_dict = {
         "app": app,
         "kind": kind,
@@ -102,7 +99,6 @@ def run_cosim_app(
         "window": window,
         "network": network,
         "sync": sync_mode,
-        "contexts": contexts,
         "n_procs": store.n_procs,
         "miss_penalty": store.miss_penalty,
         "preset": store.preset,
@@ -110,9 +106,10 @@ def run_cosim_app(
     }
     outputs: dict[str, Path] = {}
     errors: list[str] = []
-    run_id = (
-        f"{app}-cosim-{kind}-{model.lower()}-{network}-{sync_mode}"
-    )
+    # The static kinds ignore the window, so only DS runs name it.
+    run_id = f"{app}-cosim-{kind}-{model.lower()}-{network}-{sync_mode}"
+    if kind == "ds":
+        run_id += f"-w{window}"
     out_path = None
     if write_artifacts:
         out_path = Path(out_dir) / run_id
@@ -121,7 +118,7 @@ def run_cosim_app(
             config_dict, timings, registry, tracer,
         )
 
-    report = format_cosim_report(run_id, label, result, outputs, solo)
+    report = format_cosim_report(run_id, config.label(), result, outputs, solo)
     return RunResult(
         app=app, config=config_dict, report=report, out_dir=out_path,
         outputs=outputs, errors=errors, result=result,

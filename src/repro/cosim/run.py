@@ -10,12 +10,7 @@ the "solo" column between the fixed penalty and the shared fabric.
 
 from __future__ import annotations
 
-from ..cpu import (
-    MultiContextProcessor,
-    ProcessorConfig,
-    make_stepper,
-    simulate,
-)
+from ..cpu import ProcessorConfig, make_stepper, simulate
 from ..net import build_network
 from .engine import CosimEngine, CosimNode, CosimResult
 
@@ -45,24 +40,9 @@ def build_node(
     # A parked DS stepper cannot drain its store buffer, so the engine
     # must answer PENDING instead of suspending it.
     return CosimNode(
-        stepper, label=config.label(), net_cpu=trace.cpu,
+        stepper, label=config.label(),
         parkable=not (is_ds and live_sync),
     )
-
-
-def _build_mc_nodes(traces, contexts: int):
-    """Group the per-cpu traces into multicontext processors."""
-    if contexts < 1:
-        raise ValueError("need at least one context per processor")
-    nodes = []
-    for node_idx, start in enumerate(range(0, len(traces), contexts)):
-        group = traces[start:start + contexts]
-        label = f"MC-k{contexts}"
-        gen = MultiContextProcessor(group).steps(label=label)
-        nodes.append(
-            CosimNode(gen, label=label, net_cpu=node_idx)
-        )
-    return nodes
 
 
 def run_cosim(
@@ -71,33 +51,24 @@ def run_cosim(
     network_kind: str = "ideal",
     line_size: int = 4,
     sync_mode: str = "replay",
-    contexts: int = 1,
     probe=None,
 ) -> CosimResult:
     """Co-simulate every processor of ``crun`` on one shared fabric.
 
     ``crun`` is a :class:`repro.experiments.runner.CosimRun` (all
-    per-cpu traces plus the recorded sync schedule).  ``config.kind``
-    may additionally be ``"mc"``: the traces are then grouped
-    ``contexts`` per physical node into multicontext processors (which
-    only support replayed sync — a parked context would block its
-    siblings on the shared request stream).
+    per-cpu traces plus the recorded sync schedule).  Every processor
+    is one node, built in ``crun.traces`` order, so a node's index is
+    its cpu id and its source node on the fabric.
     """
-    kind = config.kind.lower()
     live = sync_mode == "live"
-    if kind == "mc":
-        if live:
-            raise ValueError("multicontext nodes require --sync replay")
-        nodes = _build_mc_nodes(crun.traces, contexts)
-    else:
-        nodes = [
-            build_node(
-                trace, config,
-                has_network=network_kind != "ideal",
-                live_sync=live, probe=probe,
-            )
-            for trace in crun.traces
-        ]
+    nodes = [
+        build_node(
+            trace, config,
+            has_network=network_kind != "ideal",
+            live_sync=live, probe=probe,
+        )
+        for trace in crun.traces
+    ]
     network = build_network(network_kind, len(nodes), line_size)
     if network is not None and probe is not None:
         network.attach_probe(probe)

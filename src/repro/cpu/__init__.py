@@ -24,11 +24,6 @@ from dataclasses import dataclass, field
 from ..consistency import ConsistencyModel, get_model
 from ..tango import Trace
 from .ds import BranchTargetBuffer, DSConfig, ds_fast_stepper
-from .multicontext import (
-    MultiContextConfig,
-    MultiContextProcessor,
-    simulate_multicontext,
-)
 from .requests import MemRequest, ReleaseNotify, SyncRequest, drive
 from .scheduling import ScheduleStats, schedule_reads_early
 from .results import ExecutionBreakdown
@@ -159,8 +154,6 @@ __all__ = [
     "DSConfig",
     "ExecutionBreakdown",
     "MemRequest",
-    "MultiContextConfig",
-    "MultiContextProcessor",
     "ProcessorConfig",
     "ReleaseNotify",
     "ScheduleStats",
@@ -170,5 +163,4 @@ __all__ = [
     "make_stepper",
     "schedule_reads_early",
     "simulate",
-    "simulate_multicontext",
 ]

@@ -14,7 +14,6 @@ over the supervised pool.
 
 from importlib import import_module
 
-from .contexts import CONTEXT_COUNTS
 from .figure1 import format_figure1, run_figure1
 from .figure3 import figure3_configs, format_figure3, run_figure3
 from .headline import PAPER_HIDDEN
@@ -41,14 +40,13 @@ EXPERIMENTS: dict[str, Experiment] = {
     name: import_module(f".{name.replace('-', '_')}", __name__).EXPERIMENT
     for name in (
         "table1", "table2", "table3", "headline", "figure1", "figure3",
-        "figure4", "multi-issue", "miss-analysis", "sc-boost", "contexts",
+        "figure4", "multi-issue", "miss-analysis", "sc-boost",
         "compiler-sched", "latency100",
     )
 }
 
 __all__ = [
     "AppRun",
-    "CONTEXT_COUNTS",
     "EXPERIMENTS",
     "Experiment",
     "PAPER_HIDDEN",

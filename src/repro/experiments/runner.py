@@ -95,7 +95,11 @@ def _read_run(f, cls):
     """The run of type ``cls`` in the open cache file ``f``: the header,
     then each trace's columns read into preallocated arrays.  A file
     that is not one whole run of that type raises ``ValueError``."""
-    kind, values, shapes = pickle.load(f)
+    try:
+        kind, values, shapes = pickle.load(f)
+    except (MemoryError, OverflowError) as exc:
+        # A damaged length field asks for more bytes than there are.
+        raise ValueError("header damaged") from exc
     if kind != cls.__name__:
         raise ValueError(f"{kind} file where a {cls.__name__} was wanted")
     body = sum(rows for _, rows in shapes) * _ROW_BYTES

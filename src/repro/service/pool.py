@@ -81,6 +81,10 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+#: The signals a worker takes over from the supervisor's handlers.
+_WORKER_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 def _worker_main(conn, chaos) -> None:
     """Worker loop: receive tasks, run them, send checksummed results.
 
@@ -89,10 +93,13 @@ def _worker_main(conn, chaos) -> None:
     terminal interrupts only the supervisor, which then tears the
     workers down within its grace period.  SIGTERM gets its default
     action back: a handler the supervisor had installed when it forked
-    would only touch the child's copy of the supervisor's state.
+    would only touch the child's copy of the supervisor's state.  Both
+    arrive blocked (:class:`_Worker` forks under the mask), so one sent
+    before these lines is held until they have run, not lost.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     try:
         while True:
             task = conn.recv()
@@ -151,7 +158,11 @@ class _Worker:
         self.proc = ctx.Process(
             target=_worker_main, args=(theirs, chaos), daemon=True,
         )
-        self.proc.start()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            self.proc.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         theirs.close()
         self.conn = ours
         self.job: Job | None = None

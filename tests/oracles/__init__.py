@@ -57,7 +57,7 @@ def reference_node(
         live_sync=live_sync, probe=probe,
     )
     return CosimNode(
-        stepper, label=config.label(), net_cpu=trace.cpu,
+        stepper, label=config.label(),
         parkable=not (is_ds and live_sync),
     )
 

@@ -31,7 +31,7 @@ class TestParser:
     def test_all_experiments_have_subcommands(self):
         parser = build_parser()
         for name in ("table1", "table3", "figure3", "figure4",
-                     "headline", "latency100", "sc-boost", "contexts",
+                     "headline", "latency100", "sc-boost",
                      "compiler-sched", "miss-analysis", "multi-issue"):
             args = parser.parse_args([name])
             assert args.command == name
@@ -395,9 +395,9 @@ _CLI_OPTIONS = {
     "table1": (), "table2": (), "table3": (), "headline": (),
     "figure1": (), "figure3": ("--jobs",), "figure4": ("--jobs",),
     "multi-issue": (), "miss-analysis": (), "sc-boost": (),
-    "contexts": (), "compiler-sched": (), "latency100": ("--jobs",),
+    "compiler-sched": (), "latency100": ("--jobs",),
     "cosim": ("app", "--kind", "--model", "--window", "--network",
-              "--sync", "--contexts", "--trace", "--out"),
+              "--sync", "--trace", "--out"),
     "profile": ("app", "--kind", "--model", "--window", "--network",
                 "--trace", "--out"),
     "verify": ("target", "--model", "--schedules", "--seed", "--jobs",
@@ -480,13 +480,13 @@ _LIBRARY_DEFAULTS = {
     "cosim.engine.CosimEngine": (
         "nodes", "network=", "schedule=", "sync_mode=", "probe=",
     ),
-    "cosim.engine.CosimNode": ("handle", "label=", "net_cpu=", "parkable="),
+    "cosim.engine.CosimNode": ("handle", "label=", "parkable="),
     "cosim.report.format_cosim_report": (
         "run_id", "label", "result", "outputs=", "solo=",
     ),
     "cosim.report.run_cosim_app": (
         "app", "store", "kind=", "model=", "window=", "network=", "sync_mode=",
-        "contexts=", "trace=", "out_dir=", "command=",
+        "trace=", "out_dir=", "command=",
     ),
     "cosim.run.build_node": (
         "trace", "config", "has_network=", "live_sync=", "probe=",
@@ -496,7 +496,7 @@ _LIBRARY_DEFAULTS = {
     ),
     "cosim.run.run_cosim": (
         "crun", "config", "network_kind=", "line_size=", "sync_mode=",
-        "contexts=", "probe=",
+        "probe=",
     ),
     "cpu.ProcessorConfig": (
         "kind=", "model=", "window=", "issue_width=", "perfect_bp=",
@@ -513,13 +513,6 @@ _LIBRARY_DEFAULTS = {
     ),
     "cpu.make_stepper": (
         "trace", "config", "coupled=", "live_sync=", "probe=",
-    ),
-    "cpu.multicontext.MultiContextConfig": ("switch_penalty=",),
-    "cpu.multicontext.MultiContextProcessor": ("traces", "config="),
-    "cpu.multicontext.MultiContextProcessor.run": ("label=",),
-    "cpu.multicontext.MultiContextProcessor.steps": ("label=",),
-    "cpu.multicontext.simulate_multicontext": (
-        "traces", "switch_penalty=", "label=",
     ),
     "cpu.requests.drive": ("stepper", "network=", "cpu="),
     "cpu.simulate": ("trace", "config", "network=", "probe="),
@@ -747,7 +740,7 @@ def test_option_census():
     census = {"": options(parser)}
     census.update((name, options(p)) for name, p in commands.items())
     assert census == _CLI_OPTIONS
-    assert sum(map(len, census.values())) == 85
+    assert sum(map(len, census.values())) == 84
 
     library, skipped = _library_defaults()
     assert library == _LIBRARY_DEFAULTS

@@ -12,10 +12,9 @@ Covers the acceptance criteria of the co-simulation engine:
   counts and miss-latency sequences across repeated runs, and against
   nodes built from the scalar oracles (``tests/oracles.py``), under
   replayed and live sync on every fabric;
-* the live sync mode (schedule-resolved waits), the multicontext
-  stepper's cosim participation, the solo replay behind the report's
-  solo line, the ``cosim`` batch job kind, and the CLI subcommand's
-  manifest validation.
+* the live sync mode (schedule-resolved waits), the solo replay behind
+  the report's solo line, the ``cosim`` batch job kind, and the CLI
+  subcommand's manifest validation and run ids.
 """
 
 import json
@@ -343,48 +342,6 @@ class TestLiveSync:
         with pytest.raises(ValueError):
             CosimEngine([node], sync_mode="live")
 
-    def test_live_rejects_multicontext(self, lu_cosim):
-        with pytest.raises(ValueError):
-            run_cosim(
-                lu_cosim, ProcessorConfig(kind="mc"),
-                sync_mode="live", contexts=2,
-            )
-
-
-class TestMultiContext:
-    def test_completes_lu(self, lu_cosim):
-        """The multicontext stepper participates in co-simulation:
-        two contexts per node, replayed sync, runs to completion."""
-        cfg = ProcessorConfig(kind="mc")
-        result = run_cosim(
-            lu_cosim, cfg, network_kind="ideal", contexts=2,
-        )
-        assert len(result.breakdowns) == N_PROCS // 2
-        assert all(c > 0 for c in result.cycles())
-
-    def test_mesh_reprices_misses(self, cosim_store, lu_cosim):
-        cfg = ProcessorConfig(kind="mc")
-        ideal = run_cosim(lu_cosim, cfg, network_kind="ideal", contexts=2)
-        mesh = run_cosim(
-            lu_cosim, cfg, network_kind="mesh",
-            line_size=cosim_store.line_size, contexts=2,
-        )
-        assert mesh.cycles() != ideal.cycles()
-        assert mesh.net_summary["count"] > 0
-
-    def test_ideal_matches_standalone_runs(self, lu_cosim):
-        from repro.cpu import simulate_multicontext
-
-        result = run_cosim(
-            lu_cosim, ProcessorConfig(kind="mc"),
-            network_kind="ideal", contexts=2,
-        )
-        for node, start in enumerate(range(0, N_PROCS, 2)):
-            solo = simulate_multicontext(
-                lu_cosim.traces[start:start + 2]
-            )
-            assert solo.total == result.breakdowns[node].total
-
 
 class TestContentionReuse:
     def test_replay_solo_matches_direct_simulation(self, cosim_store):
@@ -427,11 +384,8 @@ class TestContentionReuse:
             ]
             assert lines[at + 3] == row
             assert app.result.cycles()[0] == shared_cpu0[kind]
-        for kind, network in (("base", "ideal"), ("mc", "mesh")):
-            app = run_cosim_app(
-                "lu", cosim_store, kind=kind, network=network, contexts=2
-            )
-            assert "solo (" not in app.report
+        app = run_cosim_app("lu", cosim_store, kind="base", network="ideal")
+        assert "solo (" not in app.report
 
 
 class TestServiceJobKind:
@@ -487,14 +441,40 @@ class TestCosimCLI:
         assert manifest["config"]["app"] == "lu"
         assert manifest["config"]["network"] == "crossbar"
 
+    def test_ds_windows_write_separate_runs(
+        self, capsys, tmp_path, cosim_store, lu_cosim
+    ):
+        """A DS run's id names its window, so two windows written to
+        one ``--out`` land in two directories; the static kinds ignore
+        the window and their ids do not carry it."""
+        from repro.cli import main
+
+        def run(kind, window):
+            assert main([
+                "--procs", str(N_PROCS), "--preset", "tiny",
+                "--cache-dir", str(cosim_store.cache_dir),
+                "cosim", "lu", "--kind", kind, "--window", str(window),
+                "--out", str(tmp_path),
+            ]) == 0
+
+        run("ds", 16)
+        run("ds", 64)
+        run("ss", 16)
+        capsys.readouterr()
+        runs = sorted(p.parent.name for p in tmp_path.glob("*/manifest.json"))
+        assert runs == [
+            "lu-cosim-ds-rc-ideal-replay-w16",
+            "lu-cosim-ds-rc-ideal-replay-w64",
+            "lu-cosim-ss-rc-ideal-replay",
+        ]
+
     def test_parser_accepts_cosim_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
             "cosim", "lu", "--network", "mesh",
-            "--kind", "mc", "--contexts", "2", "--sync", "replay",
+            "--kind", "ss", "--sync", "replay",
         ])
         assert args.command == "cosim"
         assert args.network == "mesh"
-        assert args.kind == "mc"
-        assert args.contexts == 2
+        assert args.kind == "ss"

@@ -347,6 +347,34 @@ class TestDaemonLifecycle:
             signal.signal(signal.SIGTERM, previous)
             d.stop()
 
+    def test_sigterm_before_the_worker_resets_its_handlers(
+        self, monkeypatch
+    ):
+        """A SIGTERM that reaches a worker straight after the fork, while
+        the supervisor's handler is still its own, is held until the
+        worker has reset its handlers, and then ends it."""
+        from multiprocessing import get_context
+
+        from repro.service import pool as pool_mod
+
+        worker_main = pool_mod._worker_main
+
+        def signalled_at_fork(conn, chaos):
+            os.kill(os.getpid(), signal.SIGTERM)
+            worker_main(conn, chaos)
+
+        monkeypatch.setattr(pool_mod, "_worker_main", signalled_at_fork)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            worker = pool_mod._Worker(get_context("fork"), None)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            worker.proc.join(5.0)
+            assert worker.proc.exitcode == -signal.SIGTERM
+        finally:
+            worker.kill()
+
     def test_status_snapshots_are_never_mixed(
         self, tmp_path, monkeypatch
     ):

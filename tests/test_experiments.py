@@ -129,28 +129,13 @@ class TestFigures:
         text = EXPERIMENTS["headline"].format(result)
         assert "paper avg" in text
 
-    def test_contexts_below_eight_processors(self, tmp_path, capsys):
-        """E11 on a machine smaller than its largest context count: the
-        counts, and the table's columns, stop at the processors."""
-        store = TraceStore(n_procs=4, preset="tiny", cache_dir=tmp_path)
-        (result,) = run_experiments(
-            store, [EXPERIMENTS["contexts"]], apps=("lu",)
-        )
-        assert set(result["lu"]["efficiency"]) == {1, 2, 4}
-        assert main([
-            "--procs", "4", "--preset", "tiny",
-            "--cache-dir", str(tmp_path), "contexts",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "MC k=4" in out and "MC k=8" not in out
-
 
 class TestSweepUnion:
     def test_all_simulates_each_config_once(self, tmp_path, monkeypatch):
         """`all` is one sweep per trace store: every distinct config of
         the 50-cycle experiments is simulated once per app (34; Figure 3
-        already holds the headline's, compiler-sched's and contexts'
-        bars), plus compiler-sched's rescheduled trace once per app and
+        already holds the headline's and compiler-sched's bars), plus
+        compiler-sched's rescheduled trace once per app and
         latency100's six configs on the 100-cycle traces."""
         from repro.experiments import runner
 

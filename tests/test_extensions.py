@@ -1,10 +1,9 @@
-"""Unit tests for the extension models: multiple contexts, SC boosting,
-compiler read scheduling."""
+"""Unit tests for the extension models: SC boosting, compiler read
+scheduling."""
 
-import pytest
 
 from repro.consistency import RC, SC
-from repro.cpu import schedule_reads_early, simulate_multicontext
+from repro.cpu import schedule_reads_early
 from repro.cpu.scheduling import MAX_HOIST
 from repro.isa import MemClass
 
@@ -17,51 +16,6 @@ def miss_heavy_trace(misses=10, gap=3):
         tb.load(rd=-1, stall=50, addr=0x1000 + 64 * i)
         alu_block(tb, gap)
     return tb.build()
-
-
-class TestMultiContext:
-    def test_single_context_exposes_all_misses(self):
-        trace = miss_heavy_trace()
-        r = simulate_multicontext([trace], switch_penalty=0)
-        base = run_model(trace, "base")
-        assert r.total >= base.total - base.write - 2
-
-    def test_two_contexts_overlap_misses(self):
-        t1, t2 = miss_heavy_trace(), miss_heavy_trace()
-        one = simulate_multicontext([t1], switch_penalty=0)
-        two = simulate_multicontext([t1, t2], switch_penalty=0)
-        # Two streams of work in (not much) more time than one.
-        assert two.busy == 2 * one.busy
-        assert two.total < 1.5 * one.total
-
-    def test_efficiency_improves_with_contexts(self):
-        traces = [miss_heavy_trace() for _ in range(8)]
-        effs = []
-        for k in (1, 2, 4, 8):
-            r = simulate_multicontext(traces[:k], switch_penalty=4)
-            effs.append(r.busy / r.total)
-        assert effs[0] < effs[1] < effs[2]
-        assert effs[3] >= effs[2] - 0.02
-
-    def test_switch_penalty_costs(self):
-        traces = [miss_heavy_trace(), miss_heavy_trace()]
-        free = simulate_multicontext(traces, switch_penalty=0)
-        costly = simulate_multicontext(traces, switch_penalty=20)
-        assert costly.total > free.total
-        assert costly.other > 0
-
-    def test_empty_context_list_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_multicontext([])
-
-    def test_attribution_sums(self):
-        tb = TraceBuilder()
-        tb.acquire(stall=50, wait=100)
-        tb.load(rd=-1, stall=50)
-        alu_block(tb, 5)
-        r = simulate_multicontext([tb.build(), miss_heavy_trace()],
-                                  switch_penalty=4)
-        assert r.total == r.busy + r.sync + r.read + r.write + r.other
 
 
 class TestScBoost:

@@ -576,7 +576,7 @@ class TestParallelFanOut:
         store = TraceStore(preset="tiny", n_procs=4, cache_dir=cache_dir)
         for name in (
             "figure3", "figure4", "latency100", "multi-issue", "sc-boost",
-            "headline", "compiler-sched", "miss-analysis", "contexts",
+            "headline", "compiler-sched", "miss-analysis",
         ):
             experiment = exp.EXPERIMENTS[name]
             serial, pooled = (
@@ -1573,6 +1573,34 @@ class TestCacheVersioning:
             assert self._store(cache).get_cosim("lu").traces[0] == run.trace
         else:
             assert self._store(cache).get("lu").trace == run.trace
+
+    def test_flipped_header_bytes_regenerate(
+        self, tiny4_cache, tmp_path, monkeypatch
+    ):
+        """600 seeded flips of 1-3 header bytes never escape ``get``: a
+        damaged length field that asks for more memory than there is
+        (``MemoryError``) is a miss like any torn file.  A flip the
+        header still loads with (there is no checksum) is served."""
+        import random
+
+        source, run, _ = tiny4_cache
+        store = self._store(tmp_path)
+        path = store._cache_path("lu")
+        raw = (source / path.name).read_bytes()
+        header = self._header_bytes(source / path.name)
+        monkeypatch.setattr(TraceStore, "_build", lambda self, app: run)
+        misses = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            data = bytearray(raw)
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(header)] ^= rng.randrange(1, 256)
+            path.write_bytes(data)
+            got = self._store(tmp_path).get("lu")
+            if got is run:
+                misses += 1
+                assert path.read_bytes() == raw, seed
+        assert 0 < misses < 600
 
     def test_older_version_never_opened(
         self, tiny4_cache, tmp_path, monkeypatch
